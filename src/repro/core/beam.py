@@ -464,7 +464,13 @@ class BeamSearch:
 
     def _extend(self, candidate: Candidate, transformation: Transformation,
                 score: float) -> Candidate:
-        statements = apply_transformation(candidate.statements, transformation)
+        # the statement GetSteps scored, parsed with this search's dialect
+        added = (
+            self._parsed_statement(transformation.statement_source)
+            if transformation.kind == ADD
+            else None
+        )
+        statements = apply_transformation(candidate.statements, transformation, added)
         if transformation.kind == ADD:
             frontier = transformation.position + 1
         elif transformation.position < candidate.frontier:

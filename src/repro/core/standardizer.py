@@ -574,11 +574,11 @@ class LucidScript:
         )
         candidates = search.search(dag.statements)
         intent_counters = IntentStats()
-        best = self._verify_all_constraints(
+        best, verdict = self._verify_all_constraints(
             candidates, normalized, original_output, search, intent_counters
         )
         intent_delta, intent_ok = self._final_intent(
-            best, normalized, original_output, intent_counters
+            best, verdict, normalized, original_output, intent_counters
         )
         search.sync_cache_stats()  # fold verification-phase cache activity in
         self._fold_intent_stats(search.stats, intent_counters)
@@ -649,12 +649,15 @@ class LucidScript:
         original_output: DataFrame,
         search: BeamSearch,
         intent_counters: IntentStats,
-    ) -> Candidate:
+    ) -> Tuple[Candidate, Optional[Tuple[float, bool]]]:
         """VerifyAllConstraints(): return the most standard valid candidate.
 
         Candidates arrive sorted by RE score; the original script is always
         among them and trivially satisfies every constraint, so the search
         can never make the script less standard (Table 5: min = 0.0).
+        The winner comes with the ``(delta, ok)`` intent verdict the serial
+        walk computed for it, or None when none was computed in this
+        process (see :meth:`_serial_walk` and :meth:`_final_intent`).
 
         With ``parallel_workers > 1``, waves of candidates are checked
         speculatively on the process pool, but the winner is still the
@@ -677,23 +680,23 @@ class LucidScript:
                         serial = self._serial_walk(
                             candidates, original_source, original_output, prepared
                         )
-                        if serial is None or serial.source() != speculative.source():
+                        if serial is None or serial[0].source() != speculative.source():
                             from ..sandbox.shards import ParallelMismatchError
 
                             raise ParallelMismatchError(
                                 "verify_parallel: sharded winner "
                                 f"{speculative.source()!r} != serial winner "
-                                f"{serial.source() if serial else None!r}"
+                                f"{serial[0].source() if serial else None!r}"
                             )
-                    return speculative
-            winner = self._serial_walk(
+                    return speculative, None
+            walked = self._serial_walk(
                 candidates, original_source, original_output, prepared
             )
-            if winner is None:
+            if walked is None:
                 raise StandardizationError(
                     "no candidate (not even the original) survived verification"
                 )
-            return winner
+            return walked
         finally:
             stats.verify_constraints_s += time.perf_counter() - start
 
@@ -703,28 +706,31 @@ class LucidScript:
         original_source: str,
         original_output: DataFrame,
         prepared: Optional[PreparedIntent],
-    ) -> Optional[Candidate]:
+    ) -> Optional[Tuple[Candidate, Optional[Tuple[float, bool]]]]:
         """The always-correct serial VerifyAllConstraints walk.
 
         Returns the first candidate (in score order) that satisfies every
-        constraint, or None if nothing survives.  Both the parallel path's
-        fallback and the ``verify_parallel`` audit reduce to this.
+        constraint, with the ``(delta, ok)`` its intent check returned
+        (None for the original or without an intent), or None if nothing
+        survives.  Both the parallel path's fallback and the
+        ``verify_parallel`` audit reduce to this.
         """
         for candidate in candidates:
             source = candidate.source()
             if source == original_source:
-                return candidate
+                return candidate, None
             output = self._run(source)
             if output is None:
                 continue
+            verdict = None
             if self.intent is not None:
                 if prepared is not None:
-                    _, ok = prepared.check(output)
+                    verdict = prepared.check(output)
                 else:
-                    _, ok = self.intent.check(original_output, output)
-                if not ok:
+                    verdict = self.intent.check(original_output, output)
+                if not verdict[1]:
                     continue
-            return candidate
+            return candidate, verdict
         return None
 
     def _verify_parallel(
@@ -859,16 +865,26 @@ class LucidScript:
     def _final_intent(
         self,
         best: Candidate,
+        verdict: Optional[Tuple[float, bool]],
         original_source: str,
         original_output: DataFrame,
         intent_counters: IntentStats,
     ) -> Tuple[Optional[float], bool]:
+        """The winner's ``(intent_delta, intent_satisfied)``.
+
+        A winner from the serial walk arrives with the *verdict* the walk
+        just computed for it, so it is neither run nor checked again.  Only
+        a winner from :meth:`_verify_parallel` arrives without one — shard
+        workers return bare verdicts — and is run and checked here.
+        """
         if self.intent is None:
             return None, True
         if best.source() == original_source:
             # identical script: Jaccard similarity 1 / accuracy delta 0
             identity = 1.0 if self.intent.name == "table_jaccard" else 0.0
             return identity, True
+        if verdict is not None:
+            return verdict
         output = self._run(best.source())
         if output is None:  # pragma: no cover - verified above
             return None, False

@@ -86,9 +86,17 @@ def _renumber(statements: Sequence[Statement]) -> List[Statement]:
 
 
 def apply_transformation(
-    statements: Sequence[Statement], transformation: Transformation
+    statements: Sequence[Statement],
+    transformation: Transformation,
+    added: Optional[Statement] = None,
 ) -> List[Statement]:
-    """Return a new renumbered statement list with *transformation* applied."""
+    """Return a new renumbered statement list with *transformation* applied.
+
+    *added* is the already-parsed statement an add inserts.  Callers that
+    parsed ``statement_source`` with their dialect pass it here, so the
+    inserted statement keeps that dialect's ``protected`` flag; None
+    parses ``statement_source`` against the pandas surface.
+    """
     statements = list(statements)
     if transformation.kind == DELETE:
         if not 0 <= transformation.position < len(statements):
@@ -106,10 +114,11 @@ def apply_transformation(
                 f"insert position {transformation.position} out of range "
                 f"for {len(statements)} statements"
             )
-        new_stmt = Statement.from_source(
-            transformation.position, transformation.statement_source
-        )
-        statements.insert(transformation.position, new_stmt)
+        if added is None:
+            added = Statement.from_source(
+                transformation.position, transformation.statement_source
+            )
+        statements.insert(transformation.position, added)
     return _renumber(statements)
 
 

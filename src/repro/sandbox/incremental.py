@@ -49,7 +49,7 @@ import sys
 import time
 import types
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,12 +67,45 @@ from .runner import (
     script_error_line,
 )
 
-__all__ = ["IncrementalExecutor", "IncrementalStats"]
+__all__ = ["IncrementalExecutor", "IncrementalStats", "statement_segments"]
 
 #: Matches genuine randomness use (``import random``, ``random.random()``,
 #: ``np.random.seed``) but not the deterministic ``random_state=`` kwarg,
 #: because ``_`` is a word character and blocks the ``\b`` boundary.
 _RANDOM_PATTERN = _re.compile(r"\brandom\b")
+
+#: Splits after each line break the parser counts — ``\r\n``, a lone
+#: ``\r`` or ``\n`` — keeping the break on its line.  ``str.splitlines``
+#: would also split on form feed, ``\v`` and U+2028, which the parser
+#: does not treat as line breaks.
+_LINE_BREAK = _re.compile(r"(?<=\n)|(?<=\r)(?!\n)")
+
+
+def statement_segments(source: str, nodes: Sequence[ast.stmt]) -> List[str]:
+    """The source text of each parsed node, cut from *source* in one pass.
+
+    Equal to ``[ast.get_source_segment(source, node) for node in nodes]``
+    for nodes parsed from *source*, but that re-splits the whole script
+    once per node.  Here the script is split into lines once and each line
+    is encoded to UTF-8 once, because the parser's column offsets count
+    UTF-8 bytes.
+    """
+    lines = _LINE_BREAK.split(source)
+    encoded = [line.encode() for line in lines]
+    segments = []
+    for node in nodes:
+        first, last = node.lineno - 1, node.end_lineno - 1
+        if first == last:
+            segment = encoded[first][node.col_offset:node.end_col_offset].decode()
+        else:
+            segment = (
+                encoded[first][node.col_offset:].decode()
+                + "".join(lines[first + 1:last])
+                + encoded[last][:node.end_col_offset].decode()
+            )
+        segments.append(segment)
+    return segments
+
 
 #: Types safe to share between snapshots without copying.
 _IMMUTABLE_TYPES = (
@@ -283,10 +316,9 @@ class IncrementalExecutor:
             tree = ast.parse(source)
         except SyntaxError as exc:
             return ExecutionResult(ok=False, error=exc, error_line=exc.lineno)
-        segments = [ast.get_source_segment(source, node) for node in tree.body]
-        if not segments or any(s is None for s in segments):
+        if not tree.body:
             return self._cold(source, extra_globals)
-        prefix = tuple(segments)
+        prefix = tuple(statement_segments(source, tree.body))
 
         namespace, resumed = self._resume(prefix)
         if namespace is None and resumed < 0:

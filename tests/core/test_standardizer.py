@@ -9,7 +9,9 @@ from repro.core import (
     StandardizationError,
     TableJaccardIntent,
 )
+from repro.core.intent import table_fingerprint
 from repro.lang import lemmatize
+from repro.sandbox import kill_worker_pool, run_script
 
 
 @pytest.fixture()
@@ -149,6 +151,122 @@ class TestStandardizationResult:
         result = system.standardize(alex_script)
         assert "VerifyConstraints" in result.stats.breakdown()
         assert result.stats.verify_constraints_s > 0
+
+
+INTENTS = {
+    "jaccard": lambda: TableJaccardIntent(tau=0.5),
+    "model": lambda: ModelPerformanceIntent(target="Outcome", tau=5.0),
+}
+
+
+class TestWinnerVerifiedOnce:
+    """The serial walk's verdict for its winner is the one reported; only a
+    winner from the shard engine is run and checked again in the parent."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        """Every script the standardizer itself runs, in order."""
+        ran = []
+        real_run = LucidScript._run
+
+        def spy(system, source):
+            ran.append(source)
+            return real_run(system, source)
+
+        monkeypatch.setattr(LucidScript, "_run", spy)
+        return ran
+
+    def _standardize(self, corpus, data_dir, script, kind, **config):
+        system = LucidScript(
+            corpus,
+            data_dir=data_dir,
+            intent=INTENTS[kind](),
+            config=LSConfig(seq=4, beam_size=2, sample_rows=150, **config),
+        )
+        return system.standardize(script)
+
+    @staticmethod
+    def _cold_output(source, data_dir):
+        return run_script(source, data_dir=data_dir, sample_rows=150).output
+
+    @pytest.mark.parametrize("kind", sorted(INTENTS))
+    def test_reported_verdict_matches_fresh_check(
+        self, kind, runs, diabetes_corpus, diabetes_dir, alex_script
+    ):
+        result = self._standardize(diabetes_corpus, diabetes_dir, alex_script, kind)
+        assert result.changed
+        assert runs.count(result.output_script) == 1
+        fresh = INTENTS[kind]().check(
+            self._cold_output(result.input_script, diabetes_dir),
+            self._cold_output(result.output_script, diabetes_dir),
+        )
+        assert fresh == (result.intent_delta, result.intent_satisfied)
+
+    def test_model_winner_trained_once(
+        self, monkeypatch, diabetes_corpus, diabetes_dir, alex_script
+    ):
+        import repro.core.intent as intent_mod
+
+        trained = []
+        real = intent_mod.evaluate_downstream
+
+        def counted(frame, target, **kwargs):
+            trained.append(table_fingerprint(frame))
+            return real(frame, target, **kwargs)
+
+        monkeypatch.setattr(intent_mod, "evaluate_downstream", counted)
+        result = self._standardize(
+            diabetes_corpus, diabetes_dir, alex_script, "model"
+        )
+        assert result.changed
+        winner = table_fingerprint(
+            self._cold_output(result.output_script, diabetes_dir)
+        )
+        original = table_fingerprint(
+            self._cold_output(result.input_script, diabetes_dir)
+        )
+        assert winner != original  # no short circuit: the winner is trained
+        assert trained.count(winner) == 1
+        assert trained.count(original) == 1
+
+    def test_parallel_winner_still_runs_in_parent(
+        self, runs, monkeypatch, diabetes_corpus, diabetes_dir, alex_script
+    ):
+        serial = self._standardize(
+            diabetes_corpus, diabetes_dir, alex_script, "jaccard"
+        )
+        speculative = []
+        real_verify = LucidScript._verify_parallel
+
+        def spy(system, *args):
+            speculative.append(real_verify(system, *args))
+            return speculative[-1]
+
+        monkeypatch.setattr(LucidScript, "_verify_parallel", spy)
+        del runs[:]
+        try:
+            parallel = self._standardize(
+                diabetes_corpus,
+                diabetes_dir,
+                alex_script,
+                "jaccard",
+                parallel_workers=2,
+            )
+        finally:
+            kill_worker_pool()
+        assert parallel.changed
+        assert [w.source() for w in speculative] == [parallel.output_script]
+        # shard workers return bare verdicts: the parent runs the input,
+        # then the winner once for its reported intent delta
+        assert runs == [parallel.input_script, parallel.output_script]
+        for field in (
+            "output_script",
+            "transformations",
+            "re_after",
+            "intent_delta",
+            "intent_satisfied",
+        ):
+            assert getattr(parallel, field) == getattr(serial, field), field
 
 
 class TestWorkerOutputCache:

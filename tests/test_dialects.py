@@ -27,6 +27,14 @@ import tempfile
 import pytest
 
 from repro.core import LSConfig, LucidScript, StandardizationError
+from repro.core.beam import BeamSearch, Candidate
+from repro.core.entropy import RelativeEntropyScorer
+from repro.core.transformations import (
+    ADD,
+    DELETE,
+    Transformation,
+    enumerate_transformations,
+)
 from repro.corpus import (
     CorpusIndex,
     RetrievalIndex,
@@ -45,6 +53,8 @@ from repro.dialects import (
 from repro.dialects.cases import fixture_case
 from repro.dialects.tablereport_corpus import fixture_scripts, generate_corpus
 from repro.dialects.verify import verify_dialect
+from repro.lang import CorpusVocabulary, parse_script
+from repro.lang.atoms import NGRAM
 from repro.sandbox import SandboxImportError, run_script
 
 
@@ -229,6 +239,42 @@ class TestCrossDialectProperties:
         """The recorded pre-refactor pandas fixture replays byte-for-byte."""
         records = verify_dialect(["pandas"])
         assert records["pandas"]["dialect"] == "pandas"
+
+
+class TestAddedStatementsKeepDialect:
+    def test_added_loader_stays_protected(self):
+        """A loader line the search adds is parsed with the search's
+        dialect, so no later step may delete it."""
+        tablereport = get_dialect("tablereport")
+        corpus, _ = fixture_scripts()
+        vocabulary = CorpusVocabulary.from_scripts(corpus, dialect=tablereport)
+        search = BeamSearch(
+            vocabulary,
+            RelativeEntropyScorer(vocabulary),
+            LSConfig(dialect="tablereport"),
+        )
+        statements = parse_script(
+            "import tablereport as tr\nreport = design.timing_report()",
+            lemmatized=True,
+            dialect=tablereport,
+        ).statements
+        loader = "design = tr.load_design('design.csv')"
+        parent = Candidate(
+            statements=tuple(statements), applied=(), frontier=0, score=0.0
+        )
+        add = Transformation(
+            kind=ADD, gram=NGRAM, signature=loader, position=1,
+            statement_source=loader,
+        )
+        child = search._extend(parent, add, 0.0)
+        assert child.statements[1].source == loader
+        assert child.statements[1].protected
+        deletes = [
+            t.position
+            for t in enumerate_transformations(child.statements, vocabulary)
+            if t.kind == DELETE
+        ]
+        assert deletes == [2]  # only the report line; never the loader
 
 
 class TestEndToEndSmoke:

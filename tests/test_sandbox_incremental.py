@@ -1,8 +1,11 @@
 """Tests for the incremental executor, batched checks, and the LRU caches."""
 
+import ast
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._lru import LRUCache
 from repro.minipandas import DataFrame
@@ -13,6 +16,7 @@ from repro.sandbox import (
     run_script,
 )
 from repro.sandbox import runner as runner_module
+from repro.sandbox.incremental import statement_segments
 
 
 PREFIX = (
@@ -41,6 +45,58 @@ def _result_signature(result):
             tuple(tuple(v) for v in result.output.to_dict().values()),
         )
     return sig
+
+
+#: Sources whose line breaks, column offsets or layout a naive split
+#: would get wrong; ``ast.get_source_segment`` is the oracle for each.
+SEGMENT_CASES = {
+    "crlf": "a = 1\r\nb = 2\r\n",
+    "lone_cr": "a = 1\rb = 2\rc = a + b",
+    "form_feed": "a = 1\n\x0cb = 2\n\x0c\nc = 3",
+    "non_ascii_literals": "s = 'héllo wörld'; t = '€𝄞'\nu = len(s) + 1",
+    "multi_line": "x = (1 +\n     2)\ny = [\n    'ü',\r\n    2,\n]\nz = 3",
+    "two_on_one_line": "a = 1; b = 2",
+    "trailing_comments": "a = 1  # one\nb = 'é'  # two, ü\n# a last comment\n",
+    "u2028_in_literal": "s = 'a\u2028b'\nt = 1",
+    "compound_crlf": "if a:\r\n    b = 'ä'\r\nelse:\r\n    b = 2\r\nc = b",
+    "empty": "",
+}
+
+_FRAGMENTS = (
+    "a = 1",
+    "b = 'é€'",
+    "c = (1 +\n     2)",
+    "d = [\r\n    'ü',\r\n]",
+    "e = 'x\u2028y'",
+    "f = 1; g = 2",
+    "h = 3  # note ü",
+    "if a:\n    i = 'ä'",
+)
+_BREAKS = ("\n", "\r\n", "\r", "\n\x0c", "\n\n")
+
+
+def _assert_matches_oracle(source):
+    body = ast.parse(source).body
+    expected = [ast.get_source_segment(source, node) for node in body]
+    assert statement_segments(source, body) == expected
+
+
+class TestStatementSegments:
+    @pytest.mark.parametrize(
+        "source", list(SEGMENT_CASES.values()), ids=list(SEGMENT_CASES)
+    )
+    def test_matches_get_source_segment(self, source):
+        _assert_matches_oracle(source)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_FRAGMENTS), st.sampled_from(_BREAKS)),
+            max_size=8,
+        )
+    )
+    def test_random_layouts_match_get_source_segment(self, parts):
+        _assert_matches_oracle("".join(fragment + brk for fragment, brk in parts))
 
 
 class TestLRUCache:
@@ -161,6 +217,24 @@ class TestIncrementalExecutor:
         executor.run_script(PREFIX + "\ndf = df.dropna()")  # warm the prefix
         resumed = executor.run_script(bad)
         cold = run_script(bad, data_dir=diabetes_dir, sample_rows=100)
+        assert not resumed.ok and not cold.ok
+        assert resumed.error_line == cold.error_line == 6
+        assert resumed.error_type == cold.error_type == "KeyError"
+
+    def test_crlf_error_line_after_multi_line_statement(self, diabetes_dir):
+        prefix = (
+            "import pandas as pd\r\n"
+            "df = pd.read_csv('diabetes.csv')\r\n"
+            "df = df.drop(\r\n"
+            "    'Glucose',\r\n"
+            "    axis=1)\r\n"
+        )
+        bad = prefix + "df = df.drop('Nope', axis=1)\r\n"
+        executor = IncrementalExecutor(data_dir=diabetes_dir, sample_rows=100)
+        executor.run_script(prefix)  # warm the prefix
+        resumed = executor.run_script(bad)
+        cold = run_script(bad, data_dir=diabetes_dir, sample_rows=100)
+        assert executor.stats.prefix_hits == 1
         assert not resumed.ok and not cold.ok
         assert resumed.error_line == cold.error_line == 6
         assert resumed.error_type == cold.error_type == "KeyError"
