@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .._lru import LRUCache
 from ..minipandas import DataFrame, is_missing
+from ..minipandas.kernels import na_key
 from ..ml import DownstreamEvaluationError, evaluate_downstream
 
 __all__ = [
@@ -105,26 +106,34 @@ def table_fingerprint(frame: DataFrame) -> str:
 
 # ------------------------------------------------------------- naive measures
 def _cell_set(frame: DataFrame, mode: str) -> Set:
+    """Distinct content of *frame*: NA cells read ``"__NA__"``.
+
+    A table holding unhashable cells (a list from ``str.split``) is keyed
+    again with every such cell replaced by the repr key of
+    :func:`~repro.minipandas.kernels.na_key`; hashable cells and
+    ``"__NA__"`` keep their value, and an all-hashable table is built once.
+    """
+    if mode not in ("values", "cells", "rows"):
+        raise ValueError(f"unknown table-jaccard mode: {mode!r}")
+    columns = [
+        (col, ["__NA__" if is_missing(v) else v for v in frame[col]])
+        for col in frame.columns
+    ]
+    try:
+        return _content_set(columns, len(frame), mode)
+    except TypeError:
+        hashable = [(col, [na_key(v) for v in cells]) for col, cells in columns]
+        return _content_set(hashable, len(frame), mode)
+
+
+def _content_set(
+    columns: List[Tuple[str, List[Any]]], n_rows: int, mode: str
+) -> Set:
     if mode == "values":
-        return {
-            "__NA__" if is_missing(v) else v
-            for col in frame.columns
-            for v in frame[col]
-        }
+        return {v for _, cells in columns for v in cells}
     if mode == "cells":
-        return {
-            (col, "__NA__" if is_missing(v) else v)
-            for col in frame.columns
-            for v in frame[col]
-        }
-    if mode == "rows":
-        # materialize each column once instead of an .iloc wrapper per cell
-        columns = [frame[col].tolist() for col in frame.columns]
-        return {
-            tuple("__NA__" if is_missing(col[pos]) else col[pos] for col in columns)
-            for pos in range(len(frame))
-        }
-    raise ValueError(f"unknown table-jaccard mode: {mode!r}")
+        return {(col, v) for col, cells in columns for v in cells}
+    return {tuple(cells[pos] for _, cells in columns) for pos in range(n_rows)}
 
 
 def table_jaccard(a: DataFrame, b: DataFrame, mode: str = "cells") -> float:
@@ -185,6 +194,8 @@ class _ColumnContent:
     genuine ``"__NA__"`` string — bit-identity covers quirks).  Both
     products are built at most once per distinct content and shared across
     every intent mode and every candidate that carries the column.
+    ``hashable()`` re-keys unhashable cells the way ``_cell_set`` falls
+    back to, once a set over the plain values raised ``TypeError``.
     """
 
     __slots__ = ("values", "_normalized", "_value_set")
@@ -201,9 +212,17 @@ class _ColumnContent:
             ]
         return self._normalized
 
+    def hashable(self) -> List[Any]:
+        # idempotent: "__NA__" and hashable cells map to themselves
+        self._normalized = [na_key(v) for v in self.normalized()]
+        return self._normalized
+
     def value_set(self) -> frozenset:
         if self._value_set is None:
-            self._value_set = frozenset(self.normalized())
+            try:
+                self._value_set = frozenset(self.normalized())
+            except TypeError:
+                self._value_set = frozenset(self.hashable())
         return self._value_set
 
 
@@ -313,13 +332,10 @@ class PreparedTableJaccard(PreparedIntent):
             (name, tuple(original[name])) for name in original.columns
         ]
         #: name -> content for the original's columns
-        self._original_columns: Dict[str, _ColumnContent] = {}
-        for name, values in self._original_pairs:
-            content = self._memo.peek(values)
-            if content is None:
-                content = _ColumnContent(values)
-                self._memo[values] = content
-            self._original_columns[name] = content
+        self._original_columns: Dict[str, _ColumnContent] = {
+            name: self._memoized(values)[0]
+            for name, values in self._original_pairs
+        }
         self._original_rows_n = len(original)
         self._value_union: Optional[frozenset] = None
         self._row_set: Optional[frozenset] = None
@@ -349,16 +365,32 @@ class PreparedTableJaccard(PreparedIntent):
             # a column-free table still has one distinct (empty) row per
             # the naive construction, as long as it has rows at all
             return frozenset([()]) if n_rows else frozenset()
-        return frozenset(zip(*(content.normalized() for content in contents)))
+        try:
+            return frozenset(zip(*(content.normalized() for content in contents)))
+        except TypeError:
+            return frozenset(zip(*(content.hashable() for content in contents)))
 
     # ------------------------------------------------------------- candidates
-    def _content_for(self, values: Tuple[Any, ...]) -> _ColumnContent:
-        content = self._memo.peek(values)
+    def _memoized(self, values: Tuple[Any, ...]) -> Tuple[_ColumnContent, bool]:
+        """The memo's content for *values*, and whether it was reused.
+
+        A column holding an unhashable cell cannot key the memo, so it
+        gets a fresh content that is not retained.
+        """
+        try:
+            content = self._memo.peek(values)
+        except TypeError:
+            return _ColumnContent(values), False
         if content is not None:
-            self.counters.column_set_reuse += 1
-            return content
+            return content, True
         content = _ColumnContent(values)
         self._memo[values] = content
+        return content, False
+
+    def _content_for(self, values: Tuple[Any, ...]) -> _ColumnContent:
+        content, reused = self._memoized(values)
+        if reused:
+            self.counters.column_set_reuse += 1
         return content
 
     def _prepared_delta(self, candidate: DataFrame) -> float:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from typing import Any
 
-__all__ = ["NA", "is_missing", "missing_for_dtype"]
+import numpy as np
+
+__all__ = ["NA", "float64_array", "is_missing", "missing_for_dtype"]
 
 #: Canonical missing-value sentinel exposed as ``minipandas.NA``.
 NA = float("nan")
@@ -28,6 +30,20 @@ def is_missing(value: Any) -> bool:
         return bool(value != value)
     except Exception:
         return False
+
+
+def float64_array(cells) -> np.ndarray:
+    """Numeric cells (or equal-length rows of them) as a float64 array.
+
+    One conversion call: numpy maps ``None`` to NaN and every other cell
+    through ``float()``, so the result equals the per-value
+    ``NA if is_missing(v) else float(v)`` byte for byte on ``-0.0``,
+    bools, numpy scalars and ints past 2**53 or 2**63 (an int past the
+    float range raises ``OverflowError`` both ways).  The one difference
+    is invisible to ``isnan``: a NaN cell keeps its own sign bit instead
+    of becoming the canonical ``NA``.
+    """
+    return np.array(cells, dtype=np.float64)
 
 
 def missing_for_dtype(dtype: str) -> Any:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from . import kernels
-from ._missing import NA, is_missing
+from ._missing import NA, float64_array, is_missing
 from .index import Index, RangeIndex
 from .series import Series
 
@@ -128,12 +128,9 @@ class DataFrame:
     def values(self) -> np.ndarray:
         if not self._columns:
             return np.empty((len(self._index), 0))
-        cols = [self._data[c].tolist() for c in self._columns]
+        cols = [self._data[c]._values for c in self._columns]
         if all(self._data[c].dtype in _NUMERIC_DTYPES for c in self._columns):
-            return np.array(
-                [[NA if is_missing(v) else float(v) for v in col] for col in cols],
-                dtype=np.float64,
-            ).T
+            return float64_array(cols).T
         return np.array(cols, dtype=object).T
 
     def __len__(self) -> int:

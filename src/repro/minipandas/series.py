@@ -12,12 +12,13 @@ stay straightforward; numeric reductions convert to numpy on demand.
 from __future__ import annotations
 
 import math
+from types import NoneType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from ._missing import NA, is_missing
+from ._missing import NA, float64_array, is_missing
 from .index import Index, RangeIndex
 
 __all__ = ["Series"]
@@ -25,12 +26,39 @@ __all__ = ["Series"]
 _UNSET = object()
 
 
+#: Cell types whose presence alone decides the dtype (exact types only:
+#: subclasses such as ``IntEnum`` and numpy scalars take the scan).
+_PLAIN_TYPES = frozenset({bool, int, float, str, NoneType})
+
+
 def _infer_dtype(values: Sequence[Any]) -> str:
     """Infer a minipandas dtype name ('int64'|'float64'|'bool'|'object').
 
     Missing markers (None/NaN) do not force object dtype: a column of ints
     with gaps is float64, matching pandas' NaN-promotion behaviour.
+
+    Decided from the set of cell types in one C-level pass whenever every
+    type is a plain builtin; a float there is either a value or a NaN gap,
+    and both read the same except next to bools without ints, where only
+    NaN-ness tells ``object`` from ``float64`` — that case, and any other
+    type, takes :func:`_infer_dtype_scan`.
     """
+    types = set(map(type, values))
+    if not types <= _PLAIN_TYPES:
+        return _infer_dtype_scan(values)
+    if str in types:
+        return "object"
+    if int in types:
+        return "float64" if (float in types or NoneType in types) else "int64"
+    if bool in types:
+        if float in types:
+            return _infer_dtype_scan(values)
+        return "object" if NoneType in types else "bool"
+    return "float64"
+
+
+def _infer_dtype_scan(values: Sequence[Any]) -> str:
+    """The per-value dtype scan: any cell type, one ``is_missing`` each."""
     saw_float = saw_int = saw_bool = saw_other = saw_missing = False
     for v in values:
         if is_missing(v):
@@ -123,7 +151,7 @@ class Series:
     def values(self) -> np.ndarray:
         dtype = self.dtype
         if dtype == "float64":
-            return np.array([NA if is_missing(v) else float(v) for v in self._values], dtype=np.float64)
+            return float64_array(self._values)
         if dtype == "int64":
             return np.array(self._values, dtype=np.int64)
         if dtype == "bool":

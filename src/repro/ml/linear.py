@@ -77,14 +77,35 @@ class LogisticRegression:
         n, d = Z.shape
         w = np.zeros(d)
         b = 0.0
+        lr = self.learning_rate
+        # The textbook step (kept in tests/ml as the oracle) is
+        #   error = 1 / (1 + exp(-clip(Z @ w + b, -35, 35))) - target
+        #   w -= lr * (Z.T @ error / n + l2 * w);  b -= lr * mean(error)
+        # Each step below runs the same ufuncs in the same order, written
+        # into three buffers instead of a dozen temporaries, so every
+        # coefficient is bit-identical.  ``Z.T`` stays a transposed view:
+        # a contiguous copy would make BLAS sum in another order.
+        error = np.empty(n)
+        grad = np.empty(d)
+        penalty = np.empty(d)
         for _ in range(self.n_iter):
-            logits = Z @ w + b
-            probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -35, 35)))
-            error = probs - target
-            grad_w = Z.T @ error / n + self.l2 * w
-            grad_b = float(error.mean())
-            w -= self.learning_rate * grad_w
-            b -= self.learning_rate * grad_b
+            np.matmul(Z, w, out=error)
+            error += b
+            np.maximum(error, -35, out=error)
+            np.minimum(error, 35, out=error)
+            np.negative(error, out=error)
+            np.exp(error, out=error)
+            error += 1.0
+            np.divide(1.0, error, out=error)
+            error -= target
+            np.matmul(Z.T, error, out=grad)
+            grad /= n
+            np.multiply(self.l2, w, out=penalty)
+            grad += penalty
+            grad_b = float(np.add.reduce(error) / n)
+            grad *= lr
+            w -= grad
+            b -= lr * grad_b
         self.coef_ = w
         self.intercept_ = b
         return self

@@ -15,6 +15,8 @@ from typing import Optional
 import numpy as np
 
 from ..minipandas import DataFrame, Series, is_missing
+from ..minipandas._missing import float64_array
+from ..minipandas.kernels import NA_KEY, na_key
 from ..minipandas.ops import get_dummies
 from .linear import LinearRegression, LogisticRegression
 from .metrics import accuracy_score, r2_score
@@ -38,6 +40,20 @@ _MAX_TRAIN_ROWS = 2000
 
 class DownstreamEvaluationError(ValueError):
     """The emitted dataset cannot support the downstream task."""
+
+
+def _category_count(column: Series) -> int:
+    """Distinct non-missing values, keyed as ``get_dummies`` groups them.
+
+    Equal to ``Series.nunique()`` wherever that does not raise; a column
+    holding an unhashable cell (a list from ``str.split``) is counted
+    through :func:`~repro.minipandas.kernels.na_key`'s repr key instead.
+    """
+    try:
+        distinct = set(column)
+    except TypeError:
+        distinct = {na_key(v) for v in column} - {NA_KEY}
+    return sum(1 for v in distinct if not is_missing(v))
 
 
 def prepare_features(frame: DataFrame, target: str) -> tuple[np.ndarray, list]:
@@ -66,7 +82,7 @@ def prepare_features(frame: DataFrame, target: str) -> tuple[np.ndarray, list]:
         dtype = features[col].dtype
         if dtype in ("int64", "float64", "bool"):
             numeric_cols.append(col)
-        elif features[col].nunique() <= _MAX_DUMMY_CARDINALITY:
+        elif _category_count(features[col]) <= _MAX_DUMMY_CARDINALITY:
             dummy_cols.append(col)
         else:
             drop_cols.append(col)
@@ -79,10 +95,7 @@ def prepare_features(frame: DataFrame, target: str) -> tuple[np.ndarray, list]:
 
     columns = []
     for col in encoded.columns:
-        raw = encoded[col].tolist()
-        values = np.array(
-            [np.nan if is_missing(v) else float(v) for v in raw], dtype=float
-        )
+        values = float64_array(encoded[col].tolist())
         if np.isnan(values).all():
             continue
         mean = float(np.nanmean(values))
@@ -93,6 +106,16 @@ def prepare_features(frame: DataFrame, target: str) -> tuple[np.ndarray, list]:
     return np.column_stack(columns), y
 
 
+def _target_float(value) -> float:
+    """One target value as a float; a non-numeric one cannot be regressed."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DownstreamEvaluationError(
+            f"target value {value!r} is not numeric"
+        ) from None
+
+
 def _infer_task(y: list) -> str:
     distinct = {v for v in y}
     if len(distinct) <= 2:
@@ -101,7 +124,7 @@ def _infer_task(y: list) -> str:
         raise DownstreamEvaluationError(
             f"multiclass string target with {len(distinct)} classes is unsupported"
         )
-    if len(distinct) <= 10 and all(float(v).is_integer() for v in distinct):
+    if len(distinct) <= 10 and all(_target_float(v).is_integer() for v in distinct):
         return "classification" if len(distinct) <= 2 else "regression"
     return "regression"
 
@@ -153,7 +176,12 @@ def evaluate_downstream(
         X_train, X_test, y_train, y_test = train_test_split(
             X, labels, test_size=0.25, random_state=random_state
         )
-        if len(np.unique(y_train)) < 2:
+        n_classes = len(np.unique(y_train))
+        if n_classes > 2 and model != "tree":
+            raise DownstreamEvaluationError(
+                f"the logistic model is binary; the target has {n_classes} classes"
+            )
+        if n_classes < 2:
             # degenerate split: score the majority-class predictor
             majority = y_train[0]
             return DownstreamResult(
@@ -169,7 +197,7 @@ def evaluate_downstream(
         clf.fit(X_train, y_train)
         score = accuracy_score(y_test, clf.predict(X_test))
     elif resolved_task == "regression":
-        values = np.array([float(v) for v in y])
+        values = np.array([_target_float(v) for v in y])
         X_train, X_test, y_train, y_test = train_test_split(
             X, values, test_size=0.25, random_state=random_state
         )
