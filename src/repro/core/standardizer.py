@@ -20,6 +20,7 @@ from ..corpus import (
     CorpusIndex,
     RetrievalCounters,
     RetrievalIndex,
+    ScriptRecord,
     cached_index,
     corpus_cache_counters,
 )
@@ -422,14 +423,15 @@ class LucidScript:
             )
         return vocabulary, corpus_cache_counters().delta(before)
 
-    def _ensure_search_space(self, script: str) -> None:
+    def _ensure_search_space(self, script: str) -> Optional[ScriptRecord]:
         """Curate the retrieval-backed search space for *script*.
 
-        No-op unless this system was built over a
-        :class:`~repro.corpus.RetrievalIndex`.  The query script's
-        signature selects ``config.retrieval_k`` pool neighbours
-        (``config.verify_retrieval`` audits the selection against brute
-        force), the winners are assembled into a working
+        No-op returning None unless this system was built over a
+        :class:`~repro.corpus.RetrievalIndex`; otherwise returns the
+        query's store record, whose ``source`` is ``lemmatize(script)``.
+        The query script's signature selects ``config.retrieval_k`` pool
+        neighbours (``config.verify_retrieval`` audits the selection
+        against brute force), the winners are assembled into a working
         :class:`CorpusIndex` through the record-delta path, and scoring
         proceeds exactly as with a hand-curated corpus.  The assembled
         space is keyed by the query's content address, so repeated
@@ -437,7 +439,7 @@ class LucidScript:
         re-retrieves — cheaply, since top_k only touches candidates.
         """
         if self._retrieval is None:
-            return
+            return None
         self._check_corpus_dialect(
             self._retrieval.store.dialect, "the supplied retrieval index"
         )
@@ -450,7 +452,7 @@ class LucidScript:
             self._retrieval_query_hash == record.content_hash
             and self.vocabulary is not None
         ):
-            return
+            return record
         before = corpus_cache_counters()
         counters_before = self._retrieval.counters.snapshot()
         try:
@@ -475,6 +477,7 @@ class LucidScript:
             fallbacks=fallbacks - counters_before[2],
         )
         self._retrieval_query_hash = record.content_hash
+        return record
 
     def _prepared_intent(
         self, original_output: DataFrame, counters: IntentStats
@@ -542,8 +545,12 @@ class LucidScript:
         script: the search space is (re)assembled from the pool's top-k
         neighbours of *script* before scoring.
         """
-        self._ensure_search_space(script)
-        return self.scorer.score_dag(parse_script(script, dialect=self._lang_dialect))
+        record = self._ensure_search_space(script)
+        if record is None:
+            dag = parse_script(script, dialect=self._lang_dialect)
+        else:
+            dag = parse_script(record.source, lemmatized=True, dialect=self._lang_dialect)
+        return self.scorer.score_dag(dag)
 
     # ------------------------------------------------------------- online phase
     def standardize(self, script: str) -> StandardizationResult:

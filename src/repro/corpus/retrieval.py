@@ -20,7 +20,11 @@ token, which is precisely the candidate-generation event.  The
 candidate set therefore *equals* the positive-similarity set, and
 ``top_k`` equals brute force over the whole pool (ties broken by
 content address, so results are deterministic across runs and
-platforms).  ``verify_retrieval`` (:meth:`RetrievalIndex.top_k` with
+platforms).  ``top_k`` scores all candidates at once from a column
+store of the pool's signatures, with the same IEEE operations in the
+same order as the scalar :func:`signature_similarity`, which stays as
+the oracle of :meth:`RetrievalIndex.brute_force_top_k`.
+``verify_retrieval`` (:meth:`RetrievalIndex.top_k` with
 ``verify=True``) audits the equality per query the way
 ``verify_scoring``/``verify_index`` audit their engines, raising
 :class:`RetrievalMismatchError` on any divergence.
@@ -35,13 +39,20 @@ stat-scan machinery as the corpus index (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from ..lang.errors import ScriptError
 from .index import CorpusIndex, MembershipIndex
 from .signatures import (
+    LSH_ROWS,
+    NUM_PERM,
+    N_PHASES,
     ScriptSignature,
     band_keys,
+    phase_norm,
     signature_similarity,
     table_signature,
 )
@@ -82,6 +93,27 @@ class RetrievalCounters:
         return (self.queries, self.candidates, self.fallbacks)
 
 
+#: Rows allocated when the column store first grows; it doubles after.
+_INITIAL_ROWS = 64
+
+
+def _grown(column: np.ndarray, capacity: int) -> np.ndarray:
+    """*column* with room for *capacity* rows, its rows copied."""
+    grown = np.empty((capacity,) + column.shape[1:], dtype=column.dtype)
+    grown[: len(column)] = column
+    return grown
+
+
+def _unpost(postings: Dict, keys: Iterable, row: int) -> None:
+    """Unhook *row* from the postings of *keys*, dropping emptied ones."""
+    for key in keys:
+        posting = postings.get(key)
+        if posting is not None:
+            posting.discard(row)
+            if not posting:
+                del postings[key]
+
+
 #: Accepted query forms: a raw script text, a table (anything with a
 #: ``columns`` attribute, e.g. a minipandas DataFrame), or a prebuilt
 #: signature.
@@ -91,51 +123,79 @@ Query = Union[str, ScriptSignature, object]
 class RetrievalIndex(MembershipIndex):
     """LSH-banded top-k similarity search over a pool of scripts.
 
-    The derived state is one signature per *unique* script plus two
-    inverted structures — band buckets keyed by ``(band, row values…)``
-    and schema-token postings — maintained on the refcount edges of the
-    shared membership machinery: duplicates of a script in the pool
-    change nothing (retrieval is about *which* scripts exist, not how
-    often), and removal only unhooks a signature when its last member
-    leaves.
+    The derived state is one row per *unique* script in a column store —
+    its minhash in an ``int64`` matrix, its vocabulary and schema sizes,
+    its phase histogram and that histogram's norm — plus three inverted
+    structures over rows: band buckets keyed by ``(band, row values…)``,
+    schema-token postings and vocabulary postings.  All of it is
+    maintained on the refcount edges of the shared membership machinery:
+    duplicates of a script in the pool change nothing (retrieval is
+    about *which* scripts exist, not how often), and removal frees a row
+    for reuse only when the script's last member leaves.
     """
 
     def __init__(
         self, store: Optional[ScriptStore] = None, dialect: Optional[str] = None
     ):
         super().__init__(store=store, dialect=dialect)
-        self._signatures: Dict[str, ScriptSignature] = {}
-        self._bands: Dict[Tuple[int, ...], Set[str]] = {}
-        self._schema_posts: Dict[str, Set[str]] = {}
+        self._rows: Dict[str, int] = {}  #: content hash -> row
+        self._row_hashes: List[Optional[str]] = []  #: row -> content hash
+        self._free_rows: List[int] = []
+        self._minhash = np.empty((0, NUM_PERM), dtype=np.int64)
+        self._schema_sizes = np.empty(0, dtype=np.int64)
+        self._vocab_sizes = np.empty(0, dtype=np.int64)
+        self._groups = np.empty((0, N_PHASES), dtype=np.float64)
+        self._norms = np.empty(0, dtype=np.float64)
+        self._bands: Dict[Tuple[int, ...], Set[int]] = {}
+        self._schema_posts: Dict[str, Set[int]] = {}
+        self._vocab_posts: Dict[str, Set[int]] = {}
         self.counters = RetrievalCounters()
 
     # ------------------------------------------------------------------- hooks
+    def _allocate_row(self) -> int:
+        if self._free_rows:
+            return self._free_rows.pop()
+        row = len(self._row_hashes)
+        if row == len(self._norms):
+            capacity = max(_INITIAL_ROWS, 2 * row)
+            self._minhash = _grown(self._minhash, capacity)
+            self._schema_sizes = _grown(self._schema_sizes, capacity)
+            self._vocab_sizes = _grown(self._vocab_sizes, capacity)
+            self._groups = _grown(self._groups, capacity)
+            self._norms = _grown(self._norms, capacity)
+        self._row_hashes.append(None)
+        return row
+
     def _apply(self, record: ScriptRecord, script_id: int) -> None:
         if self._refcounts[record.content_hash] != 1:
             return  # duplicate member of an already-bucketed script
         signature = record.signature
-        self._signatures[record.content_hash] = signature
+        row = self._allocate_row()
+        self._rows[record.content_hash] = row
+        self._row_hashes[row] = record.content_hash
+        # an empty minhash (no statements) agrees with no valid value
+        self._minhash[row] = signature.minhash or -1
+        self._schema_sizes[row] = len(signature.schema)
+        self._vocab_sizes[row] = len(signature.vocab)
+        self._groups[row] = signature.groups
+        self._norms[row] = phase_norm(signature.groups)
         for key in band_keys(signature.minhash):
-            self._bands.setdefault(key, set()).add(record.content_hash)
+            self._bands.setdefault(key, set()).add(row)
         for token in signature.schema:
-            self._schema_posts.setdefault(token, set()).add(record.content_hash)
+            self._schema_posts.setdefault(token, set()).add(row)
+        for token in signature.vocab:
+            self._vocab_posts.setdefault(token, set()).add(row)
 
     def _retract(self, record: ScriptRecord, script_id: int) -> None:
         if record.content_hash in self._refcounts:
             return  # other members still reference this script
-        signature = self._signatures.pop(record.content_hash)
-        for key in band_keys(signature.minhash):
-            bucket = self._bands.get(key)
-            if bucket is not None:
-                bucket.discard(record.content_hash)
-                if not bucket:
-                    del self._bands[key]
-        for token in signature.schema:
-            posting = self._schema_posts.get(token)
-            if posting is not None:
-                posting.discard(record.content_hash)
-                if not posting:
-                    del self._schema_posts[token]
+        row = self._rows.pop(record.content_hash)
+        self._row_hashes[row] = None
+        self._free_rows.append(row)
+        signature = record.signature
+        _unpost(self._bands, band_keys(signature.minhash), row)
+        _unpost(self._schema_posts, signature.schema, row)
+        _unpost(self._vocab_posts, signature.vocab, row)
 
     # ----------------------------------------------------------------- queries
     def query_signature(self, query: Query) -> ScriptSignature:
@@ -161,16 +221,100 @@ class RetrievalIndex(MembershipIndex):
         )
 
     def _scored(self, signature: ScriptSignature, hashes) -> List[RetrievedScript]:
+        """Reference ranking of *hashes*: scalar similarity, full sort."""
         hits = [
             RetrievedScript(
                 content_hash=content_hash,
-                score=signature_similarity(signature, self._signatures[content_hash]),
+                score=signature_similarity(
+                    signature, self._records[content_hash].signature
+                ),
                 record=self._records[content_hash],
             )
             for content_hash in hashes
         ]
         hits.sort(key=lambda hit: (-hit.score, hit.content_hash))
         return hits
+
+    def _jaccard(
+        self,
+        tokens: frozenset,
+        postings: Dict[str, Set[int]],
+        sizes: np.ndarray,
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        """Jaccard of *tokens* with each row's token set, 0.0 without overlap.
+
+        The intersections are integer counts — one bincount over the rows
+        posted under the query's tokens — so each quotient is the same
+        correctly rounded division the scalar ``_jaccard`` performs.
+        """
+        posted = [postings[token] for token in tokens if token in postings]
+        members = np.fromiter(
+            chain.from_iterable(posted), dtype=np.intp, count=sum(map(len, posted))
+        )
+        inter = np.bincount(members, minlength=len(self._row_hashes))[rows]
+        union = len(tokens) + sizes[rows] - inter
+        return np.divide(inter, union, out=np.zeros(len(rows)), where=inter > 0)
+
+    def _similarities(self, signature: ScriptSignature, rows: np.ndarray) -> np.ndarray:
+        """:func:`signature_similarity` of *signature* with every row, bit for bit.
+
+        Each term is the scalar one's IEEE operations in the scalar
+        order, elementwise: agreement counts over NUM_PERM, integer
+        Jaccard quotients, the cosine dot summed phase by phase left to
+        right and divided only where it is nonzero, then the weighted
+        sum and the retrievability gate.
+        """
+        n = len(rows)
+        if signature.minhash:
+            agree = self._minhash[rows] == np.array(signature.minhash, dtype=np.int64)
+            agreement = agree.sum(axis=1) / NUM_PERM
+            # band b holds positions b*LSH_ROWS + r; it collides when all agree
+            collide = np.logical_and.reduce(
+                [agree[:, r::LSH_ROWS] for r in range(LSH_ROWS)]
+            ).any(axis=1)
+        else:
+            agreement = np.zeros(n)
+            collide = np.zeros(n, dtype=bool)
+        vocab = self._jaccard(signature.vocab, self._vocab_posts, self._vocab_sizes, rows)
+        schema = self._jaccard(
+            signature.schema, self._schema_posts, self._schema_sizes, rows
+        )
+        groups = self._groups[rows]
+        dot = np.zeros(n)
+        for column, value in enumerate(signature.groups):
+            dot = dot + value * groups[:, column]
+        cosine = np.divide(
+            dot,
+            phase_norm(signature.groups) * self._norms[rows],
+            out=np.zeros(n),
+            where=dot != 0.0,
+        )
+        score = 0.55 * agreement + 0.20 * vocab + 0.15 * schema + 0.10 * cosine
+        return np.where((schema != 0.0) | collide, score, 0.0)
+
+    def _ranked(self, scores: np.ndarray, rows: np.ndarray, k: int) -> List[RetrievedScript]:
+        """The *k* best rows by (score descending, content hash) as hits.
+
+        A partition finds the k-th best score; only rows scoring at
+        least that — the winners plus any tie at the cut — are sorted.
+        """
+        if len(rows) > k:
+            cut = len(rows) - k
+            keep = scores >= np.partition(scores, cut)[cut]
+            scores, rows = scores[keep], rows[keep]
+        ranked = sorted(
+            zip(scores.tolist(), [self._row_hashes[row] for row in rows.tolist()]),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        return [
+            RetrievedScript(
+                content_hash=content_hash,
+                score=score,
+                record=self._records[content_hash],
+            )
+            for score, content_hash in ranked[:k]
+        ]
 
     def top_k(self, query: Query, k: int, verify: bool = False) -> List[RetrievedScript]:
         """The *k* pool scripts most similar to *query*, best first.
@@ -182,7 +326,10 @@ class RetrievalIndex(MembershipIndex):
         :meth:`brute_force_top_k`.  When fewer than *k* candidates
         surface, the scan falls back to the whole pool (counted in
         ``counters.fallbacks``) so the result is still k-deep, padded
-        with zero-similarity scripts in content-address order.
+        with zero-similarity scripts in content-address order.  The
+        candidates are scored together from the column store
+        (:meth:`_similarities`), equal bit for bit to the scalar
+        :func:`signature_similarity`.
 
         With ``verify=True`` (the ``verify_retrieval`` audit mode) the
         brute-force ranking is computed alongside and any divergence
@@ -192,16 +339,17 @@ class RetrievalIndex(MembershipIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         signature = self.query_signature(query)
         self.counters.queries += 1
-        candidates: Set[str] = set()
+        candidates: Set[int] = set()
         for key in band_keys(signature.minhash):
             candidates.update(self._bands.get(key, ()))
         for token in signature.schema:
             candidates.update(self._schema_posts.get(token, ()))
-        if len(candidates) < min(k, len(self._signatures)):
-            candidates = set(self._signatures)
+        if len(candidates) < min(k, len(self._rows)):
+            candidates = self._rows.values()
             self.counters.fallbacks += 1
         self.counters.candidates += len(candidates)
-        hits = self._scored(signature, candidates)[:k]
+        rows = np.fromiter(candidates, dtype=np.intp, count=len(candidates))
+        hits = self._ranked(self._similarities(signature, rows), rows, k)
         if verify:
             self._audit(signature, k, hits)
         return hits
@@ -211,7 +359,7 @@ class RetrievalIndex(MembershipIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         signature = self.query_signature(query)
-        return self._scored(signature, self._signatures)[:k]
+        return self._scored(signature, self._rows)[:k]
 
     def _audit(
         self, signature: ScriptSignature, k: int, hits: Sequence[RetrievedScript]
@@ -224,7 +372,7 @@ class RetrievalIndex(MembershipIndex):
             raise RetrievalMismatchError(
                 "verify_retrieval: LSH top-k diverged from brute-force "
                 f"signature similarity; missed {missed[:3]!r} "
-                f"(k={k}, pool={len(self._signatures)})"
+                f"(k={k}, pool={len(self._rows)})"
             )
 
     # ---------------------------------------------------------------- assembly
@@ -260,7 +408,7 @@ class RetrievalIndex(MembershipIndex):
         return {
             "dialect": self.dialect,
             "n_scripts": len(self._members),
-            "n_unique_scripts": len(self._signatures),
+            "n_unique_scripts": len(self._rows),
             "n_band_buckets": len(self._bands),
             "n_schema_tokens": len(self._schema_posts),
             "queries": self.counters.queries,

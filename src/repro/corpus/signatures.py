@@ -34,8 +34,10 @@ import random
 import re
 from dataclasses import dataclass
 from hashlib import blake2b
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..workloads.schemas import GROUPS
 
@@ -43,11 +45,13 @@ __all__ = [
     "LSH_BANDS",
     "LSH_ROWS",
     "NUM_PERM",
+    "N_PHASES",
     "SHINGLE_WINDOW",
     "ScriptSignature",
     "band_keys",
     "bands_collide",
     "minhash_signature",
+    "phase_norm",
     "script_shingles",
     "signature_from_source",
     "signature_similarity",
@@ -83,8 +87,18 @@ _PERMS: Tuple[Tuple[int, int], ...] = tuple(
 )
 del _rng
 
+# The permutations as uint64 columns for the limb arithmetic of
+# _minhash_values: a split into 32-bit halves, a_hi < 2**29.
+_M64 = np.uint64(_MERSENNE)
+_A = np.array([a for a, _ in _PERMS], dtype=np.uint64)[:, None]
+_A_LO = _A & np.uint64(0xFFFFFFFF)
+_A_HI = _A >> np.uint64(32)
+_B = np.array([b for _, b in _PERMS], dtype=np.uint64)[:, None]
+
 #: Preparation phases in canonical order (derived from workloads.schemas).
 _PHASES: Tuple[str, ...] = tuple(sorted(GROUPS, key=GROUPS.__getitem__))
+#: Length of every phase histogram.
+N_PHASES = len(_PHASES)
 
 #: Operation markers assigning a lemmatized statement to a phase.  The
 #: first phase (in GROUPS order) with a matching marker wins.
@@ -157,17 +171,53 @@ def script_shingles(source: str, onegrams: Iterable[str]) -> Set[str]:
     return shingles
 
 
+def _mod_mersenne(x: np.ndarray) -> np.ndarray:
+    """``x mod M`` for uint64 *x*, M = 2**61 - 1.
+
+    Since 2**61 ≡ 1, folding the bits above 61 onto the low 61 leaves at
+    most M + 7, which one conditional subtraction brings into [0, M).
+    """
+    x = (x & _M64) + (x >> np.uint64(61))
+    x[x >= _M64] -= _M64
+    return x
+
+
+def _minhash_values(hashes: np.ndarray) -> np.ndarray:
+    """``min((a*h + b) % M for h in hashes)`` for every permutation (a, b).
+
+    All NUM_PERM × len(hashes) products at once in uint64, exactly.
+    With h reduced mod M and both factors split into 32-bit limbs (the
+    high limbs below 2**29), a·h = a_hi·h_hi·2**64 + mid·2**32 +
+    a_lo·h_lo where mid = a_hi·h_lo + a_lo·h_hi < 2**62.  Since
+    2**61 ≡ 1, 2**64 ≡ 8 and mid·2**32 ≡ (mid >> 29) + ((mid mod 2**29)
+    << 32).  Of the four terms summed below, the first and third are at
+    most 2**61 - 2**32, the second is below 2**33 and the fourth below
+    M, so with b (below M) the sum stays below 2**63 and nothing wraps.
+    """
+    h = _mod_mersenne(hashes)
+    h_lo = h & np.uint64(0xFFFFFFFF)
+    h_hi = h >> np.uint64(32)
+    mid = _A_HI * h_lo + _A_LO * h_hi
+    product = (
+        ((_A_HI * h_hi) << np.uint64(3))
+        + (mid >> np.uint64(29))
+        + ((mid & np.uint64((1 << 29) - 1)) << np.uint64(32))
+        + _mod_mersenne(_A_LO * h_lo)
+    )
+    return _mod_mersenne(product + _B).min(axis=1)
+
+
 def minhash_signature(shingles: Set[str]) -> Tuple[int, ...]:
-    """NUM_PERM-permutation minhash of a shingle set (empty set → ``()``)."""
+    """NUM_PERM-permutation minhash of a shingle set (empty set → ``()``).
+
+    Each shingle hashes to the big-endian 64-bit blake2b digest *h*, and
+    permutation (a, b) keeps ``min((a*h + b) % (2**61 - 1))``.
+    """
     if not shingles:
         return ()
-    hashed = [
-        int.from_bytes(blake2b(s.encode(), digest_size=8).digest(), "big")
-        for s in shingles
-    ]
-    return tuple(
-        min((a * h + b) % _MERSENNE for h in hashed) for a, b in _PERMS
-    )
+    digests = b"".join(blake2b(s.encode(), digest_size=8).digest() for s in shingles)
+    hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    return tuple(_minhash_values(hashes).tolist())
 
 
 def band_keys(minhash: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -262,11 +312,25 @@ def bands_collide(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
     )
 
 
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    # An explicit left-to-right sum: Python 3.12 made sum() of floats
+    # compensated, which would make scores depend on the interpreter.
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def phase_norm(groups: Sequence[float]) -> float:
+    """The Euclidean norm of a phase histogram, as :func:`_cosine` takes it."""
+    return sqrt(_dot(groups, groups))
+
+
 def _cosine(a: Tuple[float, ...], b: Tuple[float, ...]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
+    dot = _dot(a, b)
     if not dot:
         return 0.0
-    return dot / (sqrt(sum(x * x for x in a)) * sqrt(sum(y * y for y in b)))
+    return dot / (phase_norm(a) * phase_norm(b))
 
 
 def signature_similarity(a: ScriptSignature, b: ScriptSignature) -> float:
@@ -303,10 +367,43 @@ def signature_to_dict(signature: ScriptSignature) -> dict:
 
 
 def signature_from_dict(content_hash: str, payload: dict) -> ScriptSignature:
+    """Inverse of :func:`signature_to_dict`, rejecting damaged payloads.
+
+    A snapshot's signature is checked field by field — minhash empty or
+    exactly NUM_PERM ints in [0, 2**61 - 1), one finite number per
+    phase, vocab and schema lists of strings — and a damaged one raises
+    ValueError naming the script and the field, instead of loading and
+    silently mis-scoring.
+    """
+
+    def damaged(field: str, expected: str) -> ValueError:
+        return ValueError(
+            f"corrupt signature for script {content_hash}: "
+            f"{field!r} must be {expected}"
+        )
+
+    minhash = payload.get("minhash")
+    if not isinstance(minhash, list) or (
+        minhash
+        and (
+            len(minhash) != NUM_PERM
+            or not all(type(v) is int and 0 <= v < _MERSENNE for v in minhash)
+        )
+    ):
+        raise damaged("minhash", f"empty or {NUM_PERM} ints in [0, 2**61 - 1)")
+    groups = payload.get("groups")
+    if not isinstance(groups, list) or len(groups) != N_PHASES or not all(
+        type(v) in (int, float) and isfinite(v) for v in groups
+    ):
+        raise damaged("groups", f"{N_PHASES} finite numbers, one per phase")
+    for field in ("vocab", "schema"):
+        tokens = payload.get(field)
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise damaged(field, "a list of strings")
     return ScriptSignature(
         content_hash=content_hash,
-        minhash=tuple(int(v) for v in payload["minhash"]),
+        minhash=tuple(minhash),
         vocab=frozenset(payload["vocab"]),
         schema=frozenset(payload["schema"]),
-        groups=tuple(float(v) for v in payload["groups"]),
+        groups=tuple(float(v) for v in groups),
     )

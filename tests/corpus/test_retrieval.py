@@ -18,6 +18,7 @@ from repro.corpus import (
     CorpusIndex,
     RetrievalIndex,
     RetrievalMismatchError,
+    ScriptStore,
     clear_corpus_cache,
     load_index,
     load_retrieval_index,
@@ -27,6 +28,8 @@ from repro.corpus import (
     table_signature,
 )
 from repro.corpus.signatures import (
+    NUM_PERM,
+    _cosine,
     bands_collide,
     signature_from_dict,
     signature_similarity,
@@ -64,7 +67,39 @@ def make_pool(seed: int, n_clusters: int = 6, variants: int = 5):
 
 
 def retrieval_state(index: RetrievalIndex):
-    return (index._signatures, index._bands, index._schema_posts)
+    """The index's derived state keyed by content hash.
+
+    Row numbers depend on the order of admits and removals, so each
+    live row's columns and every bucket and posting are read back
+    through the row -> content hash map (floats by ``hex``).
+    """
+    hashes = index._row_hashes
+    live = {row: content_hash for content_hash, row in index._rows.items()}
+    assert {row: hashes[row] for row in live} == live
+    assert sorted(index._free_rows) == [
+        row for row, content_hash in enumerate(hashes) if content_hash is None
+    ]
+    assert sorted([*live, *index._free_rows]) == list(range(len(hashes)))
+    columns = {
+        content_hash: (
+            tuple(index._minhash[row].tolist()),
+            int(index._schema_sizes[row]),
+            int(index._vocab_sizes[row]),
+            tuple(value.hex() for value in index._groups[row].tolist()),
+            float(index._norms[row]).hex(),
+        )
+        for row, content_hash in live.items()
+    }
+
+    def by_hash(postings):
+        return {key: {hashes[row] for row in rows} for key, rows in postings.items()}
+
+    return (
+        columns,
+        by_hash(index._bands),
+        by_hash(index._schema_posts),
+        by_hash(index._vocab_posts),
+    )
 
 
 class TestSignatures:
@@ -94,6 +129,13 @@ class TestSignatures:
         store = shared_store()
         record = store.get_or_parse(make_pool(2)[0])
         assert signature_similarity(record.signature, record.signature) == 1.0
+
+    def test_cosine_does_not_depend_on_the_interpreter(self):
+        """Left-to-right sums: Python 3.12+'s compensated sum() gives ...726."""
+        value = _cosine(
+            (0.2, 0.4, 0.1, 0.1, 0.1, 0.1), (0.25, 0.25, 0.25, 0.0, 0.25, 0.0)
+        )
+        assert value.hex() == "0x1.a20bd700c2c3dp-1"  # 0.8164965809277259
 
     def test_table_signature_is_schema_only(self):
         signature = table_signature(["Age", "BMI"])
@@ -125,7 +167,7 @@ class TestDeltas:
             fresh = RetrievalIndex.from_scripts(survivors)
             assert retrieval_state(index) == retrieval_state(fresh)
         else:
-            assert retrieval_state(index) == ({}, {}, {})
+            assert retrieval_state(index) == ({}, {}, {}, {})
 
     def test_duplicate_members_do_not_change_buckets(self):
         pool = make_pool(3)
@@ -221,7 +263,7 @@ class TestTopK:
     def test_audit_catches_a_corrupted_index(self):
         pool = make_pool(11)
         index = RetrievalIndex.from_scripts(pool)
-        target = index.store.get_or_parse(pool[0]).content_hash
+        target = index._rows[index.store.get_or_parse(pool[0]).content_hash]
         # simulate an engine bug: unhook one script from every bucket
         for bucket in index._bands.values():
             bucket.discard(target)
@@ -261,6 +303,53 @@ class TestPersistence:
         back = load_retrieval_index(path)
         assert retrieval_state(back) == retrieval_state(index)
         assert back.top_k(pool[0], 5) == index.top_k(pool[0], 5)
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("minhash", lambda values: values[:-1]),
+            ("minhash", lambda values: values[:-1] + [2 ** 64]),
+            ("minhash", lambda values: values[:-1] + [(1 << 61) - 1]),
+            ("minhash", lambda values: values[:-1] + [-1]),
+            ("minhash", lambda values: values[:-1] + [float(values[-1])]),
+            ("minhash", lambda values: [True] * NUM_PERM),
+            ("minhash", lambda values: None),
+            ("groups", lambda values: values[:-1]),
+            ("groups", lambda values: values[:-1] + ["0.5"]),
+            ("groups", lambda values: values[:-1] + [float("nan")]),
+            ("vocab", lambda values: values + [3]),
+            ("schema", lambda values: "data.csv"),
+        ],
+    )
+    def test_corrupt_signature_fails_the_load(self, tmp_path, field, damage):
+        """A damaged signature raises, naming script and field; nothing loads."""
+        pool = make_pool(19)
+        path = str(tmp_path / "pool.json")
+        save_retrieval_index(RetrievalIndex.from_scripts(pool), path)
+        with open(path) as handle:
+            payload = json.load(handle)
+        content_hash = sorted(payload["records"])[0]
+        signature = payload["records"][content_hash]["signature"]
+        signature[field] = damage(signature[field])
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        store = ScriptStore()
+        with pytest.raises(ValueError, match=rf"{content_hash}: '{field}'"):
+            load_retrieval_index(path, store=store)
+        assert len(store) == 0
+
+    def test_corrupt_signature_fails_a_corpus_index_load(self, tmp_path):
+        pool = make_pool(20)
+        path = str(tmp_path / "corpus.json")
+        save_index(CorpusIndex.from_scripts(pool), path)
+        with open(path) as handle:
+            payload = json.load(handle)
+        content_hash = sorted(payload["records"])[-1]
+        payload["records"][content_hash]["signature"]["minhash"].pop()
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match=rf"{content_hash}: 'minhash'"):
+            load_index(path, store=ScriptStore())
 
     def test_kind_mismatch_is_rejected_both_ways(self, tmp_path):
         pool = make_pool(15)
@@ -339,6 +428,32 @@ class TestLucidScriptRetrieval:
         assert pool.counters.queries == queries_after_first  # reused
         system.score(diabetes_corpus[2])  # different query re-retrieves
         assert pool.counters.queries == queries_after_first + 1
+
+    def test_score_lemmatizes_a_never_seen_query_once(
+        self, diabetes_corpus, monkeypatch
+    ):
+        import repro.core.standardizer as standardizer_module
+        import repro.corpus.store as store_module
+        import repro.lang.parser as parser_module
+
+        pool = RetrievalIndex(store=shared_store())
+        for script in diabetes_corpus[1:] + make_pool(21):
+            pool.add_script(script)
+        query = diabetes_corpus[0] + "\ndf = df.dropna()"
+        real = store_module.lemmatize
+        calls = []
+
+        def counting(source, *args, **kwargs):
+            calls.append(source)
+            return real(source, *args, **kwargs)
+
+        for module in (store_module, parser_module, standardizer_module):
+            monkeypatch.setattr(module, "lemmatize", counting)
+        score = LucidScript(pool, config=LSConfig(retrieval_k=3)).score(query)
+        assert calls == [query]
+        monkeypatch.undo()
+        hand = [hit.record.source for hit in pool.top_k(query, 3)]
+        assert score == LucidScript(hand, config=LSConfig()).score(query)
 
     def test_unparseable_query_raises_standardization_error(self, diabetes_corpus):
         pool = RetrievalIndex.from_scripts(diabetes_corpus)
