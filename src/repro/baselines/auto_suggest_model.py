@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._floats import left_sum
 from ..minipandas import DataFrame
 from ..ml.linear import LogisticRegression
 from .table_features import TableFeatures, featurize_table
@@ -138,7 +139,7 @@ class NextOperatorModel:
                 raw[cls] = float(model.classes_[0])
             else:
                 raw[cls] = float(model.predict_proba(x)[0, 1])
-        total = sum(raw.values()) or 1.0
+        total = left_sum(raw.values()) or 1.0
         return {cls: p / total for cls, p in raw.items()}
 
     def predict(self, table: DataFrame) -> Optional[str]:

@@ -24,10 +24,13 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from hashlib import sha1
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .._lru import LRUCache
-from ..minipandas import DataFrame, is_missing
+from ..minipandas import DataFrame, Series, is_missing
+from ..minipandas._missing import missing_mask
 from ..minipandas.kernels import na_key
 from ..ml import DownstreamEvaluationError, evaluate_downstream
 
@@ -51,19 +54,53 @@ class IntentMismatchError(RuntimeError):
 
 
 # --------------------------------------------------------------- fingerprints
-def _values_fingerprint(values: Tuple[Any, ...]) -> str:
+#: Head of a typed column's content key; no list column's tuple holds it.
+_TYPED = object()
+
+
+def _canonical_array(payload: np.ndarray) -> np.ndarray:
+    """A typed payload with every NaN written as the canonical NaN."""
+    if payload.dtype == np.float64:
+        missing = np.isnan(payload)
+        if missing.any():
+            return np.where(missing, np.nan, payload)
+    return payload
+
+
+def _column_key(column: Series) -> Hashable:
+    """In-process content key of one column: its dtype and canonical-NaN
+    bytes when the payload is typed, else its value tuple.
+
+    Equal keys mean equal distinct-value sets.  Bytes compare NaNs by
+    value, where tuples would need the same NaN objects; they do tell
+    ``0.0`` from ``-0.0`` and an int column from an equal float one, which
+    only skips a reuse.
+    """
+    payload = column._payload
+    if isinstance(payload, np.ndarray):
+        return (_TYPED, payload.dtype.name, _canonical_array(payload).tobytes())
+    return tuple(payload)
+
+
+def _column_fingerprint(column: Series) -> str:
     """Content address of one column's ordered values.
 
-    ``repr`` round-trips every value type the sandbox substrate produces
-    (str/int/float/bool/None/NaN and tuples thereof) faithfully and
-    type-discriminatingly, so two columns share a fingerprint only when
-    their value sequences are indistinguishable.  A spurious *difference*
-    (e.g. ``-0.0`` vs ``0.0``) merely skips a reuse opportunity — the set
-    path still compares by value equality — so collisions are the only
-    dangerous direction, and sha1 over the full repr makes them
-    cryptographically improbable.
+    A typed payload hashes its dtype and canonical-NaN bytes.  A list
+    payload hashes its ``repr``, which round-trips every value type the
+    sandbox substrate produces (str/int/float/bool/None/NaN and tuples
+    thereof) faithfully and type-discriminatingly.  Either way two columns
+    share a fingerprint only when their value sequences are
+    indistinguishable.  A spurious *difference* (e.g. ``-0.0`` vs ``0.0``)
+    merely skips a reuse opportunity — the set path still compares by
+    value equality — so collisions are the only dangerous direction, and
+    sha1 makes them cryptographically improbable.
     """
-    return sha1(repr(values).encode("utf-8", "backslashreplace")).hexdigest()
+    payload = column._payload
+    if isinstance(payload, np.ndarray):
+        digest = sha1(payload.dtype.name.encode())
+        digest.update(_canonical_array(payload).tobytes())
+        return digest.hexdigest()
+    return sha1(repr(tuple(payload)).encode("utf-8", "backslashreplace")).hexdigest()
 
 
 def _combine_fingerprints(
@@ -79,29 +116,18 @@ def _combine_fingerprints(
     return digest.hexdigest()
 
 
-def _frame_content(
-    frame: DataFrame,
-) -> Tuple[List[Tuple[str, Tuple[Any, ...], str]], str]:
-    """Per-column ``(name, values, fingerprint)`` triples + the table print.
-
-    The table fingerprint covers row count, column names, column order,
-    and every cell value — everything that determines the naive measures
-    (none of them read index labels, and neither does
-    :func:`repro.ml.evaluate_downstream`, which is positional).
-    """
-    columns = [(name, tuple(frame[name])) for name in frame.columns]
-    triples = [
-        (name, values, _values_fingerprint(values)) for name, values in columns
-    ]
-    table = _combine_fingerprints(
-        len(frame), [(name, fingerprint) for name, _, fingerprint in triples]
-    )
-    return triples, table
-
-
 def table_fingerprint(frame: DataFrame) -> str:
-    """Content address of a whole table (see :func:`_frame_content`)."""
-    return _frame_content(frame)[1]
+    """Content address of a whole table, for in-process caches.
+
+    It covers row count, column names, column order, and every cell value
+    — everything that determines the naive measures (none of them read
+    index labels, and neither does :func:`repro.ml.evaluate_downstream`,
+    which is positional).
+    """
+    return _combine_fingerprints(
+        len(frame),
+        [(name, _column_fingerprint(frame[name])) for name in frame.columns],
+    )
 
 
 # ------------------------------------------------------------- naive measures
@@ -193,23 +219,26 @@ class _ColumnContent:
     sentinel the naive ``_cell_set`` uses (including its collision with a
     genuine ``"__NA__"`` string — bit-identity covers quirks).  Both
     products are built at most once per distinct content and shared across
-    every intent mode and every candidate that carries the column.
+    every intent mode and every candidate that carries the column, from
+    the column's payload: a typed array's missing cells are its NaNs.
     ``hashable()`` re-keys unhashable cells the way ``_cell_set`` falls
     back to, once a set over the plain values raised ``TypeError``.
     """
 
-    __slots__ = ("values", "_normalized", "_value_set")
+    __slots__ = ("payload", "_normalized", "_value_set")
 
-    def __init__(self, values: Tuple[Any, ...]):
-        self.values = values
+    def __init__(self, payload):
+        self.payload = payload
         self._normalized: Optional[List[Any]] = None
         self._value_set: Optional[frozenset] = None
 
     def normalized(self) -> List[Any]:
         if self._normalized is None:
-            self._normalized = [
-                "__NA__" if is_missing(v) else v for v in self.values
-            ]
+            payload = self.payload
+            cells = payload.tolist() if isinstance(payload, np.ndarray) else list(payload)
+            for pos in np.flatnonzero(missing_mask(payload)).tolist():
+                cells[pos] = "__NA__"
+            self._normalized = cells
         return self._normalized
 
     def hashable(self) -> List[Any]:
@@ -219,10 +248,18 @@ class _ColumnContent:
 
     def value_set(self) -> frozenset:
         if self._value_set is None:
-            try:
-                self._value_set = frozenset(self.normalized())
-            except TypeError:
-                self._value_set = frozenset(self.hashable())
+            payload = self.payload
+            if isinstance(payload, np.ndarray):
+                missing = missing_mask(payload)
+                present = np.unique(payload[~missing]).tolist()
+                self._value_set = frozenset(
+                    present + ["__NA__"] if missing.any() else present
+                )
+            else:
+                try:
+                    self._value_set = frozenset(self.normalized())
+                except TypeError:
+                    self._value_set = frozenset(self.hashable())
         return self._value_set
 
 
@@ -305,13 +342,14 @@ class PreparedTableJaccard(PreparedIntent):
     respectively normalized column vectors are built once per distinct
     column content and reused across the whole candidate wave.
 
-    Within one process a column's value tuple is its own content
-    address — the memo is keyed by the tuple directly, which hashes and
-    compares at C speed and is collision-free by construction (the sha1
-    digests of :func:`table_fingerprint` exist for compact cross-process
-    cache keys, not for this hot path).  Tuple equality is exactly the
-    reuse-safety condition: ``==``-equal values are the same element in
-    a Python set, so equal tuples yield identical normalized sets.
+    Within one process a column's content key (:func:`_column_key`: dtype
+    and canonical-NaN bytes of a typed payload, else the value tuple) is
+    its own content address — the memo is keyed by it directly, which
+    hashes and compares at C speed and is collision-free by construction
+    (the sha1 digests of :func:`table_fingerprint` exist for compact cache
+    keys, not for this hot path).  Key equality is a sufficient
+    reuse-safety condition: ``==``-equal values are the same element in a
+    Python set, so equal keys yield identical normalized sets.
     """
 
     #: distinct column contents retained across a candidate wave
@@ -327,14 +365,15 @@ class PreparedTableJaccard(PreparedIntent):
     ):
         super().__init__(intent, original, table_fp, counters, verify)
         self._memo: LRUCache = LRUCache(self.COLUMN_MEMO_LIMIT)
-        #: the original's (name, values) pairs in column order
-        self._original_pairs: List[Tuple[str, Tuple[Any, ...]]] = [
-            (name, tuple(original[name])) for name in original.columns
+        columns = _keyed_columns(original)
+        #: the original's (name, content key) pairs in column order
+        self._original_pairs: List[Tuple[str, Hashable]] = [
+            (name, key) for name, key, _ in columns
         ]
+        self._original_keys: Dict[str, Hashable] = dict(self._original_pairs)
         #: name -> content for the original's columns
         self._original_columns: Dict[str, _ColumnContent] = {
-            name: self._memoized(values)[0]
-            for name, values in self._original_pairs
+            name: self._memoized(key, payload)[0] for name, key, payload in columns
         }
         self._original_rows_n = len(original)
         self._value_union: Optional[frozenset] = None
@@ -371,63 +410,62 @@ class PreparedTableJaccard(PreparedIntent):
             return frozenset(zip(*(content.hashable() for content in contents)))
 
     # ------------------------------------------------------------- candidates
-    def _memoized(self, values: Tuple[Any, ...]) -> Tuple[_ColumnContent, bool]:
-        """The memo's content for *values*, and whether it was reused.
+    def _memoized(self, key: Hashable, payload) -> Tuple[_ColumnContent, bool]:
+        """The memo's content for the column keyed *key*, and whether it
+        was reused.
 
-        A column holding an unhashable cell cannot key the memo, so it
-        gets a fresh content that is not retained.
+        A list column holding an unhashable cell cannot key the memo, so
+        it gets a fresh content that is not retained.
         """
         try:
-            content = self._memo.peek(values)
+            content = self._memo.peek(key)
         except TypeError:
-            return _ColumnContent(values), False
+            return _ColumnContent(payload), False
         if content is not None:
             return content, True
-        content = _ColumnContent(values)
-        self._memo[values] = content
+        content = _ColumnContent(payload)
+        self._memo[key] = content
         return content, False
 
-    def _content_for(self, values: Tuple[Any, ...]) -> _ColumnContent:
-        content, reused = self._memoized(values)
+    def _content_for(self, key: Hashable, payload) -> _ColumnContent:
+        content, reused = self._memoized(key, payload)
         if reused:
             self.counters.column_set_reuse += 1
         return content
 
     def _prepared_delta(self, candidate: DataFrame) -> float:
-        pairs = [(name, tuple(candidate[name])) for name in candidate.columns]
-        if (
-            len(candidate) == self._original_rows_n
-            and pairs == self._original_pairs
-        ):
+        columns = _keyed_columns(candidate)
+        if len(candidate) == self._original_rows_n and [
+            (name, key) for name, key, _ in columns
+        ] == self._original_pairs:
             self.counters.short_circuits += 1
             return 1.0
         mode = self.intent.mode
         if mode == "cells":
-            return self._cells_delta(pairs)
+            return self._cells_delta(columns)
         if mode == "values":
-            return self._values_delta(pairs)
+            return self._values_delta(columns)
         if mode == "rows":
-            return self._rows_delta(pairs, len(candidate))
+            return self._rows_delta(columns, len(candidate))
         raise ValueError(f"unknown table-jaccard mode: {mode!r}")
 
-    def _cells_delta(
-        self, pairs: List[Tuple[str, Tuple[Any, ...]]]
-    ) -> float:
+    def _cells_delta(self, columns: List[Tuple[str, Hashable, Any]]) -> float:
         original = self._original_columns
+        original_keys = self._original_keys
         intersection = 0
         union = 0
         seen = set()
-        for name, values in pairs:
+        for name, key, payload in columns:
             seen.add(name)
             content_a = original.get(name)
-            if content_a is not None and content_a.values == values:
+            if content_a is not None and original_keys[name] == key:
                 # unchanged column: A_c == B_c, zero set construction
                 n = len(content_a.value_set())
                 self.counters.column_set_reuse += 1
                 intersection += n
                 union += n
                 continue
-            b = self._content_for(values).value_set()
+            b = self._content_for(key, payload).value_set()
             if content_a is None:
                 union += len(b)
             else:
@@ -442,13 +480,11 @@ class PreparedTableJaccard(PreparedIntent):
             return 1.0
         return intersection / union
 
-    def _values_delta(
-        self, pairs: List[Tuple[str, Tuple[Any, ...]]]
-    ) -> float:
+    def _values_delta(self, columns: List[Tuple[str, Hashable, Any]]) -> float:
         original = self._original_value_union()
         candidate: Set[Any] = set()
-        for _, values in pairs:
-            candidate |= self._content_for(values).value_set()
+        for _, key, payload in columns:
+            candidate |= self._content_for(key, payload).value_set()
         common = len(original & candidate)
         union = len(original) + len(candidate) - common
         if not union:
@@ -456,11 +492,11 @@ class PreparedTableJaccard(PreparedIntent):
         return common / union
 
     def _rows_delta(
-        self, pairs: List[Tuple[str, Tuple[Any, ...]]], n_rows: int
+        self, columns: List[Tuple[str, Hashable, Any]], n_rows: int
     ) -> float:
         original = self._original_row_set()
         candidate = self._rows_from(
-            [self._content_for(values) for _, values in pairs],
+            [self._content_for(key, payload) for _, key, payload in columns],
             n_rows,
         )
         common = len(original & candidate)
@@ -468,6 +504,18 @@ class PreparedTableJaccard(PreparedIntent):
         if not union:
             return 1.0
         return common / union
+
+
+def _keyed_columns(frame: DataFrame) -> List[Tuple[str, Hashable, Any]]:
+    """Each column's ``(name, content key, cells)``, in column order: the
+    cells are the read-only typed payload, or the key's value tuple."""
+    out = []
+    for name in frame.columns:
+        column = frame[name]
+        key = _column_key(column)
+        payload = column._payload
+        out.append((name, key, payload if isinstance(payload, np.ndarray) else key))
+    return out
 
 
 class PreparedModelPerformance(PreparedIntent):

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from hashlib import sha1
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .._floats import left_sum
 from ..lang.errors import ScriptError
 from ..lang.vocabulary import CorpusStats, CorpusVocabulary
 from .store import ScriptRecord, ScriptStore
@@ -468,7 +469,7 @@ class CorpusIndex(MembershipIndex):
             values: List[float] = []
             for script_id in sorted(members):
                 values.extend(self._record_of(script_id).position_lists[sig])
-            self._positions[sig] = sum(values) / len(values)
+            self._positions[sig] = left_sum(values) / len(values)
         self._dirty_positions.clear()
 
     # ------------------------------------------------------------------ export

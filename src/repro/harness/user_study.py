@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
+from .._floats import left_sum
 from ..lang import CorpusVocabulary, ScriptError, lemmatize
 
 __all__ = ["RaterPanel", "StudyOutcome", "run_user_study"]
@@ -70,7 +71,7 @@ def _step_coverage(script: str, vocabulary: CorpusVocabulary) -> float:
     ]
     if not body:
         return 0.5  # a bare loader: neither standard nor deviant
-    return sum(vocabulary.statement_frequency(line) for line in body) / len(body)
+    return left_sum(vocabulary.statement_frequency(line) for line in body) / len(body)
 
 
 class RaterPanel:

@@ -13,6 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .._floats import left_sum
 from .atoms import NGRAM, ONEGRAM
 from .errors import ScriptError
 from .lemmatize import lemmatize
@@ -80,7 +81,7 @@ class CorpusVocabulary:
             for edge in dag.inter_edges():
                 self.successors[edge.source][edge.target] += 1
         self.relative_positions = {
-            sig: sum(vals) / len(vals) for sig, vals in position_sums.items()
+            sig: left_sum(vals) / len(vals) for sig, vals in position_sums.items()
         }
         self._total_edges = sum(self.edge_counts.values())
 

@@ -9,11 +9,12 @@ values (e.g. a raw CSV field that failed numeric parsing) flow through
 from __future__ import annotations
 
 import math
-from typing import Any
+from types import NoneType
+from typing import Any, Sequence
 
 import numpy as np
 
-__all__ = ["NA", "float64_array", "is_missing", "missing_for_dtype"]
+__all__ = ["NA", "float64_array", "is_missing", "missing_mask", "missing_for_dtype"]
 
 #: Canonical missing-value sentinel exposed as ``minipandas.NA``.
 NA = float("nan")
@@ -30,6 +31,32 @@ def is_missing(value: Any) -> bool:
         return bool(value != value)
     except Exception:
         return False
+
+
+#: Exact cell types that are never a missing marker.
+_NEVER_MISSING = frozenset({str, int, bool})
+#: Exact builtin cell types, missing exactly when ``None`` or NaN.
+_BUILTIN = _NEVER_MISSING | {float, NoneType}
+
+
+def missing_mask(cells: Sequence[Any]) -> np.ndarray:
+    """``is_missing`` of every cell of a column payload, as a bool array.
+
+    A typed payload's missing cells are the NaNs of a float array.  For a
+    list it is decided from the set of cell types where that suffices:
+    str, int and bool cells are never missing, and among exact builtins
+    only ``None`` and a NaN float (the one value unequal to itself) are.
+    """
+    if isinstance(cells, np.ndarray):
+        if cells.dtype == np.float64:
+            return np.isnan(cells)
+        return np.zeros(len(cells), dtype=bool)
+    types = set(map(type, cells))
+    if types <= _NEVER_MISSING:
+        return np.zeros(len(cells), dtype=bool)
+    if types <= _BUILTIN:
+        return np.array([v is None or v != v for v in cells], dtype=bool)
+    return np.array([is_missing(v) for v in cells], dtype=bool)
 
 
 def float64_array(cells) -> np.ndarray:

@@ -123,6 +123,16 @@ def duplicated_frame(frame: DataFrame, subset: Optional[Sequence[str]]) -> Serie
     return Series(flags, index=frame.index.tolist())
 
 
+def _dummy_categories(series: Series, drop_first: bool) -> List[Any]:
+    distinct: Dict[Any, Any] = {}
+    for pos in range(len(series)):
+        v = series.iloc[pos]
+        if not is_missing(v):
+            distinct.setdefault(kernels.na_key(v), v)
+    categories = sorted(distinct.values(), key=lambda v: (str(type(v)), str(v)))
+    return categories[1:] if drop_first else categories
+
+
 def get_dummies_frame(
     frame: DataFrame,
     encode: Sequence[str],
@@ -131,8 +141,6 @@ def get_dummies_frame(
     drop_first: bool,
     dtype,
 ) -> DataFrame:
-    from .ops import _dummy_categories
-
     zero = _coerce_scalar(dtype(0))
     one = _coerce_scalar(dtype(1))
     out: Dict[str, List[Any]] = {}

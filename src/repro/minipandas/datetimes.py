@@ -9,35 +9,39 @@ Future Sales competition's format).  Values are stored as
 from __future__ import annotations
 
 from datetime import datetime
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ._missing import NA, is_missing
 from .series import Series
 
 __all__ = ["to_datetime", "DatetimeAccessor"]
 
-_FORMATS = (
-    "%Y-%m-%d",
-    "%Y-%m-%d %H:%M:%S",
-    "%Y/%m/%d",
-    "%d.%m.%Y",
-    "%m/%d/%Y",
-    "%d-%m-%Y",
+#: The formats tried in order, each with the literal separators it needs:
+#: ``strptime`` matches literals literally, so a string lacking one of
+#: them cannot parse and the format is skipped without a call.
+_FORMATS = tuple(
+    (fmt, frozenset(sep for sep in "-/.:" if sep in fmt))
+    for fmt in (
+        "%Y-%m-%d",
+        "%Y-%m-%d %H:%M:%S",
+        "%Y/%m/%d",
+        "%d.%m.%Y",
+        "%m/%d/%Y",
+        "%d-%m-%Y",
+    )
 )
 
 
-def _parse_one(value: Any, fmt: Optional[str]) -> datetime:
-    if isinstance(value, datetime):
-        return value
-    text = str(value).strip()
-    if fmt is not None:
-        return datetime.strptime(text, fmt)
-    for candidate in _FORMATS:
-        try:
-            return datetime.strptime(text, candidate)
-        except ValueError:
-            continue
-    raise ValueError(f"unable to parse {value!r} as a datetime")
+def _parse_text(text: str, fmt: Optional[str]) -> Optional[datetime]:
+    """The datetime stripped *text* spells (under *fmt* when given), or
+    None when it spells none."""
+    for candidate, separators in ((fmt, ()),) if fmt is not None else _FORMATS:
+        if all(sep in text for sep in separators):
+            try:
+                return datetime.strptime(text, candidate)
+            except ValueError:
+                continue
+    return None
 
 
 def to_datetime(
@@ -47,23 +51,31 @@ def to_datetime(
 ) -> Series:
     """Convert a Series (or iterable) of date strings to datetimes.
 
-    ``errors='coerce'`` maps unparseable values to NaN, as in pandas.
+    ``errors='coerce'`` maps unparseable values to NaN, as in pandas;
+    otherwise the first unparseable cell in row order raises.  Each
+    distinct stripped string is parsed once per call.
     """
     if not isinstance(data, Series):
         data = Series(list(data))
+    parsed: Dict[str, Optional[datetime]] = {}
     values = []
     for value in data:
         if is_missing(value):
             values.append(NA)
             continue
-        try:
-            values.append(_parse_one(value, format))
-        except ValueError:
-            if errors == "coerce":
-                values.append(NA)
-            else:
-                raise
-    return Series(values, index=data.index.tolist(), name=data.name)
+        if isinstance(value, datetime):
+            values.append(value)
+            continue
+        text = str(value).strip()
+        if text not in parsed:
+            parsed[text] = _parse_text(text, format)
+        stamp = parsed[text]
+        if stamp is None and errors != "coerce":
+            if format is not None:
+                datetime.strptime(text, format)  # raises strptime's own error
+            raise ValueError(f"unable to parse {value!r} as a datetime")
+        values.append(NA if stamp is None else stamp)
+    return data._with_values(values)
 
 
 class DatetimeAccessor:

@@ -7,9 +7,10 @@ data-preparation corpora that LucidScript standardizes — selection,
 boolean filtering, missing-data handling, dummy encoding, grouping,
 merging, and label-based assignment.
 
-Hot ops run as single-pass columnar kernels: they walk each column's
-payload list directly (never per-element ``iloc``), and any column an op
-leaves untouched is passed through as the *same payload object* under
+Hot ops run as single-pass columnar kernels: they read each column's
+payload directly (never per-element ``iloc``) — one numpy call on a typed
+array payload, one loop over a list payload — and any column an op leaves
+untouched is passed through as the *same payload object* under
 copy-on-write (:meth:`Series._share`), so derived frames — and the
 sandbox's prefix snapshots — share storage until something actually
 writes a cell.  ``LSConfig.verify_kernels`` shadow-runs the naive
@@ -27,7 +28,7 @@ import numpy as np
 from . import kernels
 from ._missing import NA, float64_array, is_missing
 from .index import Index, RangeIndex
-from .series import Series
+from .series import Series, _gather
 
 __all__ = ["DataFrame"]
 
@@ -128,7 +129,7 @@ class DataFrame:
     def values(self) -> np.ndarray:
         if not self._columns:
             return np.empty((len(self._index), 0))
-        cols = [self._data[c]._values for c in self._columns]
+        cols = [self._data[c].tolist() for c in self._columns]
         if all(self._data[c].dtype in _NUMERIC_DTYPES for c in self._columns):
             return float64_array(cols).T
         return np.array(cols, dtype=object).T
@@ -267,7 +268,7 @@ class DataFrame:
         if mask._index is self._index and self._index.is_unique():
             # mask derived from this frame (comparisons/combinators share
             # the index object): flags align positionally
-            keep = [pos for pos, flag in enumerate(mask._values) if flag]
+            keep = mask._true_positions()
         else:
             mask_by_label = dict(zip(mask.index, mask))
             keep = [
@@ -286,12 +287,13 @@ class DataFrame:
                 self._columns, self._shared_columns(), self._index
             )
         new_index = self._index.take(positions)
-        data = {}
-        for c in self._columns:
-            values = self._data[c]._values
-            data[c] = Series._from_payload(
-                [values[p] for p in positions], new_index, c
+        taken = np.asarray(positions, dtype=np.intp)
+        data = {
+            c: Series._from_payload(
+                _gather(self._data[c]._payload, positions, taken), new_index, c
             )
+            for c in self._columns
+        }
         out = DataFrame._from_data(self._columns, data, new_index)
         if kernels._AUDIT:
             kernels.audit("take", out, lambda: _naive().take_frame(self, positions))
@@ -421,8 +423,8 @@ class DataFrame:
         if axis == 1:
             cols = []
             for c in self._columns:
-                missing = sum(1 for v in self._data[c]._values if is_missing(v))
-                present = len(self) - missing
+                present = self._data[c].count()
+                missing = len(self) - present
                 if thresh is not None:
                     if present >= thresh:
                         cols.append(c)
@@ -446,28 +448,19 @@ class DataFrame:
         for c in check_cols:
             if c not in self._data:
                 raise KeyError(f"column {c!r} not found")
-        # columnar missing count: one pass per checked column, no iloc
-        n = len(self)
-        missing_counts = [0] * n
+        # columnar missing count: one mask per checked column, no iloc
+        missing_counts = np.zeros(len(self), dtype=np.intp)
         for c in check_cols:
-            for pos, v in enumerate(self._data[c]._values):
-                if is_missing(v):
-                    missing_counts[pos] += 1
+            missing_counts += self._data[c]._missing()
         n_check = len(check_cols)
         if thresh is not None:
-            keep = [
-                pos for pos, m in enumerate(missing_counts) if n_check - m >= thresh
-            ]
+            keep = n_check - missing_counts >= thresh
         elif how == "any":
-            keep = [pos for pos, m in enumerate(missing_counts) if m == 0]
+            keep = missing_counts == 0
         else:
             # "all": a row over zero checked columns has nothing missing
-            keep = [
-                pos
-                for pos, m in enumerate(missing_counts)
-                if n_check - m > 0 or not check_cols
-            ]
-        out = self.take(keep)
+            keep = (n_check - missing_counts > 0) | (not check_cols)
+        out = self.take(np.flatnonzero(keep).tolist())
         if kernels._AUDIT:
             kernels.audit(
                 "dropna",
@@ -557,7 +550,7 @@ class DataFrame:
             # object sentinel for NA (a genuine "__na__" cell never
             # collides) and fall back to a repr key for unhashable cells
             # instead of raising TypeError mid-search
-            payloads = [self._data[c]._values for c in check_cols]
+            payloads = [self._data[c].tolist() for c in check_cols]
             for row in zip(*payloads):
                 key = kernels.row_key(row)
                 flags.append(key in seen)
@@ -571,7 +564,7 @@ class DataFrame:
 
     def drop_duplicates(self, subset: Optional[Sequence[str]] = None) -> "DataFrame":
         dup = self.duplicated(subset)
-        keep = [pos for pos, flag in enumerate(dup._values) if not flag]
+        keep = (~dup)._true_positions()
         return self.take(keep)
 
     # ------------------------------------------------------------- mutations
@@ -682,7 +675,7 @@ class DataFrame:
             if c not in self._data:
                 raise KeyError(f"column {c!r} not found")
 
-        payloads = [self._data[c]._values for c in by]
+        payloads = [self._data[c].tolist() for c in by]
 
         def sort_key(pos):
             return tuple(
@@ -720,7 +713,7 @@ class DataFrame:
         return DataFrame._from_data(list(data.keys()), data, new_index)
 
     def set_index(self, col: str) -> "DataFrame":
-        new_index = Index(self._data[col]._values)
+        new_index = Index(self._data[col].tolist())
         cols = [c for c in self._columns if c != col]
         return DataFrame._from_data(
             cols, {c: self._data[c]._share(index=new_index) for c in cols}, new_index
@@ -913,19 +906,16 @@ class _Loc:
             positions = list(range(len(frame)))
         else:
             positions = [frame.index.get_loc(rows)]
-        column = frame._data[col]
-        payload = column._materialize()  # copy-on-write: never touch sharers
         if isinstance(value, (list, tuple, np.ndarray, Series)):
             values = list(value)
             if len(values) != len(positions):
                 raise ValueError(
                     f"length of values ({len(values)}) does not match targets ({len(positions)})"
                 )
-            for pos, v in zip(positions, values):
-                payload[pos] = v
         else:
-            for pos in positions:
-                payload[pos] = value
+            values = [value] * len(positions)
+        # copy-on-write: never touch sharers
+        frame._data[col]._write(positions, values)
 
 
 class _ILoc:

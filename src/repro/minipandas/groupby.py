@@ -33,7 +33,7 @@ class GroupBy:
 
     def _build_groups(self) -> Dict[Any, List[int]]:
         groups: Dict[Any, List[int]] = {}
-        payloads = [self._frame._data[c]._values for c in self._by]
+        payloads = [self._frame._data[c].tolist() for c in self._by]
         if len(payloads) == 1:
             # single key: skip the per-row tuple entirely
             for pos, v in enumerate(payloads[0]):

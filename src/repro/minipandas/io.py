@@ -115,15 +115,13 @@ def write_csv(frame: DataFrame, path: str, index: bool = False) -> None:
         writer = csv.writer(handle)
         header = (["index"] if index else []) + frame.columns
         writer.writerow(header)
+        # one pass per column: missing cells write as empty fields
+        columns = [
+            ["" if gap else v for v, gap in zip(series, series.isnull())]
+            for series in (frame[col] for col in frame.columns)
+        ]
+        labels = frame.index.tolist()
         for pos in range(len(frame)):
-            row = [frame.index[pos]] if index else []
-            for col in frame.columns:
-                value = frame[col].iloc[pos]
-                row.append("" if _is_na(value) else value)
+            row = [labels[pos]] if index else []
+            row.extend(column[pos] for column in columns)
             writer.writerow(row)
-
-
-def _is_na(value: Any) -> bool:
-    from ._missing import is_missing
-
-    return is_missing(value)

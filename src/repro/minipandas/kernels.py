@@ -3,7 +3,8 @@
 The hot table ops (``fillna``, ``dropna``, ``duplicated``/
 ``drop_duplicates``, ``get_dummies``, boolean masks/``take``, groupby
 aggregation) run as single-pass columnar kernels over shared
-copy-on-write column payloads.  This module holds what those kernels
+copy-on-write column payloads (typed arrays or lists, see
+:mod:`repro.minipandas.series`).  This module holds what those kernels
 share:
 
 * the **dedup-key conventions** — a unique object sentinel for missing
@@ -161,7 +162,7 @@ def series_match(a, b) -> bool:
         return False
     if a.index.tolist() != b.index.tolist():
         return False
-    return all(same_cell(x, y) for x, y in zip(a._values, b._values))
+    return all(same_cell(x, y) for x, y in zip(a, b))
 
 
 def frames_match(a, b) -> bool:
@@ -173,7 +174,7 @@ def frames_match(a, b) -> bool:
     return all(
         same_cell(x, y)
         for c in a.columns
-        for x, y in zip(a[c]._values, b[c]._values)
+        for x, y in zip(a[c], b[c])
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import kernels
 from ._missing import NA, is_missing
 from .frame import DataFrame
-from .series import Series, _coerce_scalar
+from .series import _ARRAY_DTYPES, _INT64_MAX, _INT64_MIN, Series, _coerce_scalar
 
 __all__ = [
     "get_dummies",
@@ -58,7 +58,6 @@ def get_dummies(
 
     zero = _coerce_scalar(dtype(0))
     one = _coerce_scalar(dtype(1))
-    n = len(data)
     out: Dict[str, Series] = {}
     for col in data.columns:
         if col not in encode:
@@ -68,28 +67,19 @@ def get_dummies(
             name = kernels.fresh_name(col, out)
             out[name] = data[col]._share(name=name)
             continue
-        series = data[col]
-        categories = _dummy_categories(series, drop_first)
+        categories, codes = _category_codes(data[col])
         if isinstance(prefix, dict):
             col_prefix = prefix.get(col, col)
         elif isinstance(prefix, str):
             col_prefix = prefix
         else:
             col_prefix = col
-        # one-pass bucket kernel: each cell flips a single 1 in its
-        # category's column instead of comparing against every category
-        buckets: Dict[Any, List[Any]] = {}
-        for category in categories:
-            name = kernels.fresh_name(f"{col_prefix}{prefix_sep}{category}", out)
-            column = [zero] * n
-            buckets[kernels.na_key(category)] = column
-            out[name] = Series._from_payload(column, data.index, name)
-        for pos, v in enumerate(series._values):
-            if is_missing(v):
+        for code, category in enumerate(categories):
+            if drop_first and code == 0:
                 continue
-            column = buckets.get(kernels.na_key(v))
-            if column is not None:
-                column[pos] = one
+            name = kernels.fresh_name(f"{col_prefix}{prefix_sep}{category}", out)
+            column = _dummy_column(codes == code, zero, one)
+            out[name] = Series._from_payload(column, data.index, name)
     result = DataFrame._from_data(list(out.keys()), out, data.index)
     if kernels._AUDIT:
         kernels.audit(
@@ -102,20 +92,47 @@ def get_dummies(
     return result
 
 
-def _dummy_categories(series: Series, drop_first: bool) -> List[Any]:
-    """Distinct non-missing values in the established sort order.
+def _category_codes(series: Series) -> Tuple[List[Any], np.ndarray]:
+    """The distinct non-missing values in the established sort order, and
+    each cell's position among them (-1 for a missing cell), in one pass.
 
     Keyed through :func:`kernels.na_key` so a column holding unhashable
     cells yields repr-grouped categories instead of raising ``TypeError``
-    mid-search; equality semantics for hashable values are unchanged
-    (``1``/``True``/``1.0`` still collapse, like the old ``set``).
+    mid-search; equal hashable values share a category named by the first
+    one seen (``1``/``True``/``1.0`` collapse, like a ``set``).
     """
-    distinct: Dict[Any, Any] = {}
-    for v in series._values:
-        if not is_missing(v):
-            distinct.setdefault(kernels.na_key(v), v)
-    categories = sorted(distinct.values(), key=lambda v: (str(type(v)), str(v)))
-    return categories[1:] if drop_first else categories
+    cells = series.tolist()
+    try:
+        hash(tuple(cells))
+        keys = cells  # na_key of a hashable present cell is the cell
+    except TypeError:
+        keys = [kernels.na_key(v) for v in cells]
+    slots: Dict[Any, int] = {}
+    firsts: List[Any] = []
+    codes = [-1] * len(cells)
+    for pos in np.flatnonzero(~series._missing()).tolist():
+        key = keys[pos]
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(firsts)
+            firsts.append(cells[pos])
+        codes[pos] = slot
+    order = sorted(range(len(firsts)), key=lambda i: (str(type(firsts[i])), str(firsts[i])))
+    # rank[slot] is the slot's sorted position; the extra last entry keeps -1
+    rank = np.full(len(order) + 1, -1, dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return [firsts[i] for i in order], rank[np.asarray(codes, dtype=np.intp)]
+
+
+def _dummy_column(flags: np.ndarray, zero: Any, one: Any):
+    """A dummy column's payload: *one* where *flags* holds, else *zero* —
+    built whole before any Series wraps it, as a typed array when both are
+    exact floats, bools, or ints within int64."""
+    kind = type(zero)
+    if kind is type(one) and kind in _ARRAY_DTYPES:
+        if kind is not int or all(_INT64_MIN <= v <= _INT64_MAX for v in (zero, one)):
+            return np.where(flags, one, zero).astype(_ARRAY_DTYPES[kind], copy=False)
+    return [one if flag else zero for flag in flags.tolist()]
 
 
 def _naive_module():

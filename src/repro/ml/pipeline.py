@@ -67,8 +67,8 @@ def prepare_features(frame: DataFrame, target: str) -> tuple[np.ndarray, list]:
         raise DownstreamEvaluationError(
             f"target column {target!r} is missing from the script output"
         )
-    y = [v for v in frame[target]]
-    keep_rows = [pos for pos, v in enumerate(y) if not is_missing(v)]
+    y = frame[target].tolist()
+    keep_rows = [pos for pos, gap in enumerate(frame[target].isnull()) if not gap]
     if len(keep_rows) < 10:
         raise DownstreamEvaluationError(
             f"only {len(keep_rows)} rows with a non-missing target remain"
@@ -95,7 +95,12 @@ def prepare_features(frame: DataFrame, target: str) -> tuple[np.ndarray, list]:
 
     columns = []
     for col in encoded.columns:
-        values = float64_array(encoded[col].tolist())
+        payload = encoded[col]._payload
+        values = (
+            payload.astype(np.float64)
+            if isinstance(payload, np.ndarray)
+            else float64_array(payload)
+        )
         if np.isnan(values).all():
             continue
         mean = float(np.nanmean(values))

@@ -14,7 +14,7 @@ from repro.sandbox import IncrementalExecutor
 
 
 def payload(frame, col):
-    return frame[col]._values
+    return frame[col]._payload
 
 
 class TestStructuralSharing:
@@ -39,7 +39,7 @@ class TestStructuralSharing:
     def test_constructor_from_series_shares(self):
         s = Series([1, 2, 3], name="s")
         frame = DataFrame({"s": s})
-        assert payload(frame, "s") is s._values
+        assert payload(frame, "s") is s._payload
 
     def test_column_selection_shares(self):
         src = DataFrame({"a": [1], "b": [2], "c": [3]})

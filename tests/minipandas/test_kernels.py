@@ -274,16 +274,16 @@ class TestUntouchedColumnSharing:
     def test_fillna_shares_untouched_payloads(self):
         src = DataFrame({"a": [1, None], "b": ["x", "y"], "c": [True, False]})
         out = src.fillna({"a": 0})
-        assert out["b"]._values is src["b"]._values
-        assert out["c"]._values is src["c"]._values
-        assert out["a"]._values is not src["a"]._values
+        assert out["b"]._payload is src["b"]._payload
+        assert out["c"]._payload is src["c"]._payload
+        assert out["a"]._payload is not src["a"]._payload
         assert out["a"].tolist() == [1, 0]
 
     def test_fillna_scalar_shares_columns_with_nothing_missing(self):
         src = DataFrame({"a": [1, 2], "b": [None, "y"]})
         out = src.fillna("z")
-        assert out["a"]._values is src["a"]._values
-        assert out["b"]._values is not src["b"]._values
+        assert out["a"]._payload is src["a"]._payload
+        assert out["b"]._payload is not src["b"]._payload
 
     def test_shared_payload_is_mutation_isolated(self):
         src = DataFrame({"a": [1, None], "b": ["x", "y"]})

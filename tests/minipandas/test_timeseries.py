@@ -238,3 +238,84 @@ class TestRolling:
     def test_preserves_index(self):
         out = Series([1.0, 2.0], index=["a", "b"]).rolling(1).mean()
         assert out.index.tolist() == ["a", "b"]
+
+
+def _per_cell_to_datetime(values, errors="raise", format=None):
+    """The per-cell loop: every cell tries every format in order."""
+    out = []
+    for value in values:
+        if is_missing(value):
+            out.append(NA)
+            continue
+        if isinstance(value, datetime):
+            out.append(value)
+            continue
+        text = str(value).strip()
+        formats = [format] if format is not None else [
+            "%Y-%m-%d", "%Y-%m-%d %H:%M:%S", "%Y/%m/%d", "%d.%m.%Y", "%m/%d/%Y", "%d-%m-%Y",
+        ]
+        for fmt in formats:
+            try:
+                out.append(datetime.strptime(text, fmt))
+                break
+            except ValueError:
+                continue
+        else:
+            if errors == "coerce":
+                out.append(NA)
+            elif format is not None:
+                datetime.strptime(text, format)
+            else:
+                raise ValueError(f"unable to parse {value!r} as a datetime")
+    return out
+
+
+class TestToDatetimeOracle:
+    CELLS = [
+        "2015-01-02",
+        "2015-01-02 10:20:30",
+        "2015/01/02",
+        "02.01.2015",
+        "01/02/2015",
+        "02-01-2015",
+        " 02.01.2015 ",
+        "02.01.2015",
+        "13/13/2015",
+        "junk",
+        None,
+        NA,
+        datetime(2020, 5, 6),
+        "2015-1-2",
+    ]
+
+    def _outcome(self, func, *args, **kwargs):
+        try:
+            return [repr(v) for v in func(*args, **kwargs)], None
+        except ValueError as exc:
+            return None, str(exc)
+
+    def test_matches_the_per_cell_loop(self):
+        series = Series(self.CELLS, index=[f"r{i}" for i in range(len(self.CELLS))], name="d")
+        for errors in ("coerce", "raise"):
+            for cells in (self.CELLS, self.CELLS[:8] + self.CELLS[10:]):
+                data = Series(cells, index=series.index.tolist()[: len(cells)], name="d")
+                assert self._outcome(to_datetime, data, errors=errors) == self._outcome(
+                    _per_cell_to_datetime, cells, errors=errors
+                )
+
+    def test_raises_for_the_first_bad_cell_in_row_order(self):
+        with pytest.raises(ValueError, match="' junk '"):
+            to_datetime(Series(["2015-01-02", " junk ", "other"]))
+
+    def test_matches_the_per_cell_loop_with_a_format(self):
+        cells = ["02.01.2015", "2015-01-02", " 03.01.2015", None, "02.01.2015"]
+        for errors in ("coerce", "raise"):
+            assert self._outcome(
+                to_datetime, Series(cells), errors=errors, format="%d.%m.%Y"
+            ) == self._outcome(_per_cell_to_datetime, cells, errors=errors, format="%d.%m.%Y")
+
+    def test_shares_the_input_index(self):
+        data = Series(["2015-01-02"], index=["a"], name="d")
+        out = to_datetime(data)
+        assert out.index is data.index
+        assert out.name == "d"
