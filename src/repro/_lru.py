@@ -1,16 +1,18 @@
 """A tiny LRU cache with hit/miss accounting.
 
 Several hot paths keep bounded memo tables — the sandbox's parsed-CSV
-cache, the beam search's execution/statement memos, and the incremental
-executor's namespace snapshots.  They all share this one implementation so
-eviction is true LRU (lookups refresh recency) and hit rates are
-observable by :class:`repro.core.beam.SearchStats`.
+cache, the beam search's execution memo, the process-wide parsed-statement
+and code-object caches, and the incremental executor's namespace
+snapshots.  They all share this one implementation so eviction is true
+LRU (lookups refresh recency) and hit rates are observable by
+:class:`repro.core.beam.SearchStats`.
 
 Caches shared across threads (the server engine's warm registry, the
-process-wide corpus cache) construct with ``thread_safe=True``, which
-guards every mutating operation with an :class:`threading.RLock`.  The
-default stays lock-free: the hot single-threaded paths (beam memos,
-snapshot pools) pay nothing for the option.
+process-wide corpus, statement and code caches) construct with
+``thread_safe=True``, which guards every mutating operation with an
+:class:`threading.RLock`.  The default stays lock-free: the hot
+single-threaded paths (beam memos, snapshot pools) pay nothing for the
+option.
 """
 
 from __future__ import annotations

@@ -29,12 +29,20 @@ from __future__ import annotations
 
 import time
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._lru import LRUCache
 from ..lang.errors import ScriptError
-from ..lang.parser import EdgeDelta, EdgeState, Statement, compute_edge_counts
+from ..lang.parser import (
+    STATEMENT_CACHE,
+    EdgeDelta,
+    EdgeState,
+    Statement,
+    compute_edge_counts,
+    parse_statement,
+)
 from ..lang.vocabulary import CorpusVocabulary
 from ..sandbox import (
     BatchReport,
@@ -77,9 +85,14 @@ class Candidate:
         # immutable candidate
         cached = self.__dict__.get("_source")
         if cached is None:
-            cached = "\n".join(s.source for s in self.statements)
+            cached = "\n".join(self.segments())
             object.__setattr__(self, "_source", cached)
         return cached
+
+    def segments(self) -> Tuple[str, ...]:
+        """Each statement's text: what the sandbox runs instead of
+        re-parsing :meth:`source`, which is their ``"\\n"`` join."""
+        return tuple(s.source for s in self.statements)
 
     @property
     def n_transformations(self) -> int:
@@ -94,7 +107,8 @@ class SearchStats:
     engine's cache behaviour: prefix-snapshot hit rate and mean resumed
     depth (the incremental executor), batch counts (the parallel path),
     wall vs CPU time of the check loop, and the sizes/hit rates of the
-    per-search memo caches.
+    memo caches (the parsed-statement cache is process-wide; its hit rate
+    counts this search's lookups).
     """
 
     get_steps_s: float = 0.0
@@ -241,7 +255,9 @@ class BeamSearch:
         # batches); sync_cache_stats adds the executor's delta on top
         self._direct_timeouts = 0
         self._exec_cache: LRUCache = LRUCache(self.EXEC_CACHE_LIMIT)
-        self._statement_cache: LRUCache = LRUCache(self.STATEMENT_CACHE_LIMIT)
+        #: this search's hits and misses against the process-wide
+        #: parsed-statement cache (``parse_statement``)
+        self._statement_tally: Counter = Counter()
         #: source -> (EdgeState, REStats): per-candidate scoring state for
         #: the O(Δ) incremental path; a miss rebuilds via a full recount.
         self._score_state_cache: LRUCache = LRUCache(self.SCORE_STATE_CACHE_LIMIT)
@@ -262,11 +278,10 @@ class BeamSearch:
     ARCHIVE_LIMIT = 64
 
     #: Capacity of the per-search memo caches.  A search touches a few
-    #: hundred distinct sources/statements; the bound only matters for
-    #: long-lived searches (large seq × beam × corpus), which previously
-    #: grew these dicts without limit.
+    #: hundred distinct sources; the bound only matters for long-lived
+    #: searches (large seq × beam × corpus), which previously grew these
+    #: dicts without limit.
     EXEC_CACHE_LIMIT = 4096
-    STATEMENT_CACHE_LIMIT = 2048
     SCORE_STATE_CACHE_LIMIT = 256
 
     # ------------------------------------------------------------- components
@@ -283,8 +298,14 @@ class BeamSearch:
             return int(score * 1e12)
         return int(round(score / self.config.score_band))
 
-    def check_if_executes(self, source: str) -> bool:
-        """CheckIfExecutes() with memoization across the whole search."""
+    def check_if_executes(
+        self, source: str, segments: Optional[Tuple[str, ...]] = None
+    ) -> bool:
+        """CheckIfExecutes() with memoization across the whole search.
+
+        *segments* (the candidate's statement texts) let the incremental
+        executor skip re-parsing *source*.
+        """
         cached = self._exec_cache.get(source)
         if cached is not None:
             return cached
@@ -293,7 +314,7 @@ class BeamSearch:
         if self._exec_checker is not None:
             ok = self._exec_checker(source)
         elif self._executor is not None:
-            ok = self._executor.check_executes(source)
+            ok = self._executor.check_executes(source, segments=segments)
         else:
             result = run_script(
                 source,
@@ -312,12 +333,8 @@ class BeamSearch:
         return ok
 
     def _parsed_statement(self, source: str) -> Statement:
-        """Parse-once cache for add-candidate statements."""
-        statement = self._statement_cache.get(source)
-        if statement is None:
-            statement = Statement.from_source(0, source, dialect=self._lang_dialect)
-            self._statement_cache[source] = statement
-        return statement
+        """An add-candidate statement, parsed once per process."""
+        return parse_statement(source, self._lang_dialect, self._statement_tally)
 
     def _projected_score(
         self, statements: Sequence[Statement], transformation: Transformation
@@ -644,7 +661,7 @@ class BeamSearch:
             if self.config.early_check:
                 # pause the top-k clock while the sandbox runs
                 self.stats.get_top_k_s += time.perf_counter() - start
-                valid = self.check_if_executes(source)
+                valid = self.check_if_executes(source, extended.segments())
                 start = time.perf_counter()
                 if not valid:
                     continue
@@ -695,8 +712,11 @@ class BeamSearch:
         stats = self.stats
         stats.exec_cache_size = len(self._exec_cache)
         stats.exec_cache_hit_rate = self._exec_cache.hit_rate
-        stats.statement_cache_size = len(self._statement_cache)
-        stats.statement_cache_hit_rate = self._statement_cache.hit_rate
+        stats.statement_cache_size = len(STATEMENT_CACHE)
+        lookups = self._statement_tally["hits"] + self._statement_tally["misses"]
+        stats.statement_cache_hit_rate = (
+            self._statement_tally["hits"] / lookups if lookups else 0.0
+        )
         if self._delta_score_s > 0:
             # verify_scoring timed both paths on identical proposals
             stats.get_steps_speedup = self._full_score_s / self._delta_score_s

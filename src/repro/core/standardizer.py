@@ -602,10 +602,14 @@ class LucidScript:
         )
 
     # ----------------------------------------------------------------- helpers
-    def _run(self, source: str) -> Optional[DataFrame]:
+    def _run(
+        self, source: str, segments: Optional[Tuple[str, ...]] = None
+    ) -> Optional[DataFrame]:
+        """The output of *source*, or None if it fails; *segments* (its
+        statement texts) spare the incremental executor a re-parse."""
         executor = self._shared_executor()
         if executor is not None:
-            result = executor.run_script(source)
+            result = executor.run_script(source, segments=segments)
         else:
             result = run_script(
                 source,
@@ -726,7 +730,7 @@ class LucidScript:
             source = candidate.source()
             if source == original_source:
                 return candidate, None
-            output = self._run(source)
+            output = self._run(source, candidate.segments())
             if output is None:
                 continue
             verdict = None
@@ -892,7 +896,7 @@ class LucidScript:
             return identity, True
         if verdict is not None:
             return verdict
-        output = self._run(best.source())
+        output = self._run(best.source(), best.segments())
         if output is None:  # pragma: no cover - verified above
             return None, False
         prepared = self._prepared_intent(original_output, intent_counters)

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .._lru import LRUCache
 from .atoms import NGRAM, ONEGRAM, Atom, Edge
 from .errors import ScriptParseError, UnsupportedScriptError
 from .lemmatize import lemmatize
@@ -25,6 +26,8 @@ __all__ = [
     "EdgeDelta",
     "EdgeState",
     "parse_script",
+    "parse_statement",
+    "STATEMENT_CACHE",
     "extract_onegrams",
     "compute_edge_counts",
 ]
@@ -219,6 +222,36 @@ class Statement:
     def protected(self) -> bool:
         """Imports and data loads are never deleted by transformations."""
         return self.is_import or self.is_read_csv
+
+
+#: Capacity of :data:`STATEMENT_CACHE`.  Add candidates are corpus
+#: statement texts (n-gram signatures and 1-gram templates), so every
+#: search over one corpus proposes the same few hundred statements.
+STATEMENT_CACHE_LIMIT = 2048
+
+#: ``(dialect name, statement text) -> Statement``, shared by every search
+#: in the process.  Sharing is safe because no code mutates a Statement
+#: (:class:`EdgeState` relies on the same).
+STATEMENT_CACHE = LRUCache(STATEMENT_CACHE_LIMIT, thread_safe=True)
+
+
+def parse_statement(
+    source: str, dialect=None, tally: Optional[Counter] = None
+) -> Statement:
+    """``Statement.from_source(0, source, dialect)``, parsed once per process.
+
+    *tally*, when given, counts this lookup under ``"hits"`` or
+    ``"misses"``, so a caller can report its own hit rate against the
+    shared cache.  A statement that fails to parse raises every time.
+    """
+    key = ("pandas" if dialect is None else dialect.name, source)
+    statement = STATEMENT_CACHE.get(key)
+    if tally is not None:
+        tally["misses" if statement is None else "hits"] += 1
+    if statement is None:
+        statement = Statement.from_source(0, source, dialect=dialect)
+        STATEMENT_CACHE[key] = statement
+    return statement
 
 
 class ScriptDAG:

@@ -136,8 +136,11 @@ class FaultInjectingExecutor(IncrementalExecutor):
             return bool(self._match(source))
         return self._match in source
 
-    def run_script(self, source, extra_globals=None):
+    def run_script(self, source, extra_globals=None, *, segments=None):
         if self._matches(source):
             self.injected_sources.append(source)
             source = inject_fault(source, self._kind, self._position)
-        return super().run_script(source, extra_globals=extra_globals)
+            segments = None  # they split the script before the fault
+        return super().run_script(
+            source, extra_globals=extra_globals, segments=segments
+        )

@@ -16,17 +16,21 @@ the snapshot.  Three guards keep that true:
 
 * scripts whose text uses randomness (``import random``, ``np.random``)
   bypass the executor entirely and run cold, as do runs with
-  ``extra_globals`` (injected objects cannot be keyed or safely copied);
+  ``extra_globals`` (injected objects cannot be keyed or safely copied)
+  and scripts naming ``global`` or ``__future__`` (only a whole-script
+  compile sees a name assigned before its ``global`` declaration or a
+  future import after the first statement);
 * namespace values are copied structurally with aliasing preserved
   (one memo per freeze/thaw, shared with :func:`copy.deepcopy` for
   uncommon types); frames and Series are captured with their
   copy-on-write ``copy()``, so snapshots and the live namespace share
   column payloads until a script writes a cell (tallied in
   ``IncrementalStats.payload_cells_shared``); values that cannot be
-  safely copied — e.g. functions
-  defined by the script, whose ``__globals__`` binds the live namespace —
-  mark the prefix unsnapshottable, and execution simply continues without
-  caching deeper prefixes;
+  safely copied — functions defined by the script, whose ``__globals__``
+  binds the live namespace, and classes defined by the script (and their
+  instances), which a later statement may mutate in place — mark the
+  prefix unsnapshottable, and execution simply continues without caching
+  deeper prefixes;
 * every snapshot stores a structural fingerprint of the namespace
   (variable names, types, frame shapes).  A thaw that fails to reproduce
   its fingerprint — the "snapshot-restore mismatch" escape hatch — drops
@@ -34,6 +38,14 @@ the snapshot.  Three guards keep that true:
 * the snapshot store is pinned to the on-disk state of ``data_dir``
   (per-CSV mtime/size): if a table file changes between runs, every
   cached prefix is discarded before the next probe.
+
+Each statement runs from a code object compiled from its own text, padded
+with line breaks down to its line in the script, so tracebacks report the
+script's line numbers.  Code objects live in one process-wide cache keyed
+by ``(statement text, first line)``: every executor in the process reuses
+them.  All statements compile before any runs, as a cold run compiles the
+whole script first; a compile-time error (``break`` outside a loop, ...)
+hands the script to a cold run, which reports it exactly.
 
 An optional ``verify=True`` mode cross-checks every incremental result
 against a cold run (used by tests and the perf benchmark's self-audit).
@@ -69,10 +81,25 @@ from .runner import (
 
 __all__ = ["IncrementalExecutor", "IncrementalStats", "statement_segments"]
 
-#: Matches genuine randomness use (``import random``, ``random.random()``,
-#: ``np.random.seed``) but not the deterministic ``random_state=`` kwarg,
-#: because ``_`` is a word character and blocks the ``\b`` boundary.
-_RANDOM_PATTERN = _re.compile(r"\brandom\b")
+#: Scripts that must run cold: genuine randomness use (``import random``,
+#: ``random.random()``, ``np.random.seed``; the deterministic
+#: ``random_state=`` kwarg does not match, because ``_`` is a word
+#: character and blocks the ``\b`` boundary), and ``global`` or
+#: ``__future__`` statements, whose compile-time checks span statements.
+_COLD_PATTERN = _re.compile(r"\b(?:random|global|__future__)\b")
+
+#: The ``__name__`` of every sandbox namespace, so also the ``__module__``
+#: of every class a script defines.
+_SANDBOX_NAME = "__sandbox__"
+
+#: Capacity of the process-wide code-object cache below.  A search runs
+#: a few hundred distinct statements, and every search over one corpus
+#: runs mostly the same ones at the same lines.
+CODE_CACHE_LIMIT = 2048
+
+#: ``(statement text, first line) -> code object``, shared by every
+#: executor in the process (the server runs executors on several threads).
+_CODE_CACHE = LRUCache(CODE_CACHE_LIMIT, thread_safe=True)
 
 #: Splits after each line break the parser counts — ``\r\n``, a lone
 #: ``\r`` or ``\n`` — keeping the break on its line.  ``str.splitlines``
@@ -81,30 +108,74 @@ _RANDOM_PATTERN = _re.compile(r"\brandom\b")
 _LINE_BREAK = _re.compile(r"(?<=\n)|(?<=\r)(?!\n)")
 
 
-def statement_segments(source: str, nodes: Sequence[ast.stmt]) -> List[str]:
-    """The source text of each parsed node, cut from *source* in one pass.
+def _statement_spans(source: str, nodes: Sequence[ast.stmt]) -> List[Tuple[str, int]]:
+    """``(source text, first line)`` of each top-level node, cut in one pass.
 
-    Equal to ``[ast.get_source_segment(source, node) for node in nodes]``
-    for nodes parsed from *source*, but that re-splits the whole script
-    once per node.  Here the script is split into lines once and each line
-    is encoded to UTF-8 once, because the parser's column offsets count
-    UTF-8 bytes.
+    The script is split into lines once and each line is encoded to UTF-8
+    once, because the parser's column offsets count UTF-8 bytes.  A
+    decorated definition starts at the ``@`` of its first decorator, not
+    at the ``def``/``class`` line the node reports.  At top level that
+    ``@`` is the first non-blank character of its line (a decorator cannot
+    follow ``;``): the first such line at or above the decorator
+    expression, which may sit on a later line behind ``(`` or ``\\``.
     """
     lines = _LINE_BREAK.split(source)
     encoded = [line.encode() for line in lines]
-    segments = []
+    spans = []
     for node in nodes:
-        first, last = node.lineno - 1, node.end_lineno - 1
+        first, col = node.lineno - 1, node.col_offset
+        decorators = getattr(node, "decorator_list", None)
+        if decorators:
+            first = decorators[0].lineno - 1
+            while not lines[first].lstrip(" \t\x0c").startswith("@"):
+                first -= 1
+            col = len(lines[first]) - len(lines[first].lstrip(" \t\x0c"))
+        last = node.end_lineno - 1
         if first == last:
-            segment = encoded[first][node.col_offset:node.end_col_offset].decode()
+            segment = encoded[first][col:node.end_col_offset].decode()
         else:
             segment = (
-                encoded[first][node.col_offset:].decode()
+                encoded[first][col:].decode()
                 + "".join(lines[first + 1:last])
                 + encoded[last][:node.end_col_offset].decode()
             )
-        segments.append(segment)
-    return segments
+        spans.append((segment, first + 1))
+    return spans
+
+
+def statement_segments(source: str, nodes: Sequence[ast.stmt]) -> List[str]:
+    """The source text of each top-level node parsed from *source*.
+
+    ``ast.get_source_segment(source, node)`` for each node, except that a
+    decorated definition's text starts at its first decorator; and cut in
+    one pass, where ``get_source_segment`` re-splits the script per node.
+    """
+    return [segment for segment, _ in _statement_spans(source, nodes)]
+
+
+def _line_numbers(segments: Sequence[str]) -> List[int]:
+    """First line of each segment in ``"\\n".join(segments)``, counting
+    breaks as the parser does: ``\\r\\n``, a lone ``\\r`` or ``\\n``."""
+    numbers = []
+    line = 1
+    for segment in segments:
+        numbers.append(line)
+        line += segment.count("\n") + segment.count("\r") - segment.count("\r\n")
+        if not segment.endswith("\r"):
+            line += 1  # the joining "\n"; after "\r" it completes one "\r\n"
+    return numbers
+
+
+def _compiled(segment: str, lineno: int) -> types.CodeType:
+    """Code object of one statement, compiled from its text padded down to
+    line *lineno*, so tracebacks carry the script's line numbers."""
+    key = (segment, lineno)
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        # inherits this module's future flags, as run_script's compile does
+        code = compile("\n" * (lineno - 1) + segment, "<script>", "exec")
+        _CODE_CACHE[key] = code
+    return code
 
 
 #: Types safe to share between snapshots without copying.
@@ -140,6 +211,10 @@ def _snapshot_value(
     if prior is not None:
         return prior
     if isinstance(value, (types.ModuleType, ModuleProxy, type)):
+        if isinstance(value, type) and value.__module__ == _SANDBOX_NAME:
+            # a class the script defined: a later statement may mutate it
+            # (``A.x = 2``), and a shared one would carry that into snapshots
+            raise _Unsnapshottable(value.__name__)
         return value  # shared sandbox substrate, never script-mutable state
     if isinstance(value, DataFrame):
         clone = value.copy()
@@ -170,6 +245,10 @@ def _snapshot_value(
     elif callable(value):
         # a function def'd by the script closes over the live namespace;
         # sharing or copying it would either leak or sever that binding
+        raise _Unsnapshottable(type(value).__name__)
+    elif type(value).__module__ == _SANDBOX_NAME:
+        # an instance of a script-defined class: deepcopy would share the
+        # class itself by reference
         raise _Unsnapshottable(type(value).__name__)
     else:
         try:
@@ -288,7 +367,6 @@ class IncrementalExecutor:
         self.statement_timeout_s = statement_timeout_s
         self.dialect = resolve_dialect(dialect)
         self._snapshots = LRUCache(snapshot_budget)
-        self._code_cache = LRUCache(512)
         self._base_builtins = build_sandbox_namespace(
             data_dir, sample_rows, dialect=self.dialect
         )["__builtins__"]
@@ -297,14 +375,30 @@ class IncrementalExecutor:
 
     # ------------------------------------------------------------------ public
     def run_script(
-        self, source: str, extra_globals: Optional[Dict[str, Any]] = None
+        self,
+        source: str,
+        extra_globals: Optional[Dict[str, Any]] = None,
+        *,
+        segments: Optional[Sequence[str]] = None,
     ) -> ExecutionResult:
-        """Drop-in for :func:`repro.sandbox.run_script` on this setting."""
+        """Drop-in for :func:`repro.sandbox.run_script` on this setting.
+
+        *segments*, when given, are the script's top-level statement texts
+        and must join with ``"\\n"`` to *source* (``ValueError`` otherwise).
+        The executor then neither parses nor splits the script: each
+        statement's first line comes from the line breaks before it.
+        Without them the script is parsed and split here, into the same
+        segments for a script that is such a join.
+        """
+        if segments is not None:
+            segments = tuple(segments)
+            if "\n".join(segments) != source:
+                raise ValueError("segments do not join to the script source")
         self.stats.runs += 1
         if (
             extra_globals
             or self._snapshots.capacity == 0
-            or _RANDOM_PATTERN.search(source)
+            or _COLD_PATTERN.search(source)
         ):
             return self._cold(source, extra_globals)
         state = self._data_dir_state()
@@ -312,15 +406,26 @@ class IncrementalExecutor:
             # a data file changed under us: every cached prefix is stale
             self._snapshots.clear()
             self._data_state = state
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            return ExecutionResult(ok=False, error=exc, error_line=exc.lineno)
-        if not tree.body:
+        if segments is None:
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as exc:
+                return ExecutionResult(ok=False, error=exc, error_line=exc.lineno)
+            spans = _statement_spans(source, tree.body)
+            segments = tuple(segment for segment, _ in spans)
+            linenos = [lineno for _, lineno in spans]
+        else:
+            linenos = _line_numbers(segments)
+        if not segments:
             return self._cold(source, extra_globals)
-        prefix = tuple(statement_segments(source, tree.body))
+        try:
+            codes = [_compiled(s, n) for s, n in zip(segments, linenos)]
+        except SyntaxError:
+            # a compile-time error ('break' outside a loop, ...): the cold
+            # run compiles the whole script first and reports it exactly
+            return self._cold(source, extra_globals)
 
-        namespace, resumed = self._resume(prefix)
+        namespace, resumed = self._resume(segments)
         if namespace is None and resumed < 0:
             # fingerprint mismatch on thaw: the escape hatch
             return self._cold(source, extra_globals, fallback=True)
@@ -331,15 +436,19 @@ class IncrementalExecutor:
             self.stats.prefix_hits += 1
             self.stats.resumed_statements += resumed
 
-        result = self._execute_suffix(source, tree, prefix, namespace, resumed)
+        result = self._execute_suffix(
+            source, segments, codes, linenos, namespace, resumed
+        )
         if self.verify and not self._matches_cold(source, result):
             self._snapshots.clear()
             return self._cold(source, extra_globals, fallback=True)
         return result
 
-    def check_executes(self, source: str) -> bool:
+    def check_executes(
+        self, source: str, *, segments: Optional[Sequence[str]] = None
+    ) -> bool:
         """CheckIfExecutes() over the incremental path."""
-        result = self.run_script(source)
+        result = self.run_script(source, segments=segments)
         return result.ok and result.output is not None
 
     def clear(self) -> None:
@@ -390,7 +499,7 @@ class IncrementalExecutor:
     def _fresh_namespace(self) -> Dict[str, Any]:
         return {
             "__builtins__": dict(self._base_builtins),
-            "__name__": "__sandbox__",
+            "__name__": _SANDBOX_NAME,
         }
 
     def _resume(self, prefix: Tuple[str, ...]):
@@ -432,23 +541,12 @@ class IncrementalExecutor:
             frozen[name] = _snapshot_value(value, memo, self.stats)
         return frozen, _fingerprint(namespace)
 
-    def _compiled(self, segment: str, node: ast.stmt):
-        """Per-statement code object, keeping the original line numbers so
-        ``error_line`` matches a cold run's traceback exactly."""
-        key = (segment, node.lineno, node.col_offset)
-        code = self._code_cache.peek(key)
-        if code is None:
-            code = compile(
-                ast.Module(body=[node], type_ignores=[]), "<script>", "exec"
-            )
-            self._code_cache[key] = code
-        return code
-
     def _execute_suffix(
         self,
         source: str,
-        tree: ast.Module,
-        prefix: Tuple[str, ...],
+        segments: Tuple[str, ...],
+        codes: List[types.CodeType],
+        linenos: List[int],
         namespace: Dict[str, Any],
         resumed: int,
     ) -> ExecutionResult:
@@ -456,8 +554,7 @@ class IncrementalExecutor:
         deadline = (
             time.monotonic() + self.exec_timeout_s if self.exec_timeout_s else None
         )
-        for position in range(resumed, len(tree.body)):
-            code = self._compiled(prefix[position], tree.body[position])
+        for position in range(resumed, len(segments)):
             # per-statement budget, clipped to whatever script budget remains
             budget = self.statement_timeout_s
             if deadline is not None:
@@ -470,12 +567,12 @@ class IncrementalExecutor:
                     return ExecutionResult(
                         ok=False,
                         error=exhausted,
-                        error_line=tree.body[position].lineno,
+                        error_line=linenos[position],
                     )
                 budget = min(budget, remaining) if budget else remaining
             watchdog = _Watchdog.arm(budget)
             try:
-                exec(code, namespace)
+                exec(codes[position], namespace)
             except BaseException as exc:  # noqa: BLE001 - script failures are data
                 if watchdog is not None:
                     sys.settrace(watchdog.prior)  # see _Watchdog's disarm protocol
@@ -491,7 +588,7 @@ class IncrementalExecutor:
             self.stats.executed_statements += 1
             if snapshottable:
                 try:
-                    self._snapshots[prefix[: position + 1]] = self._freeze(namespace)
+                    self._snapshots[segments[: position + 1]] = self._freeze(namespace)
                 except _Unsnapshottable:
                     # keep executing; deeper prefixes just won't be cached
                     snapshottable = False

@@ -7,6 +7,7 @@ import pytest
 from repro.core import BeamSearch, LSConfig, LucidScript, TableJaccardIntent
 from repro.core.entropy import RelativeEntropyScorer
 from repro.lang import CorpusVocabulary, parse_script
+from repro.lang.parser import STATEMENT_CACHE, STATEMENT_CACHE_LIMIT
 
 
 @pytest.fixture()
@@ -53,7 +54,7 @@ class TestBoundedCaches:
     def test_exec_cache_is_bounded(self, vocab, scorer, diabetes_dir, alex_script):
         search = make_search(vocab, scorer, diabetes_dir)
         assert search._exec_cache.capacity == BeamSearch.EXEC_CACHE_LIMIT
-        assert search._statement_cache.capacity == BeamSearch.STATEMENT_CACHE_LIMIT
+        assert STATEMENT_CACHE.capacity == STATEMENT_CACHE_LIMIT
 
     def test_eviction_kicks_in_at_capacity(
         self, vocab, scorer, diabetes_dir, alex_script, monkeypatch
@@ -72,7 +73,7 @@ class TestBoundedCaches:
         breakdown = search.stats.breakdown()
         assert breakdown["ExecCacheSize"] == len(search._exec_cache)
         assert 0.0 <= breakdown["ExecCacheHitRate"] <= 1.0
-        assert breakdown["StatementCacheSize"] == len(search._statement_cache)
+        assert breakdown["StatementCacheSize"] == len(STATEMENT_CACHE)
         assert 0.0 <= breakdown["StatementCacheHitRate"] <= 1.0
 
 

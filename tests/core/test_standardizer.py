@@ -169,9 +169,9 @@ class TestWinnerVerifiedOnce:
         ran = []
         real_run = LucidScript._run
 
-        def spy(system, source):
+        def spy(system, source, segments=None):
             ran.append(source)
-            return real_run(system, source)
+            return real_run(system, source, segments)
 
         monkeypatch.setattr(LucidScript, "_run", spy)
         return ran

@@ -270,6 +270,16 @@ class TestFaultInjectingExecutor:
         assert result.timed_out
         assert executor.stats.timeouts >= 1
 
+    def test_segments_forwarded_unless_a_fault_is_injected(self):
+        executor = FaultInjectingExecutor(match="df.dropna", kind="crash")
+        target = GOOD + "\ndf = df.dropna()"
+        faulted = executor.run_script(target, segments=tuple(target.split("\n")))
+        assert faulted.error_type == "RuntimeError"
+        segments = tuple(GOOD.split("\n"))
+        assert executor.run_script(GOOD, segments=segments).ok
+        with pytest.raises(ValueError):
+            executor.run_script(GOOD, segments=segments[:-1])
+
     def test_invalid_kind_rejected_eagerly(self):
         with pytest.raises(ValueError):
             FaultInjectingExecutor(match="x", kind="segfault")

@@ -1,7 +1,10 @@
 """Tests for the incremental executor, batched checks, and the LRU caches."""
 
 import ast
+import copy
+import io
 import os
+import tokenize
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +51,7 @@ def _result_signature(result):
 
 
 #: Sources whose line breaks, column offsets or layout a naive split
-#: would get wrong; ``ast.get_source_segment`` is the oracle for each.
+#: would get wrong; ``_oracle_segments`` is the oracle for each.
 SEGMENT_CASES = {
     "crlf": "a = 1\r\nb = 2\r\n",
     "lone_cr": "a = 1\rb = 2\rc = a + b",
@@ -60,6 +63,11 @@ SEGMENT_CASES = {
     "u2028_in_literal": "s = 'a\u2028b'\nt = 1",
     "compound_crlf": "if a:\r\n    b = 'ä'\r\nelse:\r\n    b = 2\r\nc = b",
     "empty": "",
+    "decorated_class": "a = 1\n@str\n@len\nclass A:\n    x = 'é'\nb = 2",
+    "decorated_after_form_feed": "a = 1\n\x0c@str\r\ndef f():\r\n    return 1",
+    "decorator_behind_paren": "@(\n    str\n)\nclass A: ...",
+    "decorator_behind_backslash": "@\\\nstr\nclass A: ...",
+    "matmul_line_in_decorator": "@(a\n@ b)\nclass A: ...",
 }
 
 _FRAGMENTS = (
@@ -71,14 +79,34 @@ _FRAGMENTS = (
     "f = 1; g = 2",
     "h = 3  # note ü",
     "if a:\n    i = 'ä'",
+    "@str\nclass J:\n    k = 'é'",
+    "@(lambda c: c)\r\n@str\r\ndef m():\r\n    return 1",
 )
 _BREAKS = ("\n", "\r\n", "\r", "\n\x0c", "\n\n")
 
 
+def _oracle_segments(source, body):
+    """``ast.get_source_segment`` of each node, except that a decorated
+    definition starts at the ``@`` token of its first decorator."""
+    at_tokens = [
+        token.start
+        for token in tokenize.generate_tokens(io.StringIO(source, newline=None).readline)
+        if token.exact_type == tokenize.AT
+    ]
+    segments = []
+    for node in body:
+        if getattr(node, "decorator_list", None):
+            first = node.decorator_list[0]
+            start = max(at for at in at_tokens if at < (first.lineno, first.col_offset))
+            node = copy.copy(node)
+            node.lineno, node.col_offset = start
+        segments.append(ast.get_source_segment(source, node))
+    return segments
+
+
 def _assert_matches_oracle(source):
     body = ast.parse(source).body
-    expected = [ast.get_source_segment(source, node) for node in body]
-    assert statement_segments(source, body) == expected
+    assert statement_segments(source, body) == _oracle_segments(source, body)
 
 
 class TestStatementSegments:
@@ -87,6 +115,11 @@ class TestStatementSegments:
     )
     def test_matches_get_source_segment(self, source):
         _assert_matches_oracle(source)
+
+    def test_decorated_segment_starts_at_first_decorator(self):
+        source = SEGMENT_CASES["decorated_class"]
+        segments = statement_segments(source, ast.parse(source).body)
+        assert segments[1] == "@str\n@len\nclass A:\n    x = 'é'"
 
     @settings(max_examples=200, deadline=None)
     @given(
