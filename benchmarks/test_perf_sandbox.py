@@ -8,12 +8,6 @@ statement prefix and differing in their suffix, exactly what
 * **incremental** — ``IncrementalExecutor`` resumes each candidate from
   the longest snapshotted prefix (the hardware-independent win).
 
-Parallel-engine numbers live in ``benchmarks/test_perf_parallel.py`` →
-``BENCH_parallel.json``, which records effective cores and skips speedup
-assertions on oversubscribed hosts — this module's earlier ``parallel_x2``
-figure was measured with 2 workers on a 1-core box and reported the
-resulting 0.64x as if it were an engine property.
-
 Results are published to ``benchmarks/results/`` and the machine-readable
 speedups to the repo-root ``BENCH_sandbox.json``.  The acceptance bar: the
 incremental path is at least 2x faster (median wave) than cold execution.
@@ -131,7 +125,6 @@ def test_perf_sandbox_engines(bench_dir):
         "speedup_vs_cold": {
             "incremental": round(incremental_speedup, 2),
         },
-        "parallel_numbers": "see BENCH_parallel.json (test_perf_parallel.py)",
         "incremental_stats": executor.stats.as_dict(),
         "environment": bench_environment(),
     }

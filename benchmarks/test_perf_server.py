@@ -2,8 +2,8 @@
 
 The server's pitch is that one-shot CLI economics are wrong for a
 standing standardization service: every request pays interpreter start,
-imports, corpus curation, and worker spawn, then throws the warm state
-away.  This benchmark races the two deployment shapes over the same
+imports and corpus curation, then throws the warm state away.  This
+benchmark races the two deployment shapes over the same
 mixed 50-request workload (score / standardize / explain /
 detect_leakage across two corpora):
 
@@ -36,7 +36,6 @@ import pytest
 
 from repro.corpus import clear_corpus_cache
 from repro.harness import render_table
-from repro.sandbox import kill_worker_pool
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.server.jobs import normalize_job
 from repro.server.oneshot import run_oneshot_process
@@ -117,7 +116,6 @@ def _workload(data_dir):
 
 def test_perf_server_throughput():
     clear_corpus_cache()
-    kill_worker_pool()
     work_dir = tempfile.mkdtemp(prefix="repro-bench-server-")
     try:
         _write_data(work_dir)
@@ -227,6 +225,5 @@ def test_perf_server_throughput():
         # per-request process baseline
         assert speedup >= 3.0, report
     finally:
-        kill_worker_pool()
         clear_corpus_cache()
         shutil.rmtree(work_dir, ignore_errors=True)

@@ -118,11 +118,9 @@ class LRUCache:
     def resize(self, capacity: int) -> None:
         """Change capacity in place, evicting LRU entries if shrinking.
 
-        Shared eviction discipline for caches whose bound is configurable
-        after construction (e.g. the worker-resident caches sized by
-        ``LSConfig``): both sides of a parent/worker mirror call this with
-        the same capacity before the same operation sequence, so their
-        eviction decisions stay in lockstep.
+        For caches whose bound is configurable after construction: two
+        caches resized to the same capacity before the same operation
+        sequence make the same eviction decisions.
         """
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")

@@ -8,21 +8,17 @@ the diversity clustering of Algorithm 3) extends the beam set; constraint
 verification happens early (α = on) or late.
 
 The execution-constraint hot path (Figure 7's dominant cost) runs through
-two engines layered under :meth:`BeamSearch.check_if_executes`:
+:meth:`BeamSearch.check_if_executes` on an
+:class:`~repro.sandbox.IncrementalExecutor`, which resumes each candidate
+from the longest snapshotted statement prefix — beam candidates share
+prefixes by construction, because the monotone frontier moves edits
+left-to-right.
 
-* an :class:`~repro.sandbox.IncrementalExecutor` resumes each candidate
-  from the longest snapshotted statement prefix — beam candidates share
-  prefixes by construction, because the monotone frontier moves edits
-  left-to-right;
-* with ``LSConfig.parallel_workers > 1``, each extension wave's checks are
-  speculatively fired as one batch over a process pool before admission,
-  which then proceeds serially in rank order (deterministic results).
-
-Both engines run under optional execution budgets
-(``LSConfig.exec_timeout_s`` / ``statement_timeout_s``): a candidate that
-exceeds its budget fails ``CheckIfExecutes`` and is skipped — counted in
-``SearchStats.breakdown()`` (``ExecTimeouts``, ``WorkerRespawns``,
-``DegradedWaves``) but never fatal to the search.
+Checks run under optional execution budgets (``LSConfig.exec_timeout_s``
+/ ``statement_timeout_s``): a candidate that exceeds its budget fails
+``CheckIfExecutes`` and is skipped — counted in
+``SearchStats.breakdown()`` (``ExecTimeouts``) but never fatal to the
+search.
 """
 
 from __future__ import annotations
@@ -44,12 +40,7 @@ from ..lang.parser import (
     parse_statement,
 )
 from ..lang.vocabulary import CorpusVocabulary
-from ..sandbox import (
-    BatchReport,
-    IncrementalExecutor,
-    check_executes_batch,
-    run_script,
-)
+from ..sandbox import IncrementalExecutor, run_script
 from .config import LSConfig
 from .diversity import cluster_transformations
 from .entropy import REStats, RelativeEntropyScorer
@@ -80,9 +71,8 @@ class Candidate:
     score: float
 
     def source(self) -> str:
-        # memoized: the join is re-requested by ranking, prefetch waves,
-        # archive keys, and both verification walks for the same
-        # immutable candidate
+        # memoized: the join is re-requested by ranking, archive keys,
+        # and verification for the same immutable candidate
         cached = self.__dict__.get("_source")
         if cached is None:
             cached = "\n".join(self.segments())
@@ -105,10 +95,10 @@ class SearchStats:
 
     Besides the four component timings, the stats expose the execution
     engine's cache behaviour: prefix-snapshot hit rate and mean resumed
-    depth (the incremental executor), batch counts (the parallel path),
-    wall vs CPU time of the check loop, and the sizes/hit rates of the
-    memo caches (the parsed-statement cache is process-wide; its hit rate
-    counts this search's lookups).
+    depth (the incremental executor), wall vs CPU time of the check
+    loop, and the sizes/hit rates of the memo caches (the
+    parsed-statement cache is process-wide; its hit rate counts this
+    search's lookups).
     """
 
     get_steps_s: float = 0.0
@@ -133,14 +123,7 @@ class SearchStats:
     n_retrieval_candidates: int = 0
     n_retrieval_fallbacks: int = 0
     n_iterations: int = 0
-    n_exec_batches: int = 0
-    n_batched_checks: int = 0
     n_exec_timeouts: int = 0
-    n_worker_respawns: int = 0
-    n_degraded_waves: int = 0
-    n_shard_hits: int = 0
-    n_shard_migrations: int = 0
-    bytes_shipped: int = 0
     max_beam_width: int = 0
     prefix_cache_hits: int = 0
     prefix_cache_misses: int = 0
@@ -185,14 +168,7 @@ class SearchStats:
             "RetrievalCandidates": float(self.n_retrieval_candidates),
             "RetrievalFallbacks": float(self.n_retrieval_fallbacks),
             "CheckIfExecutesCPU": self.check_executes_cpu_s,
-            "ExecBatches": float(self.n_exec_batches),
-            "BatchedChecks": float(self.n_batched_checks),
             "ExecTimeouts": float(self.n_exec_timeouts),
-            "WorkerRespawns": float(self.n_worker_respawns),
-            "DegradedWaves": float(self.n_degraded_waves),
-            "ShardHits": float(self.n_shard_hits),
-            "ShardMigrations": float(self.n_shard_migrations),
-            "BytesShipped": float(self.bytes_shipped),
             "PrefixCacheHitRate": self.prefix_cache_hit_rate,
             "PrefixMeanResumeDepth": self.prefix_mean_resume_depth,
             "ExecCacheSize": float(self.exec_cache_size),
@@ -251,8 +227,8 @@ class BeamSearch:
         self._executor_baseline = (
             dict(self._executor.stats.as_dict()) if self._executor else {}
         )
-        # timeouts observed outside the shared executor (cold checks, pool
-        # batches); sync_cache_stats adds the executor's delta on top
+        # timeouts observed outside the shared executor (cold checks);
+        # sync_cache_stats adds the executor's delta on top
         self._direct_timeouts = 0
         self._exec_cache: LRUCache = LRUCache(self.EXEC_CACHE_LIMIT)
         #: this search's hits and misses against the process-wide
@@ -530,84 +506,6 @@ class BeamSearch:
             self.scorer.apply_delta(re_stats, edge_state.counts, delta),
         )
 
-    def _prefetch_exec_checks(
-        self,
-        candidate: Candidate,
-        ranked: Sequence[Tuple[Transformation, float]],
-        known_sources: set,
-    ) -> None:
-        """Speculatively batch the wave's execution checks over the pool.
-
-        Builds every extension the admission loop may consider, fires the
-        uncached checks as one :func:`check_executes_batch`, and seeds the
-        memo cache.  Admission then runs serially in rank order against
-        cached verdicts, so the admitted set is identical to the serial
-        path — the batch only moves the sandbox work off the clock.
-        """
-        wave: List[str] = []
-        seen = set(known_sources)
-        for transformation, score in ranked:
-            try:
-                extended = self._extend(candidate, transformation, score)
-            except (ScriptError, IndexError, ValueError):
-                continue
-            source = extended.source()
-            if source in seen or source in self._exec_cache:
-                continue
-            seen.add(source)
-            wave.append(source)
-        if not wave:
-            return
-        wall = time.perf_counter()
-        cpu = time.process_time()
-        report = BatchReport()
-        verdicts = check_executes_batch(
-            wave,
-            data_dir=self.data_dir,
-            sample_rows=self.config.sample_rows,
-            workers=self.config.parallel_workers,
-            timeout_s=self.config.exec_timeout_s,
-            respawn_limit=self.config.pool_respawn_limit,
-            report=report,
-            statement_timeout_s=self.config.statement_timeout_s,
-            snapshot_budget=self.config.snapshot_budget,
-            shard_affinity=self.config.shard_affinity,
-            source_cache_limit=self.config.worker_source_cache_limit,
-            affinity_base=candidate.source(),
-            dialect=self.config.dialect,
-        )
-        self.stats.check_executes_s += time.perf_counter() - wall
-        self.stats.check_executes_cpu_s += time.process_time() - cpu
-        self.stats.n_exec_checks += len(wave)
-        self.stats.n_exec_batches += 1
-        self.stats.n_batched_checks += len(wave)
-        self._direct_timeouts += report.timeouts
-        self.stats.n_worker_respawns += report.respawns
-        self.stats.n_degraded_waves += report.degraded
-        self.stats.n_shard_hits += report.shard_hits
-        self.stats.n_shard_migrations += report.shard_migrations
-        self.stats.bytes_shipped += report.bytes_shipped
-        if self.config.verify_parallel:
-            # audit the engine's bit-identity claim: the serial loop must
-            # return exactly these verdicts in exactly this order
-            serial = check_executes_batch(
-                wave,
-                data_dir=self.data_dir,
-                sample_rows=self.config.sample_rows,
-                workers=1,
-                timeout_s=self.config.exec_timeout_s,
-                dialect=self.config.dialect,
-            )
-            if serial != verdicts:
-                from ..sandbox.shards import ParallelMismatchError
-
-                raise ParallelMismatchError(
-                    f"verify_parallel: sharded verdicts {verdicts!r} != "
-                    f"serial verdicts {serial!r}"
-                )
-        for source, ok in zip(wave, verdicts):
-            self._exec_cache[source] = ok
-
     def get_top_k_beams(
         self,
         beams: List[Candidate],
@@ -634,14 +532,6 @@ class BeamSearch:
         start = time.perf_counter()
         beams = sorted(beams, key=self._beam_key)
         sources = {b.source() for b in beams}
-        if (
-            self.config.early_check
-            and self.config.parallel_workers > 1
-            and self._exec_checker is None
-        ):
-            self.stats.get_top_k_s += time.perf_counter() - start
-            self._prefetch_exec_checks(candidate, ranked, sources)
-            start = time.perf_counter()
         admitted = 0
         for transformation, score in ranked:
             if admitted >= k:

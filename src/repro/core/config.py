@@ -47,12 +47,6 @@ class LSConfig:
         search-space reduction); None disables grouping.
     random_state:
         Seed for the diversity clustering and any sampling decisions.
-    parallel_workers:
-        Process-pool width for batched constraint checks.  1 (the
-        default) keeps the fully serial, bit-identical execution order;
-        larger values speculatively check candidate waves in parallel
-        while still admitting in rank order, so results stay
-        deterministic for a fixed seed.
     incremental_exec:
         Route CheckIfExecutes/VerifyConstraints through the
         prefix-resumable :class:`repro.sandbox.IncrementalExecutor`
@@ -74,9 +68,8 @@ class LSConfig:
     incremental_intent:
         Verify the user-intent constraint through the content-addressed
         :class:`repro.core.intent.PreparedIntent` engine — the original
-        output's per-mode state is frozen once per search (and cached
-        worker-side by fingerprint on the pool path), and each candidate
-        check pays O(changed columns) via per-column content
+        output's per-mode state is frozen once per search, and each
+        candidate check pays O(changed columns) via per-column content
         fingerprints, an exact disjoint-column Jaccard decomposition for
         ``mode='cells'``, and a whole-table short-circuit.  Bit-identical
         to the naive pairwise measures by construction; on (the default)
@@ -104,38 +97,6 @@ class LSConfig:
         Wall-clock budget for each individual statement on the
         incremental execution path; tighter than ``exec_timeout_s`` when
         a single statement is the pathology.  None disables it.
-    pool_respawn_limit:
-        How many times one batched check may hard-kill and respawn a
-        shard worker (hung or broken) before degrading to the serial
-        loop.  0 degrades on the first engine fault.
-    verify_parallel:
-        Debug mode: re-run the serial VerifyAllConstraints walk alongside
-        every speculative parallel verification and raise
-        :class:`repro.sandbox.shards.ParallelMismatchError` if the sharded
-        engine's winner diverges (and likewise audit batched exec-check
-        verdicts against the serial loop where exercised by tests).  Off
-        by default — it exists to audit the shard engine's bit-identical
-        claim, not for production.
-    shard_affinity:
-        Route each candidate to the shard addressed by the hash of its
-        prefix fingerprint (longest leading-line run shared with the
-        wave's base script), so a shard's resident incremental executor
-        sees the prefixes it has already snapshotted across waves.
-        Placement is load-capped and deterministic either way; off sends
-        every task to the least-loaded shard.  Affinity only changes
-        which worker runs a task — never the result.
-    worker_output_cache_limit:
-        LRU bound on each shard worker's resident original-output table
-        cache (distinct run fingerprints retained per worker).
-    worker_intent_cache_limit:
-        LRU bound on each shard worker's resident prepared-intent cache
-        (distinct ``(run fingerprint, intent identity)`` pairs retained
-        per worker).
-    worker_source_cache_limit:
-        Capacity of each shard worker's content-addressed source store
-        (and of the parent's per-shard mirror of it).  Larger values let
-        more candidates ship as ``ref``/O(delta) splices instead of full
-        texts; the store holds script texts, so memory cost is modest.
     corpus_cache:
         Route corpus construction through the process-wide
         content-addressed warm cache (:mod:`repro.corpus.cache`): each
@@ -174,9 +135,8 @@ class LSConfig:
         groupby aggregation) touched during ``standardize()`` and raise
         :class:`repro.minipandas.KernelMismatchError` on any divergence
         (bit-exact comparison, including missingness flavour and cell
-        types).  Scoped to the serial in-process path — shard workers
-        run unaudited.  Off by default — it exists to audit the kernel
-        engine, not for production.
+        types).  Off by default — it exists to audit the kernel engine,
+        not for production.
     dialect:
         Name of the registered :class:`~repro.dialects.ApiDialect` this
         search standardizes against — the recognized call surface,
@@ -197,7 +157,6 @@ class LSConfig:
     sample_rows: Optional[int] = 500
     operation_groups: Optional[int] = None
     random_state: int = 0
-    parallel_workers: int = 1
     incremental_exec: bool = True
     incremental_scoring: bool = True
     verify_scoring: bool = False
@@ -206,12 +165,6 @@ class LSConfig:
     snapshot_budget: int = 64
     exec_timeout_s: Optional[float] = None
     statement_timeout_s: Optional[float] = None
-    pool_respawn_limit: int = 1
-    verify_parallel: bool = False
-    shard_affinity: bool = True
-    worker_output_cache_limit: int = 4
-    worker_intent_cache_limit: int = 4
-    worker_source_cache_limit: int = 256
     corpus_cache: bool = True
     verify_index: bool = False
     retrieval_k: int = 20
@@ -235,10 +188,6 @@ class LSConfig:
             raise ValueError("score_band must be non-negative")
         if self.operation_groups is not None and self.operation_groups < 1:
             raise ValueError("operation_groups must be >= 1 when set")
-        if self.parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1, got {self.parallel_workers}"
-            )
         if self.snapshot_budget < 0:
             raise ValueError(
                 f"snapshot_budget must be >= 0, got {self.snapshot_budget}"
@@ -252,27 +201,8 @@ class LSConfig:
                 "statement_timeout_s must be positive when set, "
                 f"got {self.statement_timeout_s}"
             )
-        if self.pool_respawn_limit < 0:
-            raise ValueError(
-                f"pool_respawn_limit must be >= 0, got {self.pool_respawn_limit}"
-            )
-        if self.worker_output_cache_limit < 1:
-            raise ValueError(
-                "worker_output_cache_limit must be >= 1, "
-                f"got {self.worker_output_cache_limit}"
-            )
-        if self.worker_intent_cache_limit < 1:
-            raise ValueError(
-                "worker_intent_cache_limit must be >= 1, "
-                f"got {self.worker_intent_cache_limit}"
-            )
         if self.retrieval_k < 1:
             raise ValueError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.worker_source_cache_limit < 1:
-            raise ValueError(
-                "worker_source_cache_limit must be >= 1, "
-                f"got {self.worker_source_cache_limit}"
-            )
 
     @property
     def clusters(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from hashlib import sha1
 from typing import List, Optional, Sequence, Tuple
 
 from .._lru import LRUCache
@@ -29,7 +28,6 @@ from ..lang import CorpusVocabulary, ScriptError, lemmatize, parse_script
 from ..minipandas import DataFrame
 from ..minipandas.kernels import kernel_audit
 from ..sandbox import IncrementalExecutor, run_script
-from ..sandbox.runner import BatchReport, get_worker_pool
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
 from .entropy import RelativeEntropyScorer, percent_improvement
@@ -37,229 +35,6 @@ from .intent import IntentMeasure, IntentStats, PreparedIntent, table_fingerprin
 from .transformations import Transformation
 
 __all__ = ["LucidScript", "StandardizationResult", "StandardizationError"]
-
-
-#: Default bounds for the worker-resident caches below; overridable per
-#: run via ``LSConfig.worker_output_cache_limit`` / ``worker_intent_cache_limit``
-#: (threaded into tasks, applied by :func:`_sized_cache`).
-_WORKER_OUTPUT_CACHE_LIMIT = 4
-_WORKER_INTENT_CACHE_LIMIT = 4
-
-#: Worker-resident original-output table, keyed by fingerprint.  The
-#: original script's output is identical for every task of a run, so it is
-#: never pickled into tasks; each worker materializes it at most once per
-#: fingerprint (LRU-bounded — shard workers outlive searches).
-_WORKER_OUTPUT_CACHE: LRUCache = LRUCache(_WORKER_OUTPUT_CACHE_LIMIT)
-
-#: Worker-resident prepared intent state, keyed by (run fingerprint,
-#: intent identity).  The prepared original side — per-mode cell sets,
-#: column fingerprints, the original's downstream accuracy — is identical
-#: for every task of a run, so each shard worker freezes it at most once
-#: per key instead of rebuilding it per task (LRU-bounded, like the
-#: output cache above).
-_WORKER_INTENT_CACHE: LRUCache = LRUCache(_WORKER_INTENT_CACHE_LIMIT)
-
-
-def _sized_cache(cache: LRUCache, limit: Optional[int]) -> LRUCache:
-    """*cache* resized to the configured *limit* (None keeps it as-is).
-
-    The one shared eviction discipline for the worker-resident caches:
-    :class:`~repro._lru.LRUCache` owns both the insert-time eviction and
-    the shrink-on-reconfigure path, replacing the two hand-rolled
-    ``popitem`` loops these caches used to carry.
-    """
-    if limit is not None and limit != cache.capacity:
-        cache.resize(limit)
-    return cache
-
-
-def _original_output_fingerprint(
-    original_source: str,
-    data_dir: Optional[str],
-    sample_rows: Optional[int],
-    dialect: str = "pandas",
-) -> str:
-    """Cache key for one run's original output: everything that determines
-    what :func:`repro.sandbox.run_script` would produce for it."""
-    digest = sha1()
-    digest.update(original_source.encode())
-    digest.update(b"\x00")
-    digest.update(str(data_dir).encode())
-    digest.update(b"\x00")
-    digest.update(str(sample_rows).encode())
-    digest.update(b"\x00")
-    digest.update(dialect.encode())
-    return digest.hexdigest()
-
-
-def _worker_original_output(
-    ref: Tuple[str, str],
-    data_dir: Optional[str],
-    sample_rows: Optional[int],
-    timeout_s: Optional[float],
-    limit: Optional[int] = None,
-    dialect: Optional[str] = None,
-) -> Optional[DataFrame]:
-    """The original output inside a shard worker — cached, else recomputed.
-
-    ``ref`` is ``(fingerprint, original_source)``.  The sandbox is
-    deterministic for fixed ``(source, data_dir, sample_rows, dialect)``,
-    so a recompute yields the same table the parent holds; tasks therefore
-    ship two strings instead of a pickled DataFrame per candidate.
-    """
-    fingerprint, original_source = ref
-    cache = _sized_cache(_WORKER_OUTPUT_CACHE, limit)
-    cached = cache.get(fingerprint)
-    if cached is not None:
-        return cached
-    result = run_script(
-        original_source,
-        data_dir=data_dir,
-        sample_rows=sample_rows,
-        timeout_s=timeout_s,
-        dialect=dialect,
-    )
-    if not result.ok or result.output is None:
-        return None
-    cache[fingerprint] = result.output
-    return result.output
-
-
-def _worker_prepared_intent(
-    fingerprint: str,
-    intent: IntentMeasure,
-    original_output: DataFrame,
-    verify: bool,
-    limit: Optional[int] = None,
-) -> PreparedIntent:
-    """This worker's prepared intent state — cached, else frozen once.
-
-    Prepared state is addressed by ``(run fingerprint, intent.cache_key())``
-    so a changed intent configuration (or a different original) never
-    reuses stale state.  Counters on worker-side prepared objects stay in
-    the worker — only verdicts cross back to the parent.
-    """
-    key = (fingerprint, intent.cache_key())
-    cache = _sized_cache(_WORKER_INTENT_CACHE, limit)
-    prepared = cache.get(key)
-    if prepared is not None:
-        prepared.counters.prepared_hits += 1
-        prepared.verify = verify
-        return prepared
-    prepared = intent.prepare(original_output, verify=verify)
-    cache[key] = prepared
-    return prepared
-
-
-def _verify_candidate_task(args) -> bool:
-    """Top-level (picklable) constraint check for one candidate script.
-
-    Runs in a pool worker: execution constraint plus the optional intent
-    check against the original output.  Only a verdict crosses back to the
-    parent — the winning candidate's output is recomputed there, where the
-    incremental executor typically has its full prefix snapshotted.  The
-    worker self-interrupts at *timeout_s* via the in-process watchdog, so
-    a pathological candidate fails its own verdict without hanging the
-    pool.  ``original_ref`` is ``None`` (no intent check) or the
-    ``(fingerprint, original_source)`` pair resolved worker-side by
-    :func:`_worker_original_output`; with *incremental_intent* the
-    resolved table is further frozen into a cached
-    :class:`~repro.core.intent.PreparedIntent` so successive tasks skip
-    re-deriving the original side.
-    """
-    (
-        source,
-        data_dir,
-        sample_rows,
-        intent,
-        original_ref,
-        timeout_s,
-        incremental_intent,
-        verify_intent,
-    ) = args[:8]
-    dialect = args[8] if len(args) > 8 else None
-    result = run_script(
-        source,
-        data_dir=data_dir,
-        sample_rows=sample_rows,
-        timeout_s=timeout_s,
-        dialect=dialect,
-    )
-    if not result.ok or result.output is None:
-        return False
-    if intent is None:
-        return True
-    original_output = _worker_original_output(
-        original_ref, data_dir, sample_rows, timeout_s, dialect=dialect
-    )
-    if original_output is None:
-        return False
-    if incremental_intent:
-        prepared = _worker_prepared_intent(
-            original_ref[0], intent, original_output, verify_intent
-        )
-        _, ok = prepared.check(result.output)
-    else:
-        _, ok = intent.check(original_output, result.output)
-    return ok
-
-
-def _shard_verify_task(payload, resident) -> bool:
-    """Shard-engine constraint check for one candidate (see
-    :mod:`repro.sandbox.shards`; registered there as kind ``"verify"``).
-
-    Unlike :func:`_verify_candidate_task` (the stateless-pool ancestor,
-    kept as the task's serial-equivalent and for direct testing), this
-    runs the candidate on the shard's *resident*
-    :class:`~repro.sandbox.incremental.IncrementalExecutor` — shard
-    affinity routes candidates with a shared prefix here precisely so this
-    executor's snapshot LRU hits across waves — and resolves the script
-    texts from the worker's content-addressed source store instead of the
-    task payload.  The original-output and prepared-intent caches are the
-    same worker-resident LRUs the old path used; they now live as long as
-    the shard process.  Only a verdict crosses back to the parent.
-    """
-    from ..sandbox import shards
-
-    source = shards.resolve_source(resident, payload["source_sha"])
-    executor = shards.resident_executor(
-        resident,
-        payload["data_dir"],
-        payload["sample_rows"],
-        payload.get("exec_timeout_s"),
-        payload.get("statement_timeout_s"),
-        payload.get("snapshot_budget", 64),
-        payload.get("dialect"),
-    )
-    result = executor.run_script(source)
-    if not result.ok or result.output is None:
-        return False
-    intent = payload.get("intent")
-    if intent is None:
-        return True
-    original_source = shards.resolve_source(resident, payload["original_sha"])
-    original_output = _worker_original_output(
-        (payload["fingerprint"], original_source),
-        payload["data_dir"],
-        payload["sample_rows"],
-        payload.get("exec_timeout_s"),
-        payload.get("output_cache_limit"),
-        payload.get("dialect"),
-    )
-    if original_output is None:
-        return False
-    if payload.get("incremental_intent"):
-        prepared = _worker_prepared_intent(
-            payload["fingerprint"],
-            intent,
-            original_output,
-            payload.get("verify_intent", False),
-            payload.get("intent_cache_limit"),
-        )
-        _, ok = prepared.check(result.output)
-    else:
-        _, ok = intent.check(original_output, result.output)
-    return bool(ok)
 
 
 class StandardizationError(ScriptError):
@@ -584,9 +359,7 @@ class LucidScript:
         best, verdict = self._verify_all_constraints(
             candidates, normalized, original_output, search, intent_counters
         )
-        intent_delta, intent_ok = self._final_intent(
-            best, verdict, normalized, original_output, intent_counters
-        )
+        intent_delta, intent_ok = self._final_intent(best, verdict, normalized)
         search.sync_cache_stats()  # fold verification-phase cache activity in
         self._fold_intent_stats(search.stats, intent_counters)
         self._fold_corpus_stats(search.stats)
@@ -639,12 +412,7 @@ class LucidScript:
 
     @staticmethod
     def _fold_intent_stats(stats: SearchStats, counters: IntentStats) -> None:
-        """Surface the parent-side intent-engine counters on SearchStats.
-
-        Worker-side counters stay in the pool workers (only verdicts cross
-        the process boundary), so the parallel path contributes parent
-        checks only.
-        """
+        """Surface the intent-engine counters on SearchStats."""
         stats.n_intent_checks += counters.checks
         stats.n_intent_cache_hits += counters.prepared_hits
         stats.n_column_set_reuse += counters.column_set_reuse
@@ -666,227 +434,48 @@ class LucidScript:
         Candidates arrive sorted by RE score; the original script is always
         among them and trivially satisfies every constraint, so the search
         can never make the script less standard (Table 5: min = 0.0).
-        The winner comes with the ``(delta, ok)`` intent verdict the serial
-        walk computed for it, or None when none was computed in this
-        process (see :meth:`_serial_walk` and :meth:`_final_intent`).
-
-        With ``parallel_workers > 1``, waves of candidates are checked
-        speculatively on the process pool, but the winner is still the
-        first valid candidate in score order — identical to the serial
-        walk for any worker count.  A candidate that exceeds its execution
-        budget simply fails verification (serial: the watchdog interrupts
-        it; parallel: its worker self-interrupts, or the parent kills and
-        respawns a wedged pool).
+        The winner is the first candidate in score order that satisfies
+        every constraint.  It comes with the ``(delta, ok)`` its intent
+        check returned (None for the original or without an intent), so
+        it is never run or checked again.  A candidate that exceeds its
+        execution budget simply fails verification: the watchdog
+        interrupts it.
         """
-        stats = search.stats
         start = time.perf_counter()
         prepared = self._prepared_intent(original_output, intent_counters)
         try:
-            if self.config.parallel_workers > 1 and len(candidates) > 2:
-                speculative = self._verify_parallel(
-                    candidates, original_source, search
-                )
-                if speculative is not None:
-                    if self.config.verify_parallel:
-                        serial = self._serial_walk(
-                            candidates, original_source, original_output, prepared
-                        )
-                        if serial is None or serial[0].source() != speculative.source():
-                            from ..sandbox.shards import ParallelMismatchError
-
-                            raise ParallelMismatchError(
-                                "verify_parallel: sharded winner "
-                                f"{speculative.source()!r} != serial winner "
-                                f"{serial[0].source() if serial else None!r}"
-                            )
-                    return speculative, None
-            walked = self._serial_walk(
-                candidates, original_source, original_output, prepared
-            )
-            if walked is None:
-                raise StandardizationError(
-                    "no candidate (not even the original) survived verification"
-                )
-            return walked
-        finally:
-            stats.verify_constraints_s += time.perf_counter() - start
-
-    def _serial_walk(
-        self,
-        candidates: List[Candidate],
-        original_source: str,
-        original_output: DataFrame,
-        prepared: Optional[PreparedIntent],
-    ) -> Optional[Tuple[Candidate, Optional[Tuple[float, bool]]]]:
-        """The always-correct serial VerifyAllConstraints walk.
-
-        Returns the first candidate (in score order) that satisfies every
-        constraint, with the ``(delta, ok)`` its intent check returned
-        (None for the original or without an intent), or None if nothing
-        survives.  Both the parallel path's fallback and the
-        ``verify_parallel`` audit reduce to this.
-        """
-        for candidate in candidates:
-            source = candidate.source()
-            if source == original_source:
-                return candidate, None
-            output = self._run(source, candidate.segments())
-            if output is None:
-                continue
-            verdict = None
-            if self.intent is not None:
-                if prepared is not None:
-                    verdict = prepared.check(output)
-                else:
-                    verdict = self.intent.check(original_output, output)
-                if not verdict[1]:
+            for candidate in candidates:
+                source = candidate.source()
+                if source == original_source:
+                    return candidate, None
+                output = self._run(source, candidate.segments())
+                if output is None:
                     continue
-            return candidate, verdict
-        return None
-
-    def _verify_parallel(
-        self,
-        candidates: List[Candidate],
-        original_source: str,
-        search: BeamSearch,
-    ) -> Optional[Candidate]:
-        """Wave-parallel VerifyAllConstraints; None means "fall back serial".
-
-        Each wave batches the next ``2 × workers`` candidates (stopping at
-        the original script, which is trivially valid) onto the persistent
-        shard engine and takes the first valid verdict in score order.
-        Tasks are content-addressed end to end: the candidate ships as an
-        O(delta) line splice against the original (already resident on the
-        shard after the first wave), and the original output table never
-        crosses the process boundary at all — workers resolve a
-        ``(fingerprint, original_source)`` reference against their
-        resident caches, recomputing at most once per worker.  Shard
-        affinity keeps candidates sharing a prefix on the shard whose
-        resident incremental executor has that prefix snapshotted.  With
-        an execution budget set, a shard that does not answer in time is
-        declared hung: its candidate fails verification, the shard is
-        hard-killed and respawned, and the wave continues — until the
-        respawn budget runs out, at which point (as for any other engine
-        failure) the speculation is abandoned and the serial walk takes
-        over.
-        """
-        from ..sandbox import shards
-
-        config = self.config
-        workers = config.parallel_workers
-        wave_size = max(2, workers * 2)
-        timeout_s = config.exec_timeout_s
-        fingerprint = (
-            None
-            if self.intent is None
-            else _original_output_fingerprint(
-                original_source, self.data_dir, config.sample_rows, config.dialect
-            )
-        )
-        original_sha = shards.sha1_text(original_source)
-        parent_budget = timeout_s * 2 + 1.0 if timeout_s is not None else None
-        respawn_budget = config.pool_respawn_limit
-        position = 0
-        try:
-            engine = get_worker_pool(workers)
-            engine.source_cache_limit = config.worker_source_cache_limit
-            while position < len(candidates):
-                wave: List[Candidate] = []
-                terminator = None
-                for candidate in candidates[position:position + wave_size]:
-                    if candidate.source() == original_source:
-                        terminator = candidate
-                        break
-                    wave.append(candidate)
-                tasks = []
-                for candidate in wave:
-                    source = candidate.source()
-                    sha = shards.sha1_text(source)
-                    tasks.append(
-                        shards.ShardTask(
-                            kind="verify",
-                            payload={
-                                "source_sha": sha,
-                                "original_sha": (
-                                    original_sha if self.intent is not None else None
-                                ),
-                                "fingerprint": fingerprint,
-                                "data_dir": self.data_dir,
-                                "sample_rows": config.sample_rows,
-                                "intent": self.intent,
-                                "exec_timeout_s": timeout_s,
-                                "statement_timeout_s": config.statement_timeout_s,
-                                "snapshot_budget": config.snapshot_budget,
-                                "incremental_intent": config.incremental_intent,
-                                "verify_intent": config.verify_intent,
-                                "output_cache_limit": config.worker_output_cache_limit,
-                                "intent_cache_limit": config.worker_intent_cache_limit,
-                                "dialect": config.dialect,
-                            },
-                            sources=(
-                                (original_sha, original_source, None, None),
-                                (sha, source, original_sha, original_source),
-                            ),
-                            affinity=(
-                                shards.prefix_affinity(source, original_source)
-                                if config.shard_affinity
-                                else None
-                            ),
-                        )
-                    )
-                report = BatchReport()
-                outcomes, used = engine.run_batch(
-                    tasks,
-                    parent_budget_s=parent_budget,
-                    respawn_limit=respawn_budget,
-                    report=report,
-                )
-                respawn_budget -= used
-                search.stats.n_worker_respawns += report.respawns
-                search.stats.n_shard_hits += report.shard_hits
-                search.stats.n_shard_migrations += report.shard_migrations
-                search.stats.bytes_shipped += report.bytes_shipped
-                verdicts: List[bool] = []
-                degraded = False
-                for outcome in outcomes:
-                    if outcome is None or outcome[0] == "failed":
-                        degraded = True
-                        break
-                    if outcome[0] == "hung":
-                        search._direct_timeouts += 1
-                        verdicts.append(False)
+                verdict = None
+                if self.intent is not None:
+                    if prepared is not None:
+                        verdict = prepared.check(output)
                     else:
-                        verdicts.append(bool(outcome[1]))
-                if degraded:
-                    search.stats.n_degraded_waves += 1
-                    return None  # degrade to the serial walk
-                for candidate, ok in zip(wave, verdicts):
-                    if ok:
-                        return candidate
-                if terminator is not None:
-                    return terminator
-                position += len(wave)
-        except StandardizationError:
-            raise
-        except Exception:  # noqa: BLE001 - degrade to the serial walk
-            search.stats.n_degraded_waves += 1
-            return None
-        return None
+                        verdict = self.intent.check(original_output, output)
+                    if not verdict[1]:
+                        continue
+                return candidate, verdict
+            raise StandardizationError(
+                "no candidate (not even the original) survived verification"
+            )
+        finally:
+            search.stats.verify_constraints_s += time.perf_counter() - start
 
     def _final_intent(
         self,
         best: Candidate,
         verdict: Optional[Tuple[float, bool]],
         original_source: str,
-        original_output: DataFrame,
-        intent_counters: IntentStats,
     ) -> Tuple[Optional[float], bool]:
         """The winner's ``(intent_delta, intent_satisfied)``.
 
-        A winner from the serial walk arrives with the *verdict* the walk
-        just computed for it, so it is neither run nor checked again.  Only
-        a winner from :meth:`_verify_parallel` arrives without one — shard
-        workers return bare verdicts — and is run and checked here.
+        A changed winner arrives with the *verdict* verification just
+        computed for it, so it is neither run nor checked again.
         """
         if self.intent is None:
             return None, True
@@ -894,12 +483,4 @@ class LucidScript:
             # identical script: Jaccard similarity 1 / accuracy delta 0
             identity = 1.0 if self.intent.name == "table_jaccard" else 0.0
             return identity, True
-        if verdict is not None:
-            return verdict
-        output = self._run(best.source(), best.segments())
-        if output is None:  # pragma: no cover - verified above
-            return None, False
-        prepared = self._prepared_intent(original_output, intent_counters)
-        if prepared is not None:
-            return prepared.check(output)
-        return self.intent.check(original_output, output)
+        return verdict

@@ -4,7 +4,7 @@ A dialect bundles everything API-specific — recognized call surface,
 sandbox shim, intent contract — behind :class:`ApiDialect` (see
 ``base.py`` for the protocol).  The rest of the system carries only the
 dialect *name* (through ``LSConfig``, corpus records and snapshots,
-shard task payloads, server jobs) and resolves it here.
+server jobs) and resolves it here.
 
 Registered out of the box:
 

@@ -11,10 +11,11 @@ of conventions that used to be hardcoded across three layers:
 * **sandbox shim** — the module table scripts execute against, the
   loader resolver that maps script paths onto the run's data directory,
   and the output-capture convention (which variable is "the" output);
-* **intent contract** — how a captured output is fingerprinted and
-  compared between the original script and a candidate.
+* **intent contract** — the captured output is a table, so the intent
+  measures fingerprint and compare the original's and a candidate's
+  outputs the same way for every dialect.
 
-An :class:`ApiDialect` owns all three.  :class:`~repro.dialects
+An :class:`ApiDialect` owns the first two.  :class:`~repro.dialects
 .pandas_dialect.PandasDialect` extracts the historical behavior verbatim
 (bit-identical by construction — the ``verify_dialect`` audit replays a
 pre-refactor recorded fixture to prove it), and any new dialect plugs in
@@ -164,7 +165,7 @@ class ApiDialect:
     resolves it back through :func:`repro.dialects.get_dialect`.
     """
 
-    #: registry identifier; also what LSConfig/snapshots/shard payloads carry
+    #: registry identifier; also what LSConfig/snapshots/server jobs carry
     name: str = "dialect"
     #: root module scripts import to reach the API (``import pandas``)
     module_name: str = "module"
@@ -216,15 +217,6 @@ class ApiDialect:
             return namespace[last]
         frames = [v for v in namespace.values() if isinstance(v, DataFrame)]
         return frames[-1] if frames else None
-
-    # --------------------------------------------------------- intent contract
-    def fingerprint_output(self, output) -> str:
-        """Content address of a captured output, for intent short-circuits
-        and worker-side caches.  The default covers any dialect whose
-        output is a table (both shipped dialects)."""
-        from ..core.intent import table_fingerprint
-
-        return table_fingerprint(output)
 
     # ----------------------------------------------------------------- display
     def describe(self) -> str:

@@ -21,7 +21,7 @@ share:
 The audit flag is deliberately module-global: the sandbox executes
 candidate scripts against this substrate in-process, so one switch
 covers every frame the search touches.  It only audits the process it
-is set in (shard workers run unaudited unless they set it themselves).
+is set in.
 """
 
 from __future__ import annotations

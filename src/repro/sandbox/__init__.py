@@ -4,55 +4,39 @@ The execution-constraint oracle: candidate scripts are compiled and run
 against the module table their :class:`~repro.dialects.ApiDialect`
 declares (for the default pandas dialect, ``pandas`` maps to
 :mod:`repro.minipandas`) with loader paths resolved against a per-run
-data directory.  Three entry points, fastest-first for the beam search
+data directory.  Two entry points, fastest-first for the beam search
 hot path:
 
 * :class:`IncrementalExecutor` — statement-level execution with prefix
   snapshots, so candidates sharing a prefix only pay for their suffix;
-* :func:`check_executes_batch` — a wave of checks over a process pool;
 * :func:`run_script` / :func:`check_executes` — the cold, single-script
-  oracle everything above reduces to.
+  oracle the incremental path reduces to.
 
 Every entry point takes an optional wall-clock budget (``timeout_s`` /
 ``exec_timeout_s``): a script that exceeds it fails with
-:class:`ExecTimeout` instead of hanging the search, and the batched path
-hard-kills and respawns hung shard workers (see :mod:`repro.sandbox.faults`
-for the failure taxonomy the budgets are tested against).  Budgets are
-off by default — the unbudgeted path is bit-identical to earlier builds.
-
-The batched path runs on the persistent sharded worker engine
-(:mod:`repro.sandbox.shards`): long-lived workers with sticky resident
-state (incremental executors, content-addressed source stores) and
-deterministic, order-preserving result gathering.
+:class:`ExecTimeout` instead of hanging the search (see
+:mod:`repro.sandbox.faults` for the failure taxonomy the budgets are
+tested against).  Budgets are off by default — the unbudgeted path is
+bit-identical to earlier builds.
 """
 
 from .incremental import IncrementalExecutor, IncrementalStats
 from .runner import (
-    BatchReport,
     ExecTimeout,
     ExecutionResult,
     SandboxError,
     SandboxImportError,
     check_executes,
-    check_executes_batch,
-    kill_worker_pool,
     run_script,
 )
-from .shards import ParallelMismatchError, ShardEngine, ShardTask
 
 __all__ = [
-    "BatchReport",
     "ExecTimeout",
     "ExecutionResult",
     "SandboxError",
     "SandboxImportError",
     "check_executes",
-    "check_executes_batch",
-    "kill_worker_pool",
     "run_script",
     "IncrementalExecutor",
     "IncrementalStats",
-    "ParallelMismatchError",
-    "ShardEngine",
-    "ShardTask",
 ]

@@ -1,9 +1,9 @@
 """Deterministic fault injection for sandbox fault-tolerance tests.
 
-The execution-budget layer (watchdog timeouts, pool kill-and-respawn,
-degraded waves) only matters when candidate scripts misbehave, and real
-misbehaving candidates are awkward to conjure on demand.  This module
-builds them deterministically: a small taxonomy of fault statements, a
+The execution-budget layer (script and statement watchdog timeouts)
+only matters when candidate scripts misbehave, and real misbehaving
+candidates are awkward to conjure on demand.  This module builds them
+deterministically: a small taxonomy of fault statements, a
 rewriter that splices one into any script at a chosen top-level
 statement position, and an :class:`IncrementalExecutor` wrapper that
 injects the fault into every script matching a predicate — which is how
@@ -33,8 +33,9 @@ __all__ = ["FAULT_KINDS", "fault_snippet", "spin_snippet", "inject_fault",
 #: ``stubborn_hang``
 #:     A hang that swallows the watchdog's one-shot ``ExecTimeout``
 #:     (CPython unsets a trace function once it raises) and keeps
-#:     spinning.  In-process budgets cannot stop it; only the process
-#:     pool's kill-and-respawn path can.  Used to test exactly that.
+#:     spinning.  Nothing in the process stops it: the watchdog fires
+#:     once and the script runs on.  It documents an open gap in the
+#:     budget layer, not a defended case.
 #: ``crash``
 #:     An ordinary script error, for checking that real faults are not
 #:     misclassified as timeouts.

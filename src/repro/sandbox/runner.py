@@ -10,24 +10,20 @@ constraint checks fast on large D_IN), and the output-capture
 convention.
 
 The sandbox is the oracle behind LucidScript's *execution constraint*: a
-candidate script is valid iff :func:`run_script` reports success.  Two
-higher-throughput entry points sit on top of the single-script path:
-:func:`check_executes_batch` fans a wave of candidate checks out over the
-persistent shard engine (the substrate modules are pure Python, so
-threads would be GIL-bound; see :mod:`repro.sandbox.shards`), and
-:class:`repro.sandbox.incremental.IncrementalExecutor` resumes candidates
-from snapshots of shared statement prefixes.
+candidate script is valid iff :func:`run_script` reports success.
+:class:`repro.sandbox.incremental.IncrementalExecutor` is the faster path
+on top of it: it resumes candidates from snapshots of shared statement
+prefixes.
 """
 
 from __future__ import annotations
 
-import atexit
 import builtins
 import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..dialects import resolve_dialect
 from ..dialects import base as _dialect_base
@@ -39,10 +35,8 @@ __all__ = [
     "SandboxError",
     "SandboxImportError",
     "ExecTimeout",
-    "BatchReport",
     "run_script",
     "check_executes",
-    "check_executes_batch",
 ]
 
 
@@ -111,7 +105,8 @@ class _Watchdog:
     single long-running C call cannot be interrupted in-process, and a
     script that catches ``BaseException`` inside an outer loop survives
     the one-shot raise (CPython unsets a trace function that raises).
-    The process-pool path's kill-and-respawn covers both cases.
+    Nothing in the process stops either case: such a candidate runs
+    until it returns on its own.
     """
 
     __slots__ = ("timeout_s", "prior", "_flag", "_timer")
@@ -342,248 +337,3 @@ def check_executes(
         dialect=dialect,
     )
     return result.ok and result.output is not None
-
-
-# --------------------------------------------------------------------------
-# Parallel batched checks (persistent sharded worker engine)
-# --------------------------------------------------------------------------
-
-#: Extra wall-clock grace the parent grants a worker beyond the script's own
-#: budget before declaring it hung: workers normally self-interrupt via the
-#: in-process watchdog, so the parent only fires when a worker is stuck in a
-#: C call or a watchdog-defeating loop.
-_HUNG_WORKER_GRACE_S = 1.0
-
-
-@dataclass
-class BatchReport:
-    """Fault and shipping accounting for one :func:`check_executes_batch`
-    (or sharded verification) call.
-
-    Callers (the beam search) fold these into ``SearchStats`` so a run's
-    breakdown shows how often budgets fired, the engine self-healed, and
-    how well shard affinity and delta shipping worked.
-    """
-
-    timeouts: int = 0  #: scripts that blew their budget (worker- or parent-side)
-    respawns: int = 0  #: shard kill-and-respawn cycles (hung or broken workers)
-    degraded: int = 0  #: batches that fell back to the serial loop
-    shard_hits: int = 0  #: tasks placed on their affinity-preferred shard
-    shard_migrations: int = 0  #: affinity overridden by load balancing
-    bytes_shipped: int = 0  #: source payload bytes actually sent to workers
-
-
-def _check_executes_task(args):
-    """Top-level (picklable) serial-equivalent of the sharded exec check.
-
-    Returns ``(verdict, timed_out)`` so the parent can account worker-side
-    budget expiries separately from ordinary script failures.
-    """
-    source, data_dir, sample_rows, timeout_s = args[:4]
-    dialect = args[4] if len(args) > 4 else None
-    result = run_script(
-        source,
-        data_dir=data_dir,
-        sample_rows=sample_rows,
-        timeout_s=timeout_s,
-        dialect=dialect,
-    )
-    return bool(result.ok and result.output is not None), result.timed_out
-
-
-def get_worker_pool(workers: int):
-    """The persistent shard engine for batched checks (created on demand).
-
-    Workers fork from the parent, so they inherit the parsed-CSV cache as
-    of engine creation; each shard then grows its own resident state — an
-    incremental executor with prefix snapshots and a content-addressed
-    source store — that survives across waves (see
-    :mod:`repro.sandbox.shards`).  The name is historical: this used to
-    hand out a stateless ``ProcessPoolExecutor``.
-    """
-    from . import shards
-
-    return shards.get_shard_engine(workers)
-
-
-def kill_worker_pool() -> None:
-    """Hard-kill the shard engine (hung workers ignore graceful shutdown).
-
-    A worker spinning in ``while True`` stays alive through any graceful
-    shutdown; SIGKILL-ing the shard processes is the only reliable way to
-    reclaim the slot.  The next :func:`get_worker_pool` call respawns a
-    fresh engine.  Registered with ``atexit`` so persistent workers can
-    never outlive the parent interpreter.
-    """
-    from . import shards
-
-    shards.kill_shard_engine()
-
-
-atexit.register(kill_worker_pool)
-
-
-def _serial_checks(
-    sources: Sequence[str],
-    data_dir: Optional[str],
-    sample_rows: Optional[int],
-    timeout_s: Optional[float],
-    report: Optional[BatchReport],
-    dialect=None,
-) -> List[bool]:
-    verdicts = []
-    for source in sources:
-        result = run_script(
-            source,
-            data_dir=data_dir,
-            sample_rows=sample_rows,
-            timeout_s=timeout_s,
-            dialect=dialect,
-        )
-        if report is not None and result.timed_out:
-            report.timeouts += 1
-        verdicts.append(bool(result.ok and result.output is not None))
-    return verdicts
-
-
-def check_executes_batch(
-    sources: Sequence[str],
-    data_dir: Optional[str] = None,
-    sample_rows: Optional[int] = 200,
-    workers: int = 1,
-    timeout_s: Optional[float] = None,
-    respawn_limit: int = 1,
-    report: Optional[BatchReport] = None,
-    statement_timeout_s: Optional[float] = None,
-    snapshot_budget: int = 64,
-    shard_affinity: bool = True,
-    source_cache_limit: Optional[int] = None,
-    affinity_base: Optional[str] = None,
-    dialect=None,
-) -> List[bool]:
-    """CheckIfExecutes() over a wave of candidate scripts.
-
-    With ``workers <= 1`` this is exactly a serial loop over
-    :func:`run_script` (deterministic, no processes involved).  With more
-    workers the checks fan out over the persistent shard engine
-    (:mod:`repro.sandbox.shards`): each candidate is content-addressed and
-    shipped as an O(delta) line splice against *affinity_base* (the wave's
-    common ancestor — defaults to the first source), lands on the shard
-    whose resident executor most likely holds its prefix snapshot (when
-    *shard_affinity* is on), and executes on that shard's long-lived
-    :class:`~repro.sandbox.incremental.IncrementalExecutor` configured with
-    *statement_timeout_s* / *snapshot_budget*.  Verdicts come back in
-    input order, bit-identical to the serial loop for any worker count.
-
-    Fault tolerance (hang handling opt-in via *timeout_s*):
-
-    * each worker runs its script under the in-process watchdog, so an
-      unbounded pure-Python loop fails its own check without touching
-      the engine;
-    * a shard that does not answer within ``2·timeout_s`` plus a grace
-      period (stuck in a C call, or defeating the watchdog) is declared
-      hung: its running script is marked failed, the shard is hard-killed
-      and respawned with its remaining tasks re-dispatched — one bad
-      candidate never poisons the wave;
-    * engine-level failures (broken worker, unpicklable payload) retry
-      while respawn budget remains;
-    * once *respawn_limit* respawns are spent, the batch degrades to the
-      always-correct serial loop (still budget-guarded) for whatever is
-      left unanswered.
-
-    *report*, when provided, accumulates timeout/respawn/degradation
-    counts plus shard-affinity and bytes-shipped accounting.
-    """
-    sources = list(sources)
-    dialect_name = resolve_dialect(dialect).name
-    if workers <= 1 or len(sources) < 2:
-        return _serial_checks(
-            sources, data_dir, sample_rows, timeout_s, report, dialect=dialect_name
-        )
-
-    from . import shards
-
-    base = affinity_base if affinity_base is not None else sources[0]
-    base_sha = shards.sha1_text(base)
-    tasks = []
-    for source in sources:
-        sha = shards.sha1_text(source)
-        if sha == base_sha:
-            ship = ((sha, source, None, None),)
-        else:
-            ship = ((base_sha, base, None, None), (sha, source, base_sha, base))
-        tasks.append(
-            shards.ShardTask(
-                kind="exec_check",
-                payload={
-                    "source_sha": sha,
-                    "data_dir": data_dir,
-                    "sample_rows": sample_rows,
-                    "exec_timeout_s": timeout_s,
-                    "statement_timeout_s": statement_timeout_s,
-                    "snapshot_budget": snapshot_budget,
-                    "dialect": dialect_name,
-                },
-                sources=ship,
-                affinity=(
-                    shards.prefix_affinity(source, base) if shard_affinity else None
-                ),
-            )
-        )
-
-    # the parent waits out the worker's own budget (plus slack for queueing
-    # behind other tasks on the same shard) before calling it hung
-    parent_budget = (
-        timeout_s * 2 + _HUNG_WORKER_GRACE_S if timeout_s is not None else None
-    )
-    outcomes: List[Optional[tuple]] = [None] * len(sources)
-    try:
-        engine = get_worker_pool(workers)
-    except Exception:  # noqa: BLE001 - broken engine at spawn time
-        kill_worker_pool()
-        if report is not None:
-            report.respawns += 1
-    else:
-        if source_cache_limit is not None:
-            engine.source_cache_limit = source_cache_limit
-        try:
-            outcomes, _ = engine.run_batch(
-                tasks,
-                parent_budget_s=parent_budget,
-                respawn_limit=respawn_limit,
-                report=report,
-            )
-        except Exception:  # noqa: BLE001 - engine failure mid-batch
-            kill_worker_pool()
-            if report is not None:
-                report.respawns += 1
-            outcomes = [None] * len(sources)
-
-    results: List[Optional[bool]] = [None] * len(sources)
-    pending: List[int] = []
-    for i, outcome in enumerate(outcomes):
-        if outcome is None or outcome[0] == "failed":
-            pending.append(i)
-        elif outcome[0] == "ok":
-            verdict, worker_timed_out = outcome[1]
-            results[i] = bool(verdict)
-            if worker_timed_out and report is not None:
-                report.timeouts += 1
-        else:  # ("hung",): the parent killed the shard running this script
-            results[i] = False
-            if report is not None:
-                report.timeouts += 1
-    if pending:
-        if report is not None:
-            report.degraded += 1
-        remainder = _serial_checks(
-            [sources[i] for i in pending],
-            data_dir,
-            sample_rows,
-            timeout_s,
-            report,
-            dialect=dialect_name,
-        )
-        for i, verdict in zip(pending, remainder):
-            results[i] = verdict
-    return [bool(v) for v in results]

@@ -2,8 +2,8 @@
 
 Execution model
 ---------------
-The event loop owns all I/O and the queue; one dedicated worker thread
-owns all job execution.  The scheduler pulls **waves** — batches of
+The event loop owns all I/O and the queue; one dedicated thread owns
+all job execution.  The scheduler pulls **waves** — batches of
 queued jobs that target the same corpus (see
 :class:`~repro.server.queue.JobQueue`) — and runs each wave to
 completion on that thread before taking the next.  Three properties
@@ -15,9 +15,7 @@ fall out:
   in a fresh process (the ``verify_server`` audit);
 * **coalescing** — all jobs of a wave share one warm
   :class:`~repro.core.LucidScript`: one corpus curation, one prepared
-  intent, one prefix-snapshot pool, and (with ``parallel_workers > 1``)
-  the same resident :class:`~repro.sandbox.shards.ShardEngine` whose
-  worker caches stay hot across the whole wave's candidate dispatches;
+  intent, one prefix-snapshot pool;
 * **isolation** — a slow search never wedges the loop; admission,
   control ops, and drain stay responsive while a wave runs.
 
@@ -45,8 +43,7 @@ Drain
 -----
 On SIGTERM/SIGINT (or the ``shutdown`` op): stop admitting (retryable
 ``draining`` errors), let the in-flight wave finish, reject everything
-still queued, ``kill_worker_pool()``, close the listeners, remove the
-socket file.
+still queued, close the listeners, remove the socket file.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .._lru import LRUCache
 from ..core import LucidScript
-from ..sandbox import kill_worker_pool
 from . import jobs as jobs_mod
 from . import protocol
 from .queue import Job, JobQueue, QueueFullError
@@ -315,7 +311,6 @@ class StandardizationServer:
         if self._scheduler_task is not None:
             await self._scheduler_task
         self._executor.shutdown(wait=True)
-        kill_worker_pool()  # resident shards must never outlive the daemon
         for server in self._servers:
             server.close()
         for server in self._servers:

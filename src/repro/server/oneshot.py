@@ -8,7 +8,7 @@ response envelope (canonical JSON) to stdout::
     python -m repro.server.oneshot < job.json > response.json
 
 This is by construction the cold path: a new interpreter, a new corpus
-cache, a new worker pool — exactly what a CLI invocation pays per
+cache, new prefix snapshots — exactly what a CLI invocation pays per
 request.  ``verify_server`` replays every audited server response
 through here and requires byte-identical deterministic payloads.
 """
@@ -21,7 +21,6 @@ import subprocess
 import sys
 from typing import Any, Dict, Optional
 
-from ..sandbox import kill_worker_pool
 from . import jobs as jobs_mod
 from . import protocol
 
@@ -50,8 +49,8 @@ def run_oneshot_process(
     """Execute one canonical job in a **fresh** python process.
 
     This is the audit's cold replay and the benchmark's per-request
-    cold baseline: interpreter start, imports, corpus curation, worker
-    pool — nothing amortized.
+    cold baseline: interpreter start, imports, corpus curation, prefix
+    snapshots — nothing amortized.
     """
     env = dict(os.environ)
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -88,10 +87,7 @@ def main() -> int:
         request_id, job = envelope.get("id"), envelope["job"]
     else:  # a bare canonical job is also accepted
         request_id, job = None, envelope
-    try:
-        response = run_oneshot(job, request_id)
-    finally:
-        kill_worker_pool()
+    response = run_oneshot(job, request_id)
     sys.stdout.write(protocol.canonical(response) + "\n")
     return 0
 

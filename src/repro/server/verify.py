@@ -1,10 +1,10 @@
 """verify_server: replay warm responses cold and require byte-identity.
 
 The server's whole value is serving from warm state — shared corpus
-index, prefix snapshots, prepared intents, resident workers — so its
-correctness claim must be checked against the one thing warmth could
-corrupt: the response.  :func:`audit_job` replays a job in a **fresh
-one-shot process** (empty caches, new interpreter) and compares the
+index, prefix snapshots, prepared intents — so its correctness claim
+must be checked against the one thing warmth could corrupt: the
+response.  :func:`audit_job` replays a job in a **fresh one-shot
+process** (empty caches, new interpreter) and compares the
 deterministic slice of both responses (:func:`protocol.parity_payload`)
 as canonical JSON text.  Any byte of difference raises
 :class:`ServerMismatchError`; the engine converts that into an

@@ -122,7 +122,7 @@ class TestSearch:
             "GetSteps", "GetTopKBeams", "CheckIfExecutes", "VerifyConstraints"
         }
         # the execution-engine counters ride along in the same breakdown
-        assert {"PrefixCacheHitRate", "ExecCacheHitRate", "ExecBatches"} <= set(
+        assert {"PrefixCacheHitRate", "ExecCacheHitRate"} <= set(
             breakdown
         )
 

@@ -1,10 +1,10 @@
 """Tests for the execution-engine wiring of the beam search and
-standardizer: incremental prefix resumption, batched parallel checks,
-bounded memo caches, and the beam-width invariant."""
+standardizer: incremental prefix resumption, bounded memo caches, and
+the beam-width invariant."""
 
 import pytest
 
-from repro.core import BeamSearch, LSConfig, LucidScript, TableJaccardIntent
+from repro.core import BeamSearch, LSConfig, LucidScript
 from repro.core.entropy import RelativeEntropyScorer
 from repro.lang import CorpusVocabulary, parse_script
 from repro.lang.parser import STATEMENT_CACHE, STATEMENT_CACHE_LIMIT
@@ -105,8 +105,8 @@ class TestIncrementalSearch:
 
 
 class TestDeterminism:
-    """parallel_workers=1 must be bit-identical to the serial walk, and
-    higher worker counts must agree with it for a fixed seed."""
+    """Prefix-resumed checks must agree with cold re-execution, and a
+    repeated run must reproduce its result exactly."""
 
     def test_standardize_serial_matches_incremental_off(
         self, diabetes_corpus, diabetes_dir, alex_script
@@ -121,31 +121,6 @@ class TestDeterminism:
         on = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config_on)
         assert _outcome(off, alex_script) == _outcome(on, alex_script)
 
-    def test_standardize_parallel_matches_serial(
-        self, diabetes_corpus, diabetes_dir, alex_script
-    ):
-        serial = LucidScript(
-            diabetes_corpus,
-            data_dir=diabetes_dir,
-            intent=TableJaccardIntent(tau=0.5),
-            config=LSConfig(seq=4, beam_size=2, sample_rows=100, parallel_workers=1),
-        )
-        parallel = LucidScript(
-            diabetes_corpus,
-            data_dir=diabetes_dir,
-            intent=TableJaccardIntent(tau=0.5),
-            config=LSConfig(seq=4, beam_size=2, sample_rows=100, parallel_workers=2),
-        )
-        assert _outcome(serial, alex_script) == _outcome(parallel, alex_script)
-
-    def test_parallel_search_records_batches(
-        self, vocab, scorer, diabetes_dir, alex_script
-    ):
-        search = make_search(vocab, scorer, diabetes_dir, parallel_workers=2)
-        search.search(parse_script(alex_script).statements)
-        assert search.stats.n_exec_batches > 0
-        assert search.stats.n_batched_checks > 0
-
     def test_repeat_runs_identical(self, diabetes_corpus, diabetes_dir, alex_script):
         system = LucidScript(
             diabetes_corpus,
@@ -156,9 +131,9 @@ class TestDeterminism:
 
 
 class TestConfigValidation:
-    def test_parallel_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LSConfig(parallel_workers=0)
+    def test_parallel_workers_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            LSConfig(parallel_workers=2)
 
     def test_snapshot_budget_must_be_non_negative(self):
         with pytest.raises(ValueError):
@@ -166,6 +141,5 @@ class TestConfigValidation:
 
     def test_defaults_are_serial_and_incremental(self):
         config = LSConfig()
-        assert config.parallel_workers == 1
         assert config.incremental_exec is True
         assert config.snapshot_budget == 64

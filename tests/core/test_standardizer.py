@@ -10,8 +10,7 @@ from repro.core import (
     TableJaccardIntent,
 )
 from repro.core.intent import table_fingerprint
-from repro.lang import lemmatize
-from repro.sandbox import kill_worker_pool, run_script
+from repro.sandbox import run_script
 
 
 @pytest.fixture()
@@ -160,8 +159,8 @@ INTENTS = {
 
 
 class TestWinnerVerifiedOnce:
-    """The serial walk's verdict for its winner is the one reported; only a
-    winner from the shard engine is run and checked again in the parent."""
+    """The verdict the verification walk computed for its winner is the
+    one reported: the winner is run once and never checked again."""
 
     @pytest.fixture()
     def runs(self, monkeypatch):
@@ -176,12 +175,12 @@ class TestWinnerVerifiedOnce:
         monkeypatch.setattr(LucidScript, "_run", spy)
         return ran
 
-    def _standardize(self, corpus, data_dir, script, kind, **config):
+    def _standardize(self, corpus, data_dir, script, kind):
         system = LucidScript(
             corpus,
             data_dir=data_dir,
             intent=INTENTS[kind](),
-            config=LSConfig(seq=4, beam_size=2, sample_rows=150, **config),
+            config=LSConfig(seq=4, beam_size=2, sample_rows=150),
         )
         return system.standardize(script)
 
@@ -228,121 +227,3 @@ class TestWinnerVerifiedOnce:
         assert winner != original  # no short circuit: the winner is trained
         assert trained.count(winner) == 1
         assert trained.count(original) == 1
-
-    def test_parallel_winner_still_runs_in_parent(
-        self, runs, monkeypatch, diabetes_corpus, diabetes_dir, alex_script
-    ):
-        serial = self._standardize(
-            diabetes_corpus, diabetes_dir, alex_script, "jaccard"
-        )
-        speculative = []
-        real_verify = LucidScript._verify_parallel
-
-        def spy(system, *args):
-            speculative.append(real_verify(system, *args))
-            return speculative[-1]
-
-        monkeypatch.setattr(LucidScript, "_verify_parallel", spy)
-        del runs[:]
-        try:
-            parallel = self._standardize(
-                diabetes_corpus,
-                diabetes_dir,
-                alex_script,
-                "jaccard",
-                parallel_workers=2,
-            )
-        finally:
-            kill_worker_pool()
-        assert parallel.changed
-        assert [w.source() for w in speculative] == [parallel.output_script]
-        # shard workers return bare verdicts: the parent runs the input,
-        # then the winner once for its reported intent delta
-        assert runs == [parallel.input_script, parallel.output_script]
-        for field in (
-            "output_script",
-            "transformations",
-            "re_after",
-            "intent_delta",
-            "intent_satisfied",
-        ):
-            assert getattr(parallel, field) == getattr(serial, field), field
-
-
-class TestWorkerOutputCache:
-    """Parallel verification ships the original output by fingerprint, not
-    as a pickled DataFrame per task; workers resolve (and cache) it."""
-
-    def _ref(self, source, data_dir, sample_rows):
-        from repro.core.standardizer import _original_output_fingerprint
-
-        return (_original_output_fingerprint(source, data_dir, sample_rows), source)
-
-    def test_fingerprint_distinguishes_inputs(self):
-        from repro.core.standardizer import _original_output_fingerprint
-
-        base = _original_output_fingerprint("x = 1", "/data", 100)
-        assert _original_output_fingerprint("x = 2", "/data", 100) != base
-        assert _original_output_fingerprint("x = 1", "/other", 100) != base
-        assert _original_output_fingerprint("x = 1", "/data", None) != base
-
-    def test_worker_resolves_and_caches_original_output(
-        self, diabetes_corpus, diabetes_dir
-    ):
-        from repro.core import standardizer as mod
-
-        source = lemmatize(diabetes_corpus[0])
-        ref = self._ref(source, diabetes_dir, 100)
-        mod._WORKER_OUTPUT_CACHE.clear()
-        first = mod._worker_original_output(ref, diabetes_dir, 100, None)
-        assert first is not None
-        assert ref[0] in mod._WORKER_OUTPUT_CACHE
-        assert mod._worker_original_output(ref, diabetes_dir, 100, None) is first
-
-    def test_cache_is_bounded(self, diabetes_corpus, diabetes_dir):
-        from repro.core import standardizer as mod
-
-        mod._WORKER_OUTPUT_CACHE.clear()
-        source = lemmatize(diabetes_corpus[0])
-        for rows in (10, 20, 30, 40, 50, 60):
-            mod._worker_original_output(
-                self._ref(source, diabetes_dir, rows), diabetes_dir, rows, None
-            )
-        assert len(mod._WORKER_OUTPUT_CACHE) <= mod._WORKER_OUTPUT_CACHE_LIMIT
-
-    def test_task_verdict_matches_inline_check(self, diabetes_corpus, diabetes_dir):
-        from repro.core.standardizer import _verify_candidate_task
-        from repro.sandbox import run_script
-
-        original = lemmatize(diabetes_corpus[0])
-        candidate = lemmatize(diabetes_corpus[2])
-        intent = TableJaccardIntent(tau=0.5)
-        verdict = _verify_candidate_task(
-            (
-                candidate,
-                diabetes_dir,
-                100,
-                intent,
-                self._ref(original, diabetes_dir, 100),
-                None,
-                True,
-                False,
-            )
-        )
-        original_output = run_script(
-            original, data_dir=diabetes_dir, sample_rows=100
-        ).output
-        candidate_output = run_script(
-            candidate, data_dir=diabetes_dir, sample_rows=100
-        ).output
-        _, expected = intent.check(original_output, candidate_output)
-        assert verdict == expected
-
-    def test_unrunnable_original_fails_closed(self, diabetes_dir):
-        from repro.core import standardizer as mod
-
-        mod._WORKER_OUTPUT_CACHE.clear()
-        bad = "import pandas as pd\ndf = pd.read_csv('missing.csv')"
-        ref = self._ref(bad, diabetes_dir, 100)
-        assert mod._worker_original_output(ref, diabetes_dir, 100, None) is None
-        assert ref[0] not in mod._WORKER_OUTPUT_CACHE

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from repro.corpus import clear_corpus_cache
-from repro.sandbox import kill_worker_pool
 from repro.server import ServerClient, ServerConfig, ServerError, ServerThread
 
 #: tiny search budget: these tests exercise serving, not search quality
@@ -21,7 +20,6 @@ TINY = {"seq": 2, "beam_size": 1, "sample_rows": 50}
 def fresh_state():
     clear_corpus_cache()
     yield
-    kill_worker_pool()
     clear_corpus_cache()
 
 

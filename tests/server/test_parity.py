@@ -3,21 +3,12 @@
 The server's contract is that warmth is invisible: N interleaved jobs —
 mixed ops, shared and distinct corpora, coalesced into waves against
 registry-pinned systems — must produce byte-identical canonical JSON to
-running each job alone against empty caches.  The second test holds
-that under fault injection: shard workers are SIGKILLed mid-batch while
-a parallel-path job runs, exercising the engine's died-worker
-re-dispatch on the serving path.
+running each job alone against empty caches.
 """
-
-import os
-import signal
-import threading
-import time
 
 import pytest
 
 from repro.corpus import clear_corpus_cache
-from repro.sandbox import kill_worker_pool
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.server.jobs import normalize_job
 from repro.server.oneshot import run_oneshot
@@ -30,7 +21,6 @@ TINY = {"seq": 2, "beam_size": 1, "sample_rows": 50}
 def fresh_state():
     clear_corpus_cache()
     yield
-    kill_worker_pool()
     clear_corpus_cache()
 
 
@@ -56,7 +46,6 @@ def _cold_replay(message):
     """One job, serially, against empty caches — the ground truth."""
     job = normalize_job(message)
     clear_corpus_cache()
-    kill_worker_pool()
     return run_oneshot(job, request_id=message["id"])
 
 
@@ -81,61 +70,3 @@ class TestInterleavedParity:
                 parity_payload(cold)
             ), f"request {message['id']} ({message['op']}) diverged"
 
-
-class TestParityUnderRespawn:
-    def test_worker_kills_mid_batch_do_not_change_results(
-        self, tmp_path, diabetes_corpus, alex_script, diabetes_dir
-    ):
-        """SIGKILL shard workers while the server's parallel path runs:
-        died workers re-dispatch their window, so the response must stay
-        byte-identical to an unharassed serial replay."""
-        from repro.sandbox import shards
-
-        parallel = {**TINY, "parallel_workers": 2}
-        requests = [
-            {
-                "id": position,
-                "op": "standardize",
-                "params": {
-                    "script": alex_script,
-                    "corpus": diabetes_corpus,
-                    "data_dir": diabetes_dir,
-                    "config": parallel,
-                },
-            }
-            for position in range(3)
-        ]
-
-        stop = threading.Event()
-
-        def killer():
-            while not stop.is_set():
-                engine = shards._ENGINE
-                if engine is not None:
-                    pids = [pid for pid in engine.worker_pids() if pid]
-                    if pids:
-                        try:
-                            os.kill(pids[0], signal.SIGKILL)
-                        except (ProcessLookupError, PermissionError):
-                            pass
-                time.sleep(0.05)
-
-        thread = threading.Thread(target=killer, daemon=True)
-        config = ServerConfig(socket_path=str(tmp_path / "repro.sock"))
-        thread.start()
-        try:
-            with ServerThread(config) as handle:
-                with ServerClient(
-                    socket_path=handle.config.socket_path, timeout=600.0
-                ) as client:
-                    ids = client.submit_jobs(requests)
-                    warm = client.collect_jobs(ids)
-        finally:
-            stop.set()
-            thread.join(5.0)
-        for message, response in zip(requests, warm):
-            assert response["ok"], response
-            cold = _cold_replay(message)
-            assert canonical(parity_payload(response)) == canonical(
-                parity_payload(cold)
-            ), f"request {message['id']} diverged under respawn injection"

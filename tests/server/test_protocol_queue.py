@@ -92,10 +92,25 @@ class TestNormalizeJob:
         with pytest.raises(JobError):
             normalize_job({"op": "score", "params": {"corpus": diabetes_corpus}})
 
-    def test_rejects_unknown_config_field(self, diabetes_corpus):
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "warp_speed",
+            # the sharded worker engine's knobs, deleted with it
+            "parallel_workers",
+            "pool_respawn_limit",
+            "verify_parallel",
+            "shard_affinity",
+            "worker_output_cache_limit",
+            "worker_intent_cache_limit",
+            "worker_source_cache_limit",
+        ],
+    )
+    def test_rejects_unknown_config_field(self, name, diabetes_corpus):
         with pytest.raises(JobError) as excinfo:
-            normalize_job(self._raw(diabetes_corpus, config={"warp_speed": 9}))
-        assert "warp_speed" in str(excinfo.value)
+            normalize_job(self._raw(diabetes_corpus, config={name: 9}))
+        assert excinfo.value.kind == "bad_request"
+        assert name in str(excinfo.value)
 
     def test_rejects_invalid_config_value(self, diabetes_corpus):
         with pytest.raises(JobError):

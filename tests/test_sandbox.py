@@ -1,7 +1,12 @@
 """Tests for the script execution sandbox."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.minipandas import DataFrame
 from repro.sandbox import check_executes, run_script
 
@@ -242,3 +247,24 @@ class TestErrorLines:
         assert not result.ok
         assert result.error_type == "SyntaxError"
         assert result.error_line == 2
+
+
+class TestImportFootprint:
+    def test_importing_the_package_loads_no_multiprocessing(self):
+        """Constraint checks run serially in-process, so importing the
+        library, the server and the CLI pulls in no process machinery."""
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys\n"
+            "import repro, repro.server, repro.cli\n"
+            "print('multiprocessing' in sys.modules)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src_root),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"

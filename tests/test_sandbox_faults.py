@@ -2,8 +2,7 @@
 
 Uses :mod:`repro.sandbox.faults` to plant deterministic pathologies
 (hangs, watchdog-defeating hangs, crashes, allocation churn) and checks
-that budgets interrupt them, the process pool self-heals around them,
-and healthy scripts are never affected.
+that budgets interrupt them and that healthy scripts are never affected.
 """
 
 import sys
@@ -11,15 +10,7 @@ import time
 
 import pytest
 
-from repro.sandbox import (
-    BatchReport,
-    ExecTimeout,
-    IncrementalExecutor,
-    check_executes_batch,
-    kill_worker_pool,
-    run_script,
-)
-from repro.sandbox import runner as runner_module
+from repro.sandbox import ExecTimeout, IncrementalExecutor, run_script
 from repro.sandbox.faults import (
     FAULT_KINDS,
     FaultInjectingExecutor,
@@ -36,13 +27,6 @@ GENEROUS_S = 30.0
 
 GOOD = "import pandas as pd\ndf = pd.DataFrame({'a': [1, 2]})"
 HANG = fault_snippet("hang") + "\ndf = 1"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pool():
-    """Never leak a pool with killed/hung workers into other tests."""
-    yield
-    kill_worker_pool()
 
 
 class TestWatchdog:
@@ -132,80 +116,6 @@ class TestInjectFault:
 
     def test_empty_source_becomes_the_fault(self):
         assert inject_fault("", "crash") == fault_snippet("crash")
-
-
-class TestBatchBudgets:
-    def test_serial_batch_counts_timeouts(self):
-        report = BatchReport()
-        verdicts = check_executes_batch(
-            [GOOD, HANG, GOOD],
-            workers=1,
-            timeout_s=BUDGET_S,
-            report=report,
-        )
-        assert verdicts == [True, False, True]
-        assert report.timeouts == 1
-        assert report.respawns == 0
-        assert report.degraded == 0
-
-    def test_pool_worker_self_interrupts_without_respawn(self):
-        report = BatchReport()
-        verdicts = check_executes_batch(
-            [GOOD, HANG, GOOD],
-            workers=2,
-            timeout_s=BUDGET_S,
-            report=report,
-        )
-        assert verdicts == [True, False, True]
-        assert report.timeouts == 1
-        # the worker interrupted its own script: the pool never hung
-        assert report.respawns == 0
-
-    def test_stubborn_hang_forces_kill_and_respawn(self):
-        # defeats the in-process watchdog; only the parent's kill works
-        stubborn = fault_snippet("stubborn_hang") + "\ndf = 1"
-        report = BatchReport()
-        start = time.monotonic()
-        verdicts = check_executes_batch(
-            [GOOD, stubborn, GOOD],
-            workers=2,
-            timeout_s=BUDGET_S,
-            respawn_limit=2,
-            report=report,
-        )
-        elapsed = time.monotonic() - start
-        assert verdicts == [True, False, True]
-        assert report.timeouts >= 1
-        assert report.respawns >= 1
-        assert elapsed < GENEROUS_S / 2
-
-    def test_spawn_failure_degrades_to_serial(self, monkeypatch):
-        def broken_pool(workers):
-            raise RuntimeError("injected fault: pool spawn")
-
-        monkeypatch.setattr(runner_module, "get_worker_pool", broken_pool)
-        report = BatchReport()
-        verdicts = check_executes_batch(
-            [GOOD, GOOD, fault_snippet("crash")],
-            workers=2,
-            respawn_limit=0,
-            report=report,
-        )
-        assert verdicts == [True, True, False]
-        assert report.respawns == 1
-        assert report.degraded == 1
-
-    def test_pool_without_budget_unchanged(self):
-        report = BatchReport()
-        verdicts = check_executes_batch(
-            [GOOD, fault_snippet("crash"), GOOD],
-            workers=2,
-            report=report,
-        )
-        assert verdicts == [True, False, True]
-        assert report.timeouts == 0
-        assert report.respawns == 0
-        assert report.degraded == 0
 
 
 class TestIncrementalBudgets:

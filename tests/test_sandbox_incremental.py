@@ -1,4 +1,4 @@
-"""Tests for the incremental executor, batched checks, and the LRU caches."""
+"""Tests for the incremental executor and the LRU caches."""
 
 import ast
 import copy
@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 from repro._lru import LRUCache
 from repro.minipandas import DataFrame
-from repro.sandbox import (
-    IncrementalExecutor,
-    check_executes,
-    check_executes_batch,
-    run_script,
-)
+from repro.sandbox import IncrementalExecutor, check_executes, run_script
 from repro.sandbox import runner as runner_module
 from repro.sandbox.incremental import statement_segments
 
@@ -389,21 +384,3 @@ class TestIncrementalExecutor:
         result = executor.run_script("x ===")
         assert not result.ok and result.error_type == "SyntaxError"
 
-
-class TestCheckExecutesBatch:
-    def test_serial_matches_single_checks(self, diabetes_dir):
-        sources = [f"{PREFIX}\n{suffix}" for suffix in SUFFIXES]
-        expected = [check_executes(s, data_dir=diabetes_dir) for s in sources]
-        assert check_executes_batch(sources, data_dir=diabetes_dir, workers=1) == expected
-
-    def test_pool_matches_serial(self, diabetes_dir):
-        sources = [f"{PREFIX}\n{suffix}" for suffix in SUFFIXES]
-        serial = check_executes_batch(sources, data_dir=diabetes_dir, workers=1)
-        pooled = check_executes_batch(sources, data_dir=diabetes_dir, workers=2)
-        assert pooled == serial
-
-    def test_empty_and_singleton_batches(self, diabetes_dir):
-        assert check_executes_batch([], data_dir=diabetes_dir, workers=4) == []
-        assert check_executes_batch(
-            [PREFIX], data_dir=diabetes_dir, workers=4
-        ) == [True]

@@ -241,14 +241,6 @@ class TestSharedCaches:
             return real_run(executor, source, extra_globals, segments=segments)
 
         monkeypatch.setattr(IncrementalExecutor, "run_script", record)
-        # drop the walk's verdict, so the winner runs again as it does
-        # after a parallel walk
-        real_verify = LucidScript._verify_all_constraints
-        monkeypatch.setattr(
-            LucidScript,
-            "_verify_all_constraints",
-            lambda system, *args: (real_verify(system, *args)[0], None),
-        )
         result = self._system(diabetes_corpus, diabetes_dir).standardize(alex_script)
         assert result.changed
         assert raw == [result.input_script]
