@@ -1,12 +1,13 @@
 """GetSteps scoring-engine throughput: full recount vs O(Δ) incremental.
 
 A Figure-7-shaped search workload — a long user script standardized
-against a peer corpus — run twice: ``incremental_scoring`` off (every
-proposal re-walks the whole script: ``compute_edge_counts`` +
-``score_edge_counts``) and on (every proposal scored off the candidate's
-cached edge state in O(Δ)).  The execution constraint is stubbed out so
-the measurement isolates the scoring engine; the bit-identity contract is
-asserted before any speed number counts.
+against a peer corpus — run twice: by :class:`FullRecountSearch` (every
+proposal re-walks the whole script through the full-recount oracle
+``BeamSearch._projected_score``: ``compute_edge_counts`` +
+``score_edge_counts``) and by ``BeamSearch`` (every proposal scored off
+the candidate's cached edge state in O(Δ)).  The execution constraint
+is stubbed out so the measurement isolates the scoring engine; the
+bit-identity contract is asserted before any speed number counts.
 
 Results are published to ``benchmarks/results/`` and the machine-readable
 speedups to the repo-root ``BENCH_getsteps.json``.  The acceptance bar:
@@ -70,12 +71,17 @@ def _workload():
     return corpus, user
 
 
-def _run_search(vocabulary, user, incremental):
+class FullRecountSearch(BeamSearch):
+    """GetSteps scoring every proposal by full recount, the oracle."""
+
+    def _delta_score(self, candidate, edge_state, re_stats, transformation):
+        return self._projected_score(candidate.statements, transformation)
+
+
+def _run_search(vocabulary, user, search_class):
     scorer = RelativeEntropyScorer(vocabulary)
-    config = LSConfig(
-        seq=SEQ, beam_size=BEAM_SIZE, incremental_scoring=incremental
-    )
-    search = BeamSearch(vocabulary, scorer, config, exec_checker=lambda s: True)
+    config = LSConfig(seq=SEQ, beam_size=BEAM_SIZE)
+    search = search_class(vocabulary, scorer, config, exec_checker=lambda s: True)
     statements = list(parse_script(user).statements)
     started = time.perf_counter()
     result = search.search(statements)
@@ -95,8 +101,8 @@ def test_perf_getsteps_incremental_scoring():
 
     on_getsteps, off_getsteps, on_walls, off_walls = [], [], [], []
     for _ in range(ROUNDS):
-        on_result, on_g, on_w, on_stats = _run_search(vocabulary, user, True)
-        off_result, off_g, off_w, _ = _run_search(vocabulary, user, False)
+        on_result, on_g, on_w, on_stats = _run_search(vocabulary, user, BeamSearch)
+        off_result, off_g, off_w, _ = _run_search(vocabulary, user, FullRecountSearch)
         # bit-identity first: same candidates, same order, same scores
         assert on_result == off_result
         on_getsteps.append(on_g)
@@ -165,9 +171,7 @@ def test_perf_getsteps_verify_mode_is_clean():
     corpus, user = _workload()
     vocabulary = CorpusVocabulary.from_scripts(corpus)
     scorer = RelativeEntropyScorer(vocabulary)
-    config = LSConfig(
-        seq=3, beam_size=2, incremental_scoring=True, verify_scoring=True
-    )
+    config = LSConfig(seq=3, beam_size=2, verify_scoring=True)
     search = BeamSearch(vocabulary, scorer, config, exec_checker=lambda s: True)
     search.search(list(parse_script(user).statements))
     search.sync_cache_stats()

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._lru import LRUCache
+from ..dialects import get_dialect
 from ..lang.errors import ScriptError
 from ..lang.parser import (
     STATEMENT_CACHE,
@@ -40,7 +41,7 @@ from ..lang.parser import (
     parse_statement,
 )
 from ..lang.vocabulary import CorpusVocabulary
-from ..sandbox import IncrementalExecutor, run_script
+from ..sandbox import IncrementalExecutor
 from .config import LSConfig
 from .diversity import cluster_transformations
 from .entropy import REStats, RelativeEntropyScorer
@@ -193,7 +194,6 @@ class BeamSearch:
         self.vocabulary = vocabulary
         self.scorer = scorer
         self.config = config
-        self.data_dir = data_dir
         self.operation_groups = None
         if config.operation_groups is not None:
             from .grouping import group_operations
@@ -202,34 +202,20 @@ class BeamSearch:
                 vocabulary, config.operation_groups, random_state=config.random_state
             )
         self._exec_checker = exec_checker
-        # the lang layer takes None for the historical pandas surface
-        if config.dialect == "pandas":
-            self._lang_dialect = None
-        else:
-            from ..dialects import get_dialect
-
-            self._lang_dialect = get_dialect(config.dialect)
+        self._dialect = get_dialect(config.dialect)
         self._executor = executor
-        if (
-            self._executor is None
-            and exec_checker is None
-            and config.incremental_exec
-        ):
+        if self._executor is None and exec_checker is None:
             self._executor = IncrementalExecutor(
                 data_dir=data_dir,
                 sample_rows=config.sample_rows,
-                snapshot_budget=config.snapshot_budget,
                 exec_timeout_s=config.exec_timeout_s,
                 statement_timeout_s=config.statement_timeout_s,
-                dialect=config.dialect,
+                dialect=self._dialect,
             )
         # executors may be shared across searches; stats report deltas
         self._executor_baseline = (
             dict(self._executor.stats.as_dict()) if self._executor else {}
         )
-        # timeouts observed outside the shared executor (cold checks);
-        # sync_cache_stats adds the executor's delta on top
-        self._direct_timeouts = 0
         self._exec_cache: LRUCache = LRUCache(self.EXEC_CACHE_LIMIT)
         #: this search's hits and misses against the process-wide
         #: parsed-statement cache (``parse_statement``)
@@ -280,7 +266,8 @@ class BeamSearch:
         """CheckIfExecutes() with memoization across the whole search.
 
         *segments* (the candidate's statement texts) let the incremental
-        executor skip re-parsing *source*.
+        executor skip re-parsing *source*.  An ``exec_checker`` given at
+        construction replaces the executor (tests use it as a fake).
         """
         cached = self._exec_cache.get(source)
         if cached is not None:
@@ -289,19 +276,8 @@ class BeamSearch:
         cpu = time.process_time()
         if self._exec_checker is not None:
             ok = self._exec_checker(source)
-        elif self._executor is not None:
-            ok = self._executor.check_executes(source, segments=segments)
         else:
-            result = run_script(
-                source,
-                data_dir=self.data_dir,
-                sample_rows=self.config.sample_rows,
-                timeout_s=self.config.exec_timeout_s,
-                dialect=self.config.dialect,
-            )
-            ok = result.ok and result.output is not None
-            if result.timed_out:
-                self._direct_timeouts += 1
+            ok = self._executor.check_executes(source, segments=segments)
         self.stats.check_executes_s += time.perf_counter() - wall
         self.stats.check_executes_cpu_s += time.process_time() - cpu
         self.stats.n_exec_checks += 1
@@ -310,7 +286,7 @@ class BeamSearch:
 
     def _parsed_statement(self, source: str) -> Statement:
         """An add-candidate statement, parsed once per process."""
-        return parse_statement(source, self._lang_dialect, self._statement_tally)
+        return parse_statement(source, self._dialect, self._statement_tally)
 
     def _projected_score(
         self, statements: Sequence[Statement], transformation: Transformation
@@ -413,12 +389,11 @@ class BeamSearch:
     def get_steps(self, candidate: Candidate) -> List[Tuple[Transformation, float]]:
         """GetSteps(): rank legal next transformations by projected RE.
 
-        With ``LSConfig.incremental_scoring`` (the default), every
-        proposal is scored by the marginal-update engine: the candidate's
-        cached edge state yields an O(Δ) edge delta, and the sufficient-
-        statistics representation turns that into the new RE without
-        touching untouched edges.  The deltas are kept for the wave so a
-        winning extension's state derives from its parent's.
+        Every proposal is scored by the marginal-update engine: the
+        candidate's cached edge state yields an O(Δ) edge delta, and the
+        sufficient-statistics representation turns that into the new RE
+        without touching untouched edges.  The deltas are kept for the
+        wave so a winning extension's state derives from its parent's.
         """
         start = time.perf_counter()
         added = {t.signature for t in candidate.applied if t.kind == ADD}
@@ -431,23 +406,16 @@ class BeamSearch:
             forbidden_deletes=added,
             operation_groups=self.operation_groups,
         )
-        incremental = self.config.incremental_scoring
-        if incremental:
-            edge_state, re_stats = self._score_state(candidate)
-            self._wave_deltas = {}
-            self._wave_parent_key = candidate.source()
+        edge_state, re_stats = self._score_state(candidate)
+        self._wave_deltas = {}
+        self._wave_parent_key = candidate.source()
         ranked: List[Tuple[Transformation, float]] = []
         for transformation in raw:
             try:
-                if incremental:
-                    score = self._delta_score(
-                        candidate, edge_state, re_stats, transformation
-                    )
-                    self.stats.n_delta_scores += 1
-                else:
-                    score = self._projected_score(candidate.statements, transformation)
+                score = self._delta_score(candidate, edge_state, re_stats, transformation)
             except (ScriptError, IndexError, ValueError):
                 continue
+            self.stats.n_delta_scores += 1
             ranked.append((transformation, score))
         ranked.sort(key=lambda pair: (self._band(pair[1]), pair[0].position, pair[1]))
         ranked = ranked[: self.config.max_step_candidates]
@@ -489,8 +457,6 @@ class BeamSearch:
         rebuilds lazily on its first GetSteps — a counted fallback, never
         an error.
         """
-        if not self.config.incremental_scoring:
-            return
         key = child.source()
         if key in self._score_state_cache:
             return
@@ -610,7 +576,6 @@ class BeamSearch:
         if self._delta_score_s > 0:
             # verify_scoring timed both paths on identical proposals
             stats.get_steps_speedup = self._full_score_s / self._delta_score_s
-        stats.n_exec_timeouts = self._direct_timeouts
         if self._executor is None:
             return
         current = self._executor.stats.as_dict()
@@ -624,9 +589,7 @@ class BeamSearch:
         stats.prefix_fallbacks = int(
             current["fallbacks"] - base.get("fallbacks", 0.0)
         )
-        stats.n_exec_timeouts = self._direct_timeouts + int(
-            current["timeouts"] - base.get("timeouts", 0.0)
-        )
+        stats.n_exec_timeouts = int(current["timeouts"] - base.get("timeouts", 0.0))
 
     # ----------------------------------------------------------------- search
     def search(self, statements: Sequence[Statement]) -> List[Candidate]:

@@ -17,6 +17,17 @@ DIVERSE_CORPUS_EDGES = 300
 class LSConfig:
     """Tunable parameters of the LucidScript search (Section 5.2).
 
+    Each layer of the search has one production path: constraint checks
+    resume from statement prefixes on a
+    :class:`~repro.sandbox.IncrementalExecutor`, GetSteps scores each
+    proposal in O(Δ) off its parent's edge state
+    (:meth:`~repro.core.entropy.RelativeEntropyScorer.score_delta`),
+    intent checks run on a :class:`~repro.core.intent.PreparedIntent`
+    (O(changed columns) per candidate), and raw corpus scripts are
+    curated through the process-wide warm cache
+    (:mod:`repro.corpus.cache`).  Each ``verify_*`` audit shadow-runs
+    its layer's naive oracle and fails on any divergence.
+
     Attributes
     ----------
     seq:
@@ -47,17 +58,6 @@ class LSConfig:
         search-space reduction); None disables grouping.
     random_state:
         Seed for the diversity clustering and any sampling decisions.
-    incremental_exec:
-        Route CheckIfExecutes/VerifyConstraints through the
-        prefix-resumable :class:`repro.sandbox.IncrementalExecutor`
-        instead of cold re-execution from line 1.
-    incremental_scoring:
-        Score GetSteps proposals with the O(Δ) delta engine — the
-        candidate's cached edge state plus sufficient-statistics KL
-        updates (:meth:`repro.core.entropy.RelativeEntropyScorer
-        .score_delta`) — instead of recounting the whole script's edges
-        per proposal.  Bit-identical to the full recount by
-        construction; on (the default) it only changes speed.
     verify_scoring:
         Debug mode: run the full recount alongside every delta score and
         raise :class:`repro.core.beam.ScoringMismatchError` on any
@@ -65,27 +65,15 @@ class LSConfig:
         the measured ratio as ``SearchStats.get_steps_speedup``.  Off by
         default — it exists to audit the delta engine, not for
         production.
-    incremental_intent:
-        Verify the user-intent constraint through the content-addressed
-        :class:`repro.core.intent.PreparedIntent` engine — the original
-        output's per-mode state is frozen once per search, and each
-        candidate check pays O(changed columns) via per-column content
-        fingerprints, an exact disjoint-column Jaccard decomposition for
-        ``mode='cells'``, and a whole-table short-circuit.  Bit-identical
-        to the naive pairwise measures by construction; on (the default)
-        it only changes speed.
     verify_intent:
         Debug mode: recompute every prepared intent delta through the
-        naive cache-free path alongside and raise
+        naive cache-free :meth:`~repro.core.intent.IntentMeasure.check`
+        alongside and raise
         :class:`repro.core.intent.IntentMismatchError` on any float
         divergence (exact comparison).  Also times both paths, surfacing
         the measured ratio as ``SearchStats.intent_speedup``.  Off by
         default — it exists to audit the intent engine, not for
         production.
-    snapshot_budget:
-        LRU capacity of the incremental executor's namespace-snapshot
-        store; 0 disables prefix resumption even when
-        ``incremental_exec`` is on.
     exec_timeout_s:
         Wall-clock budget (seconds) for one candidate script inside
         CheckIfExecutes/VerifyConstraints.  A candidate that exceeds it
@@ -94,17 +82,9 @@ class LSConfig:
         disables the watchdog entirely, preserving the bit-identical
         serial path.
     statement_timeout_s:
-        Wall-clock budget for each individual statement on the
-        incremental execution path; tighter than ``exec_timeout_s`` when
-        a single statement is the pathology.  None disables it.
-    corpus_cache:
-        Route corpus construction through the process-wide
-        content-addressed warm cache (:mod:`repro.corpus.cache`): each
-        unique corpus script is lemmatized and parsed at most once per
-        process, and a repeated ``LucidScript`` construction over the
-        same corpus sequence reuses the assembled index outright.
-        Bit-identical to ``CorpusVocabulary.from_scripts`` by
-        construction; on (the default) it only changes speed.
+        Wall-clock budget for each individual statement of a candidate;
+        tighter than ``exec_timeout_s`` when a single statement is the
+        pathology.  None disables it.
     verify_index:
         Debug mode: audit the corpus index backing this search against
         a from-scratch offline-phase rebuild at construction time and
@@ -157,15 +137,10 @@ class LSConfig:
     sample_rows: Optional[int] = 500
     operation_groups: Optional[int] = None
     random_state: int = 0
-    incremental_exec: bool = True
-    incremental_scoring: bool = True
     verify_scoring: bool = False
-    incremental_intent: bool = True
     verify_intent: bool = False
-    snapshot_budget: int = 64
     exec_timeout_s: Optional[float] = None
     statement_timeout_s: Optional[float] = None
-    corpus_cache: bool = True
     verify_index: bool = False
     retrieval_k: int = 20
     verify_retrieval: bool = False
@@ -188,10 +163,6 @@ class LSConfig:
             raise ValueError("score_band must be non-negative")
         if self.operation_groups is not None and self.operation_groups < 1:
             raise ValueError("operation_groups must be >= 1 when set")
-        if self.snapshot_budget < 0:
-            raise ValueError(
-                f"snapshot_budget must be >= 0, got {self.snapshot_budget}"
-            )
         if self.exec_timeout_s is not None and self.exec_timeout_s <= 0:
             raise ValueError(
                 f"exec_timeout_s must be positive when set, got {self.exec_timeout_s}"

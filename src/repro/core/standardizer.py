@@ -27,7 +27,7 @@ from ..dialects import get_dialect
 from ..lang import CorpusVocabulary, ScriptError, lemmatize, parse_script
 from ..minipandas import DataFrame
 from ..minipandas.kernels import kernel_audit
-from ..sandbox import IncrementalExecutor, run_script
+from ..sandbox import IncrementalExecutor
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
 from .entropy import RelativeEntropyScorer, percent_improvement
@@ -108,8 +108,8 @@ class LucidScript:
         the pool's ``config.retrieval_k`` nearest neighbours of each
         query script (see ``_ensure_search_space``).
         Raw texts route through the process-wide content-addressed warm
-        cache when ``config.corpus_cache`` is on, so repeated
-        constructions over the same corpus skip the offline phase.
+        cache, so repeated constructions over the same corpus skip the
+        offline phase.
     data_dir:
         Directory holding the dataset's CSV files; scripts' ``read_csv``
         paths are resolved against it.
@@ -159,12 +159,6 @@ class LucidScript:
     #: Distinct (original, intent) pairs whose prepared state is retained.
     INTENT_CACHE_LIMIT = 4
 
-    @property
-    def _lang_dialect(self):
-        """The dialect handed to the lang layer — None keeps pandas on
-        its historical (bit-identical) default path."""
-        return None if self.dialect.name == "pandas" else self.dialect
-
     def _check_corpus_dialect(self, supplied: str, what: str) -> None:
         if supplied != self.dialect.name:
             raise StandardizationError(
@@ -187,15 +181,11 @@ class LucidScript:
             vocabulary = corpus.to_vocabulary()
         elif isinstance(corpus, CorpusVocabulary):
             vocabulary = corpus
-        elif self.config.corpus_cache:
+        else:
             index = cached_index(corpus, dialect=self.dialect.name)
             if self.config.verify_index:
                 index.verify()
             vocabulary = index.to_vocabulary()
-        else:
-            vocabulary = CorpusVocabulary.from_scripts(
-                corpus, dialect=self._lang_dialect
-            )
         return vocabulary, corpus_cache_counters().delta(before)
 
     def _ensure_search_space(self, script: str) -> Optional[ScriptRecord]:
@@ -259,13 +249,12 @@ class LucidScript:
     ) -> Optional[PreparedIntent]:
         """The content-addressed verification state for this original.
 
-        None when the intent constraint is disabled or
-        ``LSConfig.incremental_intent`` is off (callers then take the
-        naive pairwise path).  Reuses (and re-points the counters of) a
-        cached prepared state when the original's content fingerprint and
-        the intent's configuration both match.
+        None when the intent constraint is disabled.  Reuses (and
+        re-points the counters of) a cached prepared state when the
+        original's content fingerprint and the intent's configuration
+        both match.
         """
-        if self.intent is None or not self.config.incremental_intent:
+        if self.intent is None:
             return None
         key = (table_fingerprint(original_output), self.intent.cache_key())
         prepared = self._intent_cache.peek(key)
@@ -283,33 +272,29 @@ class LucidScript:
             prepared.verify = self.config.verify_intent
         return prepared
 
-    def _shared_executor(self) -> Optional[IncrementalExecutor]:
+    def _shared_executor(self) -> IncrementalExecutor:
         """One incremental executor per (data_dir, sample_rows, dialect).
 
         Shared between the beam search and constraint verification — and
         across standardize() calls — so every phase resumes from prefixes
         any earlier phase already snapshotted.  Rebuilt if the config's
         sampling (or dialect) changes — snapshots are only valid within
-        one setting.
+        one setting.  The execution budgets bound each run and never
+        enter a snapshot, so a changed budget is set on the kept
+        executor instead.
         """
-        if not self.config.incremental_exec:
-            return None
         if (
             self._executor is None
             or self._executor.sample_rows != self.config.sample_rows
-            or self._executor._snapshots.capacity != self.config.snapshot_budget
-            or self._executor.exec_timeout_s != self.config.exec_timeout_s
-            or self._executor.statement_timeout_s != self.config.statement_timeout_s
             or self._executor.dialect.name != self.dialect.name
         ):
             self._executor = IncrementalExecutor(
                 data_dir=self.data_dir,
                 sample_rows=self.config.sample_rows,
-                snapshot_budget=self.config.snapshot_budget,
-                exec_timeout_s=self.config.exec_timeout_s,
-                statement_timeout_s=self.config.statement_timeout_s,
                 dialect=self.dialect,
             )
+        self._executor.exec_timeout_s = self.config.exec_timeout_s
+        self._executor.statement_timeout_s = self.config.statement_timeout_s
         return self._executor
 
     # ------------------------------------------------------------------ scoring
@@ -322,9 +307,9 @@ class LucidScript:
         """
         record = self._ensure_search_space(script)
         if record is None:
-            dag = parse_script(script, dialect=self._lang_dialect)
+            dag = parse_script(script, dialect=self.dialect)
         else:
-            dag = parse_script(record.source, lemmatized=True, dialect=self._lang_dialect)
+            dag = parse_script(record.source, lemmatized=True, dialect=self.dialect)
         return self.scorer.score_dag(dag)
 
     # ------------------------------------------------------------- online phase
@@ -334,8 +319,8 @@ class LucidScript:
             return self._standardize(script)
 
     def _standardize(self, script: str) -> StandardizationResult:
-        normalized = lemmatize(script, dialect=self._lang_dialect)
-        dag = parse_script(normalized, lemmatized=True, dialect=self._lang_dialect)
+        normalized = lemmatize(script, dialect=self.dialect)
+        dag = parse_script(normalized, lemmatized=True, dialect=self.dialect)
         if not dag.statements:
             raise StandardizationError("input script has no statements")
         self._ensure_search_space(normalized)
@@ -380,17 +365,7 @@ class LucidScript:
     ) -> Optional[DataFrame]:
         """The output of *source*, or None if it fails; *segments* (its
         statement texts) spare the incremental executor a re-parse."""
-        executor = self._shared_executor()
-        if executor is not None:
-            result = executor.run_script(source, segments=segments)
-        else:
-            result = run_script(
-                source,
-                data_dir=self.data_dir,
-                sample_rows=self.config.sample_rows,
-                timeout_s=self.config.exec_timeout_s,
-                dialect=self.dialect,
-            )
+        result = self._shared_executor().run_script(source, segments=segments)
         return result.output if result.ok else None
 
     def _fold_corpus_stats(self, stats: SearchStats) -> None:
@@ -452,11 +427,8 @@ class LucidScript:
                 if output is None:
                     continue
                 verdict = None
-                if self.intent is not None:
-                    if prepared is not None:
-                        verdict = prepared.check(output)
-                    else:
-                        verdict = self.intent.check(original_output, output)
+                if prepared is not None:
+                    verdict = prepared.check(output)
                     if not verdict[1]:
                         continue
                 return candidate, verdict

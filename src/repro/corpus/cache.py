@@ -21,8 +21,9 @@ Three layers, all content-addressed:
   and reused by every request.
 
 Every layer only ever returns structures that are bit-identical to a
-cold ``CorpusVocabulary.from_scripts`` build, so the cache is a pure
-speed knob (``LSConfig.corpus_cache``).
+cold ``CorpusVocabulary.from_scripts`` build, which stays as the oracle
+``CorpusIndex.verify`` audits against.  ``LucidScript`` curates every
+raw-script corpus through this cache; there is no uncached path.
 
 The index-cache key is the *ordered* address sequence, NOT a sorted
 set: corpus order is semantic (it drives successor-Counter tie order,

@@ -29,6 +29,7 @@ from hashlib import sha1
 from typing import Dict, List, Optional, Tuple, Union
 
 from .._lru import LRUCache
+from ..dialects import get_dialect
 from ..lang.errors import ScriptError
 from ..lang.lemmatize import lemmatize
 from ..lang.parser import ScriptDAG, parse_script
@@ -152,13 +153,7 @@ class ScriptStore:
             raise ValueError(f"store capacity must be >= 1 when set, got {capacity}")
         self.capacity = capacity
         self.dialect = dialect
-        if dialect == "pandas":
-            # None keeps the lang layer on its historical pandas path
-            self._lang_dialect = None
-        else:
-            from ..dialects import get_dialect
-
-            self._lang_dialect = get_dialect(dialect)
+        self._lang_dialect = get_dialect(dialect)
         self._records: Union[Dict[str, ScriptRecord], LRUCache] = (
             {} if capacity is None else LRUCache(capacity)
         )

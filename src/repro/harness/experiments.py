@@ -149,16 +149,15 @@ def evaluate_lucidscript(
     """
     run = MethodRun(method=f"LS ({intent_kind})", dataset=corpus.name)
     config = config or LSConfig()
-    if config.corpus_cache or retrieval_k is not None:
-        # Prewarm the content-addressed store once: every leave-one-out
-        # reference corpus is a subset of these scripts, so each system
-        # construction inside the loop assembles its search space from
-        # cached records instead of reparsing N-1 scripts per script.
-        store = shared_store()
-        for script in corpus.scripts:
-            store.get_or_parse(script)
-        for script in corpus_override or ():
-            store.get_or_parse(script)
+    # Prewarm the content-addressed store once: every leave-one-out
+    # reference corpus is a subset of these scripts, so each system
+    # construction inside the loop assembles its search space from
+    # cached records instead of reparsing N-1 scripts per script.
+    store = shared_store()
+    for script in corpus.scripts:
+        store.get_or_parse(script)
+    for script in corpus_override or ():
+        store.get_or_parse(script)
     pairs = list(corpus.leave_one_out())
     if max_scripts is not None:
         pairs = pairs[:max_scripts]
@@ -167,7 +166,7 @@ def evaluate_lucidscript(
     if retrieval_k is not None:
         config.retrieval_k = retrieval_k
         # one pool for the whole sweep, membership adjusted per pair
-        pool = RetrievalIndex(store=shared_store())
+        pool = RetrievalIndex(store=store)
         if corpus_override is not None:
             for script in corpus_override:
                 pool.add_script(script)

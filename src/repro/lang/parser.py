@@ -243,6 +243,8 @@ def parse_statement(
     *tally*, when given, counts this lookup under ``"hits"`` or
     ``"misses"``, so a caller can report its own hit rate against the
     shared cache.  A statement that fails to parse raises every time.
+    The key is the dialect's name, so None and the registered pandas
+    dialect share entries.
     """
     key = ("pandas" if dialect is None else dialect.name, source)
     statement = STATEMENT_CACHE.get(key)
@@ -415,8 +417,8 @@ class EdgeState:
 
     instead of re-walking the whole script.  Scoring a candidate
     transformation therefore costs O(edges touched), not
-    O(script × vocabulary) — the engine behind
-    ``LSConfig.incremental_scoring``.
+    O(script × vocabulary) — the engine behind every GetSteps score
+    (``LSConfig.verify_scoring`` audits it against the full recount).
     """
 
     __slots__ = ("statements", "counts", "_writers", "_readers", "_incoming_memo")
@@ -650,9 +652,10 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> ScriptD
     """Parse *source* into its DAG representation.
 
     Lemmatization (canonical renaming + normalization) is applied first
-    unless the caller already did so.  *dialect* (None = the historical
-    pandas surface) supplies the loader entry points used for canonical
-    renaming and statement protection.
+    unless the caller already did so.  *dialect* supplies the loader
+    entry points used for canonical renaming and statement protection;
+    None means the pandas surface, the same as the registered pandas
+    dialect.
     """
     normalized = source if lemmatized else lemmatize(source, dialect=dialect)
     try:

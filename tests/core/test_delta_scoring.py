@@ -1,9 +1,10 @@
 """Bit-identity of the O(Δ) incremental scoring engine.
 
-``LSConfig.incremental_scoring`` must be a pure speed knob: every delta
-score equals the full recount *bit for bit* (not approximately), the
-sufficient statistics evolve exactly, and a whole beam search returns the
-same candidates with the same scores whether the flag is on or off.
+GetSteps scores every proposal through the delta engine, so it must
+match the full recount (``BeamSearch._projected_score``, the oracle)
+*bit for bit*, not approximately: every delta score equals the recount,
+the sufficient statistics evolve exactly, and a whole beam search under
+``verify_scoring`` compares every score against the recount.
 """
 
 import random
@@ -151,26 +152,16 @@ def workload():
     return corpus, user
 
 
-def test_search_results_identical_with_flag_on_and_off(workload):
-    corpus, user = workload
-    on, stats_on = _run_search(corpus, user, incremental_scoring=True)
-    off, stats_off = _run_search(corpus, user, incremental_scoring=False)
-    assert on == off  # same candidates, same order, bit-identical scores
-    assert stats_on.n_delta_scores > 0
-    assert stats_off.n_delta_scores == 0
-    # the root is the only mandatory full recount on the incremental path
-    assert stats_on.n_full_recounts >= 1
-
-
 def test_verify_scoring_mode_runs_clean_and_reports_speedup(workload):
-    """The cross-check mode recomputes everything twice and must never
-    trip its own mismatch alarm on a healthy engine."""
+    """The cross-check mode recomputes every score by full recount and
+    must never trip its own mismatch alarm on a healthy engine."""
     corpus, user = workload
-    verified, stats = _run_search(
-        corpus, user, incremental_scoring=True, verify_scoring=True
-    )
-    plain, _ = _run_search(corpus, user, incremental_scoring=True)
-    assert verified == plain
+    verified, stats = _run_search(corpus, user, verify_scoring=True)
+    plain, plain_stats = _run_search(corpus, user)
+    assert verified == plain  # same candidates, same order, same scores
+    assert stats.n_delta_scores == plain_stats.n_delta_scores > 0
+    # the root is the only mandatory full recount on the delta path
+    assert plain_stats.n_full_recounts >= 1
     assert stats.get_steps_speedup > 0.0
     assert "GetStepsSpeedup" in stats.breakdown()
 

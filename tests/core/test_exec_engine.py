@@ -1,6 +1,7 @@
 """Tests for the execution-engine wiring of the beam search and
-standardizer: incremental prefix resumption, bounded memo caches, and
-the beam-width invariant."""
+standardizer: incremental prefix resumption checked against cold
+``run_script`` (the oracle), bounded memo caches, and the beam-width
+invariant."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core import BeamSearch, LSConfig, LucidScript
 from repro.core.entropy import RelativeEntropyScorer
 from repro.lang import CorpusVocabulary, parse_script
 from repro.lang.parser import STATEMENT_CACHE, STATEMENT_CACHE_LIMIT
+from repro.sandbox import IncrementalExecutor, run_script
 
 
 @pytest.fixture()
@@ -20,10 +22,28 @@ def scorer(vocab):
     return RelativeEntropyScorer(vocab)
 
 
-def make_search(vocab, scorer, diabetes_dir, **config_kwargs):
+def make_search(vocab, scorer, diabetes_dir, exec_checker=None, **config_kwargs):
     defaults = dict(seq=6, beam_size=2, sample_rows=100)
     defaults.update(config_kwargs)
-    return BeamSearch(vocab, scorer, LSConfig(**defaults), data_dir=diabetes_dir)
+    return BeamSearch(
+        vocab,
+        scorer,
+        LSConfig(**defaults),
+        data_dir=diabetes_dir,
+        exec_checker=exec_checker,
+    )
+
+
+def _cold_run(self, source, extra_globals=None, *, segments=None):
+    """``IncrementalExecutor.run_script`` replaced by a cold run."""
+    return run_script(
+        source,
+        data_dir=self.data_dir,
+        sample_rows=self.sample_rows,
+        extra_globals=extra_globals,
+        timeout_s=self.exec_timeout_s,
+        dialect=self.dialect,
+    )
 
 
 def _outcome(system, script):
@@ -91,9 +111,13 @@ class TestIncrementalSearch:
     def test_incremental_matches_cold_search(
         self, vocab, scorer, diabetes_dir, alex_script
     ):
+        def cold_check(source):
+            result = run_script(source, data_dir=diabetes_dir, sample_rows=100)
+            return result.ok and result.output is not None
+
         statements = parse_script(alex_script).statements
-        cold = make_search(vocab, scorer, diabetes_dir, incremental_exec=False)
-        warm = make_search(vocab, scorer, diabetes_dir, incremental_exec=True)
+        cold = make_search(vocab, scorer, diabetes_dir, exec_checker=cold_check)
+        warm = make_search(vocab, scorer, diabetes_dir)
         cold_result = [c.source() for c in cold.search(statements)]
         warm_result = [c.source() for c in warm.search(statements)]
         assert cold_result == warm_result
@@ -109,17 +133,23 @@ class TestDeterminism:
     repeated run must reproduce its result exactly."""
 
     def test_standardize_serial_matches_incremental_off(
-        self, diabetes_corpus, diabetes_dir, alex_script
+        self, diabetes_corpus, diabetes_dir, alex_script, monkeypatch
     ):
-        config_off = LSConfig(
-            seq=4, beam_size=2, sample_rows=100, incremental_exec=False
+        def system():
+            config = LSConfig(seq=4, beam_size=2, sample_rows=100)
+            return LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config)
+
+        on = system().standardize(alex_script)
+        with monkeypatch.context() as patch:
+            patch.setattr(IncrementalExecutor, "run_script", _cold_run)
+            off = system().standardize(alex_script)
+        assert (off.output_script, off.transformations, off.re_after) == (
+            on.output_script,
+            on.transformations,
+            on.re_after,
         )
-        config_on = LSConfig(
-            seq=4, beam_size=2, sample_rows=100, incremental_exec=True
-        )
-        off = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config_off)
-        on = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config_on)
-        assert _outcome(off, alex_script) == _outcome(on, alex_script)
+        assert off.stats.prefix_cache_hits == 0
+        assert on.stats.prefix_cache_hits > 0
 
     def test_repeat_runs_identical(self, diabetes_corpus, diabetes_dir, alex_script):
         system = LucidScript(
@@ -130,16 +160,53 @@ class TestDeterminism:
         assert _outcome(system, alex_script) == _outcome(system, alex_script)
 
 
+class TestSharedExecutor:
+    """One warm executor serves every phase and every standardize()."""
+
+    def test_budget_change_keeps_warm_executor(
+        self, diabetes_corpus, diabetes_dir, alex_script
+    ):
+        config = LSConfig(seq=4, beam_size=2, sample_rows=100)
+        system = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config)
+        system.standardize(alex_script)
+        executor = system._executor
+        # how the server clamps one job to its deadline
+        config.exec_timeout_s = 30.0
+        config.statement_timeout_s = 10.0
+        system.standardize(alex_script)
+        assert system._executor is executor
+        assert (executor.exec_timeout_s, executor.statement_timeout_s) == (30.0, 10.0)
+
+    def test_sampling_change_rebuilds_executor(
+        self, diabetes_corpus, diabetes_dir, alex_script
+    ):
+        config = LSConfig(seq=2, beam_size=1, sample_rows=100)
+        system = LucidScript(diabetes_corpus, data_dir=diabetes_dir, config=config)
+        system.standardize(alex_script)
+        executor = system._executor
+        config.sample_rows = 50
+        system.standardize(alex_script)
+        assert system._executor is not executor
+        assert system._executor.sample_rows == 50
+
+
 class TestConfigValidation:
-    def test_parallel_workers_knob_is_gone(self):
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "parallel_workers",
+            "incremental_exec",
+            "incremental_scoring",
+            "incremental_intent",
+            "corpus_cache",
+            "snapshot_budget",
+        ],
+    )
+    def test_deleted_knob_is_gone(self, name):
         with pytest.raises(TypeError):
-            LSConfig(parallel_workers=2)
+            LSConfig(**{name: 2})
 
     def test_snapshot_budget_must_be_non_negative(self):
+        # the budget lives on the executor, whose default every search uses
         with pytest.raises(ValueError):
-            LSConfig(snapshot_budget=-1)
-
-    def test_defaults_are_serial_and_incremental(self):
-        config = LSConfig()
-        assert config.incremental_exec is True
-        assert config.snapshot_budget == 64
+            IncrementalExecutor(snapshot_budget=-1)

@@ -1,0 +1,103 @@
+"""Leave-one-out output fixture: the paper's protocol, replayed byte for byte.
+
+The fixture holds 60 ``standardize()`` outcomes: the six competitions at
+seed 1 with 2,000 rows each, the first five held-out scripts of each,
+under τ_J and τ_M, with Table 2's ``(seq, K)`` from
+``recommend_parameters``.  Each op records its output script, its
+transformations, RE before and after (``float.hex``), ``repr`` of the
+intent delta and the intent verdict.  A refactor that changes which
+candidate wins fails here, even when the new winner is also correct.
+
+The JSON was recorded before the dual-path toggles were deleted.  Never
+regenerate it to make this test pass; regenerate it only for a change
+that is meant to move results, and say so.  To record::
+
+    PYTHONPATH=src python tests/core/test_loo_fixture.py --record
+"""
+
+import json
+import os
+import sys
+import tempfile
+
+from repro.core import LSConfig, LucidScript, recommend_parameters
+from repro.corpus import cached_index
+from repro.harness import make_intent
+from repro.workloads import build_competition, competition_names
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "loo_seed1.json")
+SEED = 1
+ROWS = 2000
+HELD_OUT = 5
+KINDS = ("jaccard", "model")
+
+
+def _table2(corpus):
+    """(seq, K) from Table 2 on the competition's full corpus."""
+    vocabulary = cached_index(corpus.scripts).to_vocabulary()
+    config = recommend_parameters(len(corpus.scripts) - 1, vocabulary.uniq_edges)
+    return config.seq, config.beam_size
+
+
+def _op(corpus, held_out, kind, shape):
+    user = corpus.scripts[held_out]
+    rest = corpus.scripts[:held_out] + corpus.scripts[held_out + 1:]
+    system = LucidScript(
+        rest,
+        data_dir=corpus.data_dir,
+        intent=make_intent(kind, corpus),
+        config=LSConfig(seq=shape[0], beam_size=shape[1]),
+    )
+    result = system.standardize(user)
+    return {
+        "competition": corpus.name,
+        "held_out": held_out,
+        "intent": kind,
+        "seq_k": list(shape),
+        "output_script": result.output_script,
+        "transformations": [
+            [t.kind, t.gram, t.signature, t.position, t.statement_source]
+            for t in result.transformations
+        ],
+        "re_before": float.hex(result.re_before),
+        "re_after": float.hex(result.re_after),
+        "intent_delta": repr(result.intent_delta),
+        "intent_satisfied": result.intent_satisfied,
+    }
+
+
+def run_ops(root):
+    """The 60 op records, in (competition, intent, held-out) order."""
+    records = []
+    for name in competition_names():
+        corpus = build_competition(name, root, seed=SEED, n_rows=ROWS)
+        shape = _table2(corpus)
+        for kind in KINDS:
+            for held_out in range(HELD_OUT):
+                records.append(_op(corpus, held_out, kind, shape))
+    return records
+
+
+def test_replays_recorded_leave_one_out_outputs(tmp_path):
+    with open(FIXTURE) as handle:
+        recorded = json.load(handle)
+    live_records = run_ops(str(tmp_path))
+    assert len(recorded) == len(competition_names()) * len(KINDS) * HELD_OUT
+    assert len(live_records) == len(recorded)
+    for want, got in zip(recorded, live_records):
+        where = f"{want['competition']}[{want['held_out']}] {want['intent']}"
+        for key in sorted(set(want) | set(got)):
+            assert got.get(key) == want.get(key), f"{where}: field {key!r} diverged"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/core/test_loo_fixture.py --record")
+    with tempfile.TemporaryDirectory() as root:
+        records = run_ops(root)
+    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
+    with open(FIXTURE, "w") as handle:
+        # one op per line, so a diff of the fixture shows which ops moved
+        lines = ",\n".join(json.dumps(record, sort_keys=True) for record in records)
+        handle.write(f"[\n{lines}\n]\n")
+    print(f"recorded {len(records)} ops to {os.path.normpath(FIXTURE)}")

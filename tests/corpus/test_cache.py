@@ -2,7 +2,9 @@
 
 The acceptance contract: routing corpus construction through the index
 (warm cache or a prebuilt ``CorpusIndex``) changes construction cost
-only — scores and search results are identical to the cache-free path.
+only — scores and search results are identical to a search over a
+vocabulary built by ``CorpusVocabulary.from_scripts``, the cache-free
+oracle.
 """
 
 import pytest
@@ -89,8 +91,9 @@ class TestLucidScriptWiring:
         cache-free, warm-cache, and prebuilt-index paths."""
         results = []
         for corpus in (
-            diabetes_corpus,  # warm cache (corpus_cache=True default)
+            diabetes_corpus,  # warm cache
             CorpusIndex.from_scripts(diabetes_corpus),  # prebuilt index
+            CorpusVocabulary.from_scripts(diabetes_corpus),  # cache-free
         ):
             system = LucidScript(
                 corpus,
@@ -99,14 +102,7 @@ class TestLucidScriptWiring:
                 config=LSConfig(seq=6, beam_size=2, sample_rows=120),
             )
             results.append(system.standardize(alex_script))
-        cold = LucidScript(
-            diabetes_corpus,
-            data_dir=diabetes_dir,
-            intent=TableJaccardIntent(tau=0.5),
-            config=LSConfig(
-                seq=6, beam_size=2, sample_rows=120, corpus_cache=False
-            ),
-        ).standardize(alex_script)
+        cold = results.pop()
         for result in results:
             assert result.output_script == cold.output_script
             assert result.improvement == cold.improvement

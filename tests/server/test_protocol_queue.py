@@ -104,6 +104,13 @@ class TestNormalizeJob:
             "worker_output_cache_limit",
             "worker_intent_cache_limit",
             "worker_source_cache_limit",
+            # the dual-path toggles and the snapshot budget, deleted with
+            # the naive production paths they selected
+            "incremental_exec",
+            "incremental_scoring",
+            "incremental_intent",
+            "corpus_cache",
+            "snapshot_budget",
         ],
     )
     def test_rejects_unknown_config_field(self, name, diabetes_corpus):

@@ -207,10 +207,9 @@ class TestCompileErrors:
         result = executor.run_script(source)
         assert (result.error_type, result.error_line) == ("SyntaxError", 3)
 
-    @pytest.mark.parametrize("incremental_exec", [True, False])
-    def test_standardize_raises_standardization_error(self, incremental_exec):
+    def test_standardize_raises_standardization_error(self):
         corpus = ["import pandas as pd\ndf = pd.DataFrame({'a': [1, 2]})"]
-        system = LucidScript(corpus, config=LSConfig(incremental_exec=incremental_exec))
+        system = LucidScript(corpus)
         with pytest.raises(StandardizationError):
             system.standardize(COMPILE_ERRORS["break"])
 
