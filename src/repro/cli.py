@@ -13,15 +13,20 @@ Subcommands::
     python -m repro index stats  --index peers.index.json
     python -m repro index retrieve --corpus-dir pool/ --script prep.py -k 20
 
-``standardize``/``score``/``explain``/``detect-leakage`` also accept
-``--index peers.index.json`` instead of (or alongside) ``--corpus-dir``:
-the persisted offline phase is loaded in O(snapshot) and, when a corpus
+The four job ops (``standardize``/``score``/``explain``/
+``detect-leakage``) are requests of :mod:`repro.server.jobs`, the one
+request model the server also answers: each builds its request from its
+flags (:func:`_job_params`), runs it in-process and renders the result
+dict.  A malformed request exits with one ``error:`` line; an input
+script that cannot be standardized prints ``error: …`` and returns 1.
+
+``--index peers.index.json`` replaces (or joins) ``--corpus-dir``: the
+persisted offline phase is loaded in O(snapshot) and, when a corpus
 directory is also given, refreshed by reparsing only changed files.
 
-``--retrieve-k N`` switches ``standardize``/``score``/``explain``/
-``detect-leakage`` to the retrieve-then-compute path: the corpus
-argument is treated as a *pool*, and the working corpus becomes the
-pool's N most similar scripts to the input (LSH top-k over minhash +
+``--retrieve-k N`` switches the job ops to the retrieve-then-compute
+path: the corpus is treated as a *pool*, and the working corpus becomes
+the pool's N most similar scripts to the input (LSH top-k over minhash +
 schema signatures; ``--verify-retrieval`` audits each query against
 brute force).  ``index retrieve`` exposes the same search directly,
 printing the ranked hits.
@@ -34,159 +39,48 @@ Standardization-as-a-service::
 
 ``serve`` runs the long-lived request engine (warm per-corpus state,
 cross-request batch coalescing, graceful SIGTERM drain); ``client``
-sends one job (or ``ping``/``stats``/``shutdown``) and prints the
-response JSON.  See :mod:`repro.server`.
+sends one job, built by the job ops' own flags (or ``ping``/``stats``/
+``shutdown``), and prints the response JSON.  See :mod:`repro.server`.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import json
 import os
 import sys
-from typing import List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
-from .core import (
-    LSConfig,
-    LucidScript,
-    ModelPerformanceIntent,
-    StandardizationError,
-    TableJaccardIntent,
-)
-from .core.explain import explain_result
+from .core.standardizer import summarize
 from .corpus import (
     CorpusIndex,
     RetrievalIndex,
     load_index,
     load_retrieval_index,
+    read_corpus_dir,
     save_index,
     save_retrieval_index,
-    shared_store,
 )
 from .lang import CorpusVocabulary
 from .workloads import build_competition, competition_names
 
 __all__ = ["main", "build_parser"]
 
-
-def _read_corpus(corpus_dir: str) -> List[str]:
-    """Load a corpus: .py scripts plus flattened .ipynb notebooks.
-
-    Byte-identical duplicates are skipped with a warning — feeding the
-    same script twice would double-count its edges in Q(x) and skew
-    every standardness score toward the duplicated steps.  A notebook
-    that fails to flatten is reported (with its path) and skipped, so
-    one corrupt download cannot abort the whole corpus load.
-    """
-    from .lang import script_from_notebook
-
-    # sorted by file name, not directory iteration order: corpus order is
-    # semantic (it drives Counter tie order and the corpus cache key), so
-    # the same directory must load identically on every filesystem —
-    # matching MembershipIndex._scan's ordering exactly
-    py_paths = sorted(
-        glob.glob(os.path.join(corpus_dir, "*.py")), key=os.path.basename
-    )
-    nb_paths = sorted(
-        glob.glob(os.path.join(corpus_dir, "*.ipynb")), key=os.path.basename
-    )
-    loaded: List[tuple] = []
-    for path in py_paths:
-        with open(path, "r") as handle:
-            loaded.append((path, handle.read()))
-    for path in nb_paths:
-        try:
-            loaded.append((path, script_from_notebook(path)))
-        except (ValueError, json.JSONDecodeError, OSError) as exc:
-            print(
-                f"warning: skipping notebook {path}: {exc}",
-                file=sys.stderr,
-            )
-    scripts: List[str] = []
-    first_seen = {}
-    for path, text in loaded:
-        original = first_seen.get(text)
-        if original is not None:
-            print(
-                f"warning: skipping {path}: byte-identical to {original} "
-                "(duplicates would double-count in Q(x))",
-                file=sys.stderr,
-            )
-            continue
-        first_seen[text] = path
-        scripts.append(text)
-    if not scripts:
-        raise SystemExit(f"no .py or .ipynb scripts found in {corpus_dir!r}")
-    return scripts
-
-
-def _corpus_input(args) -> Union[List[str], CorpusIndex]:
-    """Resolve --index/--corpus-dir into what LucidScript should curate.
-
-    With ``--index``, the persisted offline phase is loaded without
-    reparsing; a ``--corpus-dir`` given alongside refreshes it in
-    memory first (only changed files are reparsed; the snapshot on disk
-    is not rewritten — use ``index update`` for that).
-    """
-    index_path = getattr(args, "index", None)
-    if index_path:
-        index = load_index(index_path)
-        if args.corpus_dir:
-            index.refresh(args.corpus_dir)
-        if not index.n_scripts:
-            raise SystemExit(f"corpus index {index_path!r} is empty")
-        return index
-    if not args.corpus_dir:
-        raise SystemExit("one of --corpus-dir or --index is required")
-    return _read_corpus(args.corpus_dir)
-
-
-def _apply_retrieval(corpus, args, config: LSConfig):
-    """Swap the curated corpus for a retrieval pool when --retrieve-k is set.
-
-    The resolved corpus (raw scripts or a loaded index) becomes the pool
-    of a :class:`RetrievalIndex` over the shared store; LucidScript then
-    defers curation and assembles each query's working corpus by top-k
-    similarity.
-    """
-    k = getattr(args, "retrieve_k", None)
-    if k is None:
-        return corpus
-    config.retrieval_k = k
-    config.verify_retrieval = bool(getattr(args, "verify_retrieval", False))
-    pool = RetrievalIndex(store=shared_store(config.dialect))
-    if isinstance(corpus, CorpusIndex):
-        for content_hash in corpus.content_hashes():
-            pool.add_record(corpus._records[content_hash])
-    else:
-        for source in corpus:
-            pool.add_script(source)
-    if not pool.n_scripts:
-        raise SystemExit("retrieval pool is empty")
-    return pool
+JOB_COMMANDS = ("standardize", "score", "explain", "detect-leakage")
 
 
 def _read_script(path: str) -> str:
-    with open(path, "r") as handle:
-        return handle.read()
+    try:
+        with open(path, "r") as handle:
+            return handle.read()
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: cannot read script: {exc}") from None
 
 
-def _make_intent(args):
-    if args.target:
-        return ModelPerformanceIntent(target=args.target, tau=args.tau_m)
-    return TableJaccardIntent(tau=args.tau_j)
-
-
-def _make_config(args) -> LSConfig:
-    return LSConfig(
-        seq=args.seq,
-        beam_size=args.beam_size,
-        diversity=not args.no_diversity,
-        early_check=not args.late_check,
-        sample_rows=args.sample_rows,
-        dialect=args.dialect,
-    )
+def _corpus_dir_scripts(corpus_dir: str) -> List[str]:
+    try:
+        return read_corpus_dir(corpus_dir)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _dialect_arg(name: str) -> str:
@@ -211,8 +105,10 @@ def _add_dialect(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser, with_search: bool = True) -> None:
-    parser.add_argument("--script", required=True, help="user script path")
+def _add_common(
+    parser: argparse.ArgumentParser, with_search: bool = True, required: bool = True
+) -> None:
+    parser.add_argument("--script", required=required, help="user script path")
     parser.add_argument("--corpus-dir", help="directory of peer .py scripts")
     _add_dialect(parser)
     parser.add_argument(
@@ -369,31 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_client.add_argument(
         "op",
-        choices=["standardize", "score", "explain", "detect-leakage",
-                 "ping", "stats", "shutdown"],
+        choices=[*JOB_COMMANDS, "ping", "stats", "shutdown"],
         help="job or control operation",
     )
     p_client.add_argument("--socket", help="server unix socket path")
     p_client.add_argument("--host", help="server TCP host (with --port)")
     p_client.add_argument("--port", type=int, help="server TCP port")
-    p_client.add_argument("--script", help="user script path (job ops)")
-    p_client.add_argument("--corpus-dir",
-                          help="directory of peer scripts (read locally and "
-                          "inlined, so TCP servers need no shared filesystem)")
-    p_client.add_argument("--data-dir",
-                          help="dataset directory *on the server's* filesystem")
-    p_client.add_argument("--target",
-                          help="target column (switches to the tau_M intent)")
-    p_client.add_argument("--tau-j", type=float, default=0.9,
-                          help="table-Jaccard threshold (default 0.9)")
-    p_client.add_argument("--tau-m", type=float, default=1.0,
-                          help="model-performance threshold %% (with --target)")
-    p_client.add_argument("--seq", type=int, default=None,
-                          help="max transformations (server default otherwise)")
-    p_client.add_argument("--beam-size", type=int, default=None,
-                          help="beam size K (server default otherwise)")
-    p_client.add_argument("--sample-rows", type=int, default=None,
-                          help="row sample for constraint checks")
+    _add_common(p_client, required=False)
     p_client.add_argument("--deadline-s", type=float, default=None,
                           help="per-request SLA in seconds")
     p_client.add_argument("--timeout", type=float, default=300.0,
@@ -402,61 +280,83 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_sample_rows(args) -> Optional[int]:
-    return None if args.sample_rows == 0 else args.sample_rows
+def _job_params(op: str, args) -> Dict[str, Any]:
+    """The request of one job op, from the flags ``_add_common`` defines.
+
+    ``--corpus-dir`` is read here and inlined, unless it refreshes an
+    ``--index`` snapshot; ``--index`` and ``--data-dir`` are paths where
+    the job runs (on the server's side for ``repro client``).
+    """
+    if not (args.corpus_dir or args.index):
+        raise SystemExit("error: one of --corpus-dir or --index is required")
+    params: Dict[str, Any] = {
+        "script": _read_script(args.script),
+        "index": args.index,
+        "retrieve_k": args.retrieve_k,
+        "config": {"dialect": args.dialect},
+    }
+    if args.index:
+        params["corpus_dir"] = args.corpus_dir
+    else:
+        params["corpus"] = _corpus_dir_scripts(args.corpus_dir)
+    if args.verify_retrieval:
+        params["config"]["verify_retrieval"] = True
+    if op != "score":
+        params.update(
+            data_dir=args.data_dir, target=args.target, tau_j=args.tau_j, tau_m=args.tau_m
+        )
+        params["config"].update(
+            seq=args.seq,
+            beam_size=args.beam_size,
+            diversity=not args.no_diversity,
+            early_check=not args.late_check,
+            sample_rows=args.sample_rows or None,  # 0 = no sampling
+        )
+    return params
 
 
-def cmd_standardize(args) -> int:
-    corpus = _corpus_input(args)
-    config = _make_config(args)
-    config.sample_rows = _resolve_sample_rows(args)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(
-        corpus, data_dir=args.data_dir, intent=_make_intent(args), config=config
+def _render(op: str, result: Dict[str, Any]) -> str:
+    """What a job op prints on stdout, from its result dict."""
+    if op == "score":
+        return f"{result['score']:.4f}"
+    if op == "standardize":
+        return result["output_script"]
+    if op == "explain":
+        if not result["explanations"]:
+            return "script is already standard; no changes recommended"
+        overall = f"overall: {result['improvement']:.1f}% RE improvement"
+        return "\n".join(result["explanations"] + ["", overall])
+    if not result["flagged"]:
+        return "no out-of-the-ordinary steps flagged"
+    return "\n".join(
+        ["steps flagged as out-of-the-ordinary (removed by standardization):"]
+        + [
+            f"  {flag['statement']}    [in {flag['prevalence'] * 100:.0f}% of corpus scripts]"
+            for flag in result["flagged"]
+        ]
     )
+
+
+def cmd_job(args) -> int:
+    """standardize / score / explain / detect-leakage, run in-process."""
+    from .server import jobs  # imports asyncio: kept off `import repro.cli`
+
+    op = args.command.replace("-", "_")
     try:
-        result = system.standardize(_read_script(args.script))
-    except StandardizationError as exc:
+        result = jobs.execute_job(
+            jobs.normalize_job({"op": op, "params": _job_params(op, args)})
+        )
+    except jobs.JobError as exc:
+        if exc.kind == "bad_request":
+            raise SystemExit(f"error: {exc}") from None
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(result.output_script)
-    print(f"\n# {result.summary().replace(chr(10), chr(10) + '# ')}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(result.output_script + "\n")
-    return 0
-
-
-def cmd_score(args) -> int:
-    corpus = _corpus_input(args)
-    config = LSConfig(dialect=args.dialect)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(corpus, config=config)
-    score = system.score(_read_script(args.script))
-    print(f"{score:.4f}")
-    return 0
-
-
-def cmd_explain(args) -> int:
-    corpus = _corpus_input(args)
-    config = _make_config(args)
-    config.sample_rows = _resolve_sample_rows(args)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(
-        corpus, data_dir=args.data_dir, intent=_make_intent(args), config=config
-    )
-    try:
-        result = system.standardize(_read_script(args.script))
-    except StandardizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    explanations = explain_result(result, system.vocabulary)
-    if not explanations:
-        print("script is already standard; no changes recommended")
-        return 0
-    for explanation in explanations:
-        print(explanation.render())
-    print(f"\noverall: {result.improvement:.1f}% RE improvement")
+    print(_render(op, result))
+    if op == "standardize":
+        print(f"\n# {summarize(result).replace(chr(10), chr(10) + '# ')}", file=sys.stderr)
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(result["output_script"] + "\n")
     return 0
 
 
@@ -475,34 +375,10 @@ def cmd_build_workload(args) -> int:
     return 0
 
 
-def cmd_detect_leakage(args) -> int:
-    corpus = _corpus_input(args)
-    config = _make_config(args)
-    config.sample_rows = _resolve_sample_rows(args)
-    corpus = _apply_retrieval(corpus, args, config)
-    system = LucidScript(
-        corpus, data_dir=args.data_dir, intent=_make_intent(args), config=config
-    )
-    try:
-        result = system.standardize(_read_script(args.script))
-    except StandardizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    removed = result.removed_statements()
-    if not removed:
-        print("no out-of-the-ordinary steps flagged")
-        return 0
-    print("steps flagged as out-of-the-ordinary (removed by standardization):")
-    for line in removed:
-        prevalence = system.vocabulary.statement_frequency(line)
-        print(f"  {line}    [in {prevalence * 100:.0f}% of corpus scripts]")
-    return 0
-
-
 def cmd_curate(args) -> int:
     from .lang import save_vocabulary
 
-    corpus = _read_corpus(args.corpus_dir)
+    corpus = _corpus_dir_scripts(args.corpus_dir)
     vocabulary = CorpusVocabulary.from_scripts(corpus)
     save_vocabulary(vocabulary, args.out)
     stats = vocabulary.stats()
@@ -540,7 +416,11 @@ def cmd_index_retrieve(args) -> int:
         raise SystemExit("one of --corpus-dir or --index is required")
     if not pool.n_scripts:
         raise SystemExit("retrieval pool is empty")
-    hits = pool.top_k(_read_script(args.script), args.k, verify=args.verify)
+    query = _read_script(args.script)
+    try:
+        hits = pool.top_k(query, args.k, verify=args.verify)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     stats = pool.stats()
     print(
         f"pool [{stats['dialect']}]: {stats['n_unique_scripts']} unique scripts, "
@@ -667,31 +547,11 @@ def cmd_client(args) -> int:
     if args.socket is None and (args.host is None or args.port is None):
         raise SystemExit("error: connect with --socket or with --host/--port")
     op = args.op.replace("-", "_")
-    if op in ("ping", "stats", "shutdown"):
-        message = {"op": op}
-    else:
+    message: Dict[str, Any] = {"op": op}
+    if op not in ("ping", "stats", "shutdown"):
         if not args.script:
             raise SystemExit(f"error: {args.op} requires --script")
-        if not args.corpus_dir:
-            raise SystemExit(f"error: {args.op} requires --corpus-dir")
-        params = {
-            "script": _read_script(args.script),
-            "corpus": _read_corpus(args.corpus_dir),
-            "data_dir": args.data_dir,
-            "target": args.target,
-            "tau_m": args.tau_m,
-            "tau_j": args.tau_j,
-            "config": {
-                name: value
-                for name, value in (
-                    ("seq", args.seq),
-                    ("beam_size", args.beam_size),
-                    ("sample_rows", args.sample_rows),
-                )
-                if value is not None
-            },
-        }
-        message = {"op": op, "params": params}
+        message["params"] = _job_params(op, args)
         if args.deadline_s is not None:
             message["deadline_s"] = args.deadline_s
     with ServerClient(
@@ -709,13 +569,10 @@ _COMMANDS = {
     "curate": cmd_curate,
     "dialect": cmd_dialect,
     "index": cmd_index,
-    "standardize": cmd_standardize,
-    "score": cmd_score,
-    "explain": cmd_explain,
     "build-workload": cmd_build_workload,
-    "detect-leakage": cmd_detect_leakage,
     "serve": cmd_serve,
     "client": cmd_client,
+    **{command: cmd_job for command in JOB_COMMANDS},
 }
 
 

@@ -49,8 +49,8 @@ class LSConfig:
         beam eviction; ties break toward earlier script positions (lower
         frontiers), which preserves the monotone search's future options.
     sample_rows:
-        Row cap applied when loading D_IN inside constraint checks; None
-        disables sampling.
+        Row cap applied when loading D_IN inside constraint checks, at
+        least 1; None disables sampling (the CLI's ``--sample-rows 0``).
     operation_groups:
         When set, cluster the corpus's 1-gram atoms into this many
         semantic operation families and only propose each family's most
@@ -161,6 +161,8 @@ class LSConfig:
             raise ValueError("max_step_candidates must be >= 1")
         if self.score_band < 0:
             raise ValueError("score_band must be non-negative")
+        if self.sample_rows is not None and self.sample_rows < 1:
+            raise ValueError(f"sample_rows must be >= 1 when set, got {self.sample_rows}")
         if self.operation_groups is not None and self.operation_groups < 1:
             raise ValueError("operation_groups must be >= 1 when set")
         if self.exec_timeout_s is not None and self.exec_timeout_s <= 0:

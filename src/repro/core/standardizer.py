@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._lru import LRUCache
 from ..corpus import (
@@ -27,6 +27,7 @@ from ..dialects import get_dialect
 from ..lang import CorpusVocabulary, ScriptError, lemmatize, parse_script
 from ..minipandas import DataFrame
 from ..minipandas.kernels import kernel_audit
+from ..ml import DownstreamEvaluationError
 from ..sandbox import IncrementalExecutor
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
@@ -34,7 +35,7 @@ from .entropy import RelativeEntropyScorer, percent_improvement
 from .intent import IntentMeasure, IntentStats, PreparedIntent, table_fingerprint
 from .transformations import Transformation
 
-__all__ = ["LucidScript", "StandardizationResult", "StandardizationError"]
+__all__ = ["LucidScript", "StandardizationResult", "StandardizationError", "summarize"]
 
 
 class StandardizationError(ScriptError):
@@ -81,16 +82,33 @@ class StandardizationResult:
             added.extend([line] * count)
         return added
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The deterministic fields, as a ``standardize`` job returns them."""
+        return {
+            "changed": self.changed,
+            "improvement": self.improvement,
+            "intent_delta": self.intent_delta,
+            "intent_satisfied": self.intent_satisfied,
+            "output_script": self.output_script,
+            "re_after": self.re_after,
+            "re_before": self.re_before,
+            "transformations": [t.describe() for t in self.transformations],
+        }
+
     def summary(self) -> str:
-        lines = [
-            f"RE: {self.re_before:.3f} -> {self.re_after:.3f} "
-            f"({self.improvement:+.1f}% improvement)",
-        ]
-        if self.intent_delta is not None:
-            lines.append(f"intent delta: {self.intent_delta:.3f}")
-        for t in self.transformations:
-            lines.append(f"  {t.describe()}")
-        return "\n".join(lines)
+        return summarize(self.to_dict())
+
+
+def summarize(result: Dict[str, Any]) -> str:
+    """The RE, intent and transformation lines of a ``to_dict()`` result."""
+    lines = [
+        f"RE: {result['re_before']:.3f} -> {result['re_after']:.3f} "
+        f"({result['improvement']:+.1f}% improvement)",
+    ]
+    if result["intent_delta"] is not None:
+        lines.append(f"intent delta: {result['intent_delta']:.3f}")
+    lines.extend(f"  {described}" for described in result["transformations"])
+    return "\n".join(lines)
 
 
 class LucidScript:
@@ -428,7 +446,12 @@ class LucidScript:
                     continue
                 verdict = None
                 if prepared is not None:
-                    verdict = prepared.check(output)
+                    try:  # a failing candidate scores 100; only the original raises
+                        verdict = prepared.check(output)
+                    except DownstreamEvaluationError as exc:
+                        raise StandardizationError(
+                            f"intent cannot evaluate the input script's output: {exc}"
+                        ) from exc
                     if not verdict[1]:
                         continue
                 return candidate, verdict

@@ -37,6 +37,7 @@ membership change touching a script with *k* signatures dirties at most
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from hashlib import sha1
@@ -47,7 +48,13 @@ from ..lang.errors import ScriptError
 from ..lang.vocabulary import CorpusStats, CorpusVocabulary
 from .store import ScriptRecord, ScriptStore
 
-__all__ = ["CorpusIndex", "IndexMismatchError", "MembershipIndex", "RefreshReport"]
+__all__ = [
+    "CorpusIndex",
+    "IndexMismatchError",
+    "MembershipIndex",
+    "RefreshReport",
+    "read_corpus_dir",
+]
 
 
 class IndexMismatchError(RuntimeError):
@@ -69,6 +76,8 @@ class RefreshReport:
     failed: int = 0
     reparsed: int = 0  #: scripts that actually went through the parser
     failed_paths: List[str] = field(default_factory=list)
+    #: files skipped because an earlier file has the same bytes
+    duplicate_paths: List[str] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -248,6 +257,13 @@ class MembershipIndex:
         parsed; only genuinely new or changed files reach the parser —
         and even those hit the content-addressed store when their
         *lemmatized* text is already known.
+
+        One member per distinct file content, as :func:`read_corpus_dir`
+        loads it: a file whose bytes equal an earlier file's (line
+        endings aside), in scan order, is skipped and listed in
+        ``duplicate_paths``.  The rule is re-applied on every scan, so
+        deleting the first copy admits the next one, and copies admitted
+        by an older snapshot are retracted.
         """
         directory = corpus_dir or self.corpus_dir
         if directory is None:
@@ -255,6 +271,10 @@ class MembershipIndex:
         self.corpus_dir = directory
         report = RefreshReport()
         parses_before = self.store.counters.parses
+        # contents a member held before this scan: a skipped copy of one
+        # is admitted once no earlier file has its bytes
+        held = {e.raw_sha for e in self._files.values() if e.script_id is not None}
+        first_copies: Set[str] = set()
 
         seen: Set[str] = set()
         for name in self._scan(directory):
@@ -266,42 +286,49 @@ class MembershipIndex:
                 continue  # raced deletion; handled as a removal below
             seen.add(name)
             entry = self._files.get(name)
-            if (
-                entry is not None
-                and entry.mtime_ns == stat.st_mtime_ns
-                and entry.size == stat.st_size
+            if entry is not None and (entry.mtime_ns, entry.size) == (
+                stat.st_mtime_ns, stat.st_size
             ):
+                raw_bytes = None
                 report.unchanged_stat += 1
+            else:
+                try:
+                    raw_bytes = _read_bytes(path)
+                except OSError:
+                    continue
+                raw_sha = sha1(raw_bytes).hexdigest()
+                if entry is not None and entry.raw_sha == raw_sha:
+                    entry.mtime_ns = stat.st_mtime_ns
+                    entry.size = stat.st_size
+                    report.unchanged_hash += 1
+                else:  # genuinely new or changed content
+                    if entry is None:
+                        report.added += 1
+                    else:
+                        report.changed += 1
+                        if entry.script_id is not None:
+                            self.remove_script(entry.script_id)
+                    entry = self._files[name] = _FileEntry(
+                        None, raw_sha, stat.st_mtime_ns, stat.st_size
+                    )
+                    held.add(raw_sha)  # new content: try to admit it
+            if entry.raw_sha in first_copies:
+                if entry.script_id is not None:
+                    self.remove_script(entry.script_id)
+                    entry.script_id = None
+                report.duplicate_paths.append(name)
                 continue
+            first_copies.add(entry.raw_sha)
+            if entry.script_id is not None or entry.raw_sha not in held:
+                continue  # a member already, or a file that failed to load
             try:
-                with open(path, "rb") as handle:
-                    raw_bytes = handle.read()
-            except OSError:
-                continue
-            raw_sha = sha1(raw_bytes).hexdigest()
-            if entry is not None and entry.raw_sha == raw_sha:
-                entry.mtime_ns = stat.st_mtime_ns
-                entry.size = stat.st_size
-                report.unchanged_hash += 1
-                continue
-            # genuinely new or changed content
-            if entry is not None and entry.script_id is not None:
-                self.remove_script(entry.script_id)
-            source = self._load_source(name, raw_bytes, report)
-            script_id = self.add_script(source) if source is not None else None
-            if script_id is None and source is not None:
+                source = self._load_source(name, raw_bytes or _read_bytes(path))
+            except (OSError, ValueError):
+                source = None
+            entry.script_id = None if source is None else self.add_script(source)
+            if entry.script_id is None:
                 report.failed += 1
                 report.failed_paths.append(name)
-            self._files[name] = _FileEntry(
-                script_id=script_id,
-                raw_sha=raw_sha,
-                mtime_ns=stat.st_mtime_ns,
-                size=stat.st_size,
-            )
-            if entry is None:
-                report.added += 1
-            else:
-                report.changed += 1
 
         for name in list(self._files):
             if name not in seen:
@@ -316,7 +343,7 @@ class MembershipIndex:
     @staticmethod
     def _scan(directory: str) -> List[str]:
         """Corpus file names (relative), .py then .ipynb, each sorted —
-        the same order :func:`repro.cli._read_corpus` loads them in."""
+        the order :func:`read_corpus_dir` and :meth:`refresh` read them in."""
         try:
             names = os.listdir(directory)
         except OSError as exc:
@@ -326,26 +353,54 @@ class MembershipIndex:
         return py + nb
 
     @staticmethod
-    def _load_source(name: str, raw_bytes: bytes, report: RefreshReport) -> Optional[str]:
-        """Decode a corpus file into script text (flattening notebooks)."""
-        try:
-            text = raw_bytes.decode("utf-8")
-        except UnicodeDecodeError:
-            report.failed += 1
-            report.failed_paths.append(name)
-            return None
+    def _load_source(name: str, raw_bytes: bytes) -> str:
+        """Decode a corpus file into script text (flattening notebooks);
+        raises ValueError saying why it cannot."""
+        text = raw_bytes.decode("utf-8")
         if not name.endswith(".ipynb"):
             return text
         import json
 
         from ..lang.notebooks import script_from_notebook
 
+        return script_from_notebook(json.loads(text))
+
+
+def _read_bytes(path: str) -> bytes:
+    """A corpus file's bytes with line endings made ``\\n``, as text mode reads it."""
+    with open(path, "rb") as handle:
+        return handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def read_corpus_dir(corpus_dir: str) -> List[str]:
+    """Load a corpus directory: .py scripts plus flattened .ipynb notebooks.
+
+    Files are listed and decoded as :meth:`MembershipIndex.refresh` reads
+    them, in name order (corpus order is semantic: it drives Counter tie
+    order and the corpus cache key), line endings read as ``\\n``.  A file
+    whose bytes equal an earlier file's is skipped with a warning, since
+    feeding the same script twice would double-count its edges in Q(x).  A file that cannot be read or
+    decoded is skipped with a warning naming it, so one corrupt download
+    cannot abort the load.  Raises ValueError when no script loads.
+    """
+    scripts: List[str] = []
+    first_seen: Dict[bytes, str] = {}
+    for name in MembershipIndex._scan(corpus_dir):
+        path = os.path.join(corpus_dir, name)
+        kind = "notebook " if name.endswith(".ipynb") else ""
         try:
-            return script_from_notebook(json.loads(text))
-        except (ValueError, json.JSONDecodeError):
-            report.failed += 1
-            report.failed_paths.append(name)
-            return None
+            raw_bytes = _read_bytes(path)
+            original = first_seen.setdefault(raw_bytes, path)
+            if original == path:
+                scripts.append(MembershipIndex._load_source(name, raw_bytes))
+                continue
+            problem = f"byte-identical to {original} (would double-count in Q(x))"
+        except (OSError, ValueError) as exc:
+            problem = str(exc)
+        print(f"warning: skipping {kind}{path}: {problem}", file=sys.stderr)
+    if not scripts:
+        raise ValueError(f"no .py or .ipynb scripts found in {corpus_dir!r}")
+    return scripts
 
 
 class CorpusIndex(MembershipIndex):

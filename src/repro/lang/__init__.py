@@ -16,7 +16,7 @@ from .parser import (
     extract_onegrams,
     parse_script,
 )
-from .notebooks import script_from_notebook, scripts_from_notebook_dir
+from .notebooks import script_from_notebook
 from .persistence import (
     load_vocabulary,
     save_vocabulary,
@@ -47,7 +47,6 @@ __all__ = [
     "read_csv_files",
     "save_vocabulary",
     "script_from_notebook",
-    "scripts_from_notebook_dir",
     "split_statements",
     "vocabulary_from_dict",
     "vocabulary_to_dict",

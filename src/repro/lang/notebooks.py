@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import ast
 import json
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, List, Union
 
-__all__ = ["script_from_notebook", "scripts_from_notebook_dir"]
+__all__ = ["script_from_notebook"]
 
 #: Cell-trailing expression calls that only exist to display output.
 _DISPLAY_CALLS = {"head", "tail", "describe", "info", "display", "print", "sample"}
@@ -81,14 +81,3 @@ def script_from_notebook(notebook: Union[str, Dict[str, Any]]) -> str:
     if not saw_code_cell:
         raise ValueError("notebook contains no code cells")
     return "\n".join(statements)
-
-
-def scripts_from_notebook_dir(paths: Iterable[str]) -> List[str]:
-    """Flatten many notebooks, skipping unreadable/codeless ones."""
-    scripts: List[str] = []
-    for path in paths:
-        try:
-            scripts.append(script_from_notebook(path))
-        except (ValueError, json.JSONDecodeError, OSError):
-            continue
-    return scripts

@@ -1,20 +1,23 @@
-"""Deterministic job execution shared by the warm server and cold replay.
+"""The one request model: the CLI's job ops, the warm server and cold replay.
 
 A *job* is the canonical, self-contained description of one request:
 ``{"op": ..., "params": {...}}`` with the corpus inlined as script
-texts, the intent normalized to an explicit descriptor, and the config
-reduced to the explicitly-requested :class:`~repro.core.LSConfig`
-overrides.  Canonicalization happens once at admission
-(:func:`normalize_job`); after that the same job dict drives
+texts (or named by an ``index`` snapshot path), the intent normalized
+to an explicit descriptor, and the config reduced to the
+explicitly-requested :class:`~repro.core.LSConfig` overrides.
+Canonicalization happens once at admission (:func:`normalize_job`);
+after that the same job dict drives
 
+* the CLI's ``standardize``/``score``/``explain``/``detect-leakage`` —
+  :func:`execute_job` in-process, whose result dict the CLI renders;
 * the warm path — :func:`execute_job` against a registry-held
   :class:`~repro.core.LucidScript` whose corpus index, prefix
   snapshots, and prepared intents survive across requests — and
 * the cold path — the same function in a fresh
   :mod:`repro.server.oneshot` process with every cache empty.
 
-Both produce the same result dict byte-for-byte, because every warm
-structure in this repo is bit-identical to its cold rebuild by
+All three produce the same result dict byte-for-byte, because every
+warm structure in this repo is bit-identical to its cold rebuild by
 construction; the ``verify_server`` audit holds the server to exactly
 that claim per response.
 """
@@ -34,6 +37,13 @@ from ..core import (
     TableJaccardIntent,
 )
 from ..core.explain import explain_result
+from ..corpus import (
+    RetrievalIndex,
+    corpus_key,
+    load_index,
+    read_corpus_dir,
+    shared_store,
+)
 from ..lang import ScriptError
 from .protocol import JOB_OPS, canonical
 
@@ -74,66 +84,89 @@ def _normalize_intent(op: str, params: Dict[str, Any]) -> Optional[Dict[str, Any
     """The explicit intent descriptor for one job (None = no intent).
 
     Accepts either an explicit ``intent`` object or the CLI-style
-    ``target`` / ``tau_m`` / ``tau_j`` shorthand, mirroring
-    ``repro.cli._make_intent``: a target switches to the
-    model-performance measure, otherwise table Jaccard applies.
-    ``score`` never uses an intent (scoring has no constraints).
+    ``target`` / ``tau_m`` / ``tau_j`` shorthand: a target switches to
+    the model-performance measure, otherwise table Jaccard applies.
+    ``score`` never uses an intent (scoring has no constraints).  The
+    intent is built here, so a bad threshold is rejected at admission.
     """
     if op == "score":
         return None
     intent = params.get("intent")
-    if intent is not None:
-        _require(isinstance(intent, dict), "'intent' must be an object")
-        kind = intent.get("kind")
-        if kind in (None, "none"):
-            return None
+    if intent is None:
+        intent = (
+            {"kind": "model_performance", "target": params["target"],
+             "tau": params.get("tau_m", 1.0)}
+            if params.get("target")
+            else {"kind": "table_jaccard", "tau": params.get("tau_j", 0.9)}
+        )
+    _require(isinstance(intent, dict), "'intent' must be an object")
+    kind = intent.get("kind")
+    if kind in (None, "none"):
+        return None
+    try:
         if kind == "table_jaccard":
-            tau = float(intent.get("tau", 0.9))
-            return {"kind": "table_jaccard", "tau": tau}
-        if kind == "model_performance":
+            descriptor = {"kind": kind, "tau": float(intent.get("tau", 0.9))}
+        elif kind == "model_performance":
             _require(
                 isinstance(intent.get("target"), str),
                 "model_performance intent requires a 'target' column",
             )
-            return {
-                "kind": "model_performance",
+            descriptor = {
+                "kind": kind,
                 "target": intent["target"],
                 "tau": float(intent.get("tau", 1.0)),
             }
-        raise JobError("bad_request", f"unknown intent kind {kind!r}")
-    if params.get("target"):
-        return {
-            "kind": "model_performance",
-            "target": params["target"],
-            "tau": float(params.get("tau_m", 1.0)),
-        }
-    return {"kind": "table_jaccard", "tau": float(params.get("tau_j", 0.9))}
+        else:
+            raise JobError("bad_request", f"unknown intent kind {kind!r}")
+        _build_intent(descriptor)
+    except (TypeError, ValueError) as exc:
+        raise JobError("bad_request", f"invalid intent: {exc}") from exc
+    return descriptor
 
 
-def _normalize_corpus(params: Dict[str, Any]) -> List[str]:
-    """Resolve ``corpus`` (inline texts) or ``corpus_dir`` into script
-    texts — *at admission time*, so the canonical job is self-contained
-    and a later audit replay cannot diverge because a file changed."""
+def _normalize_corpus(params: Dict[str, Any]) -> Dict[str, Any]:
+    """The job's corpus fields.
+
+    ``corpus`` (inline texts) or ``corpus_dir`` resolves into script
+    texts *at admission time*, so the canonical job is self-contained
+    and a later audit replay cannot diverge because a file changed.  An
+    ``index`` snapshot path is read where the system is built, like
+    ``data_dir``; a ``corpus_dir`` sent with it refreshes the snapshot
+    in memory first.
+    """
     corpus = params.get("corpus")
     corpus_dir = params.get("corpus_dir")
-    if corpus is not None:
-        _require(
-            isinstance(corpus, list)
-            and corpus
-            and all(isinstance(s, str) for s in corpus),
-            "'corpus' must be a non-empty list of script texts",
-        )
-        return list(corpus)
+    index = params.get("index")
     _require(
-        isinstance(corpus_dir, str) and bool(corpus_dir),
-        "one of 'corpus' or 'corpus_dir' is required",
+        corpus_dir is None or isinstance(corpus_dir, str) and bool(corpus_dir),
+        "'corpus_dir' must be a string path",
     )
-    from ..cli import _read_corpus  # lazy: cli imports widely
+    if index is not None:
+        _require(isinstance(index, str) and bool(index), "'index' must be a string path")
+        _require(corpus is None, "send one of 'corpus' or 'index', not both")
+        return {"corpus": None, "corpus_dir": corpus_dir, "index": index}
+    if corpus is None:
+        _require(
+            corpus_dir is not None,
+            "one of 'corpus', 'corpus_dir' or 'index' is required",
+        )
+        try:
+            corpus = read_corpus_dir(corpus_dir)
+        except ValueError as exc:
+            raise JobError("bad_request", str(exc)) from exc
+    _require(
+        isinstance(corpus, list) and corpus and all(isinstance(s, str) for s in corpus),
+        "'corpus' must be a non-empty list of script texts",
+    )
+    return {"corpus": list(corpus), "corpus_dir": None, "index": None}
 
-    try:
-        return _read_corpus(corpus_dir)
-    except SystemExit as exc:  # _read_corpus's empty-directory verdict
-        raise JobError("bad_request", str(exc)) from exc
+
+def _config(overrides: Dict[str, Any], retrieve_k: Optional[int]) -> LSConfig:
+    """The job's LSConfig: its overrides, plus ``retrieve_k`` as the
+    retrieval pool's ``retrieval_k`` when the job retrieves."""
+    if retrieve_k is None:
+        return LSConfig(**overrides)
+    return LSConfig(**overrides, retrieval_k=retrieve_k)
 
 
 def _normalize_config(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -141,8 +174,13 @@ def _normalize_config(params: Dict[str, Any]) -> Dict[str, Any]:
     _require(isinstance(overrides, dict), "'config' must be an object")
     unknown = sorted(set(overrides) - _CONFIG_FIELDS)
     _require(not unknown, f"unknown config fields: {', '.join(unknown)}")
+    retrieve_k = params.get("retrieve_k")
+    _require(
+        retrieve_k is None or type(retrieve_k) is int,
+        "'retrieve_k' must be an integer",
+    )
     try:  # validate values eagerly so admission rejects, not the wave
-        LSConfig(**overrides)
+        _config(overrides, retrieve_k)
     except (TypeError, ValueError) as exc:
         raise JobError("bad_request", f"invalid config: {exc}") from exc
     return {name: overrides[name] for name in sorted(overrides)}
@@ -174,10 +212,11 @@ def normalize_job(raw: Dict[str, Any]) -> Dict[str, Any]:
         "op": op,
         "params": {
             "script": script,
-            "corpus": _normalize_corpus(params),
+            **_normalize_corpus(params),
             "data_dir": data_dir,
             "intent": _normalize_intent(op, params),
             "config": _normalize_config(params),
+            "retrieve_k": params.get("retrieve_k"),
         },
     }
 
@@ -193,7 +232,6 @@ class ResolvedJob:
 
     job: Dict[str, Any]
     key: str  #: content address of (corpus, data_dir, intent, config)
-    scripts: List[str]
     data_dir: Optional[str]
     config: LSConfig
     intent: Optional[object]
@@ -213,46 +251,80 @@ def _build_intent(descriptor: Optional[Dict[str, Any]]):
     )
 
 
+def _digest(payload: Any) -> str:
+    return sha1(canonical(payload).encode()).hexdigest()
+
+
 def resolve_job(job: Dict[str, Any]) -> ResolvedJob:
     """Resolve a canonical job into constructor inputs and its key.
 
-    The key is ``<corpus content address>:<request-shape digest>`` —
-    two jobs share warm state iff their corpus scripts (by content, in
-    order), data directory, intent, and config overrides all match.
-    The corpus half doubles as the queue's coalescing group: requests
-    against the same corpus ride the same dispatch wave.
+    The key is ``<corpus address>:<request-shape digest>`` — two jobs
+    share warm state iff their corpus scripts (by content, in order, or
+    an index snapshot by its path), data directory, intent, config
+    overrides and retrieval all match.  The corpus half doubles as the
+    queue's coalescing group: requests against the same corpus ride the
+    same dispatch wave.
     """
-    from ..corpus import corpus_key  # lazy: avoid import cycles at startup
-
     params = job["params"]
-    scripts = params["corpus"]
-    shape = sha1(
-        canonical(
-            {
-                "data_dir": params["data_dir"],
-                "intent": params["intent"],
-                "config": params["config"],
-            }
-        ).encode()
-    ).hexdigest()
-    dialect = params["config"].get("dialect", "pandas")
-    key = f"{corpus_key(scripts, dialect)}:{shape}"
+    shape = _digest(
+        {
+            "data_dir": params["data_dir"],
+            "intent": params["intent"],
+            "config": params["config"],
+            "retrieve_k": params["retrieve_k"],
+        }
+    )
+    if params["index"] is None:
+        corpus = corpus_key(params["corpus"], params["config"].get("dialect", "pandas"))
+    else:  # a snapshot is keyed by its path, like data_dir
+        corpus = _digest([params["index"], params["corpus_dir"]])
     return ResolvedJob(
         job=job,
-        key=key,
-        scripts=scripts,
+        key=f"{corpus}:{shape}",
         data_dir=params["data_dir"],
-        config=LSConfig(**params["config"]),
+        config=_config(params["config"], params["retrieve_k"]),
         intent=_build_intent(params["intent"]),
     )
+
+
+def _load_corpus(params: Dict[str, Any], dialect: str):
+    """The corpus a system is built over: the inline scripts or the
+    loaded (and refreshed) snapshot — as a retrieval pool when the job
+    retrieves."""
+    corpus = params["corpus"]
+    if corpus is None:
+        try:
+            corpus = load_index(params["index"])
+            if params["corpus_dir"]:
+                corpus.refresh(params["corpus_dir"])
+        except (OSError, ValueError, KeyError) as exc:
+            raise JobError(
+                "bad_request", f"cannot load corpus index {params['index']!r}: {exc}"
+            ) from exc
+        _require(corpus.n_scripts, f"corpus index {params['index']!r} is empty")
+    if params["retrieve_k"] is None:
+        return corpus
+    pool = RetrievalIndex(store=shared_store(dialect))
+    try:
+        if isinstance(corpus, list):
+            for source in corpus:
+                pool.add_script(source)
+        else:
+            for content_hash in corpus.content_hashes():
+                pool.add_record(corpus._records[content_hash])
+    except ValueError as exc:  # a snapshot of another dialect
+        raise JobError("bad_request", str(exc)) from exc
+    _require(pool.n_scripts, "retrieval pool is empty")
+    return pool
 
 
 def build_system(resolved: ResolvedJob) -> LucidScript:
     """A fresh :class:`LucidScript` for one resolved job (the offline
     phase runs here — through the process-wide warm corpus cache)."""
+    corpus = _load_corpus(resolved.job["params"], resolved.config.dialect)
     try:
         return LucidScript(
-            resolved.scripts,
+            corpus,
             data_dir=resolved.data_dir,
             intent=resolved.intent,
             config=resolved.config,
@@ -264,19 +336,6 @@ def build_system(resolved: ResolvedJob) -> LucidScript:
 # --------------------------------------------------------------------------
 # Execution: the one deterministic runner both paths share
 # --------------------------------------------------------------------------
-
-
-def _standardize_result(result) -> Dict[str, Any]:
-    return {
-        "changed": result.changed,
-        "improvement": result.improvement,
-        "intent_delta": result.intent_delta,
-        "intent_satisfied": result.intent_satisfied,
-        "output_script": result.output_script,
-        "re_after": result.re_after,
-        "re_before": result.re_before,
-        "transformations": [t.describe() for t in result.transformations],
-    }
 
 
 def execute_job(
@@ -302,7 +361,7 @@ def execute_job(
     except ScriptError as exc:
         raise JobError("bad_request", f"input script failed to parse: {exc}") from exc
     if op == "standardize":
-        return _standardize_result(result)
+        return result.to_dict()
     if op == "explain":
         explanations = explain_result(result, system.vocabulary)
         return {
@@ -311,7 +370,7 @@ def execute_job(
             "output_script": result.output_script,
         }
     # detect_leakage: flag removed (out-of-the-ordinary) statements with
-    # their corpus prevalence, exactly like the CLI's detect-leakage
+    # their corpus prevalence
     flagged = [
         {
             "prevalence": system.vocabulary.statement_frequency(line),

@@ -12,7 +12,13 @@ Request shape::
 
 ``op`` is one of the job ops (``standardize`` / ``score`` / ``explain``
 / ``detect_leakage``) or a control op (``ping`` / ``stats`` /
-``shutdown``).  Response shape::
+``shutdown``).  A job's ``params`` are ``script`` (text); its corpus as
+``corpus`` (texts), ``corpus_dir``, or ``index`` (a snapshot path on the
+server, refreshed against a ``corpus_dir`` sent with it);
+``retrieve_k`` (curate that many pool neighbours); ``data_dir``; an
+``intent`` or the ``target``/``tau_m``/``tau_j`` shorthand; and
+``config`` (LSConfig overrides) — see :mod:`repro.server.jobs`.
+Response shape::
 
     {"id": 7, "ok": true,  "result": {...}, "meta": {...}}
     {"id": 7, "ok": false, "error": {"kind": ..., "message": ..., "retryable": ...}}

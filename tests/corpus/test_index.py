@@ -209,9 +209,9 @@ class TestRandomizedInterleavings:
                     del files[name]
                     (directory / name).unlink()
             index.refresh(str(directory))
-            # the index tracks exactly the directory's surviving files
+            # the index tracks one member per distinct surviving file content
             assert sorted(index.sources()) == sorted(
-                lemmatize(script) for script in files.values()
+                lemmatize(script) for script in set(files.values())
             )
             if files:
                 index.verify()

@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.lang import (
-    lemmatize,
-    script_from_notebook,
-    scripts_from_notebook_dir,
-)
+from repro.corpus import read_corpus_dir
+from repro.lang import lemmatize, script_from_notebook
 
 
 def make_notebook(*cell_sources, cell_type="code"):
@@ -86,14 +83,19 @@ class TestScriptFromNotebook:
 
 
 class TestDirectoryHelper:
-    def test_reads_many_and_skips_bad(self, tmp_path):
+    def test_reads_many_and_skips_bad(self, tmp_path, capsys):
         good = tmp_path / "a.ipynb"
         good.write_text(json.dumps(make_notebook("x = 1")))
         broken = tmp_path / "b.ipynb"
         broken.write_text("{not json")
         codeless = tmp_path / "c.ipynb"
         codeless.write_text(json.dumps({"cells": []}))
-        scripts = scripts_from_notebook_dir(
-            [str(good), str(broken), str(codeless), str(tmp_path / "missing.ipynb")]
-        )
-        assert scripts == ["x = 1"]
+        assert read_corpus_dir(str(tmp_path)) == ["x = 1"]
+        err = capsys.readouterr().err
+        assert "b.ipynb" in err
+        assert "c.ipynb: notebook contains no code cells" in err
+
+    def test_only_bad_notebooks_is_an_error(self, tmp_path):
+        (tmp_path / "b.ipynb").write_text("{not json")
+        with pytest.raises(ValueError, match="no .py or .ipynb scripts"):
+            read_corpus_dir(str(tmp_path))

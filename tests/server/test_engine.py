@@ -195,10 +195,21 @@ class TestErrorVerdicts:
         assert excinfo.value.kind == "bad_request"
 
     def test_audit_mode_serves_verified_results(
-        self, tmp_path, diabetes_corpus, alex_script
+        self, tmp_path, diabetes_corpus, alex_script, diabetes_dir
     ):
         """verify_server end to end: the response only ships after a cold
-        process replayed it byte-identically."""
+        process replayed it byte-identically — also for a corpus named by
+        an index snapshot, a retrieval pool, and both together."""
+        from repro.corpus import CorpusIndex, save_index
+
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for position, script in enumerate(diabetes_corpus):
+            (corpus_dir / f"peer_{position}.py").write_text(script + "\n")
+        snapshot = str(tmp_path / "index.json")
+        index = CorpusIndex()
+        index.refresh(str(corpus_dir))
+        save_index(index, snapshot)
         with _server(tmp_path, audit=True) as handle:
             with ServerClient(
                 socket_path=handle.config.socket_path, timeout=300.0
@@ -206,7 +217,21 @@ class TestErrorVerdicts:
                 result = client.score(
                     script=alex_script, corpus=diabetes_corpus, config=TINY
                 )
+                scores = [
+                    client.score(script=alex_script, index=snapshot, config=TINY),
+                    client.score(
+                        script=alex_script, corpus=diabetes_corpus,
+                        retrieve_k=2, config=TINY,
+                    ),
+                ]
+                standardized = client.standardize(
+                    script=alex_script, index=snapshot, corpus_dir=str(corpus_dir),
+                    retrieve_k=2, data_dir=diabetes_dir, config=TINY,
+                )
                 stats = client.stats()
         assert result["score"] > 0
-        assert stats["audits"] == 1
+        assert scores[0] == result
+        assert scores[1]["score"] > 0
+        assert standardized["output_script"]
+        assert stats["audits"] == 4
         assert stats["audit_failures"] == 0

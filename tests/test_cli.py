@@ -241,7 +241,7 @@ class TestReadCorpusOrdering:
         """Corpus order must be stable across filesystems: sorted by name."""
         import random
 
-        from repro.cli import _read_corpus
+        from repro.corpus import read_corpus_dir
 
         d = tmp_path / "shuffled"
         d.mkdir()
@@ -252,7 +252,7 @@ class TestReadCorpusOrdering:
             (d / name).write_text(
                 f"import pandas as pd\ndf = pd.read_csv('{name}.csv')\ndf\n"
             )
-        scripts = _read_corpus(str(d))
+        scripts = read_corpus_dir(str(d))
         expected = [
             f"import pandas as pd\ndf = pd.read_csv('{name}.csv')\ndf\n"
             for name in sorted(names)
