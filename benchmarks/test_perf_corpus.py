@@ -2,7 +2,8 @@
 
 A standing-corpus workload — ~60 distinct preparation scripts on disk,
 one of which just changed — run through the cold path
-(``CorpusVocabulary.from_scripts`` reparses everything) and the
+(``CorpusVocabulary.from_scripts`` reparses everything, with the
+process-wide lang memos cleared first, as in a fresh process) and the
 incremental path (:class:`repro.corpus.CorpusIndex` stat-scans the
 directory, reparses exactly the changed file, and re-derives only the
 touched statistics).  Bit-identity of the resulting vocabulary is
@@ -27,6 +28,8 @@ import pytest
 from repro.corpus import CorpusIndex
 from repro.harness import render_table
 from repro.lang import CorpusVocabulary
+from repro.lang.lemmatize import LEMMA_CACHE
+from repro.lang.parser import STATEMENT_CACHE
 
 from _shared import bench_environment, publish
 
@@ -104,6 +107,8 @@ def test_perf_corpus_warm_refresh():
             assert report.changed == 1
             assert report.unchanged_stat == N_SCRIPTS - 1
 
+            LEMMA_CACHE.clear()
+            STATEMENT_CACHE.clear()
             started = time.perf_counter()
             CorpusVocabulary.from_scripts(scripts)
             cold_s.append(time.perf_counter() - started)

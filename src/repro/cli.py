@@ -404,14 +404,32 @@ def _print_index_summary(index: CorpusIndex) -> None:
         print(f"corpus dir: {index.corpus_dir}")
 
 
+def _load_snapshot(load, path: str):
+    """``load(path)``; a missing, unreadable or malformed snapshot ends in
+    one ``error:`` line, classified as the server classifies it."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise SystemExit(f"error: cannot load corpus index {path!r}: {exc}") from None
+
+
+def _refresh(index, corpus_dir: str):
+    """``index.refresh(corpus_dir)``; a directory that cannot be scanned
+    ends in one ``error:`` line."""
+    try:
+        return index.refresh(corpus_dir)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def cmd_index_retrieve(args) -> int:
     if args.index:
-        pool = load_retrieval_index(args.index)
+        pool = _load_snapshot(load_retrieval_index, args.index)
         if args.corpus_dir:
-            pool.refresh(args.corpus_dir)
+            _refresh(pool, args.corpus_dir)
     elif args.corpus_dir:
         pool = RetrievalIndex(dialect=args.dialect)
-        pool.refresh(args.corpus_dir)
+        _refresh(pool, args.corpus_dir)
     else:
         raise SystemExit("one of --corpus-dir or --index is required")
     if not pool.n_scripts:
@@ -442,7 +460,7 @@ def cmd_index(args) -> int:
         return cmd_index_retrieve(args)
     if args.index_command == "build":
         index = CorpusIndex(dialect=args.dialect)
-        report = index.refresh(args.corpus_dir)
+        report = _refresh(index, args.corpus_dir)
         if not index.n_scripts:
             raise SystemExit(
                 f"no indexable scripts found in {args.corpus_dir!r} "
@@ -453,13 +471,9 @@ def cmd_index(args) -> int:
         _print_index_summary(index)
         return 0
 
-    index = load_index(args.index)
+    index = _load_snapshot(load_index, args.index)
     if args.index_command == "update":
-        try:
-            report = index.refresh(args.corpus_dir or index.corpus_dir)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        report = _refresh(index, args.corpus_dir or index.corpus_dir)
         if args.audit:
             index.verify()
         save_index(index, args.index)

@@ -24,7 +24,7 @@ from ..corpus import (
     corpus_cache_counters,
 )
 from ..dialects import get_dialect
-from ..lang import CorpusVocabulary, ScriptError, lemmatize, parse_script
+from ..lang import CorpusVocabulary, ScriptError, parse_script
 from ..minipandas import DataFrame
 from ..minipandas.kernels import kernel_audit
 from ..ml import DownstreamEvaluationError
@@ -337,8 +337,8 @@ class LucidScript:
             return self._standardize(script)
 
     def _standardize(self, script: str) -> StandardizationResult:
-        normalized = lemmatize(script, dialect=self.dialect)
-        dag = parse_script(normalized, lemmatized=True, dialect=self.dialect)
+        dag = parse_script(script, dialect=self.dialect)
+        normalized = dag.normalized
         if not dag.statements:
             raise StandardizationError("input script has no statements")
         self._ensure_search_space(normalized)

@@ -64,25 +64,7 @@ class Transformation:
 
 
 def _renumber(statements: Sequence[Statement]) -> List[Statement]:
-    out = []
-    for index, stmt in enumerate(statements):
-        if stmt.index == index:
-            out.append(stmt)
-        else:
-            out.append(
-                Statement(
-                    index=index,
-                    source=stmt.source,
-                    ngram=stmt.ngram,
-                    onegrams=stmt.onegrams,
-                    intra_edges=stmt.intra_edges,
-                    reads=stmt.reads,
-                    writes=stmt.writes,
-                    is_import=stmt.is_import,
-                    is_read_csv=stmt.is_read_csv,
-                )
-            )
-    return out
+    return [stmt.at(index) for index, stmt in enumerate(statements)]
 
 
 def apply_transformation(

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from .._lru import LRUCache
 from ..dialects import get_dialect
 from ..lang.errors import ScriptError
-from ..lang.lemmatize import lemmatize
 from ..lang.parser import ScriptDAG, parse_script
 from .signatures import ScriptSignature, signature_from_source
 
@@ -118,9 +117,9 @@ class ScriptRecord:
 class StoreCounters:
     """Observable cache behaviour of one :class:`ScriptStore`."""
 
-    hits: int = 0  #: record served without lemmatize+parse
-    lemma_hits: int = 0  #: raw bytes seen before — lemmatize skipped too
-    parses: int = 0  #: full lemmatize+parse (cache misses)
+    hits: int = 0  #: record served without building a new one
+    lemma_hits: int = 0  #: raw bytes seen before — parse skipped too
+    parses: int = 0  #: records built from a parse (cache misses)
     failures: int = 0  #: scripts rejected by the parser
     evictions: int = 0  #: records dropped by a bounded store's LRU cap
 
@@ -210,21 +209,17 @@ class ScriptStore:
                 self.counters.lemma_hits += 1
                 return record
         try:
-            lemmatized = lemmatize(raw_source, dialect=self._lang_dialect)
+            dag = parse_script(raw_source, dialect=self._lang_dialect)
         except ScriptError:
             self.counters.failures += 1
             return None
+        lemmatized = dag.normalized
         content_hash = content_address(lemmatized)
         self._raw_memo[raw_key] = content_hash
         record = self._records.get(content_hash)
         if record is not None:
             self.counters.hits += 1
             return record
-        try:
-            dag = parse_script(lemmatized, lemmatized=True, dialect=self._lang_dialect)
-        except ScriptError:  # pragma: no cover - lemmatize already parsed
-            self.counters.failures += 1
-            return None
         self.counters.parses += 1
         record = ScriptRecord.from_dag(content_hash, lemmatized, dag, self.dialect)
         self._remember(record)

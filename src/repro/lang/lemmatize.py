@@ -11,16 +11,29 @@ canonical form before DAG construction:
 2. plain aliases (``train = df``) inherit the canonical name;
 3. the AST round-trip (`ast.unparse`) normalizes whitespace, quoting, and
    redundant parentheses.
+
+A script is parsed once.  Each top-level statement's lemmatized text is
+memoized process-wide in :data:`LEMMA_CACHE`, keyed by the statement's
+text as written and the renames that can touch it, so a statement the
+process has seen before costs one dictionary lookup.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from .._lru import LRUCache
 from .errors import ScriptParseError, UnsupportedScriptError
 
-__all__ = ["lemmatize", "read_csv_files", "split_statements"]
+__all__ = [
+    "LEMMA_CACHE",
+    "LEMMA_CACHE_LIMIT",
+    "lemmatize",
+    "lemmatize_statements",
+    "read_csv_files",
+    "split_statements",
+]
 
 _UNSUPPORTED = (
     ast.FunctionDef,
@@ -83,18 +96,6 @@ def read_csv_files(source: str, dialect=None) -> List[str]:
     return paths
 
 
-class _Renamer(ast.NodeTransformer):
-    def __init__(self, mapping: Dict[str, str]):
-        self.mapping = mapping
-
-    def visit_Name(self, node: ast.Name) -> ast.Name:
-        if node.id in self.mapping:
-            return ast.copy_location(
-                ast.Name(id=self.mapping[node.id], ctx=node.ctx), node
-            )
-        return node
-
-
 def _build_rename_map(tree: ast.Module, dialect=None) -> Dict[str, str]:
     """Map loader-result variable names to the dialect's canonical
     ``df``/``df2``/... (pandas) or ``design``/``design2``/... names."""
@@ -128,6 +129,83 @@ def split_statements(source: str) -> List[str]:
     return [ast.unparse(node) for node in tree.body]
 
 
+def statement_sources(source: str, body: List[ast.stmt]) -> List[str]:
+    """The text of each statement in *body* as *source* writes it.
+
+    AST columns count UTF-8 bytes, and the tokenizer breaks lines only at
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` -- exactly where
+    ``bytes.splitlines`` breaks (``str.splitlines`` also breaks at
+    ``\\x0c``, ``\\x1c``, ``\\u2028`` and others).
+    """
+    data = source.encode()
+    starts = [0]
+    for line in data.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    return [
+        data[
+            starts[node.lineno - 1] + node.col_offset : starts[node.end_lineno - 1]
+            + node.end_col_offset
+        ].decode()
+        for node in body
+    ]
+
+
+def rename_names(node: ast.AST, mapping: Dict[str, str]) -> None:
+    """Rename, in place, every variable under *node* that *mapping* names."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and child.id in mapping:
+            child.id = mapping[child.id]
+
+
+#: Capacity of :data:`LEMMA_CACHE`, in raw statement forms.  The forms of
+#: one corpus's statements recur across its scripts and its queries.
+LEMMA_CACHE_LIMIT = 4096
+
+#: ``(dialect name, renames, raw statement text) -> lemmatized text``,
+#: shared by every script in the process.  A top-level statement's AST
+#: depends only on its own text, so its lemmatized text depends only on
+#: that text and on the renames of the names it contains.  The key's
+#: renames are the script's ``(old, new)`` pairs whose old name occurs in
+#: the raw text -- a superset of those names, so the key is exact.  The
+#: parser NFKC-normalizes identifiers, so a non-ASCII text keys on every
+#: pair instead.
+LEMMA_CACHE = LRUCache(LEMMA_CACHE_LIMIT, thread_safe=True)
+
+#: One lemmatized statement: its text, its AST node as parsed, and the
+#: renames not yet applied to that node (empty once applied).
+LemmaStatement = Tuple[str, ast.stmt, Tuple[Tuple[str, str], ...]]
+
+
+def lemmatize_statements(source: str, dialect=None) -> List[LemmaStatement]:
+    """Lemmatize *source* statement by statement, from one parse.
+
+    A statement whose text :data:`LEMMA_CACHE` holds is neither renamed
+    nor unparsed; its node comes back with the renames still pending, for
+    a caller that needs the renamed node to rename on demand.  Raises
+    as :func:`lemmatize` does.
+    """
+    tree = _parse(source)
+    _check_straight_line(tree)
+    renames = tuple(_build_rename_map(tree, dialect).items())
+    name = "pandas" if dialect is None else dialect.name
+    statements: List[LemmaStatement] = []
+    for node, raw in zip(tree.body, statement_sources(source, tree.body)):
+        if raw.isascii():
+            applicable = tuple(pair for pair in renames if pair[0] in raw)
+        else:
+            applicable = renames
+        key = (name, applicable, raw)
+        text = LEMMA_CACHE.get(key)
+        if text is None:
+            if applicable:
+                rename_names(node, dict(applicable))
+                applicable = ()
+            text = ast.unparse(node)
+            LEMMA_CACHE[key] = text
+        statements.append((text, node, applicable))
+    return statements
+
+
 def lemmatize(source: str, dialect=None) -> str:
     """Return the canonical (lemmatized) form of *source*.
 
@@ -142,10 +220,4 @@ def lemmatize(source: str, dialect=None) -> str:
     UnsupportedScriptError
         If it uses constructs outside the supported straight-line class.
     """
-    tree = _parse(source)
-    _check_straight_line(tree)
-    mapping = _build_rename_map(tree, dialect)
-    if mapping:
-        tree = _Renamer(mapping).visit(tree)
-        ast.fix_missing_locations(tree)
-    return "\n".join(ast.unparse(node) for node in tree.body)
+    return "\n".join(text for text, _, _ in lemmatize_statements(source, dialect))

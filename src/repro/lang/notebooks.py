@@ -21,9 +21,21 @@ _DISPLAY_CALLS = {"head", "tail", "describe", "info", "display", "print", "sampl
 
 def _cell_source(cell: Dict[str, Any]) -> str:
     source = cell.get("source", "")
-    if isinstance(source, list):
-        source = "".join(source)
+    if isinstance(source, list) and all(isinstance(part, str) for part in source):
+        return "".join(source)
+    if not isinstance(source, str):
+        raise ValueError(
+            "notebook code cell source must be a string or a list of strings, "
+            f"got {_shape(source)}"
+        )
     return source
+
+
+def _shape(value: Any) -> str:
+    """A JSON value's type, with its items' types for a list."""
+    if isinstance(value, list):
+        return f"list of {'/'.join(sorted({type(item).__name__ for item in value}))}"
+    return type(value).__name__
 
 
 def _strip_magics(source: str) -> str:
@@ -65,12 +77,17 @@ def script_from_notebook(notebook: Union[str, Dict[str, Any]]) -> str:
     Raises
     ------
     ValueError
-        If the document has no code cells.
+        If the document has no code cells, or is not shaped as a notebook
+        (an object whose ``cells`` are objects).
     """
     if isinstance(notebook, str):
         with open(notebook, "r") as handle:
             notebook = json.load(handle)
+    if not isinstance(notebook, dict):
+        raise ValueError(f"notebook must be a JSON object, got {_shape(notebook)}")
     cells = notebook.get("cells", [])
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise ValueError(f"notebook cells must be a list of objects, got {_shape(cells)}")
     statements: List[str] = []
     saw_code_cell = False
     for cell in cells:

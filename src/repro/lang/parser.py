@@ -5,6 +5,10 @@ carrying its n-gram atom (the statement text), its 1-gram atoms (operation
 invocations), intra-statement data-flow edges between nested invocations,
 and the variables it reads/writes.  The :class:`ScriptDAG` then derives
 inter-statement edges from the def-use chain over those variables.
+
+:func:`parse_script` lemmatizes and parses a script from one AST pass and
+takes each statement from the process-wide :data:`STATEMENT_CACHE`, so a
+statement the process has seen before is never rebuilt.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .._lru import LRUCache
 from .atoms import NGRAM, ONEGRAM, Atom, Edge
-from .errors import ScriptParseError, UnsupportedScriptError
-from .lemmatize import lemmatize
+from .errors import ScriptParseError
+from .lemmatize import lemmatize_statements, rename_names, statement_sources
 
 __all__ = [
     "Statement",
@@ -185,14 +189,21 @@ class Statement:
     is_read_csv: bool
 
     @classmethod
-    def from_ast(cls, index: int, node: ast.stmt, dialect=None) -> "Statement":
-        source = ast.unparse(node)
+    def from_ast(
+        cls, index: int, node: ast.stmt, dialect=None, source: Optional[str] = None
+    ) -> "Statement":
+        """The statement of *node*; *source*, when given, is its
+        ``ast.unparse`` text, which the caller already holds."""
+        if source is None:
+            source = ast.unparse(node)
         onegrams, intra_edges = extract_onegrams(node)
         reads, writes = _variables(node)
         is_import = isinstance(node, (ast.Import, ast.ImportFrom))
         loader_names = ("read_csv",) if dialect is None else dialect.loader_names
+        # a data load invokes a loader by name; a 1-gram that merely
+        # mentions one (``drop(df,['read_csv_flag'])``) is not a load
         is_read_csv = any(
-            loader in a.signature for a in onegrams for loader in loader_names
+            a.signature.partition("(")[0] in loader_names for a in onegrams
         )
         return cls(
             index=index,
@@ -223,15 +234,34 @@ class Statement:
         """Imports and data loads are never deleted by transformations."""
         return self.is_import or self.is_read_csv
 
+    def at(self, index: int) -> "Statement":
+        """This statement at position *index*, sharing every other field."""
+        if index == self.index:
+            return self
+        return Statement(
+            index=index,
+            source=self.source,
+            ngram=self.ngram,
+            onegrams=self.onegrams,
+            intra_edges=self.intra_edges,
+            reads=self.reads,
+            writes=self.writes,
+            is_import=self.is_import,
+            is_read_csv=self.is_read_csv,
+        )
+
 
 #: Capacity of :data:`STATEMENT_CACHE`.  Add candidates are corpus
 #: statement texts (n-gram signatures and 1-gram templates), so every
-#: search over one corpus proposes the same few hundred statements.
+#: search over one corpus proposes the same few hundred statements, and
+#: the scripts of one corpus share most of theirs.
 STATEMENT_CACHE_LIMIT = 2048
 
-#: ``(dialect name, statement text) -> Statement``, shared by every search
-#: in the process.  Sharing is safe because no code mutates a Statement
-#: (:class:`EdgeState` relies on the same).
+#: ``(dialect name, statement text) -> Statement.from_source(0, text)``,
+#: shared by every script parse and every search in the process.
+#: Sharing is safe because no code mutates a Statement or its lists and
+#: sets (:class:`EdgeState` relies on the same); a script's statement is
+#: the shared one moved to its position with :meth:`Statement.at`.
 STATEMENT_CACHE = LRUCache(STATEMENT_CACHE_LIMIT, thread_safe=True)
 
 
@@ -257,10 +287,15 @@ def parse_statement(
 
 
 class ScriptDAG:
-    """The DAG representation G_s = (A, E') of a lemmatized script."""
+    """The DAG representation G_s = (A, E') of a lemmatized script.
 
-    def __init__(self, statements: List[Statement]):
+    ``normalized`` is the lemmatized text :func:`parse_script` built the
+    DAG from (None for a DAG assembled from statements directly).
+    """
+
+    def __init__(self, statements: List[Statement], normalized: Optional[str] = None):
         self.statements = statements
+        self.normalized = normalized
 
     # ------------------------------------------------------------------ source
     def source(self) -> str:
@@ -652,18 +687,37 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> ScriptD
     """Parse *source* into its DAG representation.
 
     Lemmatization (canonical renaming + normalization) is applied first
-    unless the caller already did so.  *dialect* supplies the loader
-    entry points used for canonical renaming and statement protection;
-    None means the pandas surface, the same as the registered pandas
-    dialect.
+    unless the caller already did so; the DAG's ``normalized`` is the
+    lemmatized text either way.  *dialect* supplies the loader entry
+    points used for canonical renaming and statement protection; None
+    means the pandas surface, the same as the registered pandas dialect.
+
+    One ``ast.parse`` of *source* serves both steps.  Each statement is
+    looked up by its lemmatized text in :data:`STATEMENT_CACHE`, and only
+    a miss renames its node and builds it.
     """
-    normalized = source if lemmatized else lemmatize(source, dialect=dialect)
-    try:
-        tree = ast.parse(normalized)
-    except SyntaxError as exc:  # pragma: no cover - lemmatize already parsed
-        raise ScriptParseError(str(exc)) from exc
-    statements = [
-        Statement.from_ast(index, node, dialect=dialect)
-        for index, node in enumerate(tree.body)
-    ]
-    return ScriptDAG(statements)
+    if lemmatized:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            raise ScriptParseError(str(exc)) from exc
+        texts = statement_sources(source, tree.body)
+        items = [(text, node, ()) for text, node in zip(texts, tree.body)]
+    else:
+        items = lemmatize_statements(source, dialect)
+    name = "pandas" if dialect is None else dialect.name
+    statements = []
+    for index, (text, node, renames) in enumerate(items):
+        key = (name, text)
+        statement = STATEMENT_CACHE.get(key)
+        if statement is None:
+            if renames:
+                rename_names(node, dict(renames))
+            # an already-lemmatized text is as written, not as unparsed
+            statement = Statement.from_ast(
+                0, node, dialect=dialect, source=None if lemmatized else text
+            )
+            STATEMENT_CACHE[key] = statement
+        statements.append(statement.at(index))
+    normalized = source if lemmatized else "\n".join(text for text, _, _ in items)
+    return ScriptDAG(statements, normalized)

@@ -432,23 +432,28 @@ class TestLucidScriptRetrieval:
     def test_score_lemmatizes_a_never_seen_query_once(
         self, diabetes_corpus, monkeypatch
     ):
-        import repro.core.standardizer as standardizer_module
-        import repro.corpus.store as store_module
+        import importlib
+
         import repro.lang.parser as parser_module
+
+        # the package re-exports the function under the module's name
+        lemmatize_module = importlib.import_module("repro.lang.lemmatize")
 
         pool = RetrievalIndex(store=shared_store())
         for script in diabetes_corpus[1:] + make_pool(21):
             pool.add_script(script)
         query = diabetes_corpus[0] + "\ndf = df.dropna()"
-        real = store_module.lemmatize
+        real = lemmatize_module.lemmatize_statements
         calls = []
 
         def counting(source, *args, **kwargs):
             calls.append(source)
             return real(source, *args, **kwargs)
 
-        for module in (store_module, parser_module, standardizer_module):
-            monkeypatch.setattr(module, "lemmatize", counting)
+        # every lemmatization of a raw script, by lemmatize() or by
+        # parse_script(), is one lemmatize_statements pass
+        for module in (lemmatize_module, parser_module):
+            monkeypatch.setattr(module, "lemmatize_statements", counting)
         score = LucidScript(pool, config=LSConfig(retrieval_k=3)).score(query)
         assert calls == [query]
         monkeypatch.undo()

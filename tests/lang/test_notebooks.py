@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.corpus import read_corpus_dir
+from repro.corpus import CorpusIndex, read_corpus_dir
 from repro.lang import lemmatize, script_from_notebook
 
 
@@ -99,3 +99,39 @@ class TestDirectoryHelper:
         (tmp_path / "b.ipynb").write_text("{not json")
         with pytest.raises(ValueError, match="no .py or .ipynb scripts"):
             read_corpus_dir(str(tmp_path))
+
+
+#: JSON documents that parse but are not notebooks.
+MALFORMED = {
+    "top_level_list": ([1, 2], "notebook must be a JSON object, got list of int"),
+    "cell_not_object": ({"cells": [1]}, "cells must be a list of objects, got list of int"),
+    "source_not_text": (
+        {"cells": [{"cell_type": "code", "source": 5}]},
+        "source must be a string or a list of strings, got int",
+    ),
+}
+
+
+class TestMalformedNotebooks:
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_value_error_names_the_shape(self, shape):
+        document, message = MALFORMED[shape]
+        with pytest.raises(ValueError, match=message):
+            script_from_notebook(document)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_read_corpus_dir_skips_it(self, tmp_path, capsys, shape):
+        (tmp_path / "a.py").write_text("x = 1")
+        (tmp_path / "bad.ipynb").write_text(json.dumps(MALFORMED[shape][0]))
+        assert read_corpus_dir(str(tmp_path)) == ["x = 1"]
+        err = capsys.readouterr().err
+        assert "bad.ipynb" in err and MALFORMED[shape][1] in err
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_refresh_reports_it_failed(self, tmp_path, shape):
+        (tmp_path / "a.py").write_text("x = 1")
+        (tmp_path / "bad.ipynb").write_text(json.dumps(MALFORMED[shape][0]))
+        index = CorpusIndex()
+        report = index.refresh(str(tmp_path))
+        assert report.failed_paths == ["bad.ipynb"]
+        assert index.n_scripts == 1

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.transformations import DELETE, Transformation, apply_transformation
+from repro.dialects import get_dialect
 from repro.lang import (
     NGRAM,
     ONEGRAM,
@@ -61,6 +63,30 @@ class TestStatements:
     def test_body_statements_unprotected(self, dag):
         assert not dag.statements[2].protected
         assert not dag.statements[3].protected
+
+    @pytest.mark.parametrize(
+        "source",
+        ["df = pd.read_csv('a.csv')", "df = pd.read_csv('a.csv').dropna()"],
+    )
+    def test_pandas_loads_are_protected(self, source):
+        assert Statement.from_source(0, source).protected
+
+    def test_tablereport_load_is_protected(self):
+        tablereport = get_dialect("tablereport")
+        statement = Statement.from_source(
+            0, "design = tr.load_design('design.csv')", dialect=tablereport
+        )
+        assert statement.is_read_csv and statement.protected
+
+    def test_loader_name_in_a_string_is_not_a_load(self):
+        statement = Statement.from_source(0, "df = df.drop(columns=['read_csv_flag'])")
+        assert not statement.is_read_csv and not statement.protected
+        dag = parse_script(
+            "import pandas as pd\ndf = pd.read_csv('a.csv')\n"
+            "df = df.drop(columns=['read_csv_flag'])"
+        )
+        delete = Transformation(DELETE, NGRAM, dag.statements[2].source, 2)
+        assert len(apply_transformation(dag.statements, delete)) == 2
 
     def test_reads_writes(self, dag):
         fillna = dag.statements[2]

@@ -194,6 +194,34 @@ class TestErrorVerdicts:
                     )
         assert excinfo.value.kind == "bad_request"
 
+    def test_corpus_dir_skips_a_malformed_notebook(
+        self, tmp_path, diabetes_corpus, alex_script
+    ):
+        """A corpus file that parses as JSON but is not a notebook is
+        skipped like any other broken corpus file."""
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for position, script in enumerate(diabetes_corpus):
+            (corpus_dir / f"peer_{position}.py").write_text(script)
+        (corpus_dir / "bad.ipynb").write_text('{"cells": [1]}')
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                response = client.request(
+                    {
+                        "op": "score",
+                        "params": {
+                            "script": alex_script,
+                            "corpus_dir": str(corpus_dir),
+                            "config": TINY,
+                        },
+                    }
+                )
+                inline = client.score(
+                    script=alex_script, corpus=diabetes_corpus, config=TINY
+                )
+        assert response["ok"], response
+        assert response["result"] == inline
+
     def test_audit_mode_serves_verified_results(
         self, tmp_path, diabetes_corpus, alex_script, diabetes_dir
     ):

@@ -172,6 +172,32 @@ def test_missing_index_file_is_a_bad_request(ws):
     assert _served(ws, "score", flags)["error"]["kind"] == "bad_request"
 
 
+INDEX_ERROR_CASES = {
+    "build-missing-corpus-dir": ["build", "--corpus-dir", "{nodir}", "--out", "{out}"],
+    "retrieve-missing-corpus-dir": ["retrieve", "--script", "{script}", "--corpus-dir", "{nodir}"],
+    "stats-missing-index": ["stats", "--index", "{missing}"],
+    "update-missing-index": ["update", "--index", "{missing}"],
+    "retrieve-missing-index": ["retrieve", "--script", "{script}", "--index", "{missing}"],
+    "stats-non-json-index": ["stats", "--index", "{notjson}"],
+    "update-non-json-index": ["update", "--index", "{notjson}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_ERROR_CASES))
+def test_index_command_input_errors_are_one_error_line(tmp_path, case):
+    (tmp_path / "query.py").write_text("x = 1\n")
+    (tmp_path / "index.json").write_text("not json {")
+    paths = {
+        "nodir": str(tmp_path / "no-such-dir"),
+        "out": str(tmp_path / "out.json"),
+        "script": str(tmp_path / "query.py"),
+        "missing": str(tmp_path / "missing.json"),
+        "notjson": str(tmp_path / "index.json"),
+    }
+    argv = [arg.format(**paths) for arg in INDEX_ERROR_CASES[case]]
+    _fails_cleanly(["index", *argv])
+
+
 def test_import_cli_does_not_import_the_server():
     import subprocess
 
