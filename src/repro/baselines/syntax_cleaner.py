@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 from typing import List, Sequence, Set
 
+from .._astparse import ast_parse
 from .base import Baseline
 
 __all__ = ["SyntaxCleaner"]
@@ -29,7 +30,7 @@ class SyntaxCleaner(Baseline):
 
     def rewrite(self, script: str, corpus: Sequence[str]) -> str:
         try:
-            tree = ast.parse(script)
+            tree = ast_parse(script)
         except SyntaxError:
             return script
         statements = self._dedupe_imports(tree.body)

@@ -35,6 +35,8 @@ from ..minipandas.kernels import na_key
 from ..ml import DownstreamEvaluationError, evaluate_downstream
 
 __all__ = [
+    "ACCURACY_CACHE",
+    "ACCURACY_CACHE_LIMIT",
     "IntentMeasure",
     "IntentMismatchError",
     "IntentStats",
@@ -518,42 +520,63 @@ def _keyed_columns(frame: DataFrame) -> List[Tuple[str, Hashable, Any]]:
     return out
 
 
+#: Capacity of :data:`ACCURACY_CACHE`, in tables.  An entry is a float
+#: under a 40-character fingerprint, so a full memo holds about 1 MB.
+ACCURACY_CACHE_LIMIT = 4096
+
+#: ``(table fingerprint, target, task, model, random_state) -> accuracy``,
+#: shared by every prepared Δ_M check in the process.  The key is exact:
+#: ``evaluate_downstream`` is a deterministic, positional function of
+#: those four arguments and of the content :func:`table_fingerprint`
+#: hashes, and its only randomness comes from generators it seeds itself,
+#: so skipping a training shifts no other random stream.  τ is not in the
+#: key, since it does not affect accuracy.  Only successes are stored: a
+#: table the model cannot use is evaluated, and raises, on every check.
+#: The naive measures (``accuracy``, ``delta``, ``bare_delta``, ``check``)
+#: never read it, so the ``verify_intent`` audit and every oracle train
+#: afresh.
+ACCURACY_CACHE = LRUCache(ACCURACY_CACHE_LIMIT, thread_safe=True)
+
+
 class PreparedModelPerformance(PreparedIntent):
-    """Incremental Δ_M: the original's downstream accuracy, trained once.
+    """Incremental Δ_M: each distinct table trained at most once.
 
     The naive ``delta`` re-trains the downstream model on the (unchanged)
-    original output for every candidate; here it is evaluated once per
-    prepared original and the per-check cost is the candidate evaluation
-    only.  A candidate whose content fingerprint equals the original's
-    short-circuits to the exact naive result without training at all —
+    original output for every candidate.  Here every accuracy, the
+    original's included, comes from :data:`ACCURACY_CACHE` when the
+    process has scored that table before, keyed by the fingerprints this
+    class computes anyway: candidates of one search whose extra or missing
+    statements do not change the output, and tables an earlier search
+    scored, are not trained again.  A candidate whose content fingerprint
+    equals the original's short-circuits to the exact naive result —
     ``evaluate_downstream`` is a deterministic, positional function of
     table content, so identical content implies identical accuracy.
     """
 
-    def __init__(
-        self,
-        intent: "ModelPerformanceIntent",
-        original: DataFrame,
-        table_fp: Optional[str] = None,
-        counters: Optional[IntentStats] = None,
-        verify: bool = False,
-    ):
-        super().__init__(intent, original, table_fp, counters, verify)
-        self._acc_original: Optional[float] = None
-
-    def _original_accuracy(self) -> float:
-        if self._acc_original is None:
-            self._acc_original = self.intent.accuracy(self.original)
-        return self._acc_original
+    def _accuracy(self, frame: DataFrame, fingerprint: str) -> float:
+        intent = self.intent
+        key = (
+            fingerprint,
+            intent.target,
+            intent.task,
+            intent.model,
+            intent.random_state,
+        )
+        acc = ACCURACY_CACHE.get(key)
+        if acc is None:
+            acc = intent.accuracy(frame)  # stored only on success
+            ACCURACY_CACHE[key] = acc
+        return acc
 
     def _prepared_delta(self, candidate: DataFrame) -> float:
         # evaluated (or raised) first, exactly as the naive path orders it
-        acc_orig = self._original_accuracy()
-        if table_fingerprint(candidate) == self.table_fp:
+        acc_orig = self._accuracy(self.original, self.table_fp)
+        fingerprint = table_fingerprint(candidate)
+        if fingerprint == self.table_fp:
             self.counters.short_circuits += 1
             return model_performance_delta(acc_orig, acc_orig)
         try:
-            acc_cand = self.intent.accuracy(candidate)
+            acc_cand = self._accuracy(candidate, fingerprint)
         except DownstreamEvaluationError:
             return 100.0
         return model_performance_delta(acc_orig, acc_cand)

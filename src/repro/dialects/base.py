@@ -30,6 +30,7 @@ import os
 from typing import Any, Callable, Dict, Optional
 
 from .. import minipandas
+from .._astparse import ast_parse
 from .._lru import LRUCache
 from ..minipandas import DataFrame
 
@@ -143,7 +144,7 @@ class ModuleProxy:
 def _last_assigned_variable(source: str) -> Optional[str]:
     """Name of the last top-level assignment target (output convention)."""
     try:
-        tree = ast.parse(source)
+        tree = ast_parse(source)
     except SyntaxError:
         return None
     last = None

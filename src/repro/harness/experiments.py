@@ -9,7 +9,7 @@ and the rest the corpus — run a method, and report the distribution of
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -149,6 +149,10 @@ def evaluate_lucidscript(
     """
     run = MethodRun(method=f"LS ({intent_kind})", dataset=corpus.name)
     config = config or LSConfig()
+    if retrieval_k is not None:
+        # a copy, so the caller's config is untouched and LSConfig
+        # validates the value before any pair runs
+        config = replace(config, retrieval_k=retrieval_k)
     # Prewarm the content-addressed store once: every leave-one-out
     # reference corpus is a subset of these scripts, so each system
     # construction inside the loop assembles its search space from
@@ -164,7 +168,6 @@ def evaluate_lucidscript(
     pool: Optional[RetrievalIndex] = None
     pool_ids: Dict[str, int] = {}
     if retrieval_k is not None:
-        config.retrieval_k = retrieval_k
         # one pool for the whole sweep, membership adjusted per pair
         pool = RetrievalIndex(store=store)
         if corpus_override is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Tuple
 
+from .._astparse import ast_parse
 from .._lru import LRUCache
 from .errors import ScriptParseError, UnsupportedScriptError
 
@@ -47,7 +48,7 @@ _UNSUPPORTED = (
 
 def _parse(source: str) -> ast.Module:
     try:
-        return ast.parse(source)
+        return ast_parse(source)
     except SyntaxError as exc:
         raise ScriptParseError(f"script is not valid Python: {exc}") from exc
 

@@ -13,6 +13,8 @@ import ast
 import json
 from typing import Any, Dict, List, Union
 
+from .._astparse import ast_parse
+
 __all__ = ["script_from_notebook"]
 
 #: Cell-trailing expression calls that only exist to display output.
@@ -64,7 +66,7 @@ def _is_display_expression(node: ast.stmt) -> bool:
 def _clean_cell(source: str) -> List[str]:
     source = _strip_magics(source)
     try:
-        tree = ast.parse(source)
+        tree = ast_parse(source)
     except SyntaxError:
         return []  # skip cells that are not plain Python
     kept = [node for node in tree.body if not _is_display_expression(node)]

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .._astparse import ast_parse
 from .._lru import LRUCache
 from .atoms import NGRAM, ONEGRAM, Atom, Edge
 from .errors import ScriptParseError
@@ -220,7 +221,7 @@ class Statement:
     @classmethod
     def from_source(cls, index: int, source: str, dialect=None) -> "Statement":
         try:
-            tree = ast.parse(source)
+            tree = ast_parse(source)
         except SyntaxError as exc:
             raise ScriptParseError(f"invalid statement {source!r}: {exc}") from exc
         if len(tree.body) != 1:
@@ -698,7 +699,7 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> ScriptD
     """
     if lemmatized:
         try:
-            tree = ast.parse(source)
+            tree = ast_parse(source)
         except SyntaxError as exc:
             raise ScriptParseError(str(exc)) from exc
         texts = statement_sources(source, tree.body)

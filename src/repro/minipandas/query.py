@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Dict, Optional
 
+from .._astparse import ast_parse
 from .series import Series
 
 __all__ = ["evaluate_query"]
@@ -152,7 +153,7 @@ def evaluate_query(
     variables = variables or {}
     rewritten = _substitute_at_variables(expression)
     try:
-        tree = ast.parse(rewritten, mode="eval")
+        tree = ast_parse(rewritten, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"invalid query expression: {expression!r}") from exc
 

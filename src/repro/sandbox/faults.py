@@ -17,9 +17,9 @@ how fast the watchdog notices it).
 
 from __future__ import annotations
 
-import ast
 from typing import Callable, Optional, Union
 
+from .._astparse import ast_parse
 from .incremental import IncrementalExecutor
 
 __all__ = ["FAULT_KINDS", "fault_snippet", "spin_snippet", "inject_fault",
@@ -94,7 +94,7 @@ def inject_fault(source: str, kind: str, position: int = 0) -> str:
     executor.
     """
     snippet = fault_snippet(kind)
-    tree = ast.parse(source)
+    tree = ast_parse(source)
     if not tree.body:
         return snippet
     position = max(0, min(position, len(tree.body)))

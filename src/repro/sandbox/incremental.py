@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._astparse import ast_parse
 from .._lru import LRUCache
 from ..dialects import resolve_dialect
 from ..dialects.base import ModuleProxy
@@ -408,7 +409,7 @@ class IncrementalExecutor:
             self._data_state = state
         if segments is None:
             try:
-                tree = ast.parse(source)
+                tree = ast_parse(source)
             except SyntaxError as exc:
                 return ExecutionResult(ok=False, error=exc, error_line=exc.lineno)
             spans = _statement_spans(source, tree.body)

@@ -18,6 +18,7 @@ from repro.core import (
     TableJaccardIntent,
 )
 from repro.core.intent import (
+    ACCURACY_CACHE,
     IntentMismatchError,
     IntentStats,
     PreparedIntent,
@@ -287,6 +288,7 @@ class TestModelPerformance:
 
     def test_prepared_short_circuits_identical_candidate(self, monkeypatch):
         calls = self._counting(monkeypatch)
+        ACCURACY_CACHE.clear()  # else the original may be a memo hit
         counters = IntentStats()
         intent = ModelPerformanceIntent(target="label", tau=5.0)
         original = classification_frame()

@@ -20,7 +20,9 @@ import os
 import sys
 import tempfile
 
+import repro.core.intent as intent_mod
 from repro.core import LSConfig, LucidScript, recommend_parameters
+from repro.core.intent import ACCURACY_CACHE
 from repro.corpus import cached_index
 from repro.harness import make_intent
 from repro.workloads import build_competition, competition_names
@@ -39,14 +41,14 @@ def _table2(corpus):
     return config.seq, config.beam_size
 
 
-def _op(corpus, held_out, kind, shape):
+def _op(corpus, held_out, kind, shape, **config):
     user = corpus.scripts[held_out]
     rest = corpus.scripts[:held_out] + corpus.scripts[held_out + 1:]
     system = LucidScript(
         rest,
         data_dir=corpus.data_dir,
         intent=make_intent(kind, corpus),
-        config=LSConfig(seq=shape[0], beam_size=shape[1]),
+        config=LSConfig(seq=shape[0], beam_size=shape[1], **config),
     )
     result = system.standardize(user)
     return {
@@ -66,15 +68,16 @@ def _op(corpus, held_out, kind, shape):
     }
 
 
-def run_ops(root):
-    """The 60 op records, in (competition, intent, held-out) order."""
+def run_ops(root, kinds=KINDS, **config):
+    """The op records of *kinds* (all 60 by default), in (competition,
+    intent, held-out) order; *config* adds ``LSConfig`` fields."""
     records = []
     for name in competition_names():
         corpus = build_competition(name, root, seed=SEED, n_rows=ROWS)
         shape = _table2(corpus)
-        for kind in KINDS:
+        for kind in kinds:
             for held_out in range(HELD_OUT):
-                records.append(_op(corpus, held_out, kind, shape))
+                records.append(_op(corpus, held_out, kind, shape, **config))
     return records
 
 
@@ -88,6 +91,34 @@ def test_replays_recorded_leave_one_out_outputs(tmp_path):
         where = f"{want['competition']}[{want['held_out']}] {want['intent']}"
         for key in sorted(set(want) | set(got)):
             assert got.get(key) == want.get(key), f"{where}: field {key!r} diverged"
+
+
+def test_model_ops_replay_on_a_warm_accuracy_memo(tmp_path, monkeypatch):
+    """The 30 τ_M ops, run three times in one process.  The first pass
+    starts from an empty accuracy memo.  The second trains no downstream
+    model at all, since every table it checks was scored by the first.
+    The third audits every prepared delta against the naive, memo-free
+    ``bare_delta`` (``verify_intent``).  All three replay the fixture."""
+    with open(FIXTURE) as handle:
+        recorded = [record for record in json.load(handle) if record["intent"] == "model"]
+    assert len(recorded) == len(competition_names()) * HELD_OUT
+    root = str(tmp_path)
+    ACCURACY_CACHE.clear()
+    assert run_ops(root, kinds=("model",)) == recorded
+
+    trained = []
+    real = intent_mod.evaluate_downstream
+
+    def counted(frame, target, **kwargs):
+        trained.append(frame)
+        return real(frame, target, **kwargs)
+
+    monkeypatch.setattr(intent_mod, "evaluate_downstream", counted)
+    assert run_ops(root, kinds=("model",)) == recorded
+    assert trained == []
+    monkeypatch.setattr(intent_mod, "evaluate_downstream", real)
+
+    assert run_ops(root, kinds=("model",), verify_intent=True) == recorded
 
 
 if __name__ == "__main__":

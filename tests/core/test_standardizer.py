@@ -9,7 +9,7 @@ from repro.core import (
     StandardizationError,
     TableJaccardIntent,
 )
-from repro.core.intent import table_fingerprint
+from repro.core.intent import ACCURACY_CACHE, table_fingerprint
 from repro.sandbox import run_script
 
 
@@ -214,6 +214,8 @@ class TestWinnerVerifiedOnce:
             return real(frame, target, **kwargs)
 
         monkeypatch.setattr(intent_mod, "evaluate_downstream", counted)
+        # the process-wide accuracy memo may hold these tables already
+        ACCURACY_CACHE.clear()
         result = self._standardize(
             diabetes_corpus, diabetes_dir, alex_script, "model"
         )
@@ -227,3 +229,14 @@ class TestWinnerVerifiedOnce:
         assert winner != original  # no short circuit: the winner is trained
         assert trained.count(winner) == 1
         assert trained.count(original) == 1
+
+        # a second search over the same tables, by a new system, trains
+        # nothing and reports the same result
+        trained.clear()
+        again = self._standardize(
+            diabetes_corpus, diabetes_dir, alex_script, "model"
+        )
+        assert trained == []
+        assert (again.output_script, again.intent_delta, again.intent_satisfied) == (
+            result.output_script, result.intent_delta, result.intent_satisfied
+        )

@@ -254,14 +254,6 @@ class TestStress:
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
-        # CPython 3.11's ast.parse keeps its recursion-depth check in
-        # interpreter-wide state, so a thread switch inside it (a garbage
-        # collection running a finalizer) can raise SystemError "AST
-        # constructor recursion depth mismatch", whichever front end
-        # calls it.  The collector stays off here so that only the memos
-        # are on trial.
-        gc.collect()
-        gc.disable()
         with caches_resized(8):  # constant eviction
             sys.setswitchinterval(1e-6)
             try:
@@ -273,5 +265,48 @@ class TestStress:
                 assert not any(thread.is_alive() for thread in threads)
             finally:
                 sys.setswitchinterval(interval)
-                gc.enable()
+        assert errors == []
+
+    def test_threads_parse_through_finalizer_garbage(self):
+        """CPython 3.11's ``ast.parse`` keeps its recursion-depth check in
+        interpreter-wide state: when a collection runs a finalizer in the
+        middle of one thread's parse and another thread parses, the first
+        raises ``SystemError: AST constructor recursion depth mismatch``.
+        Without the package's parse lock, 5 of these 6 threads fail."""
+        script = "import pandas as pd\ndf = pd.read_csv('train.csv')\n" + "\n".join(
+            f"df['c{i}'] = df['a'] * {i} + df['b'].fillna({i})" for i in range(40)
+        )
+        wanted = parse_script(script).normalized
+        interval = sys.getswitchinterval()
+        errors = []
+
+        class Litter:
+            """Cyclic garbage whose finalizer runs Python code."""
+
+            def __init__(self):
+                self.me = self
+
+            def __del__(self):
+                sum(range(20))
+
+        def work():
+            try:
+                for _ in range(60):
+                    for _ in range(5):
+                        Litter()
+                    assert parse_script(script).normalized == wanted
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        assert gc.isenabled()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
         assert errors == []

@@ -4,7 +4,7 @@ reporting)."""
 import pytest
 
 from repro.baselines import SyntaxCleaner, gpt4
-from repro.core import LSConfig
+from repro.core import LSConfig, LucidScript
 from repro.harness import (
     ImprovementStats,
     evaluate_baseline,
@@ -86,6 +86,40 @@ class TestEvaluateLucidScript:
         assert len(run.improvements) == 2
         assert all(v >= 0.0 for v in run.improvements)
         assert any(b.get("RetrievalQueries") for b in run.breakdowns)
+
+    def test_retrieval_k_leaves_the_callers_config_alone(
+        self, medical_competition, monkeypatch
+    ):
+        seen = []
+        real_init = LucidScript.__init__
+
+        def spy(system, *args, **kwargs):
+            seen.append(kwargs["config"].retrieval_k)
+            real_init(system, *args, **kwargs)
+
+        monkeypatch.setattr(LucidScript, "__init__", spy)
+        config = LSConfig(seq=3, beam_size=1, sample_rows=120)
+        evaluate_lucidscript(
+            medical_competition, config=config, max_scripts=1, retrieval_k=3
+        )
+        assert seen == [3]  # the run used the requested k ...
+        assert config.retrieval_k == LSConfig().retrieval_k  # ... on a copy
+
+    def test_retrieval_k_is_validated_before_any_pair_runs(
+        self, medical_competition, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(
+            LucidScript, "standardize", lambda system, script: ran.append(script)
+        )
+        with pytest.raises(ValueError, match="retrieval_k must be >= 1, got 0"):
+            evaluate_lucidscript(
+                medical_competition,
+                config=LSConfig(seq=3, beam_size=1, sample_rows=120),
+                max_scripts=1,
+                retrieval_k=0,
+            )
+        assert ran == []
 
     def test_breakdowns_recorded(self, medical_competition):
         run = evaluate_lucidscript(
