@@ -8,9 +8,10 @@ LRU (lookups refresh recency) and hit rates are observable by
 :class:`repro.core.beam.SearchStats`.
 
 Caches shared across threads (the server engine's warm registry, the
-process-wide corpus, statement and code caches) construct with
+process-wide statement and code caches) construct with
 ``thread_safe=True``, which guards every mutating operation with an
-:class:`threading.RLock`.  The default stays lock-free: the hot
+:class:`threading.RLock`; the corpus cache's layers are used only under
+that module's own lock instead.  The default stays lock-free: the hot
 single-threaded paths (beam memos, snapshot pools) pay nothing for the
 option.
 """

@@ -22,11 +22,14 @@ The equivalence contract is *bit-identity*: after any interleaving of
 mutations, :meth:`CorpusIndex.to_vocabulary` equals
 ``CorpusVocabulary.from_scripts(surviving scripts, in index order)`` on
 every structure, including the float means of ``relative_positions``
-(same values summed in the same order), the ε-smoothed Q(x), and the
+(same values summed in the same order), the ε-smoothed Q(x), the
 tie order of ``ngram_successors`` (Counter insertion order is replayed
-from per-script successor lists).  :meth:`verify` audits this the way
-``LSConfig.verify_scoring``/``verify_intent`` audit the search engines:
-rebuild from scratch, compare exactly, raise on any divergence.
+from per-script successor lists), and the insertion order of the three
+aggregate Counters (each member's first-seen keys are kept, so a
+removal hands the keys it put first on to their next holder).
+:meth:`verify` audits this the way ``LSConfig.verify_scoring``/
+``verify_intent`` audit the search engines: rebuild from scratch,
+compare exactly, raise on any divergence.
 
 Order-sensitive derived structures (successors, templates, positions)
 are rebuilt lazily, per dirty signature, from posting lists — a
@@ -39,14 +42,15 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import sha1
+from itertools import chain, filterfalse
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .._floats import left_sum
 from ..lang.errors import ScriptError
 from ..lang.vocabulary import CorpusStats, CorpusVocabulary
-from .store import ScriptRecord, ScriptStore
+from .store import ScriptRecord, ScriptStore, TemplateSlot
 
 __all__ = [
     "CorpusIndex",
@@ -366,6 +370,32 @@ class MembershipIndex:
         return script_from_notebook(json.loads(text))
 
 
+#: CorpusIndex's posting-list attributes (signature -> {member id: entry})
+_POSTINGS = ("_succ_members", "_template_members", "_position_members")
+
+
+def _counter_copy(counts: Counter) -> Counter:
+    """``Counter(counts)``, items in the same order, without the Python
+    overhead of ``Counter.update`` (a few microseconds a call)."""
+    copy = Counter.__new__(Counter)
+    dict.update(copy, counts)
+    return copy
+
+
+def _contributions(record: ScriptRecord) -> Tuple[Counter, Counter, Counter]:
+    """A record's counts, in :meth:`CorpusIndex._aggregates` order."""
+    return (record.edge_counts, record.onegram_counts, record.ngram_counts)
+
+
+def _new_keys(aggregates: Tuple, record: ScriptRecord) -> Tuple[Tuple, Tuple, Tuple]:
+    """The keys of *record* that each of *aggregates* does not hold yet,
+    in the record's order."""
+    return tuple(
+        tuple(filterfalse(aggregate.__contains__, counts))
+        for aggregate, counts in zip(aggregates, _contributions(record))
+    )
+
+
 def _read_bytes(path: str) -> bytes:
     """A corpus file's bytes with line endings made ``\\n``, as text mode reads it."""
     with open(path, "rb") as handle:
@@ -417,10 +447,25 @@ class CorpusIndex(MembershipIndex):
         self.ngram_counts: Counter = Counter()
         self._total_statements = 0
 
-        # posting lists: signature -> member ids contributing to it
-        self._succ_members: Dict[str, Set[int]] = {}
-        self._template_members: Dict[str, Set[int]] = {}
-        self._position_members: Dict[str, Set[int]] = {}
+        #: member id -> the keys it put first into each aggregate, in its
+        #: record's order.  Aggregate order is the concatenation of these
+        #: over members in corpus order, as a from-scratch build inserts
+        #: keys, and ``most_common()`` breaks count ties by it.  Only a
+        #: removal needs it, so it is built by :meth:`_first_seen_keys`
+        #: at the first removal or copy (None until then); an index that
+        #: is only added to, such as a retrieval working corpus, never
+        #: pays for it.
+        self._first_seen: Optional[Dict[int, Tuple[Tuple, Tuple, Tuple]]] = None
+
+        # posting lists: signature -> {member id: that member's entry for
+        # it}, in corpus order (ids are admitted in increasing order)
+        self._succ_members: Dict[str, Dict[int, List[str]]] = {}
+        self._template_members: Dict[str, Dict[int, TemplateSlot]] = {}
+        self._position_members: Dict[str, Dict[int, List[float]]] = {}
+        #: the posting dicts may be shared with a copy (see _copy): a
+        #: removal replaces one instead of editing it, and an add takes
+        #: private copies of them all first
+        self._postings_shared = False
 
         # lazily rebuilt derived structures + their dirty sets
         self._successors: Dict[str, Counter] = {}
@@ -431,57 +476,149 @@ class CorpusIndex(MembershipIndex):
         self._dirty_positions: Set[str] = set()
 
     # ------------------------------------------------------------------- hooks
+    def remove_script(self, script_id: int) -> None:
+        """Retract one member; the first removal builds ``_first_seen``."""
+        self._first_seen_keys()
+        super().remove_script(script_id)
+
     def _apply(self, record: ScriptRecord, script_id: int) -> None:
+        if self._first_seen is not None:
+            self._first_seen[script_id] = _new_keys(self._aggregates(), record)
         self.edge_counts.update(record.edge_counts)
         self.onegram_counts.update(record.onegram_counts)
         self.ngram_counts.update(record.ngram_counts)
         self._total_statements += record.n_statements
 
-        for sig in record.successors_by_source:
-            self._succ_members.setdefault(sig, set()).add(script_id)
-            self._dirty_succ.add(sig)
-        for sig in record.template_slots:
-            self._template_members.setdefault(sig, set()).add(script_id)
-            self._dirty_templates.add(sig)
-        for sig in record.position_lists:
-            self._position_members.setdefault(sig, set()).add(script_id)
-            self._dirty_positions.add(sig)
+        if self._postings_shared:
+            for name in _POSTINGS:
+                postings = getattr(self, name)
+                setattr(self, name, {sig: dict(ids) for sig, ids in postings.items()})
+            self._postings_shared = False
+        for postings, dirty, entries in self._signature_state(record):
+            for sig, entry in entries.items():
+                postings.setdefault(sig, {})[script_id] = entry
+            dirty.update(entries)
 
     def _retract(self, record: ScriptRecord, script_id: int) -> None:
         self._subtract(self.edge_counts, record.edge_counts)
         self._subtract(self.onegram_counts, record.onegram_counts)
         self._subtract(self.ngram_counts, record.ngram_counts)
         self._total_statements -= record.n_statements
+        first_seen = self._first_seen.pop(script_id)
+        for which, (aggregate, keys) in enumerate(zip(self._aggregates(), first_seen)):
+            moved = [key for key in keys if key in aggregate]
+            if moved:
+                self._reseat(which, moved, script_id)
 
-        for sig in record.successors_by_source:
-            self._drop_posting(self._succ_members, sig, script_id)
-            self._dirty_succ.add(sig)
-        for sig in record.template_slots:
-            self._drop_posting(self._template_members, sig, script_id)
-            self._dirty_templates.add(sig)
-        for sig in record.position_lists:
-            self._drop_posting(self._position_members, sig, script_id)
-            self._dirty_positions.add(sig)
+        for postings, dirty, entries in self._signature_state(record):
+            for sig in entries:
+                members = postings[sig]
+                if len(members) == 1:
+                    del postings[sig]
+                    continue
+                if self._postings_shared:
+                    members = postings[sig] = dict(members)
+                del members[script_id]
+            dirty.update(entries)
+
+    def _aggregates(self) -> Tuple[Counter, Counter, Counter]:
+        return (self.edge_counts, self.onegram_counts, self.ngram_counts)
+
+    def _first_seen_keys(self) -> Dict[int, Tuple[Tuple, Tuple, Tuple]]:
+        """``_first_seen``, built by one walk over the members the first
+        time it is needed."""
+        if self._first_seen is None:
+            seen: Tuple[Set, Set, Set] = (set(), set(), set())
+            self._first_seen = {}
+            for script_id, content_hash in self._members.items():
+                record = self._records[content_hash]
+                self._first_seen[script_id] = _new_keys(seen, record)
+                for keys, counts in zip(seen, _contributions(record)):
+                    keys.update(counts)
+        return self._first_seen
+
+    def _signature_state(self, record: ScriptRecord) -> Tuple[Tuple, Tuple, Tuple]:
+        """(postings, dirty set, the record's entries) of each derived
+        structure: successors, templates, positions."""
+        return (
+            (self._succ_members, self._dirty_succ, record.successors_by_source),
+            (self._template_members, self._dirty_templates, record.template_slots),
+            (self._position_members, self._dirty_positions, record.position_lists),
+        )
+
+    def _reseat(self, which: int, moved: List, removed_id: int) -> None:
+        """Restore first-seen order in aggregate *which* after a removal.
+
+        *moved* are keys the removed member put first that other members
+        still hold.  Each now belongs to the first later member holding
+        it (no earlier one does), and the aggregate is re-ordered to the
+        concatenation of every member's first-seen keys.  Only members
+        up to the last new owner are visited; counts are not touched.
+        """
+        pending = set(moved)
+        for script_id, content_hash in self._members.items():
+            if script_id < removed_id:
+                continue
+            counts = _contributions(self._records[content_hash])[which]
+            taken = pending.intersection(counts)
+            if not taken:
+                continue
+            pending -= taken
+            slots = list(self._first_seen[script_id])
+            owned = set(slots[which]) | taken
+            slots[which] = tuple(key for key in counts if key in owned)
+            self._first_seen[script_id] = tuple(slots)
+            if not pending:
+                break
+        aggregate = self._aggregates()[which]
+        reordered = {
+            key: aggregate[key]
+            for first_seen in self._first_seen.values()
+            for key in first_seen[which]
+        }
+        aggregate.clear()
+        aggregate.update(reordered)
 
     @staticmethod
     def _subtract(aggregate: Counter, delta: Counter) -> None:
-        aggregate.subtract(delta)
-        for key in delta:
-            if not aggregate[key]:
+        for key, count in delta.items():
+            remaining = aggregate[key] - count
+            if remaining:
+                aggregate[key] = remaining
+            else:
                 del aggregate[key]
 
-    @staticmethod
-    def _drop_posting(postings: Dict[str, Set[int]], sig: str, script_id: int) -> None:
-        members = postings.get(sig)
-        if members is not None:
-            members.discard(script_id)
-            if not members:
-                del postings[sig]
+    def _copy(self) -> "CorpusIndex":
+        """An independent copy: a mutation of either index leaves the
+        other as it was.  It shares the store, the (immutable) records,
+        the derived entries (materializing replaces them rather than
+        editing them) and the posting dicts, which both indexes then
+        treat as shared."""
+        clone = CorpusIndex(store=self.store)
+        clone._members = dict(self._members)
+        clone._next_id = self._next_id
+        clone._records = dict(self._records)
+        clone._refcounts = _counter_copy(self._refcounts)
+        clone.n_failures = self.n_failures
+        clone.corpus_dir = self.corpus_dir
+        clone._files = {name: replace(entry) for name, entry in self._files.items()}
+        clone.edge_counts = _counter_copy(self.edge_counts)
+        clone.onegram_counts = _counter_copy(self.onegram_counts)
+        clone.ngram_counts = _counter_copy(self.ngram_counts)
+        clone._total_statements = self._total_statements
+        clone._first_seen = dict(self._first_seen_keys())
+        for name in _POSTINGS:
+            setattr(clone, name, dict(getattr(self, name)))
+        clone._postings_shared = self._postings_shared = True
+        clone._successors = dict(self._successors)
+        clone._templates = dict(self._templates)
+        clone._positions = dict(self._positions)
+        clone._dirty_succ = set(self._dirty_succ)
+        clone._dirty_templates = set(self._dirty_templates)
+        clone._dirty_positions = set(self._dirty_positions)
+        return clone
 
     # ------------------------------------------------------ derived structures
-    def _record_of(self, script_id: int) -> ScriptRecord:
-        return self._records[self._members[script_id]]
-
     def _materialize(self) -> None:
         """Rebuild dirty derived entries, replaying corpus order exactly."""
         for sig in self._dirty_succ:
@@ -489,11 +626,9 @@ class CorpusIndex(MembershipIndex):
             if not members:
                 self._successors.pop(sig, None)
                 continue
-            counter: Counter = Counter()
-            for script_id in sorted(members):
-                for target in self._record_of(script_id).successors_by_source[sig]:
-                    counter[target] += 1
-            self._successors[sig] = counter
+            # Counter counts an iterable in first-seen order, as a
+            # from-scratch build does
+            self._successors[sig] = Counter(chain.from_iterable(members.values()))
         self._dirty_succ.clear()
 
         for sig in self._dirty_templates:
@@ -501,18 +636,16 @@ class CorpusIndex(MembershipIndex):
             if not members:
                 self._templates.pop(sig, None)
                 continue
-            ordered = sorted(members)
             # CorpusVocabulary's preference rule resolves to: the first
             # df-assignment occurrence in corpus order if one exists,
             # otherwise the very first occurrence
             template: Optional[str] = None
-            for script_id in ordered:
-                first_df, _ = self._record_of(script_id).template_slots[sig]
+            for first_df, _ in members.values():
                 if first_df is not None:
                     template = first_df
                     break
             if template is None:
-                template = self._record_of(ordered[0]).template_slots[sig][1]
+                template = next(iter(members.values()))[1]
             self._templates[sig] = template
         self._dirty_templates.clear()
 
@@ -521,9 +654,7 @@ class CorpusIndex(MembershipIndex):
             if not members:
                 self._positions.pop(sig, None)
                 continue
-            values: List[float] = []
-            for script_id in sorted(members):
-                values.extend(self._record_of(script_id).position_lists[sig])
+            values = list(chain.from_iterable(members.values()))
             self._positions[sig] = left_sum(values) / len(values)
         self._dirty_positions.clear()
 
@@ -541,13 +672,13 @@ class CorpusIndex(MembershipIndex):
         n = len(self._members)
         vocabulary = CorpusVocabulary.__new__(CorpusVocabulary)
         vocabulary._dags = []
-        vocabulary.edge_counts = Counter(self.edge_counts)
-        vocabulary.onegram_counts = Counter(self.onegram_counts)
-        vocabulary.ngram_counts = Counter(self.ngram_counts)
+        vocabulary.edge_counts = _counter_copy(self.edge_counts)
+        vocabulary.onegram_counts = _counter_copy(self.onegram_counts)
+        vocabulary.ngram_counts = _counter_copy(self.ngram_counts)
         from collections import defaultdict
 
         vocabulary.successors = defaultdict(
-            Counter, {sig: Counter(c) for sig, c in self._successors.items()}
+            Counter, {sig: _counter_copy(c) for sig, c in self._successors.items()}
         )
         vocabulary.onegram_templates = dict(self._templates)
         vocabulary.relative_positions = dict(self._positions)
@@ -585,9 +716,14 @@ class CorpusIndex(MembershipIndex):
             self.sources(), dialect=self.store._lang_dialect
         )
         mine = self.to_vocabulary()
-        self._compare("edge_counts", mine.edge_counts, fresh.edge_counts)
-        self._compare("onegram_counts", mine.onegram_counts, fresh.onegram_counts)
-        self._compare("ngram_counts", mine.ngram_counts, fresh.ngram_counts)
+        # insertion order is most_common()'s tie order (1-gram adds,
+        # operation groups): compare the items in order, not the multisets
+        for what in ("edge_counts", "onegram_counts", "ngram_counts"):
+            self._compare(
+                what,
+                list(getattr(mine, what).items()),
+                list(getattr(fresh, what).items()),
+            )
         self._compare("total_edges", mine.total_edges, fresh.total_edges)
         self._compare("onegram_templates", mine.onegram_templates, fresh.onegram_templates)
         self._compare(

@@ -200,7 +200,8 @@ class ScriptStore:
         :meth:`CorpusVocabulary.from_scripts`, which skips broken
         corpus scripts); the failure is counted, not raised.
         """
-        raw_key = sha1(raw_source.encode()).hexdigest()
+        # surrogatepass: text holding a lone surrogate hashes, then fails to parse
+        raw_key = sha1(raw_source.encode("utf-8", "surrogatepass")).hexdigest()
         content_hash = self._raw_memo.get(raw_key)
         if content_hash is not None:
             record = self._records.get(content_hash)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..baselines import Baseline
-from ..corpus import RetrievalIndex, shared_store
+from ..corpus import RetrievalIndex, cached_index, shared_store
 from ..core import (
     IntentMeasure,
     LSConfig,
@@ -153,13 +153,12 @@ def evaluate_lucidscript(
         # a copy, so the caller's config is untouched and LSConfig
         # validates the value before any pair runs
         config = replace(config, retrieval_k=retrieval_k)
-    # Prewarm the content-addressed store once: every leave-one-out
-    # reference corpus is a subset of these scripts, so each system
-    # construction inside the loop assembles its search space from
-    # cached records instead of reparsing N-1 scripts per script.
+    # Curate the full corpus once: every leave-one-out reference corpus
+    # is it with one script dropped, so each system construction inside
+    # the loop derives its index from this one by retracting that script
+    # instead of assembling N-1 records.
+    cached_index(corpus.scripts, dialect=config.dialect)
     store = shared_store()
-    for script in corpus.scripts:
-        store.get_or_parse(script)
     for script in corpus_override or ():
         store.get_or_parse(script)
     pairs = list(corpus.leave_one_out())

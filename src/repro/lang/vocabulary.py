@@ -61,6 +61,9 @@ class CorpusVocabulary:
         self.onegram_templates: Dict[str, str] = {}
         #: n-gram signature -> mean relative position (0=start .. 1=end)
         self.relative_positions: Dict[str, float] = {}
+        #: n-gram signature -> number of scripts holding it, counted at
+        #: the first statement_frequency() call
+        self._script_counts: Optional[Counter] = None
 
         position_sums: Dict[str, List[float]] = defaultdict(list)
         for dag in self._dags:
@@ -159,10 +162,14 @@ class CorpusVocabulary:
         if not self._dags:
             restored = getattr(self, "_restored_frequencies", {})
             return restored.get(signature, 0.0)
-        hits = sum(
-            1 for dag in self._dags if signature in dag.ngram_counter()
-        )
-        return hits / len(self._dags)
+        if self._script_counts is None:
+            # one pass over the corpus, not one per signature asked (two
+            # threads racing here count alike)
+            script_counts: Counter = Counter()
+            for dag in self._dags:
+                script_counts.update(dag.ngram_counter().keys())
+            self._script_counts = script_counts
+        return self._script_counts[signature] / len(self._dags)
 
     def ngram_successors(self, signature: str) -> List[Tuple[str, int]]:
         """Statements observed to directly follow *signature*, most common first."""

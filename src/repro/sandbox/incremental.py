@@ -65,7 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._astparse import ast_parse
+from .._astparse import ast_parse, not_utf8
 from .._lru import LRUCache
 from ..dialects import resolve_dialect
 from ..dialects.base import ModuleProxy
@@ -173,8 +173,12 @@ def _compiled(segment: str, lineno: int) -> types.CodeType:
     key = (segment, lineno)
     code = _CODE_CACHE.get(key)
     if code is None:
-        # inherits this module's future flags, as run_script's compile does
-        code = compile("\n" * (lineno - 1) + segment, "<script>", "exec")
+        padded = "\n" * (lineno - 1) + segment
+        try:
+            # inherits this module's future flags, as run_script's compile does
+            code = compile(padded, "<script>", "exec")
+        except UnicodeEncodeError as exc:
+            raise not_utf8(padded, exc) from exc
         _CODE_CACHE[key] = code
     return code
 

@@ -25,6 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from .._astparse import not_utf8
 from ..dialects import resolve_dialect
 from ..dialects import base as _dialect_base
 from ..dialects.base import TableLoader, _last_assigned_variable
@@ -293,6 +294,9 @@ def run_script(
 
     try:
         code = compile(source, "<script>", "exec")
+    except UnicodeEncodeError as exc:
+        error = not_utf8(source, exc)
+        return ExecutionResult(ok=False, error=error, error_line=error.lineno)
     except SyntaxError as exc:
         return ExecutionResult(ok=False, error=exc, error_line=exc.lineno)
 

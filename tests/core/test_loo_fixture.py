@@ -23,7 +23,7 @@ import tempfile
 import repro.core.intent as intent_mod
 from repro.core import LSConfig, LucidScript, recommend_parameters
 from repro.core.intent import ACCURACY_CACHE
-from repro.corpus import cached_index
+from repro.corpus import cached_index, clear_corpus_cache, corpus_cache_counters
 from repro.harness import make_intent
 from repro.workloads import build_competition, competition_names
 
@@ -91,6 +91,19 @@ def test_replays_recorded_leave_one_out_outputs(tmp_path):
         where = f"{want['competition']}[{want['held_out']}] {want['intent']}"
         for key in sorted(set(want) | set(got)):
             assert got.get(key) == want.get(key), f"{where}: field {key!r} diverged"
+
+
+def test_jaccard_ops_replay_with_every_derived_index_audited(tmp_path):
+    """The 30 τ_J ops again with ``verify_index=True``.  Each op's corpus
+    is derived from its competition's cached full index (``_table2``
+    cached it), and the audit rebuilds the derived index from scratch and
+    compares it before the search uses it."""
+    with open(FIXTURE) as handle:
+        recorded = [record for record in json.load(handle) if record["intent"] == "jaccard"]
+    clear_corpus_cache()
+    before = corpus_cache_counters()
+    assert run_ops(str(tmp_path), kinds=("jaccard",), verify_index=True) == recorded
+    assert corpus_cache_counters().delta(before).index_derivations == len(recorded)
 
 
 def test_model_ops_replay_on_a_warm_accuracy_memo(tmp_path, monkeypatch):

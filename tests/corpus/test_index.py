@@ -59,9 +59,10 @@ SCRIPT_POOL = [
 
 def assert_bit_identical(mine: CorpusVocabulary, fresh: CorpusVocabulary) -> None:
     """Compare every structure a vocabulary exposes, order included."""
-    assert mine.edge_counts == fresh.edge_counts
-    assert mine.onegram_counts == fresh.onegram_counts
-    assert mine.ngram_counts == fresh.ngram_counts
+    # Counter insertion order is most_common()'s tie order
+    assert list(mine.edge_counts.items()) == list(fresh.edge_counts.items())
+    assert list(mine.onegram_counts.items()) == list(fresh.onegram_counts.items())
+    assert list(mine.ngram_counts.items()) == list(fresh.ngram_counts.items())
     assert mine.total_edges == fresh.total_edges
     assert mine.onegram_templates == fresh.onegram_templates
     # float means must be the exact same floats, not approximately equal

@@ -194,6 +194,50 @@ class TestErrorVerdicts:
                     )
         assert excinfo.value.kind == "bad_request"
 
+    def test_lone_surrogate_in_input_script_is_bad_request(
+        self, tmp_path, diabetes_corpus, alex_script
+    ):
+        """Text that cannot be encoded as UTF-8 fails to parse, for every
+        op, instead of escaping as an internal error."""
+        script = alex_script + "\ndf['note'] = 'caf\udc80'\n"
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                for op in ("score", "standardize"):
+                    response = client.request(
+                        {
+                            "op": op,
+                            "params": {
+                                "script": script,
+                                "corpus": diabetes_corpus,
+                                "config": TINY,
+                            },
+                        }
+                    )
+                    assert not response["ok"], response
+                    assert response["error"]["kind"] == "bad_request"
+                    assert response["error"]["message"].startswith(
+                        "input script failed to parse"
+                    )
+                    assert "\\udc80" in response["error"]["message"]
+
+    def test_lone_surrogate_in_corpus_script_is_skipped(
+        self, tmp_path, diabetes_corpus, alex_script
+    ):
+        broken = diabetes_corpus[0] + "\ndf['note'] = 'caf\udc80'\n"
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                with_broken = client.score(
+                    script=alex_script, corpus=diabetes_corpus + [broken], config=TINY
+                )
+                inline = client.score(
+                    script=alex_script, corpus=diabetes_corpus, config=TINY
+                )
+                with pytest.raises(ServerError) as excinfo:
+                    client.score(script=alex_script, corpus=[broken], config=TINY)
+        assert with_broken == inline
+        assert excinfo.value.kind == "bad_request"
+        assert str(excinfo.value).startswith("corpus failed to curate")
+
     def test_corpus_dir_skips_a_malformed_notebook(
         self, tmp_path, diabetes_corpus, alex_script
     ):

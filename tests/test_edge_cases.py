@@ -160,3 +160,77 @@ class TestAdversarialScripts:
             "df = df.fillna(df.mean())"
         )
         assert result.improvement >= 0.0
+
+
+class TestTextNotValidUtf8:
+    """A lone surrogate (``"\\udc80"``, which a JSON request can carry) makes
+    the text unencodable as UTF-8: it fails to parse like a syntax error."""
+
+    SCRIPT = (
+        "import pandas as pd\n"
+        "df = pd.read_csv('diabetes.csv')\n"
+        "df['note'] = 'caf\udc80'\n"
+    )
+
+    def test_parse_reports_a_syntax_error_with_its_line(self):
+        from repro._astparse import ast_parse
+        from repro.lang import ScriptError
+
+        with pytest.raises(SyntaxError) as excinfo:
+            ast_parse(self.SCRIPT)
+        assert (excinfo.value.lineno, excinfo.value.offset) == (3, 18)
+        assert "'\\udc80'" in str(excinfo.value)  # escaped: printable anywhere
+        str(excinfo.value).encode("utf-8")
+        with pytest.raises(ScriptError):
+            parse_script(self.SCRIPT)
+        with pytest.raises(ScriptError):
+            lemmatize(self.SCRIPT)
+
+    def test_execution_fails_as_a_syntax_error(self, diabetes_dir):
+        from repro.sandbox import IncrementalExecutor
+
+        cold = run_script(self.SCRIPT, data_dir=diabetes_dir)
+        assert not cold.ok
+        assert (cold.error_type, cold.error_line) == ("SyntaxError", 3)
+        executor = IncrementalExecutor(data_dir=diabetes_dir)
+        for segments in (None, tuple(self.SCRIPT.split("\n"))):
+            warm = executor.run_script(self.SCRIPT, segments=segments)
+            assert (warm.ok, warm.error_type, warm.error_line) == (
+                False, "SyntaxError", 3,
+            )
+
+    def test_corpus_skips_it_on_every_path(self, diabetes_corpus):
+        from repro.corpus import (
+            CorpusIndex,
+            cached_index,
+            clear_corpus_cache,
+            shared_store,
+        )
+        from repro.lang import ScriptError
+
+        clear_corpus_cache()
+        try:
+            assert shared_store().get_or_parse(self.SCRIPT) is None
+            corpus = diabetes_corpus + [self.SCRIPT]
+            warm = cached_index(corpus)
+            cold = CorpusIndex.from_scripts(corpus)
+            assert warm.n_failures == cold.n_failures == 1
+            assert warm.to_vocabulary().edge_counts == (
+                CorpusVocabulary.from_scripts(diabetes_corpus).edge_counts
+            )
+            for build in (cached_index, CorpusVocabulary.from_scripts):
+                with pytest.raises(ScriptError):
+                    build([self.SCRIPT])
+        finally:
+            clear_corpus_cache()
+
+    def test_standardize_raises_a_script_error(self, diabetes_corpus, diabetes_dir):
+        from repro.lang import ScriptError
+
+        system = LucidScript(
+            diabetes_corpus, data_dir=diabetes_dir,
+            config=LSConfig(seq=2, beam_size=1, sample_rows=100),
+        )
+        for method in (system.score, system.standardize):
+            with pytest.raises(ScriptError, match="not valid UTF-8"):
+                method(self.SCRIPT)
