@@ -10,9 +10,8 @@ detect_leakage across two corpora):
 - **cold** — each request runs ``python -m repro.server.oneshot`` in a
   fresh process, the per-request cost a CLI user pays today;
 - **warm** — all requests pipelined over one socket to a live
-  :class:`~repro.server.StandardizationServer`, which coalesces
-  same-corpus jobs into shared dispatch waves against registry-pinned
-  systems.
+  :class:`~repro.server.StandardizationServer`, which runs them one
+  at a time in arrival order against registry-pinned systems.
 
 Correctness gates before any speed number counts: every cold response
 doubles as the ``verify_server`` ground truth, and every warm response
@@ -97,7 +96,7 @@ def _write_data(directory):
 
 def _workload(data_dir):
     """The mixed 50-request workload: ~60% score, the rest search ops,
-    alternating between two corpora so waves and warm entries interleave."""
+    alternating between two corpora so warm entries interleave."""
     corpora = [CORPUS_A, CORPUS_B]
     ops = ["score", "score", "score", "standardize", "explain", "detect_leakage"]
     requests = []
@@ -170,9 +169,6 @@ def test_perf_server_throughput():
             "audited_requests": N_REQUESTS,
             "audit_mismatches": 0,
             "server_stats": {
-                "waves": stats["waves"],
-                "coalesced_waves": stats["coalesced_waves"],
-                "coalesced_jobs": stats["coalesced_jobs"],
                 "warm_hits": stats["warm_hits"],
                 "warm_misses": stats["warm_misses"],
                 "latency_p50_ms": stats["latency_p50_ms"],
@@ -207,14 +203,11 @@ def test_perf_server_throughput():
                 ),
             )
             + (
-                f"\nwaves={stats['waves']} "
-                f"(coalesced={stats['coalesced_waves']}, "
-                f"jobs sharing a wave={stats['coalesced_jobs']}), "
-                f"warm hits={stats['warm_hits']}/"
+                f"\nwarm hits={stats['warm_hits']}/"
                 f"{stats['warm_hits'] + stats['warm_misses']}, "
                 f"p50={stats['latency_p50_ms']}ms "
                 f"p95={stats['latency_p95_ms']}ms"
-                f"\n[recorded in {BENCH_JSON}]"
+                f"\n[recorded in {os.path.relpath(BENCH_JSON, REPO_ROOT)}]"
             ),
         )
 

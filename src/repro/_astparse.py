@@ -5,7 +5,7 @@ interpreter-wide state.  When a thread switch happens mid-parse (a
 garbage collection running a finalizer is enough), a parse on another
 thread resets that state, and the first parse fails with
 ``SystemError: AST constructor recursion depth mismatch``.  The server
-parses on two threads, admission on the event loop and jobs on the wave
+parses on two threads, admission on the event loop and jobs on the job
 thread, so every ``ast.parse`` in the package goes through
 :func:`ast_parse`.  The lock is reentrant, so a finalizer that parses on
 the thread already holding it cannot deadlock.

@@ -38,7 +38,7 @@ Standardization-as-a-service::
         --script prep.py --corpus-dir peers/
 
 ``serve`` runs the long-lived request engine (warm per-corpus state,
-cross-request batch coalescing, graceful SIGTERM drain); ``client``
+jobs run first in first out, graceful SIGTERM drain); ``client``
 sends one job, built by the job ops' own flags (or ``ping``/``stats``/
 ``shutdown``), and prints the response JSON.  See :mod:`repro.server`.
 """
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bounded admission: max queued jobs (default 64)")
     p_serve.add_argument("--warm-limit", type=int, default=8,
                          help="warm systems pinned under LRU admission (default 8)")
-    p_serve.add_argument("--wave-limit", type=int, default=8,
-                         help="max jobs coalesced into one dispatch wave (default 8)")
     p_serve.add_argument("--deadline-s", type=float, default=None,
                          help="default per-request SLA in seconds (requests "
                          "may override)")
@@ -527,7 +525,6 @@ def cmd_serve(args) -> int:
             port=args.port,
             queue_limit=args.queue_limit,
             warm_limit=args.warm_limit,
-            wave_limit=args.wave_limit,
             audit=args.audit,
             default_deadline_s=args.deadline_s,
         )

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import sys
+from dataclasses import dataclass, fields
+from typing import Any, Optional
 
 __all__ = ["LSConfig", "recommend_parameters"]
 
@@ -11,6 +12,28 @@ __all__ = ["LSConfig", "recommend_parameters"]
 #: above 300 unique edges.
 LARGE_CORPUS_SCRIPTS = 10
 DIVERSE_CORPUS_EDGES = 300
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A finite int or float, not a bool (exact for ints of any size)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+#: An annotation's base type -> (its check, what the error names).
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda value: isinstance(value, bool), "a bool"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+}
 
 
 @dataclass
@@ -150,6 +173,10 @@ class LSConfig:
     def __post_init__(self):
         from ..dialects import get_dialect
 
+        for name, optional, check, expected in _FIELD_CHECKS:
+            value = getattr(self, name)
+            if not (check(value) or (optional and value is None)):
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
         get_dialect(self.dialect)  # unknown names fail fast, listing options
         if self.seq < 1:
             raise ValueError(f"seq must be >= 1, got {self.seq}")
@@ -180,6 +207,15 @@ class LSConfig:
     @property
     def clusters(self) -> int:
         return self.diversity_clusters or self.beam_size
+
+
+#: (field, takes None, check, expected) for every LSConfig field, read
+#: off its annotation (``int``, ``Optional[float]``, ...).
+_FIELD_CHECKS = tuple(
+    (spec.name, spec.type.startswith("Optional["))
+    + _TYPE_CHECKS[spec.type.removeprefix("Optional[").removesuffix("]")]
+    for spec in fields(LSConfig)
+)
 
 
 def recommend_parameters(n_scripts: int, uniq_edges: int) -> LSConfig:

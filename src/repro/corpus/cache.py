@@ -33,7 +33,7 @@ reproduces bit-identically), so two orderings of the same scripts are
 genuinely different corpora and must not share a cache entry.
 
 Thread safety: the standardization server admits jobs on its event loop
-while the wave thread curates corpora, so every public function here
+while the job thread curates corpora, so every public function here
 holds one module :class:`threading.RLock` around every use of the
 shared globals.  The LRU layers are only used under it and take no lock
 of their own: one per address lookup doubled the cost of a warm corpus
@@ -223,8 +223,7 @@ def corpus_key(scripts: Sequence[str], dialect: str = "pandas") -> str:
 
     Two corpora share a key iff their scripts are byte-identical in the
     same order *and* were prepared under the same dialect — the identity
-    the server engine uses for warm-state admission and cross-request
-    wave coalescing.
+    the server engine uses for warm-state admission.
     """
     with _LOCK:
         return _key(_addresses(scripts, dialect), dialect)

@@ -12,10 +12,10 @@ daemon:
 * :mod:`repro.server.jobs` — the deterministic job runner shared by the
   warm server and the cold one-shot replay (the bit-identity anchor);
 * :mod:`repro.server.queue` — bounded admission, per-request deadlines,
-  oldest-first scheduling with per-corpus fairness;
+  first-in-first-out scheduling;
 * :mod:`repro.server.engine` — the asyncio request engine: warm
-  per-corpus state with LRU admission, cross-request batch coalescing
-  into shared dispatch waves, ``ServerStats``, graceful SIGTERM drain;
+  per-corpus state with LRU admission, one job at a time in arrival
+  order, ``ServerStats``, graceful SIGTERM drain;
 * :mod:`repro.server.client` — a blocking socket client for scripting,
   tests, and the ``repro client`` subcommand;
 * :mod:`repro.server.oneshot` — the cold per-request process the warm

@@ -6,9 +6,8 @@ or TCP.  Two usage styles:
 * request/response — :meth:`ServerClient.request` sends one message and
   waits for its matching response;
 * pipelined — :meth:`ServerClient.submit` many requests first, then
-  :meth:`ServerClient.collect` the responses by id.  Pipelining is what
-  lets the engine coalesce concurrent same-corpus jobs into shared
-  dispatch waves, so it is the throughput mode.
+  :meth:`ServerClient.collect` the responses by id.  Pipelining keeps
+  the engine's queue fed, so it is the throughput mode.
 """
 
 from __future__ import annotations

@@ -1,23 +1,18 @@
-"""The asyncio request engine: warm state, coalesced waves, graceful drain.
+"""The asyncio request engine: warm state, first-in-first-out jobs, drain.
 
 Execution model
 ---------------
 The event loop owns all I/O and the queue; one dedicated thread owns
-all job execution.  The scheduler pulls **waves** — batches of
-queued jobs that target the same corpus (see
-:class:`~repro.server.queue.JobQueue`) — and runs each wave to
-completion on that thread before taking the next.  Three properties
-fall out:
+all job execution.  The scheduler takes the oldest queued job (see
+:class:`~repro.server.queue.JobQueue`), runs it to completion on that
+thread and answers it before taking the next.  Two properties fall out:
 
-* **determinism** — jobs execute one at a time in admission order
-  within their wave, against caches whose contents are bit-identical to
-  a cold build by construction, so every response replays byte-for-byte
-  in a fresh process (the ``verify_server`` audit);
-* **coalescing** — all jobs of a wave share one warm
-  :class:`~repro.core.LucidScript`: one corpus curation, one prepared
-  intent, one prefix-snapshot pool;
+* **determinism** — jobs execute one at a time in admission order,
+  against caches whose contents are bit-identical to a cold build by
+  construction, so every response replays byte-for-byte in a fresh
+  process (the ``verify_server`` audit);
 * **isolation** — a slow search never wedges the loop; admission,
-  control ops, and drain stay responsive while a wave runs.
+  control ops, and drain stay responsive while a job runs.
 
 Warm-state lifecycle
 --------------------
@@ -29,6 +24,8 @@ intent cache built by earlier requests; eviction just drops the pin
 (the process-wide corpus cache underneath keeps its own bounds).  Warm
 state assumes the dataset files under ``data_dir`` are immutable for
 the server's lifetime, matching the corpus-snapshot staleness contract.
+Jobs that share a corpus need no batching to share its curation: each
+one acquires the same pinned system.
 
 Admission and SLA
 -----------------
@@ -42,7 +39,7 @@ candidate script can burn more than what is left of the SLA.
 Drain
 -----
 On SIGTERM/SIGINT (or the ``shutdown`` op): stop admitting (retryable
-``draining`` errors), let the in-flight wave finish, reject everything
+``draining`` errors), let the in-flight job finish, reject everything
 still queued, close the listeners, remove the socket file.
 """
 
@@ -52,10 +49,11 @@ import asyncio
 import contextlib
 import os
 import signal
+import sys
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .._lru import LRUCache
@@ -73,6 +71,27 @@ __all__ = [
     "WarmRegistry",
 ]
 
+#: Latency samples the ``stats`` op keeps for its p50/p95.
+STATS_WINDOW = 512
+
+
+def _deadline(value: Any, name: str = "deadline_s") -> Optional[float]:
+    """*value* as an SLA in seconds, or None for no deadline.
+
+    It must be a finite positive number and not a bool: JSON parses
+    ``NaN`` and ``Infinity``, and ``true`` is an int to Python.  A
+    finite int too large for a float is refused too.
+    """
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
 
 @dataclass
 class ServerConfig:
@@ -83,10 +102,8 @@ class ServerConfig:
     port: int = 0  #: TCP port (0 = ephemeral, see ``tcp_address``)
     queue_limit: int = 64  #: bounded admission: max queued jobs
     warm_limit: int = 8  #: warm systems pinned (LRU admission)
-    wave_limit: int = 8  #: max jobs coalesced into one dispatch wave
     audit: bool = False  #: verify_server: replay every response cold
     default_deadline_s: Optional[float] = None  #: SLA when requests set none
-    stats_window: int = 512  #: latency samples retained for p50/p95
     install_signal_handlers: bool = True  #: SIGTERM/SIGINT -> drain
 
     def __post_init__(self):
@@ -96,10 +113,7 @@ class ServerConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.warm_limit < 1:
             raise ValueError(f"warm_limit must be >= 1, got {self.warm_limit}")
-        if self.wave_limit < 1:
-            raise ValueError(f"wave_limit must be >= 1, got {self.wave_limit}")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ValueError("default_deadline_s must be positive when set")
+        _deadline(self.default_deadline_s, "default_deadline_s")
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -114,23 +128,20 @@ def _percentile(samples: List[float], q: float) -> float:
 class ServerStats:
     """Cross-request serving counters (the ``stats`` control op).
 
-    Mutated from both the event loop (admission counters) and the wave
+    Mutated from both the event loop (admission counters) and the job
     thread (job counters), so every update goes through one lock.
     """
 
-    def __init__(self, window: int = 512):
+    def __init__(self):
         self._lock = threading.Lock()
         self._started_at = time.monotonic()
-        self._latencies: Deque[Tuple[str, float]] = deque(maxlen=window)
+        self._latencies: Deque[Tuple[str, float]] = deque(maxlen=STATS_WINDOW)
         self.jobs = Counter()  #: completed jobs per op
         self.errors = Counter()  #: error responses per error kind
         self.admitted = 0
         self.queue_rejections = 0
         self.drain_rejections = 0
         self.deadline_misses = 0
-        self.waves = 0
-        self.coalesced_waves = 0  #: waves that served > 1 job
-        self.coalesced_jobs = 0  #: jobs that shared their wave
         self.warm_hits = 0
         self.warm_misses = 0
         self.audits = 0
@@ -147,13 +158,6 @@ class ServerStats:
             elif kind == "draining":
                 self.drain_rejections += 1
             self.errors[kind] += 1
-
-    def record_wave(self, size: int) -> None:
-        with self._lock:
-            self.waves += 1
-            if size > 1:
-                self.coalesced_waves += 1
-                self.coalesced_jobs += size
 
     def record_job(
         self,
@@ -194,9 +198,6 @@ class ServerStats:
                 "queue_rejections": self.queue_rejections,
                 "drain_rejections": self.drain_rejections,
                 "deadline_misses": self.deadline_misses,
-                "waves": self.waves,
-                "coalesced_waves": self.coalesced_waves,
-                "coalesced_jobs": self.coalesced_jobs,
                 "warm_hits": self.warm_hits,
                 "warm_misses": self.warm_misses,
                 "audits": self.audits,
@@ -213,7 +214,7 @@ class WarmRegistry:
     results (corpus in order, data_dir, intent, config), so a warm hit
     is bit-identical to a fresh build — it just skips the offline phase
     and arrives with prefix snapshots and prepared intents already hot.
-    Thread-safe: acquired from the wave thread while the event loop may
+    Thread-safe: acquired from the job thread while the event loop may
     be admitting (and therefore content-addressing) new corpora.
     """
 
@@ -238,7 +239,7 @@ class StandardizationServer:
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.stats = ServerStats(window=config.stats_window)
+        self.stats = ServerStats()
         self.registry = WarmRegistry(config.warm_limit)
         self.queue = JobQueue(config.queue_limit)
         self.tcp_address: Optional[Tuple[str, int]] = None
@@ -255,7 +256,7 @@ class StandardizationServer:
         from concurrent.futures import ThreadPoolExecutor
 
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-wave"
+            max_workers=1, thread_name_prefix="repro-serve-job"
         )
 
     # ------------------------------------------------------------- lifecycle
@@ -292,7 +293,7 @@ class StandardizationServer:
             self._drain_task = self._loop.create_task(self.drain())
 
     async def drain(self) -> None:
-        """Graceful shutdown: finish the in-flight wave, reject the rest."""
+        """Graceful shutdown: finish the in-flight job, reject the rest."""
         if self._draining:
             await self._closed.wait()
             return
@@ -358,8 +359,7 @@ class StandardizationServer:
                     )
                     continue
                 # each request gets its own task so one connection can
-                # pipeline many jobs — that concurrency is what the
-                # queue coalesces into shared waves
+                # pipeline many jobs into the queue
                 request = asyncio.create_task(
                     self._serve_message(message, writer, write_lock)
                 )
@@ -405,13 +405,12 @@ class StandardizationServer:
             return protocol.error_response(
                 request_id, "draining", "server is draining; retry later"
             )
-        deadline_s = message.get("deadline_s", self.config.default_deadline_s)
-        if deadline_s is not None and (
-            not isinstance(deadline_s, (int, float)) or deadline_s <= 0
-        ):
-            return protocol.error_response(
-                request_id, "bad_request", "deadline_s must be a positive number"
+        try:
+            deadline_s = _deadline(
+                message.get("deadline_s", self.config.default_deadline_s)
             )
+        except ValueError as exc:
+            return protocol.error_response(request_id, "bad_request", str(exc))
         try:
             job_dict = jobs_mod.normalize_job(message)
             resolved = jobs_mod.resolve_job(job_dict)
@@ -425,10 +424,8 @@ class StandardizationServer:
         job = Job(
             request_id=request_id,
             job=job_dict,
-            group_key=resolved.corpus_key,
-            system_key=resolved.key,
             future=self._loop.create_future(),
-            deadline_s=float(deadline_s) if deadline_s is not None else None,
+            deadline_s=deadline_s,
             resolved=resolved,
         )
         try:
@@ -457,33 +454,29 @@ class StandardizationServer:
                         f"deadline of {job.deadline_s:g}s expired in queue",
                     ),
                 )
-            wave = self.queue.take_wave(self.config.wave_limit)
-            if not wave:
+            taken = self.queue.take_wave(1)
+            if not taken:
                 if self._draining:
                     return
                 self._wake.clear()
                 if self.queue.depth == 0:
                     await self._wake.wait()
                 continue
-            self.stats.record_wave(len(wave))
-            await self._loop.run_in_executor(
-                self._executor, self._run_wave, wave, self._loop
+            response = await self._loop.run_in_executor(
+                self._executor, self._run_job, taken[0]
             )
+            self._complete(taken[0], response)
 
-    # ---------------------------------------------------- wave execution (thread)
-    def _run_wave(self, wave: List[Job], loop) -> None:
-        for job in wave:
-            started = time.monotonic()
-            response, warm_hit = self._run_job(job)
-            error_kind = (
-                None if response.get("ok") else response["error"]["kind"]
-            )
-            self.stats.record_job(
-                job.op, time.monotonic() - started, error_kind, warm_hit
-            )
-            loop.call_soon_threadsafe(self._complete, job, response)
+    # ------------------------------------------------------ job execution (thread)
+    def _run_job(self, job: Job) -> Dict:
+        """Run one job, count it in the stats, and return its response."""
+        started = time.monotonic()
+        response, warm_hit = self._execute(job)
+        error_kind = None if response.get("ok") else response["error"]["kind"]
+        self.stats.record_job(job.op, time.monotonic() - started, error_kind, warm_hit)
+        return response
 
-    def _run_job(self, job: Job) -> Tuple[Dict, Optional[bool]]:
+    def _execute(self, job: Job) -> Tuple[Dict, Optional[bool]]:
         remaining = job.remaining_s()
         if remaining is not None and remaining <= 0:
             return (
@@ -572,8 +565,8 @@ class ServerThread:
     """
 
     def __init__(self, config: ServerConfig):
-        config.install_signal_handlers = False  # not the main thread
-        self.config = config
+        # not the main thread; a copy, so the caller's config is untouched
+        self.config = replace(config, install_signal_handlers=False)
         self.server: Optional[StandardizationServer] = None
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread = threading.Thread(target=self._run, daemon=True)

@@ -179,7 +179,7 @@ def _normalize_config(params: Dict[str, Any]) -> Dict[str, Any]:
         retrieve_k is None or type(retrieve_k) is int,
         "'retrieve_k' must be an integer",
     )
-    try:  # validate values eagerly so admission rejects, not the wave
+    try:  # validate values eagerly so admission rejects, not the job
         _config(overrides, retrieve_k)
     except (TypeError, ValueError) as exc:
         raise JobError("bad_request", f"invalid config: {exc}") from exc
@@ -190,8 +190,8 @@ def normalize_job(raw: Dict[str, Any]) -> Dict[str, Any]:
     """Validate one raw request into the canonical self-contained job.
 
     Raises :class:`JobError` (kind ``bad_request``) on any malformed
-    input; the returned dict is what the queue holds, the wave executes,
-    and the audit replays.
+    input; the returned dict is what the queue holds, the engine
+    executes, and the audit replays.
     """
     _require(isinstance(raw, dict), "request must be a JSON object")
     op = raw.get("op")
@@ -236,10 +236,6 @@ class ResolvedJob:
     config: LSConfig
     intent: Optional[object]
 
-    @property
-    def corpus_key(self) -> str:
-        return self.key.split(":", 1)[0]
-
 
 def _build_intent(descriptor: Optional[Dict[str, Any]]):
     if descriptor is None:
@@ -261,9 +257,7 @@ def resolve_job(job: Dict[str, Any]) -> ResolvedJob:
     The key is ``<corpus address>:<request-shape digest>`` — two jobs
     share warm state iff their corpus scripts (by content, in order, or
     an index snapshot by its path), data directory, intent, config
-    overrides and retrieval all match.  The corpus half doubles as the
-    queue's coalescing group: requests against the same corpus ride the
-    same dispatch wave.
+    overrides and retrieval all match.
     """
     params = job["params"]
     shape = _digest(

@@ -3,8 +3,7 @@
 One request per line, one response per line.  Requests and responses
 are matched by ``id`` (any JSON scalar the client chooses), so a client
 may pipeline many requests over one connection and collect responses
-out of order — which is exactly what lets the engine coalesce
-concurrent jobs into shared waves.
+out of order.
 
 Request shape::
 

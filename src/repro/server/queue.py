@@ -1,19 +1,10 @@
-"""Bounded admission, deadlines, and per-corpus wave scheduling.
+"""Bounded admission, deadlines, and first-in-first-out scheduling.
 
 The queue is a plain (non-async) data structure driven exclusively by
 the engine's event loop — single-threaded access by construction, so it
-needs no lock.  It holds canonical jobs grouped by their *coalescing
-key* (the corpus half of the job's system key): when the scheduler asks
-for work it hands back one **wave** — up to ``max_wave`` jobs that all
-target the same warm corpus state, in arrival order.
-
-Scheduling policy — oldest-first with per-corpus fairness:
-
-* the next wave is always the group whose **head job has waited
-  longest** (strict FIFO across groups, so no corpus can be starved);
-* a wave never exceeds ``max_wave`` jobs, so a corpus with a deep
-  backlog yields the floor after each wave instead of monopolizing the
-  executor.
+needs no lock.  It holds canonical jobs in one deque in arrival order;
+the scheduler takes them from the head, one at a time, so jobs run in
+the order they were admitted whatever corpus they target.
 
 Admission control:
 
@@ -32,7 +23,7 @@ Admission control:
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
@@ -49,10 +40,7 @@ class Job:
 
     request_id: Any
     job: Dict[str, Any]  #: canonical job dict (see jobs.normalize_job)
-    group_key: str  #: coalescing key — jobs sharing it ride one wave
-    system_key: str  #: full warm-state address (corpus + request shape)
     future: Any  #: asyncio.Future the connection handler awaits
-    seq: int = 0  #: arrival order (assigned by the queue)
     enqueued_at: float = 0.0  #: monotonic admission timestamp
     deadline_s: Optional[float] = None  #: SLA measured from admission
     resolved: Any = None  #: jobs.ResolvedJob (constructor inputs, warm key)
@@ -70,80 +58,52 @@ class Job:
 
 
 class JobQueue:
-    """The bounded, fairness-aware job queue (event-loop-only access)."""
+    """The bounded first-in-first-out job queue (event-loop-only access)."""
 
     def __init__(self, limit: int = 64):
         if limit < 1:
             raise ValueError(f"queue limit must be >= 1, got {limit}")
         self.limit = limit
-        #: group key -> FIFO of jobs; OrderedDict only for stable iteration
-        self._groups: "OrderedDict[str, Deque[Job]]" = OrderedDict()
-        self._depth = 0
-        self._seq = 0
+        self._jobs: Deque[Job] = deque()
         self.peak_depth = 0
 
-    # ---------------------------------------------------------------- admission
     def admit(self, job: Job) -> None:
         """Accept one job or raise :class:`QueueFullError`."""
-        if self._depth >= self.limit:
+        if len(self._jobs) >= self.limit:
             raise QueueFullError(
                 f"job queue is at capacity ({self.limit} jobs); retry later"
             )
-        self._seq += 1
-        job.seq = self._seq
         job.enqueued_at = time.monotonic()
-        self._groups.setdefault(job.group_key, deque()).append(job)
-        self._depth += 1
-        self.peak_depth = max(self.peak_depth, self._depth)
+        self._jobs.append(job)
+        self.peak_depth = max(self.peak_depth, len(self._jobs))
 
     @property
     def depth(self) -> int:
-        return self._depth
-
-    def __len__(self) -> int:
-        return self._depth
-
-    # --------------------------------------------------------------- scheduling
-    def _drop(self, group_key: str, job: Job) -> None:
-        group = self._groups[group_key]
-        group.remove(job)
-        if not group:
-            del self._groups[group_key]
-        self._depth -= 1
+        return len(self._jobs)
 
     def pop_expired(self, now: Optional[float] = None) -> List[Job]:
         """Jobs whose SLA expired while queued (removed, oldest first)."""
         now = time.monotonic() if now is None else now
+        kept: Deque[Job] = deque()
         expired: List[Job] = []
-        for group_key in list(self._groups):
-            for job in list(self._groups[group_key]):
-                remaining = job.remaining_s(now)
-                if remaining is not None and remaining <= 0:
-                    self._drop(group_key, job)
-                    expired.append(job)
-        expired.sort(key=lambda job: job.seq)
+        for job in self._jobs:
+            remaining = job.remaining_s(now)
+            if remaining is not None and remaining <= 0:
+                expired.append(job)
+            else:
+                kept.append(job)
+        self._jobs = kept
         return expired
 
     def take_wave(self, max_wave: int) -> List[Job]:
-        """The next wave: up to *max_wave* jobs from the group whose
-        head has waited longest, in arrival order.  Empty when idle."""
-        if not self._groups or max_wave < 1:
-            return []
-        group_key = min(self._groups, key=lambda k: self._groups[k][0].seq)
-        group = self._groups[group_key]
-        wave: List[Job] = []
-        while group and len(wave) < max_wave:
-            wave.append(group.popleft())
-            self._depth -= 1
-        if not group:
-            del self._groups[group_key]
-        return wave
+        """Up to *max_wave* jobs from the head, oldest first; the engine
+        takes one at a time.  Empty when idle.  (``perfbench``'s traced
+        server wraps this name to read queue waits and dispatch sizes.)"""
+        return [self._jobs.popleft() for _ in range(min(max_wave, len(self._jobs)))]
 
     def drain(self) -> List[Job]:
         """Remove and return every queued job (oldest first) — the
         graceful-shutdown path rejects these with a retryable error."""
-        pending = [job for group in self._groups.values() for job in group]
-        pending.sort(key=lambda job: job.seq)
-        self._groups.clear()
-        self._depth = 0
+        pending = list(self._jobs)
+        self._jobs.clear()
         return pending

@@ -237,6 +237,50 @@ class TestConfig:
         with pytest.raises(ValueError):
             LSConfig(max_step_candidates=0)
 
+    INTEGER_FIELDS = [
+        "seq", "beam_size", "diversity_clusters", "max_step_candidates",
+        "sample_rows", "operation_groups", "random_state", "retrieval_k",
+    ]
+    NUMBER_FIELDS = ["score_band", "exec_timeout_s", "statement_timeout_s"]
+    BOOL_FIELDS = [
+        "diversity", "early_check", "verify_scoring", "verify_intent",
+        "verify_index", "verify_retrieval", "verify_kernels",
+    ]
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_integer_fields_take_integers_not_bools(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            LSConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", NUMBER_FIELDS)
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 10**400, True, "1"]
+    )
+    def test_number_fields_take_finite_numbers(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be a finite number"):
+            LSConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", BOOL_FIELDS)
+    @pytest.mark.parametrize("value", [0, 1, "yes", None])
+    def test_bool_fields_take_bools(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be a bool"):
+            LSConfig(**{name: value})
+
+    def test_every_field_is_type_checked(self):
+        from dataclasses import fields
+
+        checked = self.INTEGER_FIELDS + self.NUMBER_FIELDS + self.BOOL_FIELDS
+        assert sorted(checked + ["dialect"]) == sorted(f.name for f in fields(LSConfig))
+        with pytest.raises(TypeError, match="dialect must be a string"):
+            LSConfig(dialect=5)
+
+    def test_well_typed_values_are_kept(self):
+        config = LSConfig(score_band=0, exec_timeout_s=3, sample_rows=None,
+                          statement_timeout_s=0.5, diversity=False)
+        assert (config.score_band, config.exec_timeout_s) == (0, 3)
+        assert config.sample_rows is None and config.diversity is False
+
     def test_clusters_default_to_beam_size(self):
         assert LSConfig(beam_size=4).clusters == 4
         assert LSConfig(beam_size=4, diversity_clusters=2).clusters == 2

@@ -1,7 +1,7 @@
 """Thread-safety of the process-wide corpus cache and LRUCache.
 
 The server engine admits jobs (content-addressing corpora) on its event
-loop while the wave thread curates and clears, so the module-level
+loop while the job thread curates and clears, so the module-level
 cache state must survive concurrent mutation.  These are regression
 tests for the locked paths: they assert no exceptions, no lost
 invariants, and — for the retrieval pin — that

@@ -5,12 +5,22 @@ socket under ``tmp_path``) and talks to it through the blocking client —
 the exact deployment shape of ``repro serve`` / ``repro client``.
 """
 
+import dataclasses
+import json
+import threading
 import time
 
 import pytest
 
 from repro.corpus import clear_corpus_cache
-from repro.server import ServerClient, ServerConfig, ServerError, ServerThread
+from repro.server import (
+    JobQueue,
+    ServerClient,
+    ServerConfig,
+    ServerError,
+    ServerThread,
+    StandardizationServer,
+)
 
 #: tiny search budget: these tests exercise serving, not search quality
 TINY = {"seq": 2, "beam_size": 1, "sample_rows": 50}
@@ -75,6 +85,7 @@ class TestControlOps:
         assert stats["jobs"] == {"score": 1}
         assert stats["admitted"] == 1
         assert stats["warm_misses"] == 1
+        assert not {"waves", "coalesced_waves", "coalesced_jobs"} & set(stats)
 
     def test_unknown_op_is_bad_request(self, tmp_path):
         with _server(tmp_path) as handle:
@@ -117,44 +128,66 @@ class TestWarmAndCoalesced:
         assert stats["warm_misses"] == 1  # first request builds
         assert stats["warm_hits"] == 3  # the rest reuse it
 
-    def test_pipelined_same_corpus_jobs_coalesce(
-        self, tmp_path, diabetes_corpus, alex_script, diabetes_dir
+    def test_queued_jobs_run_alone_in_arrival_order(
+        self, tmp_path, monkeypatch, diabetes_corpus, alex_script, diabetes_dir
     ):
-        """A slow first job holds the wave thread while the rest of the
-        batch queues up behind it — the next wave serves them together."""
+        """Jobs over two corpora queue behind a slow first job; each is
+        taken alone, runs on the job thread and is answered in arrival
+        order.  The wrappers are the ones perfbench's traced server
+        installs."""
+        taken, threads = [], []
+        take_wave = JobQueue.take_wave
+        run_job = StandardizationServer._run_job
+
+        def traced_take_wave(self, max_wave):
+            wave = take_wave(self, max_wave)
+            if wave:
+                taken.append([job.request_id for job in wave])
+            return wave
+
+        def traced_run_job(self, job):
+            threads.append(threading.current_thread())
+            return run_job(self, job)
+
+        monkeypatch.setattr(JobQueue, "take_wave", traced_take_wave)
+        monkeypatch.setattr(StandardizationServer, "_run_job", traced_run_job)
+        other = [script.replace("SkinThickness", "Glucose") for script in diabetes_corpus]
+        slow = {
+            "id": 0,
+            "op": "standardize",
+            "params": {
+                "script": alex_script,
+                "corpus": diabetes_corpus,
+                "data_dir": diabetes_dir,
+                "config": TINY,
+            },
+        }
+        queued = [
+            {
+                "id": position,
+                "op": "score",
+                "params": {
+                    "script": alex_script,
+                    "corpus": [diabetes_corpus, other][position % 2],
+                    "config": TINY,
+                },
+            }
+            for position in range(1, 6)
+        ]
         with _server(tmp_path) as handle:
             with ServerClient(socket_path=handle.config.socket_path) as client:
-                slow = client.submit(
-                    {
-                        "op": "standardize",
-                        "params": {
-                            "script": alex_script,
-                            "corpus": diabetes_corpus,
-                            "data_dir": diabetes_dir,
-                            "config": TINY,
-                        },
-                    }
-                )
-                fast = client.submit_jobs(
-                    [
-                        {
-                            "op": "score",
-                            "params": {
-                                "script": alex_script,
-                                "corpus": diabetes_corpus,
-                                "config": TINY,
-                            },
-                        }
-                        for _ in range(5)
-                    ]
-                )
-                responses = client.collect_jobs([slow] + fast)
+                client.submit_jobs([slow] + queued)
+                # responses in the order they were written
+                responses = [client._read_response() for _ in range(6)]
                 stats = client.stats()
-        assert all(r["ok"] for r in responses)
+        assert [r["id"] for r in responses] == list(range(6))
+        assert all(r["ok"] for r in responses), responses
+        assert taken == [[request_id] for request_id in range(6)]
+        assert len(set(threads)) == 1
+        assert threads[0].name.startswith("repro-serve-job")
+        assert threads[0] is not handle._thread  # not the event loop's
         assert stats["jobs_total"] == 6
-        assert stats["coalesced_waves"] >= 1
-        assert stats["coalesced_jobs"] >= 2
-        assert stats["waves"] < 6  # strictly fewer dispatches than jobs
+        assert stats["queue_peak_depth"] >= 2  # a backlog formed behind job 0
 
     def test_deadline_expired_job_is_retryable(
         self, tmp_path, diabetes_corpus, alex_script
@@ -173,8 +206,74 @@ class TestWarmAndCoalesced:
         assert excinfo.value.retryable is True
         assert stats["deadline_misses"] == 1
 
+    @pytest.mark.parametrize("deadline", ["NaN", "Infinity", "true"])
+    def test_deadline_must_be_a_finite_positive_number(
+        self, tmp_path, diabetes_corpus, alex_script, deadline
+    ):
+        """JSON parses NaN and Infinity, and true is an int to Python; each
+        would mark the job deadline-clamped, so the audit would skip it."""
+        params = {"script": alex_script, "corpus": diabetes_corpus, "config": TINY}
+        line = '{"id": 1, "op": "score", "params": %s, "deadline_s": %s}\n' % (
+            json.dumps(params),
+            deadline,
+        )
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                client._sock.sendall(line.encode())
+                response = client._read_response()
+                stats = client.stats()
+        assert response["id"] == 1
+        assert response["error"]["kind"] == "bad_request"
+        assert response["error"]["retryable"] is False
+        assert response["error"]["message"].startswith(
+            "deadline_s must be a finite positive number"
+        )
+        assert stats["admitted"] == 0
+
+
+class TestServerConfig:
+    def test_has_no_wave_knobs(self):
+        names = [spec.name for spec in dataclasses.fields(ServerConfig)]
+        assert len(names) == 8
+        assert "wave_limit" not in names and "stats_window" not in names
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 0, -1.0])
+    def test_default_deadline_must_be_a_finite_positive_number(self, value):
+        with pytest.raises(ValueError, match="default_deadline_s"):
+            ServerConfig(socket_path="unused.sock", default_deadline_s=value)
+
+    def test_server_thread_leaves_the_callers_config_alone(self, tmp_path):
+        config = ServerConfig(socket_path=str(tmp_path / "repro.sock"))
+        handle = ServerThread(config)
+        assert config.install_signal_handlers is True
+        assert handle.config.install_signal_handlers is False
+        assert handle.config.socket_path == config.socket_path
+
 
 class TestErrorVerdicts:
+    def test_wrongly_typed_config_is_bad_request_at_admission(
+        self, tmp_path, diabetes_corpus, alex_script, diabetes_dir
+    ):
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                response = client.request(
+                    {
+                        "op": "standardize",
+                        "params": {
+                            "script": alex_script,
+                            "corpus": diabetes_corpus,
+                            "data_dir": diabetes_dir,
+                            "config": {**TINY, "seq": 2.5},
+                        },
+                    }
+                )
+                stats = client.stats()
+        assert response["error"]["kind"] == "bad_request"
+        assert response["error"]["message"] == (
+            "invalid config: seq must be an integer, got 2.5"
+        )
+        assert stats["admitted"] == 0
+
     def test_missing_script_is_bad_request(self, tmp_path, diabetes_corpus):
         with _server(tmp_path) as handle:
             with ServerClient(socket_path=handle.config.socket_path) as client:

@@ -1,7 +1,7 @@
 """Request-path parity: warm server responses == serial one-shot runs.
 
 The server's contract is that warmth is invisible: N interleaved jobs —
-mixed ops, shared and distinct corpora, coalesced into waves against
+mixed ops, shared and distinct corpora, run in arrival order against
 registry-pinned systems — must produce byte-identical canonical JSON to
 running each job alone against empty caches.
 """

@@ -123,6 +123,31 @@ class TestNormalizeJob:
         with pytest.raises(JobError):
             normalize_job(self._raw(diabetes_corpus, config={"beam_size": 0}))
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"seq": 2.5},
+            {"score_band": float("nan")},
+            {"sample_rows": 10.5},
+            {"seq": True},
+            {"retrieval_k": False},
+            {"score_band": float("inf")},
+            {"exec_timeout_s": float("nan")},
+            {"statement_timeout_s": "1"},
+            {"diversity": 1},
+            {"dialect": 5},
+        ],
+        ids=repr,
+    )
+    def test_rejects_a_config_value_of_the_wrong_type(self, config, diabetes_corpus):
+        """Each field's type is checked at admission, so a float, NaN or
+        bool in the wrong field never reaches the search."""
+        with pytest.raises(JobError) as excinfo:
+            normalize_job(self._raw(diabetes_corpus, op="standardize", config=config))
+        assert excinfo.value.kind == "bad_request"
+        (name,) = config
+        assert str(excinfo.value).startswith(f"invalid config: {name} must be ")
+
     def test_corpus_dir_resolved_at_admission(self, tmp_path):
         (tmp_path / "a.py").write_text("df = 1\n")
         job = normalize_job(
@@ -156,9 +181,7 @@ class TestSystemKey:
         job = normalize_job(
             {"op": "score", "params": {"script": "df = 1", "corpus": diabetes_corpus}}
         )
-        resolved = resolve_job(job)
-        assert resolved.corpus_key == corpus_key(diabetes_corpus)
-        assert resolved.key.startswith(resolved.corpus_key + ":")
+        assert resolve_job(job).key.startswith(corpus_key(diabetes_corpus) + ":")
 
     def test_intent_and_config_change_the_shape_half(self, diabetes_corpus):
         base = normalize_job(
@@ -178,7 +201,7 @@ class TestSystemKey:
             }
         )
         assert system_key(base) != system_key(other)
-        assert resolve_job(base).corpus_key == resolve_job(other).corpus_key
+        assert system_key(base).split(":")[0] == system_key(other).split(":")[0]
 
     def test_script_does_not_change_the_key(self, diabetes_corpus):
         """Warm state is per (corpus, shape), never per input script."""
@@ -207,12 +230,10 @@ class TestSystemKey:
         assert resolved.config.sample_rows == LSConfig().sample_rows
 
 
-def _job(request_id, group="g1", deadline_s=None):
+def _job(request_id, corpus="a", deadline_s=None):
     return Job(
         request_id=request_id,
-        job={"op": "score", "params": {}},
-        group_key=group,
-        system_key=group + ":shape",
+        job={"op": "score", "params": {"corpus": [corpus]}},
         future=None,
         deadline_s=deadline_s,
     )
@@ -228,31 +249,19 @@ class TestJobQueue:
         assert queue.depth == 2
         assert queue.peak_depth == 2
 
-    def test_wave_coalesces_one_group_in_arrival_order(self):
+    def test_interleaved_corpora_leave_in_arrival_order(self):
         queue = JobQueue()
-        queue.admit(_job(1, "a"))
-        queue.admit(_job(2, "b"))
-        queue.admit(_job(3, "a"))
-        wave = queue.take_wave(max_wave=8)
-        assert [j.request_id for j in wave] == [1, 3]  # group a, FIFO
-        assert [j.request_id for j in queue.take_wave(8)] == [2]
-        assert queue.take_wave(8) == []
-
-    def test_oldest_head_wins_across_groups(self):
-        queue = JobQueue()
-        queue.admit(_job(1, "a"))
-        queue.admit(_job(2, "b"))
-        queue.take_wave(8)  # serves group a
-        queue.admit(_job(3, "a"))
-        # b's head (seq 2) has waited longer than a's new head (seq 3)
-        assert [j.request_id for j in queue.take_wave(8)] == [2]
-
-    def test_wave_limit_caps_a_deep_backlog(self):
-        queue = JobQueue()
-        for request_id in range(5):
-            queue.admit(_job(request_id, "a"))
-        assert len(queue.take_wave(max_wave=3)) == 3
-        assert queue.depth == 2
+        for request_id, corpus in enumerate("abaab", start=1):
+            queue.admit(_job(request_id, corpus))
+        # jobs of corpus a do not jump ahead of the older job of b
+        assert [j.request_id for j in queue.take_wave(1)] == [1]
+        assert [j.request_id for j in queue.take_wave(1)] == [2]
+        queue.admit(_job(6, "b"))
+        # at most max_wave jobs, from the head
+        assert [j.request_id for j in queue.take_wave(2)] == [3, 4]
+        assert [j.request_id for j in queue.take_wave(8)] == [5, 6]
+        assert queue.take_wave(1) == []
+        assert queue.depth == 0
 
     def test_pop_expired_removes_only_overdue_jobs(self):
         queue = JobQueue()

@@ -41,6 +41,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["build-workload", "bogus", "--out", "x"])
 
+    def test_serve_has_no_wave_limit(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--socket", "s", "--wave-limit", "4"])
+        assert excinfo.value.code == 2  # argparse's usage error
+
 
 class TestScore:
     def test_prints_re(self, corpus_dir, script_path, capsys):

@@ -89,6 +89,17 @@ def test_sample_rows_zero_means_no_sampling_on_both_paths(ws):
     assert response["result"]["output_script"] + "\n" == local
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_deadline_must_be_a_finite_positive_number(ws, value):
+    flags = ["--script", ws.script, *ws.forms["corpus-dir"], "--deadline-s", value]
+    response = _served(ws, "score", flags)
+    assert response["error"]["kind"] == "bad_request", response
+    assert "deadline_s must be a finite positive number" in response["error"]["message"]
+    message = _fails_cleanly(["serve", "--socket", str(ws.root / "unused.sock"),
+                              "--deadline-s", value])
+    assert "default_deadline_s must be a finite positive number" in message
+
+
 def test_sample_rows_zero_in_a_request_is_a_bad_request(diabetes_corpus):
     with pytest.raises(JobError, match="sample_rows") as excinfo:
         normalize_job({"op": "standardize", "params": {
