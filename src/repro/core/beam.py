@@ -12,7 +12,9 @@ The execution-constraint hot path (Figure 7's dominant cost) runs through
 :class:`~repro.sandbox.IncrementalExecutor`, which resumes each candidate
 from the longest snapshotted statement prefix — beam candidates share
 prefixes by construction, because the monotone frontier moves edits
-left-to-right.
+left-to-right.  A passing check keeps the candidate's output table, which
+constraint verification takes (:meth:`BeamSearch.take_output`) instead of
+running the candidate again.
 
 Checks run under optional execution budgets (``LSConfig.exec_timeout_s``
 / ``statement_timeout_s``): a candidate that exceeds its budget fails
@@ -41,6 +43,7 @@ from ..lang.parser import (
     parse_statement,
 )
 from ..lang.vocabulary import CorpusVocabulary
+from ..minipandas import DataFrame
 from ..sandbox import IncrementalExecutor
 from .config import LSConfig
 from .diversity import cluster_transformations
@@ -217,6 +220,9 @@ class BeamSearch:
             dict(self._executor.stats.as_dict()) if self._executor else {}
         )
         self._exec_cache: LRUCache = LRUCache(self.EXEC_CACHE_LIMIT)
+        #: source -> output table of a passing check, until verification
+        #: takes it; at most as many as the archive hands over
+        self._outputs: LRUCache = LRUCache(self.ARCHIVE_LIMIT)
         #: this search's hits and misses against the process-wide
         #: parsed-statement cache (``parse_statement``)
         self._statement_tally: Counter = Counter()
@@ -266,8 +272,10 @@ class BeamSearch:
         """CheckIfExecutes() with memoization across the whole search.
 
         *segments* (the candidate's statement texts) let the incremental
-        executor skip re-parsing *source*.  An ``exec_checker`` given at
-        construction replaces the executor (tests use it as a fake).
+        executor skip re-parsing *source*.  A passing run's output table
+        is kept for :meth:`take_output`.  An ``exec_checker`` given at
+        construction replaces the executor (tests use it as a fake); it
+        yields no tables.
         """
         cached = self._exec_cache.get(source)
         if cached is not None:
@@ -277,12 +285,21 @@ class BeamSearch:
         if self._exec_checker is not None:
             ok = self._exec_checker(source)
         else:
-            ok = self._executor.check_executes(source, segments=segments)
+            result = self._executor.run_script(source, segments=segments)
+            ok = result.ok and result.output is not None
+            if ok:
+                self._outputs[source] = result.output
         self.stats.check_executes_s += time.perf_counter() - wall
         self.stats.check_executes_cpu_s += time.process_time() - cpu
         self.stats.n_exec_checks += 1
         self._exec_cache[source] = ok
         return ok
+
+    def take_output(self, source: str) -> Optional[DataFrame]:
+        """The output table *source*'s passing check produced, handed
+        over once; None if no check kept one (``early_check`` off, an
+        ``exec_checker`` fake, or evicted), so the caller runs it."""
+        return self._outputs.pop(source)
 
     def _parsed_statement(self, source: str) -> Statement:
         """An add-candidate statement, parsed once per process."""

@@ -252,11 +252,15 @@ class _ColumnContent:
         if self._value_set is None:
             payload = self.payload
             if isinstance(payload, np.ndarray):
+                # one tolist() pass over the present cells; a float
+                # column's NaNs, unequal to each other, become one "__NA__"
                 missing = missing_mask(payload)
-                present = np.unique(payload[~missing]).tolist()
-                self._value_set = frozenset(
-                    present + ["__NA__"] if missing.any() else present
-                )
+                if missing.any():
+                    values = set(payload[~missing].tolist())
+                    values.add("__NA__")
+                    self._value_set = frozenset(values)
+                else:
+                    self._value_set = frozenset(payload.tolist())
             else:
                 try:
                     self._value_set = frozenset(self.normalized())
@@ -280,23 +284,45 @@ class PreparedIntent:
     :meth:`IntentMeasure.bare_delta` (all caches bypassed) and any float
     divergence raises :class:`IntentMismatchError` — the exact analogue of
     ``LSConfig.verify_scoring`` for the scoring engine.
+
+    *columns*, the original's :func:`_keyed_columns` when the caller has
+    them already, spare a measure that reads them a second pass.
     """
 
     def __init__(
         self,
         intent: "IntentMeasure",
         original: DataFrame,
-        table_fp: Optional[str] = None,
+        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ):
         self.intent = intent
         self.original = original
-        self.table_fp = (
-            table_fp if table_fp is not None else table_fingerprint(original)
-        )
+        self._table_fp: Optional[str] = None
         self.counters = counters if counters is not None else IntentStats()
         self.verify = verify
+
+    @property
+    def table_fp(self) -> str:
+        """:func:`table_fingerprint` of the original, computed on first
+        use: Δ_M's accuracy memo is its only reader on the hot path."""
+        if self._table_fp is None:
+            self._table_fp = table_fingerprint(self.original)
+        return self._table_fp
+
+    def rebind(self, original: DataFrame) -> None:
+        """Serve *original*, a table whose row count and column (name,
+        content key) pairs equal the prepared one's.
+
+        A list column's key compares cells with ``==``, under which ``1``,
+        ``1.0`` and ``True``, or ``0.0`` and ``-0.0``, are one value.  The
+        state derived from such keys (distinct-value and row sets) is the
+        same as sets, but whatever reads the table itself (Δ_M's training
+        and fingerprint, the audit's naive delta) reads *original*.
+        """
+        self.original = original
+        self._table_fp = None
 
     def delta(self, candidate: DataFrame) -> float:
         counters = self.counters
@@ -361,13 +387,14 @@ class PreparedTableJaccard(PreparedIntent):
         self,
         intent: "TableJaccardIntent",
         original: DataFrame,
-        table_fp: Optional[str] = None,
+        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ):
-        super().__init__(intent, original, table_fp, counters, verify)
+        super().__init__(intent, original, columns, counters, verify)
         self._memo: LRUCache = LRUCache(self.COLUMN_MEMO_LIMIT)
-        columns = _keyed_columns(original)
+        if columns is None:
+            columns = _keyed_columns(original)
         #: the original's (name, content key) pairs in column order
         self._original_pairs: List[Tuple[str, Hashable]] = [
             (name, key) for name, key, _ in columns
@@ -621,12 +648,13 @@ class IntentMeasure(ABC):
     def prepare(
         self,
         original: DataFrame,
-        table_fp: Optional[str] = None,
+        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ) -> PreparedIntent:
-        """Freeze *original* into a reusable verification state."""
-        return PreparedIntent(self, original, table_fp, counters, verify)
+        """Freeze *original* into a reusable verification state;
+        *columns* are its :func:`_keyed_columns`, if already computed."""
+        return PreparedIntent(self, original, columns, counters, verify)
 
 
 class TableJaccardIntent(IntentMeasure):
@@ -657,11 +685,11 @@ class TableJaccardIntent(IntentMeasure):
     def prepare(
         self,
         original: DataFrame,
-        table_fp: Optional[str] = None,
+        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ) -> PreparedIntent:
-        return PreparedTableJaccard(self, original, table_fp, counters, verify)
+        return PreparedTableJaccard(self, original, columns, counters, verify)
 
 
 class ModelPerformanceIntent(IntentMeasure):
@@ -733,10 +761,8 @@ class ModelPerformanceIntent(IntentMeasure):
     def prepare(
         self,
         original: DataFrame,
-        table_fp: Optional[str] = None,
+        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ) -> PreparedIntent:
-        return PreparedModelPerformance(
-            self, original, table_fp, counters, verify
-        )
+        return PreparedModelPerformance(self, original, columns, counters, verify)

@@ -32,7 +32,7 @@ from ..sandbox import IncrementalExecutor
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
 from .entropy import RelativeEntropyScorer, percent_improvement
-from .intent import IntentMeasure, IntentStats, PreparedIntent, table_fingerprint
+from .intent import IntentMeasure, IntentStats, PreparedIntent, _keyed_columns
 from .transformations import Transformation
 
 __all__ = ["LucidScript", "StandardizationResult", "StandardizationError", "summarize"]
@@ -170,8 +170,9 @@ class LucidScript:
         self.data_dir = data_dir
         self.intent = intent
         self._executor: Optional[IncrementalExecutor] = None
-        #: prepared intent state across standardize() calls, keyed by
-        #: (original table fingerprint, intent identity)
+        #: prepared intent state across standardize() calls, keyed by the
+        #: original's row count and (name, content key) pairs, and the
+        #: intent's identity
         self._intent_cache: LRUCache = LRUCache(self.INTENT_CACHE_LIMIT)
 
     #: Distinct (original, intent) pairs whose prepared state is retained.
@@ -268,24 +269,37 @@ class LucidScript:
         """The content-addressed verification state for this original.
 
         None when the intent constraint is disabled.  Reuses (and
-        re-points the counters of) a cached prepared state when the
-        original's content fingerprint and the intent's configuration
-        both match.
+        re-points at this original and these counters) a cached prepared
+        state when the original's row count and column (name, content
+        key) pairs and the intent's configuration all match.  The pairs
+        are computed once, for the key and for ``prepare``; an original
+        holding an unhashable cell cannot key the cache, so its state is
+        prepared and not kept.
         """
         if self.intent is None:
             return None
-        key = (table_fingerprint(original_output), self.intent.cache_key())
-        prepared = self._intent_cache.peek(key)
+        columns = _keyed_columns(original_output)
+        key = (
+            len(original_output),
+            tuple((name, column_key) for name, column_key, _ in columns),
+            self.intent.cache_key(),
+        )
+        try:
+            prepared = self._intent_cache.peek(key)
+        except TypeError:
+            key = prepared = None
         if prepared is None:
             prepared = self.intent.prepare(
                 original_output,
-                table_fp=key[0],
+                columns=columns,
                 counters=counters,
                 verify=self.config.verify_intent,
             )
-            self._intent_cache[key] = prepared
+            if key is not None:
+                self._intent_cache[key] = prepared
         else:
             counters.prepared_hits += 1
+            prepared.rebind(original_output)
             prepared.counters = counters
             prepared.verify = self.config.verify_intent
         return prepared
@@ -430,9 +444,11 @@ class LucidScript:
         The winner is the first candidate in score order that satisfies
         every constraint.  It comes with the ``(delta, ok)`` its intent
         check returned (None for the original or without an intent), so
-        it is never run or checked again.  A candidate that exceeds its
-        execution budget simply fails verification: the watchdog
-        interrupts it.
+        it is never run or checked again.  Each candidate's output table
+        is the one its execution check produced during the search; only
+        a candidate without one (``early_check`` off, an evicted table)
+        runs here, and one that exceeds its execution budget simply
+        fails verification: the watchdog interrupts it.
         """
         start = time.perf_counter()
         prepared = self._prepared_intent(original_output, intent_counters)
@@ -441,7 +457,9 @@ class LucidScript:
                 source = candidate.source()
                 if source == original_source:
                     return candidate, None
-                output = self._run(source, candidate.segments())
+                output = search.take_output(source)
+                if output is None:
+                    output = self._run(source, candidate.segments())
                 if output is None:
                     continue
                 verdict = None

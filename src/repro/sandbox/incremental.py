@@ -43,7 +43,9 @@ Each statement runs from a code object compiled from its own text, padded
 with line breaks down to its line in the script, so tracebacks report the
 script's line numbers.  Code objects live in one process-wide cache keyed
 by ``(statement text, first line)``: every executor in the process reuses
-them.  All statements compile before any runs, as a cold run compiles the
+them.  A run resumes first and then compiles only the suffix it executes:
+a snapshotted prefix compiled in the run that made the snapshot.  The
+whole suffix compiles before any of it runs, as a cold run compiles the
 whole script first; a compile-time error (``break`` outside a loop, ...)
 hands the script to a cold run, which reports it exactly.
 
@@ -423,17 +425,21 @@ class IncrementalExecutor:
             linenos = _line_numbers(segments)
         if not segments:
             return self._cold(source, extra_globals)
-        try:
-            codes = [_compiled(s, n) for s, n in zip(segments, linenos)]
-        except SyntaxError:
-            # a compile-time error ('break' outside a loop, ...): the cold
-            # run compiles the whole script first and reports it exactly
-            return self._cold(source, extra_globals)
 
         namespace, resumed = self._resume(segments)
         if namespace is None and resumed < 0:
             # fingerprint mismatch on thaw: the escape hatch
             return self._cold(source, extra_globals, fallback=True)
+        try:
+            # the prefix compiled in the run that snapshotted it
+            codes = [
+                _compiled(s, n)
+                for s, n in zip(segments[resumed:], linenos[resumed:])
+            ]
+        except SyntaxError:
+            # a compile-time error ('break' outside a loop, ...): the cold
+            # run compiles the whole script first and reports it exactly
+            return self._cold(source, extra_globals)
         if namespace is None:
             namespace = self._fresh_namespace()
             self.stats.prefix_misses += 1
@@ -555,11 +561,13 @@ class IncrementalExecutor:
         namespace: Dict[str, Any],
         resumed: int,
     ) -> ExecutionResult:
+        """Run the statements after the first *resumed*; *codes* holds
+        theirs alone."""
         snapshottable = True
         deadline = (
             time.monotonic() + self.exec_timeout_s if self.exec_timeout_s else None
         )
-        for position in range(resumed, len(segments)):
+        for position, code in enumerate(codes, resumed):
             # per-statement budget, clipped to whatever script budget remains
             budget = self.statement_timeout_s
             if deadline is not None:
@@ -577,7 +585,7 @@ class IncrementalExecutor:
                 budget = min(budget, remaining) if budget else remaining
             watchdog = _Watchdog.arm(budget)
             try:
-                exec(codes[position], namespace)
+                exec(code, namespace)
             except BaseException as exc:  # noqa: BLE001 - script failures are data
                 if watchdog is not None:
                     sys.settrace(watchdog.prior)  # see _Watchdog's disarm protocol

@@ -123,7 +123,9 @@ class _Watchdog:
         if not timeout_s or timeout_s <= 0:
             return None
         flag = threading.Event()
-        timer = threading.Timer(timeout_s, flag.set)
+        # a longer wait raises OverflowError in the timer thread, leaving
+        # the budget unenforced; the message still names the budget asked for
+        timer = threading.Timer(min(timeout_s, threading.TIMEOUT_MAX), flag.set)
         timer.daemon = True
 
         def _interrupt(frame, event, arg):

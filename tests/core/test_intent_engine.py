@@ -9,7 +9,10 @@ over a full search.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     LSConfig,
@@ -23,10 +26,11 @@ from repro.core.intent import (
     IntentStats,
     PreparedIntent,
     PreparedTableJaccard,
+    _ColumnContent,
     table_fingerprint,
     table_jaccard,
 )
-from repro.minipandas import NA, DataFrame
+from repro.minipandas import NA, DataFrame, Series, is_missing
 
 MODES = ("cells", "values", "rows")
 
@@ -220,9 +224,9 @@ class TestVerifyMode:
 
     def test_generic_fallback_delegates_to_naive(self):
         class OddIntent(TableJaccardIntent):
-            def prepare(self, original, table_fp=None, counters=None,
+            def prepare(self, original, columns=None, counters=None,
                         verify=False):
-                return PreparedIntent(self, original, table_fp, counters,
+                return PreparedIntent(self, original, columns, counters,
                                       verify)
 
         original = DataFrame({"a": [1, 2]})
@@ -334,3 +338,131 @@ class TestSearchParity:
         assert result.stats.intent_speedup > 0.0
         breakdown = result.stats.breakdown()
         assert "IntentChecks" in breakdown and "IntentSpeedup" in breakdown
+
+
+# ------------------------------------------------------------ exact value sets
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+INT_CELLS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(2**62 - 4, 2**62 + 4),
+    st.integers(-(2**62) - 4, -(2**62) + 4),
+    st.integers(-3, 3),
+)
+
+
+class TestValueSets:
+    """A typed column's distinct values, built in one ``tolist()`` pass,
+    equal the naive set of ``_cell_set`` as sets."""
+
+    @staticmethod
+    def _check(cells, dtype):
+        payload = Series(cells)._payload
+        if cells:
+            assert isinstance(payload, np.ndarray) and payload.dtype == dtype
+        naive = {"__NA__" if is_missing(v) else v for v in cells}
+        assert _ColumnContent(payload).value_set() == naive
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FLOAT_CELLS, max_size=30))
+    def test_float64(self, cells):
+        self._check(cells, np.float64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(INT_CELLS, max_size=30))
+    def test_int64(self, cells):
+        self._check(cells, np.int64)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.booleans(), max_size=30))
+    def test_bool(self, cells):
+        self._check(cells, np.bool_)
+
+    def test_nans_become_one_marker(self):
+        values = _ColumnContent(np.array([float("nan"), 1.0, float("nan")])).value_set()
+        assert values == frozenset({1.0, "__NA__"})
+        assert _ColumnContent(np.array([0.0, -0.0])).value_set() == {0.0}
+
+
+# ---------------------------------------------------- prepared-state cache key
+class TestIntentCacheKey:
+    """``LucidScript._intent_cache`` is keyed by the original's row count and
+    column (name, content key) pairs, and the intent's identity."""
+
+    @pytest.fixture()
+    def system(self):
+        return LucidScript(
+            ["import pandas as pd\ndf = pd.DataFrame({'a': [1]})"],
+            intent=TableJaccardIntent(tau=0.5, mode="cells"),
+        )
+
+    @staticmethod
+    def _prepare(system, frame):
+        counters = IntentStats()
+        return system._prepared_intent(frame, counters), counters
+
+    @staticmethod
+    def _table(**columns):
+        return DataFrame({"a": [1, 2, 3], "b": ["x", None, "y"], **columns})
+
+    def test_an_equal_table_built_separately_hits(self, system):
+        first, _ = self._prepare(system, self._table())
+        again = self._table()
+        second, counters = self._prepare(system, again)
+        assert second is first and counters.prepared_hits == 1
+        assert second.original is again
+
+    def test_column_order_misses(self, system):
+        first, _ = self._prepare(system, self._table())
+        swapped = DataFrame({"b": ["x", None, "y"], "a": [1, 2, 3]})
+        second, counters = self._prepare(system, swapped)
+        assert second is not first and counters.prepared_hits == 0
+
+    def test_dtype_misses(self, system):
+        first, _ = self._prepare(system, self._table())
+        floats = DataFrame({"a": [1.0, 2.0, 3.0], "b": ["x", None, "y"]})
+        assert floats["a"]._payload.dtype == np.float64
+        second, counters = self._prepare(system, floats)
+        assert second is not first and counters.prepared_hits == 0
+
+    def test_a_table_with_a_list_cell_is_prepared_not_cached(self, system):
+        listed = self._table(c=[[1], [2], [3]])
+        prepared, _ = self._prepare(system, listed)
+        assert prepared.delta(listed) == 1.0
+        again, counters = self._prepare(system, listed)
+        assert again is not prepared and counters.prepared_hits == 0
+        assert len(system._intent_cache) == 0
+
+    def test_a_hit_reads_the_callers_table(self, system):
+        """Cells equal under ``==`` share a key (``1 == 1.0``); the reused
+        sets are equal, and what reads the table reads the new one."""
+        mixed = DataFrame({"a": [1, 2.5, "x"]})
+        floated = DataFrame({"a": [1.0, 2.5, "x"]})
+        assert table_fingerprint(mixed) != table_fingerprint(floated)
+        first, _ = self._prepare(system, mixed)
+        assert first.table_fp == table_fingerprint(mixed)
+        second, counters = self._prepare(system, floated)
+        assert second is first and counters.prepared_hits == 1
+        assert second.original is floated
+        assert second.table_fp == table_fingerprint(floated)
+        candidate = DataFrame({"a": [1, 2.5, "y"]})
+        assert second.delta(candidate) == table_jaccard(floated, candidate, mode="cells")
+
+    def test_only_the_model_measure_computes_a_fingerprint(self, monkeypatch):
+        import repro.core.intent as intent_mod
+
+        fingerprinted = []
+        real = intent_mod.table_fingerprint
+        monkeypatch.setattr(
+            intent_mod,
+            "table_fingerprint",
+            lambda frame: fingerprinted.append(frame) or real(frame),
+        )
+        original = classification_frame()
+        jaccard = TableJaccardIntent(mode="cells").prepare(original)
+        jaccard.delta(classification_frame(shift=1))
+        assert fingerprinted == []
+        model = ModelPerformanceIntent(target="label", tau=5.0).prepare(original)
+        assert fingerprinted == []
+        model.delta(classification_frame(shift=1))
+        assert fingerprinted[0] is original

@@ -106,6 +106,16 @@ def test_jaccard_ops_replay_with_every_derived_index_audited(tmp_path):
     assert corpus_cache_counters().delta(before).index_derivations == len(recorded)
 
 
+def test_jaccard_ops_replay_with_every_intent_check_audited(tmp_path):
+    """The 30 τ_J ops again with ``verify_intent=True``: each prepared Δ_J
+    check, on the table the search's execution check produced, is
+    recomputed by the naive ``table_jaccard`` over both tables and
+    compared exactly."""
+    with open(FIXTURE) as handle:
+        recorded = [record for record in json.load(handle) if record["intent"] == "jaccard"]
+    assert run_ops(str(tmp_path), kinds=("jaccard",), verify_intent=True) == recorded
+
+
 def test_model_ops_replay_on_a_warm_accuracy_memo(tmp_path, monkeypatch):
     """The 30 τ_M ops, run three times in one process.  The first pass
     starts from an empty accuracy memo.  The second trains no downstream

@@ -10,7 +10,7 @@ from repro.core import (
     TableJaccardIntent,
 )
 from repro.core.intent import ACCURACY_CACHE, table_fingerprint
-from repro.sandbox import run_script
+from repro.sandbox import IncrementalExecutor, run_script
 
 
 @pytest.fixture()
@@ -160,19 +160,21 @@ INTENTS = {
 
 class TestWinnerVerifiedOnce:
     """The verdict the verification walk computed for its winner is the
-    one reported: the winner is run once and never checked again."""
+    one reported: the winner is run once, by the search's execution
+    check, and never checked again."""
 
     @pytest.fixture()
     def runs(self, monkeypatch):
-        """Every script the standardizer itself runs, in order."""
+        """Every script the sandbox runs for the standardizer, in order:
+        the search's checks and any run verification makes itself."""
         ran = []
-        real_run = LucidScript._run
+        real_run = IncrementalExecutor.run_script
 
-        def spy(system, source, segments=None):
+        def spy(executor, source, extra_globals=None, *, segments=None):
             ran.append(source)
-            return real_run(system, source, segments)
+            return real_run(executor, source, extra_globals, segments=segments)
 
-        monkeypatch.setattr(LucidScript, "_run", spy)
+        monkeypatch.setattr(IncrementalExecutor, "run_script", spy)
         return ran
 
     def _standardize(self, corpus, data_dir, script, kind):

@@ -206,6 +206,28 @@ class TestWarmAndCoalesced:
         assert excinfo.value.retryable is True
         assert stats["deadline_misses"] == 1
 
+    def test_a_deadline_above_the_timer_limit_answers_ok(
+        self, tmp_path, monkeypatch, diabetes_corpus, alex_script, diabetes_dir
+    ):
+        """The SLA clamp copies what is left of the deadline into every
+        sandboxed run's budget; a budget longer than ``threading.Timer``
+        can wait arms the longest wait it can, with no thread error."""
+        errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: errors.append(args.exc_type)
+        )
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                result = client.standardize(
+                    script=alex_script,
+                    corpus=diabetes_corpus,
+                    data_dir=diabetes_dir,
+                    config=TINY,
+                    deadline_s=1e308,
+                )
+        assert result["re_after"] <= result["re_before"]
+        assert errors == []
+
     @pytest.mark.parametrize("deadline", ["NaN", "Infinity", "true"])
     def test_deadline_must_be_a_finite_positive_number(
         self, tmp_path, diabetes_corpus, alex_script, deadline

@@ -6,6 +6,7 @@ that budgets interrupt them and that healthy scripts are never affected.
 """
 
 import sys
+import threading
 import time
 
 import pytest
@@ -88,6 +89,48 @@ class TestWatchdog:
         result = run_script(HANG, timeout_s=BUDGET_S)
         assert result.error_line is not None
         assert result.error_line >= 1
+
+
+def thread_errors(monkeypatch, action):
+    """``action()`` and the exception types ``threading.excepthook`` saw
+    in any thread it started; those threads are joined first."""
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: seen.append(args.exc_type))
+    before = set(threading.enumerate())
+    result = action()
+    for thread in set(threading.enumerate()) - before:
+        thread.join(GENEROUS_S)
+    return result, seen
+
+
+class TestBudgetsAboveTheTimerLimit:
+    """``threading.Timer`` cannot wait longer than ``threading.TIMEOUT_MAX``;
+    a longer budget arms the longest wait it can."""
+
+    HUGE = 1e308
+
+    def test_run_script_completes_quietly(self, monkeypatch):
+        result, errors = thread_errors(
+            monkeypatch, lambda: run_script(GOOD, timeout_s=self.HUGE)
+        )
+        assert result.ok and result.output is not None
+        assert errors == []
+
+    def test_incremental_executor_completes_quietly(self, monkeypatch):
+        executor = IncrementalExecutor(exec_timeout_s=self.HUGE)
+        result, errors = thread_errors(monkeypatch, lambda: executor.run_script(GOOD))
+        assert result.ok and result.output is not None
+        assert executor.stats.timeouts == 0
+        assert errors == []
+
+    def test_the_clamped_budget_is_enforced_and_named_as_requested(self, monkeypatch):
+        monkeypatch.setattr(threading, "TIMEOUT_MAX", BUDGET_S)
+        # a finite spin (seconds under the watchdog's trace hook), so an
+        # unenforced budget fails here instead of hanging
+        spin = spin_snippet(20_000_000) + "\ndf = 1"
+        result = run_script(spin, timeout_s=self.HUGE)
+        assert result.timed_out
+        assert str(result.error) == "script exceeded its 1e+308s execution budget"
 
 
 class TestInjectFault:
