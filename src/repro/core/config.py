@@ -113,8 +113,11 @@ class LSConfig:
         a from-scratch offline-phase rebuild at construction time and
         raise :class:`repro.corpus.IndexMismatchError` on any
         divergence (exact comparison, including successor tie order and
-        relative-position float means).  Off by default — it exists to
-        audit the corpus engine, not for production.
+        relative-position float means).  On a retrieval pool, ``score()``
+        also assembles and audits the working corpus it otherwise skips,
+        and requires its RE to equal the one computed from the
+        neighbours' edge counts.  Off by default — it exists to audit
+        the corpus engine, not for production.
     retrieval_k:
         How many pool scripts ``top_k`` retrieval assembles into the
         working corpus when the system is constructed over a

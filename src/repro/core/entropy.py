@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..lang.parser import EdgeDelta, ScriptDAG, Statement
-from ..lang.vocabulary import CorpusVocabulary
+from ..lang.vocabulary import CorpusVocabulary, smoothing_mass
 
 __all__ = [
     "REStats",
@@ -123,20 +123,45 @@ class RelativeEntropyScorer:
     """
 
     def __init__(self, vocabulary: CorpusVocabulary):
-        self._vocabulary = vocabulary
-        self._q_counts = vocabulary.edge_counts
-        self._epsilon = vocabulary.epsilon
+        self._vocabulary: Optional[CorpusVocabulary] = vocabulary
+        self._set_corpus(vocabulary.edge_counts, vocabulary.total_edges)
+
+    @classmethod
+    def on_edges(
+        cls, edges: Iterable[EdgeKey], corpus: Iterable[Mapping[EdgeKey, int]]
+    ) -> "RelativeEntropyScorer":
+        """A scorer that knows the corpus only on *edges*.
+
+        *corpus* holds one edge counter per corpus script.  Q is summed
+        on *edges* alone, and the corpus's total edge count sets q̂ and
+        ε, so nothing else of the corpus is copied or logged.  A script
+        whose edges are all among *edges* scores bit for bit as it does
+        against the whole corpus's vocabulary.  ``vocabulary`` is None.
+        """
+        q_counts = dict.fromkeys(edges, 0)
+        total = 0
+        for counts in corpus:
+            total += sum(counts.values())
+            for edge in q_counts:
+                q_counts[edge] += counts.get(edge, 0)
+        scorer = cls.__new__(cls)
+        scorer._vocabulary = None
+        scorer._set_corpus(q_counts, total)
+        return scorer
+
+    def _set_corpus(self, q_counts: Mapping[EdgeKey, int], q_total: int) -> None:
+        self._q_total = q_total
         # precomputed per-edge log2(Q) table; unseen edges share one ε term
-        q_total = max(vocabulary.total_edges, 1)
+        self._log2_epsilon = math.log2(smoothing_mass(q_total))
+        q_total = max(q_total, 1)
         self._log2_q: Dict[EdgeKey, float] = {
             edge: math.log2(count / q_total)
-            for edge, count in self._q_counts.items()
+            for edge, count in q_counts.items()
             if count
         }
-        self._log2_epsilon = math.log2(self._epsilon)
 
     @property
-    def vocabulary(self) -> CorpusVocabulary:
+    def vocabulary(self) -> Optional[CorpusVocabulary]:
         return self._vocabulary
 
     def log2_q(self, edge: EdgeKey) -> float:
@@ -293,8 +318,8 @@ class RelativeEntropyScorer:
         return self._shifted_stats(base_stats, base_counts, delta.changes)
 
     # ----------------------------------------------------------- whole-script
-    def score_edge_counts(self, p_counts: Counter) -> float:
-        if not self._q_counts:
+    def score_edge_counts(self, p_counts: Mapping[EdgeKey, int]) -> float:
+        if self._q_total <= 0:
             raise ValueError("corpus has no data-flow edges; RE is undefined")
         return self.score_stats(self.stats_from_counts(p_counts))
 

@@ -17,8 +17,10 @@ from .._lru import LRUCache
 from ..corpus import (
     CorpusCacheCounters,
     CorpusIndex,
+    IndexMismatchError,
     RetrievalCounters,
     RetrievalIndex,
+    RetrievedScript,
     ScriptRecord,
     cached_index,
     corpus_cache_counters,
@@ -40,6 +42,20 @@ __all__ = ["LucidScript", "StandardizationResult", "StandardizationError", "summ
 
 class StandardizationError(ScriptError):
     """The input script cannot be standardized (e.g. it does not execute)."""
+
+
+def _relative_entropy(scorer: RelativeEntropyScorer, p_counts: Counter) -> float:
+    """*scorer*'s RE of the edge multiset *p_counts*.
+
+    RE is undefined when the script or the corpus has no data-flow
+    edges; the scorer's ``ValueError`` (which GetSteps relies on to skip
+    an edgeless candidate) becomes a :class:`StandardizationError` here,
+    where the scored script is the caller's input.
+    """
+    try:
+        return scorer.score_edge_counts(p_counts)
+    except ValueError as exc:
+        raise StandardizationError(str(exc)) from exc
 
 
 @dataclass
@@ -124,7 +140,10 @@ class LucidScript:
         :class:`repro.corpus.RetrievalIndex` over a large script pool —
         in which case curation is deferred and the working corpus is
         the pool's ``config.retrieval_k`` nearest neighbours of each
-        query script (see ``_ensure_search_space``).
+        query script (see ``_retrieved``).  :meth:`score` reads only
+        the neighbours' edge counts, so ``vocabulary`` and ``scorer``
+        stay None until the system standardizes a script; they then
+        hold the working corpus of the last standardized query.
         Raw texts route through the process-wide content-addressed warm
         cache, so repeated constructions over the same corpus skip the
         offline phase.
@@ -150,12 +169,15 @@ class LucidScript:
         #: the API surface every script in this system is written against
         self.dialect = get_dialect(self.config.dialect)
         self._retrieval: Optional[RetrievalIndex] = None
+        #: the last retrieved query's content hash, its top-k hits and
+        #: the retrieval work that found them
         self._retrieval_query_hash: Optional[str] = None
+        self._retrieval_hits: List[RetrievedScript] = []
         self._retrieval_stats = RetrievalCounters()
         if isinstance(corpus, RetrievalIndex):
             # Retrieve-then-compute: the working corpus is a function of
             # the query script, so curation defers to the first
-            # score()/standardize() call (see _ensure_search_space).
+            # standardize() call (see _ensure_search_space).
             self._retrieval = corpus
             self.vocabulary: Optional[CorpusVocabulary] = None
             self.scorer: Optional[RelativeEntropyScorer] = None
@@ -207,23 +229,18 @@ class LucidScript:
             vocabulary = index.to_vocabulary()
         return vocabulary, corpus_cache_counters().delta(before)
 
-    def _ensure_search_space(self, script: str) -> Optional[ScriptRecord]:
-        """Curate the retrieval-backed search space for *script*.
+    def _retrieved(self, script: str) -> Tuple[ScriptRecord, List[RetrievedScript]]:
+        """The query's store record and its pool neighbours.
 
-        No-op returning None unless this system was built over a
-        :class:`~repro.corpus.RetrievalIndex`; otherwise returns the
-        query's store record, whose ``source`` is ``lemmatize(script)``.
-        The query script's signature selects ``config.retrieval_k`` pool
-        neighbours (``config.verify_retrieval`` audits the selection
-        against brute force), the winners are assembled into a working
-        :class:`CorpusIndex` through the record-delta path, and scoring
-        proceeds exactly as with a hand-curated corpus.  The assembled
-        space is keyed by the query's content address, so repeated
-        calls over the same script reuse it and a different script
-        re-retrieves — cheaply, since top_k only touches candidates.
+        Only for a system built over a
+        :class:`~repro.corpus.RetrievalIndex`.  The record's ``source``
+        is ``lemmatize(script)``.  Its signature selects
+        ``config.retrieval_k`` pool neighbours
+        (``config.verify_retrieval`` audits the selection against brute
+        force).  ``top_k`` runs once per query content: the hits are
+        kept until a different script is queried, which also drops the
+        working corpus assembled from the old ones.
         """
-        if self._retrieval is None:
-            return None
         self._check_corpus_dialect(
             self._retrieval.store.dialect, "the supplied retrieval index"
         )
@@ -232,36 +249,51 @@ class LucidScript:
             raise StandardizationError(
                 "input script does not parse, so no corpus can be retrieved for it"
             )
-        if (
-            self._retrieval_query_hash == record.content_hash
-            and self.vocabulary is not None
-        ):
-            return record
-        before = corpus_cache_counters()
-        counters_before = self._retrieval.counters.snapshot()
-        try:
-            corpus = self._retrieval.assemble(
+        if self._retrieval_query_hash != record.content_hash:
+            before = self._retrieval.counters.snapshot()
+            hits = self._retrieval.top_k(
                 record.signature,
                 self.config.retrieval_k,
                 verify=self.config.verify_retrieval,
             )
-        except ScriptError as exc:
-            raise StandardizationError(
-                f"retrieval produced no working corpus: {exc}"
-            ) from exc
+            if not hits:
+                raise StandardizationError(
+                    "retrieval produced no working corpus: "
+                    "retrieval returned no scripts to assemble a corpus from"
+                )
+            after = self._retrieval.counters.snapshot()
+            self._retrieval_stats = RetrievalCounters(
+                *(now - then for now, then in zip(after, before))
+            )
+            self._retrieval_query_hash = record.content_hash
+            self._retrieval_hits = hits
+            self.vocabulary = self.scorer = None
+        return record, self._retrieval_hits
+
+    def _ensure_search_space(self, script: str) -> None:
+        """Curate the retrieval-backed search space for *script*.
+
+        No-op unless this system was built over a
+        :class:`~repro.corpus.RetrievalIndex`.  Otherwise the query's
+        neighbours (:meth:`_retrieved`) are assembled into a working
+        :class:`CorpusIndex` through the record-delta path, and the
+        search proceeds exactly as with a hand-curated corpus.  The
+        assembled space belongs to the query's content address, so
+        repeated calls over the same script reuse it and a different
+        script re-retrieves.
+        """
+        if self._retrieval is None:
+            return
+        _, hits = self._retrieved(script)
+        if self.vocabulary is not None:
+            return
+        before = corpus_cache_counters()
+        corpus = self._retrieval.assemble_from_hits(hits)
         if self.config.verify_index:
             corpus.verify()
         self.vocabulary = corpus.to_vocabulary()
         self.scorer = RelativeEntropyScorer(self.vocabulary)
         self._corpus_counters = corpus_cache_counters().delta(before)
-        queries, candidates, fallbacks = self._retrieval.counters.snapshot()
-        self._retrieval_stats = RetrievalCounters(
-            queries=queries - counters_before[0],
-            candidates=candidates - counters_before[1],
-            fallbacks=fallbacks - counters_before[2],
-        )
-        self._retrieval_query_hash = record.content_hash
-        return record
 
     def _prepared_intent(
         self, original_output: DataFrame, counters: IntentStats
@@ -334,15 +366,35 @@ class LucidScript:
         """RE(s, S) of an arbitrary script against this corpus.
 
         On the retrieval path the corpus itself is a function of the
-        script: the search space is (re)assembled from the pool's top-k
-        neighbours of *script* before scoring.
+        script: it is the pool's top-k neighbours of *script*.  RE sums
+        over the script's own edges, so the score reads the query
+        record's edge counts and the neighbours' counts on those edges
+        and in total (:meth:`RelativeEntropyScorer.on_edges`); no working
+        corpus is assembled.  With ``config.verify_index`` it is
+        assembled and verified too, and its scorer must give the same
+        float, or :class:`~repro.corpus.IndexMismatchError` is raised.
+
+        A script or corpus without data-flow edges raises
+        :class:`StandardizationError`.
         """
-        record = self._ensure_search_space(script)
-        if record is None:
+        if self._retrieval is None:
             dag = parse_script(script, dialect=self.dialect)
-        else:
+            return _relative_entropy(self.scorer, dag.edge_counter())
+        record, hits = self._retrieved(script)
+        scorer = RelativeEntropyScorer.on_edges(
+            record.edge_counts, (hit.record.edge_counts for hit in hits)
+        )
+        score = _relative_entropy(scorer, record.edge_counts)
+        if self.config.verify_index:
+            self._ensure_search_space(script)
             dag = parse_script(record.source, lemmatized=True, dialect=self.dialect)
-        return self.scorer.score_dag(dag)
+            assembled = _relative_entropy(self.scorer, dag.edge_counter())
+            if assembled.hex() != score.hex():
+                raise IndexMismatchError(
+                    f"retrieval score {score!r} from the neighbours' edge counts "
+                    f"!= {assembled!r} over the assembled corpus"
+                )
+        return score
 
     # ------------------------------------------------------------- online phase
     def standardize(self, script: str) -> StandardizationResult:
@@ -356,7 +408,7 @@ class LucidScript:
         if not dag.statements:
             raise StandardizationError("input script has no statements")
         self._ensure_search_space(normalized)
-        re_before = self.scorer.score_dag(dag)
+        re_before = _relative_entropy(self.scorer, dag.edge_counter())
 
         original_output = self._run(normalized)
         if original_output is None:

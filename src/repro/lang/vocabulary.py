@@ -19,9 +19,15 @@ from .errors import ScriptError
 from .lemmatize import lemmatize
 from .parser import ScriptDAG, parse_script
 
-__all__ = ["CorpusVocabulary", "CorpusStats"]
+__all__ = ["CorpusVocabulary", "CorpusStats", "smoothing_mass"]
 
 EdgeKey = Tuple[str, str]
+
+
+def smoothing_mass(total_edges: int) -> float:
+    """ε, the Q mass of an edge a corpus of *total_edges* edges never
+    saw: half a count."""
+    return 0.5 / max(total_edges, 1)
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ class CorpusVocabulary:
     @property
     def epsilon(self) -> float:
         """Smoothing mass for out-of-vocabulary edges (half a count)."""
-        return 0.5 / max(self._total_edges, 1)
+        return smoothing_mass(self._total_edges)
 
     def q_distribution(self) -> Dict[EdgeKey, float]:
         return {

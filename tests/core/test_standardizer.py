@@ -10,6 +10,7 @@ from repro.core import (
     TableJaccardIntent,
 )
 from repro.core.intent import ACCURACY_CACHE, table_fingerprint
+from repro.corpus import RetrievalIndex
 from repro.sandbox import IncrementalExecutor, run_script
 
 
@@ -127,6 +128,38 @@ class TestStandardize:
 
     def test_score_method(self, system, alex_script, diabetes_corpus):
         assert system.score(alex_script) > system.score(diabetes_corpus[0])
+
+
+class TestWithoutDataFlowEdges:
+    """RE is undefined for a script or a corpus without data-flow edges:
+    score() and standardize() say so with a StandardizationError, on a
+    curated corpus and on a retrieval pool alike."""
+
+    SCRIPT = "y = 2\n"
+    CORPUS = ["x = 1\n"]
+
+    @staticmethod
+    def _system(corpus, retrieval, data_dir):
+        if retrieval:
+            corpus = RetrievalIndex.from_scripts(corpus)
+        return LucidScript(corpus, data_dir=data_dir, config=LSConfig(retrieval_k=3))
+
+    @pytest.mark.parametrize("retrieval", [False, True], ids=["curated", "retrieval"])
+    @pytest.mark.parametrize("op", ["score", "standardize"])
+    def test_script_without_edges(self, diabetes_corpus, diabetes_dir, op, retrieval):
+        system = self._system(diabetes_corpus, retrieval, diabetes_dir)
+        with pytest.raises(StandardizationError) as excinfo:
+            getattr(system, op)(self.SCRIPT)
+        assert str(excinfo.value) == "script has no data-flow edges; RE is undefined"
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("retrieval", [False, True], ids=["curated", "retrieval"])
+    @pytest.mark.parametrize("op", ["score", "standardize"])
+    def test_corpus_without_edges(self, diabetes_dir, alex_script, op, retrieval):
+        system = self._system(self.CORPUS, retrieval, diabetes_dir)
+        with pytest.raises(StandardizationError) as excinfo:
+            getattr(system, op)(alex_script)
+        assert str(excinfo.value) == "corpus has no data-flow edges; RE is undefined"
 
 
 class TestStandardizationResult:

@@ -8,14 +8,18 @@ with content-address tie-breaking, and a retrieval-assembled search is
 bit-identical to the same scripts curated by hand.
 """
 
+import ast
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core import LSConfig, LucidScript, StandardizationError
+from repro.core.entropy import RelativeEntropyScorer
 from repro.corpus import (
     CorpusIndex,
+    IndexMismatchError,
     RetrievalIndex,
     RetrievalMismatchError,
     ScriptStore,
@@ -469,3 +473,108 @@ class TestLucidScriptRetrieval:
     def test_config_validates_retrieval_k(self):
         with pytest.raises(ValueError):
             LSConfig(retrieval_k=0)
+
+
+class TestScoreFromNeighbourCounts:
+    """score() on a pool reads the query's record and its hits' edge
+    counts: it parses the query once and assembles no working corpus.
+    The query, the paper's running example, is not in the pool."""
+
+    @staticmethod
+    def pool(diabetes_corpus):
+        pool = RetrievalIndex(store=shared_store())
+        for script in diabetes_corpus + make_pool(22):
+            pool.add_script(script)
+        return pool
+
+    @staticmethod
+    def assembled_score(pool, query, k):
+        corpus = pool.assemble_from_hits(pool.top_k(query, k))
+        return RelativeEntropyScorer(corpus.to_vocabulary()).score_source(
+            query, lemmatized=False
+        )
+
+    def test_a_never_seen_query_is_parsed_once(
+        self, diabetes_corpus, alex_script, monkeypatch
+    ):
+        pool = self.pool(diabetes_corpus)
+        real, parsed = ast.parse, []
+
+        def counting(source, *args, **kwargs):
+            parsed.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        score = LucidScript(pool, config=LSConfig(retrieval_k=3)).score(alex_script)
+        assert parsed == [alex_script]
+        monkeypatch.undo()
+        assert score.hex() == self.assembled_score(pool, alex_script, 3).hex()
+
+    def test_nothing_is_assembled(self, diabetes_corpus, alex_script, monkeypatch):
+        pool = self.pool(diabetes_corpus)
+        calls = []
+        for owner, name in (
+            (RetrievalIndex, "assemble"),
+            (RetrievalIndex, "assemble_from_hits"),
+            (CorpusIndex, "to_vocabulary"),
+            (RelativeEntropyScorer, "__init__"),
+        ):
+            real = getattr(owner, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        system = LucidScript(pool, config=LSConfig(retrieval_k=3))
+        score = system.score(alex_script)
+        assert calls == []
+        assert system.vocabulary is None and system.scorer is None
+        monkeypatch.undo()
+        assert score.hex() == self.assembled_score(pool, alex_script, 3).hex()
+
+    def test_score_then_standardize_retrieves_once(
+        self, diabetes_corpus, diabetes_dir, alex_script, monkeypatch
+    ):
+        pool = self.pool(diabetes_corpus)
+        real, queries = RetrievalIndex.top_k, []
+
+        def counting(index, *args, **kwargs):
+            queries.append(args)
+            return real(index, *args, **kwargs)
+
+        monkeypatch.setattr(RetrievalIndex, "top_k", counting)
+        system = LucidScript(pool, data_dir=diabetes_dir, config=LSConfig(retrieval_k=4))
+        candidates = pool.counters.candidates
+        score = system.score(alex_script)
+        result = system.standardize(alex_script)
+        assert len(queries) == 1
+        assert result.re_before.hex() == score.hex()
+        assert result.stats.n_retrieval_queries == 1
+        assert result.stats.n_retrieval_candidates == pool.counters.candidates - candidates
+        assert result.stats.n_retrieval_candidates > 0
+        # the working corpus is the one the hits assemble into
+        assembled = pool.assemble_from_hits(real(pool, alex_script, 4)).to_vocabulary()
+        assert system.vocabulary.edge_counts == assembled.edge_counts
+        # a new query drops it until the system standardizes again
+        system.score(diabetes_corpus[0])
+        assert len(queries) == 2
+        assert system.vocabulary is None and system.scorer is None
+
+    def test_verify_index_catches_a_lean_score_that_differs(
+        self, diabetes_corpus, alex_script, monkeypatch
+    ):
+        pool = self.pool(diabetes_corpus)
+        audited = LSConfig(retrieval_k=3, verify_index=True)
+        exact = LucidScript(pool, config=audited).score(alex_script)
+        real = RelativeEntropyScorer.on_edges.__func__
+
+        def skewed(cls, edges, corpus):
+            # one extra corpus edge moves the total, so q̂ and ε
+            return real(cls, edges, [*corpus, Counter({("x = 1", "y = x"): 1})])
+
+        monkeypatch.setattr(RelativeEntropyScorer, "on_edges", classmethod(skewed))
+        unaudited = LucidScript(pool, config=LSConfig(retrieval_k=3)).score(alex_script)
+        assert unaudited != exact
+        with pytest.raises(IndexMismatchError, match="assembled corpus"):
+            LucidScript(pool, config=audited).score(alex_script)

@@ -6,6 +6,12 @@ expression.  Both must equal, bit for bit, the scalar code kept as the
 reference: ``brute_force_top_k`` over ``signature_similarity`` (scores
 compared by ``float.hex``, so -0.0 cannot pass as 0.0, plus the counter
 deltas of candidate generation) and the big-int minhash below.
+
+``LucidScript.score`` on a pool computes RE from the query's record and
+its hits' edge counts alone; it must equal, by ``float.hex``, the score
+over the assembled corpus's vocabulary and a recount over the
+brute-force winners, and fail with the same message where RE is
+undefined.
 """
 
 import os
@@ -17,6 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import LSConfig, LucidScript, StandardizationError
+from repro.core.entropy import RelativeEntropyScorer
 from repro.corpus import RetrievalIndex, ScriptSignature, ScriptStore, table_signature
 from repro.corpus.signatures import (
     _MERSENNE,
@@ -28,6 +36,9 @@ from repro.corpus.signatures import (
     minhash_signature,
     script_shingles,
 )
+from repro.dialects import get_dialect
+from repro.dialects.tablereport_corpus import generate_corpus
+from repro.lang import CorpusVocabulary, parse_script
 
 from .test_retrieval import make_pool, retrieval_state
 
@@ -248,3 +259,137 @@ class TestTopKOracle:
         for query in (SCRIPTS[-1], SCRIPTS[0], table_signature([]), zeros):
             for k in (1, 2, 5):
                 assert_matches_oracle(index, query, k)
+
+
+#: Scripts without data-flow edges: as queries RE is undefined, and a
+#: pool of nothing else is a corpus without edges.
+EDGELESS = ["x = 1", "y = 2\nz = 3", ""]
+
+#: Per dialect: pool scripts, and queries the pool never holds.  The
+#: last two queries of each share no edge with any pool script (the ε
+#: path: every P coordinate takes the smoothing mass).
+TABLEREPORT_POOL = generate_corpus(seed=20, n=24)
+SCORE_CASES = {
+    "pandas": (
+        SCRIPTS + EDGELESS,
+        NEVER_SEEN[:6]
+        + [
+            "import pandas as pd\ndf = pd.read_csv('other.csv')\ndf",
+            "a = b.sort_values('c')\nd = a.reset_index()",
+        ],
+    ),
+    "tablereport": (
+        TABLEREPORT_POOL + EDGELESS,
+        [
+            script
+            for script in generate_corpus(seed=21, n=10)
+            if script not in TABLEREPORT_POOL
+        ][:6]
+        + [
+            "import tablereport as tr\nchip = tr.load_design('other.csv')\n"
+            "chip = chip.rotate_rows()\nreport = chip.timing_report()",
+            "a = b.rotate_rows()\nc = a.flip_cells()",
+        ],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def dialect_stores():
+    return {dialect: ScriptStore(dialect=dialect) for dialect in SCORE_CASES}
+
+
+def score_outcomes(index, query, k, dialect):
+    """The pool score of *query* and its two oracles: the score over the
+    assembled corpus's vocabulary, and a recount over a vocabulary of
+    the brute-force winners (perfbench's gate).  Each is a ``float.hex``
+    or the message RE's undefinedness raised."""
+    system = LucidScript(index, config=LSConfig(retrieval_k=k, dialect=dialect))
+    try:
+        outcomes = [system.score(query).hex()]
+    except StandardizationError as exc:
+        outcomes = [f"error: {exc}"]
+    lang = get_dialect(dialect)
+    dag = parse_script(query, dialect=lang)
+    winners = [
+        parse_script(hit.record.source, lemmatized=True, dialect=lang)
+        for hit in index.brute_force_top_k(query, k)
+    ]
+    for vocabulary in (
+        index.assemble(query, k).to_vocabulary(),
+        CorpusVocabulary(winners),
+    ):
+        try:
+            outcomes.append(RelativeEntropyScorer(vocabulary).score_dag(dag).hex())
+        except ValueError as exc:
+            outcomes.append(f"error: {exc}")
+    return outcomes
+
+
+def assert_score_matches_oracles(index, query, dialect):
+    pool = index.n_unique_scripts
+    for k in sorted({1, 3, 20, pool + 5}):
+        lean, assembled, recount = score_outcomes(index, query, k, dialect)
+        assert lean == assembled == recount, (k, query)
+
+
+membership = st.lists(
+    st.tuples(st.sampled_from(["add", "add", "remove"]), st.integers(0, 1000)),
+    min_size=1,
+    max_size=16,
+)
+
+
+class TestScoreOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dialect=st.sampled_from(sorted(SCORE_CASES)),
+        operations=membership,
+        queries=st.lists(st.integers(0, 1000), min_size=1, max_size=3),
+    )
+    def test_score_equals_assembled_and_brute_force_recounts(
+        self, dialect_stores, dialect, operations, queries
+    ):
+        """After admits (duplicates included) and removals, in both
+        dialects, at k in {1, 3, 20, pool + 5}: pool members, never-seen
+        scripts, ε-path and edgeless queries score alike on all three
+        paths, or fail with one message."""
+        scripts, never_seen = SCORE_CASES[dialect]
+        index = RetrievalIndex(store=dialect_stores[dialect])
+        members = []
+        for kind, value in operations:
+            if kind == "add":
+                members.append(index.add_script(scripts[value % len(scripts)]))
+            elif members:
+                index.remove_script(members.pop(value % len(members)))
+        if not index.n_unique_scripts:
+            return
+        candidates = scripts + never_seen
+        for value in queries:
+            assert_score_matches_oracles(index, candidates[value % len(candidates)], dialect)
+
+    @pytest.mark.parametrize("dialect", sorted(SCORE_CASES))
+    def test_queries_no_neighbour_shares_an_edge_with(self, dialect_stores, dialect):
+        scripts, never_seen = SCORE_CASES[dialect]
+        index = RetrievalIndex.from_scripts(scripts, store=dialect_stores[dialect])
+        for query in never_seen[-2:]:
+            edges = parse_script(query, dialect=get_dialect(dialect)).edge_counter()
+            assert edges
+            for k in (1, 3, 20, index.n_unique_scripts + 5):
+                hits = index.top_k(query, k)
+                assert not any(edge in hit.record.edge_counts for hit in hits for edge in edges)
+            assert_score_matches_oracles(index, query, dialect)
+
+    @pytest.mark.parametrize("dialect", sorted(SCORE_CASES))
+    def test_undefined_re_fails_alike_on_every_path(self, dialect_stores, dialect):
+        scripts, never_seen = SCORE_CASES[dialect]
+        store = dialect_stores[dialect]
+        index = RetrievalIndex.from_scripts(scripts, store=store)
+        for query in EDGELESS:
+            for outcome in score_outcomes(index, query, 3, dialect):
+                assert outcome == "error: script has no data-flow edges; RE is undefined"
+        edgeless = RetrievalIndex.from_scripts(EDGELESS, store=store)
+        for query in never_seen[:2] + EDGELESS[:1]:
+            for k in (1, 3, 5):
+                for outcome in score_outcomes(edgeless, query, k, dialect):
+                    assert outcome == "error: corpus has no data-flow edges; RE is undefined"

@@ -19,7 +19,7 @@ import pytest
 
 from repro.cli import JOB_COMMANDS, _render, main
 from repro.server import ServerConfig, ServerThread
-from repro.server.jobs import JobError, normalize_job
+from repro.server.jobs import JobError, execute_job, normalize_job
 
 from .test_cli_fixture import _corpora, run_cli
 
@@ -153,6 +153,49 @@ def test_unparseable_script_is_a_bad_request(ws, op):
     flags = ["--script", str(ws.root / "bad.py"), *ws.forms["corpus-dir"]]
     assert "failed to parse" in _fails_cleanly([op, *flags])
     assert _served(ws, op, flags)["error"]["kind"] == "bad_request"
+
+
+#: RE is undefined without data-flow edges: each case's message
+EDGELESS_CASES = {
+    "script": "script has no data-flow edges; RE is undefined",
+    "corpus": "corpus has no data-flow edges; RE is undefined",
+}
+
+
+@pytest.fixture(scope="module")
+def edgeless(ws):
+    """(script file, corpus directory) of each case: a script without
+    edges against the fixture's corpus, and the fixture's script against
+    a corpus whose only script has none."""
+    (ws.root / "edgeless.py").write_text("y = 2\n")
+    (ws.root / "edgeless").mkdir()
+    (ws.root / "edgeless" / "only.py").write_text("x = 1\n")
+    return {
+        "script": (str(ws.root / "edgeless.py"), ws.forms["corpus-dir"][1]),
+        "corpus": (ws.script, str(ws.root / "edgeless")),
+    }
+
+
+@pytest.mark.parametrize("retrieve", [[], ["--retrieve-k", "3"]], ids=["curated", "retrieval"])
+@pytest.mark.parametrize("op", ["score", "standardize"])
+@pytest.mark.parametrize("case", sorted(EDGELESS_CASES))
+def test_input_without_edges_is_a_standardization_error(
+    ws, edgeless, case, op, retrieve
+):
+    script, corpus_dir = edgeless[case]
+    message = EDGELESS_CASES[case]
+    flags = ["--script", script, "--corpus-dir", corpus_dir, *retrieve]
+    if op == "standardize":
+        flags += ["--data-dir", ws.data_dir, *SEARCH]
+    assert _fails_cleanly([op, *flags]) == f"error: {message}"
+    error = _served(ws, op, flags)["error"]
+    assert (error["kind"], error["message"]) == ("standardization", message)
+    with open(script) as handle:
+        params = {"script": handle.read(), "corpus_dir": corpus_dir,
+                  "retrieve_k": 3 if retrieve else None}
+    with pytest.raises(JobError, match=f"^{message}$") as excinfo:
+        execute_job(normalize_job({"op": op, "params": params}))
+    assert excinfo.value.kind == "standardization"
 
 
 @pytest.mark.parametrize("op", ["score", "standardize"])
