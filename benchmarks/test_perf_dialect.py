@@ -54,7 +54,7 @@ def _namespace_ms(dialect_name: str) -> float:
 
 def test_perf_dialect_parity_and_overhead():
     # ------------------------------------------------- correctness gates
-    records = verify_dialect()  # raises DialectMismatchError on any drift
+    records = verify_dialect()  # raises AuditMismatchError on any drift
     assert set(records) >= {"pandas", "tablereport"}
 
     # the second dialect genuinely standardizes: entropy must go down

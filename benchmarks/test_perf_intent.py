@@ -176,7 +176,7 @@ def test_perf_intent_prepared_wave():
 def test_perf_intent_verify_mode_is_clean():
     """Self-audit: verify mode recomputes every prepared delta through the
     naive path and raises on any float divergence; a clean pass over a
-    candidate wave plus measured timings is the engine's receipt."""
+    candidate wave is the engine's receipt."""
     rng = random.Random(23)
     original = _original(rng)
     counters = IntentStats()
@@ -186,4 +186,3 @@ def test_perf_intent_verify_mode_is_clean():
     for candidate in _wave(random.Random(5), original)[:40]:
         prepared.check(candidate)
     assert counters.checks == 40
-    assert counters.naive_s > 0.0 and counters.prepared_s > 0.0

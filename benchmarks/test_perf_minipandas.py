@@ -204,4 +204,4 @@ def test_perf_kernels_audit_overhead_is_bounded(bench_frame):
     statements = _statements(bench_frame)
     with mp.kernel_audit():
         for _, kernel_path, _ in statements:
-            kernel_path()  # KernelMismatchError here fails the benchmark
+            kernel_path()  # AuditMismatchError here fails the benchmark

@@ -12,7 +12,7 @@ materializing its vocabulary.  Both paths run against the same warm
 Correctness gates before any speed number counts:
 
 - every timed query re-runs with ``verify=True`` — the audit raises
-  :class:`RetrievalMismatchError` if the banded top-k misses any member
+  :class:`~repro.core.AuditMismatchError` if the banded top-k misses any member
   of the brute-force top-k (exactness, not approximation);
 - the retrieval-assembled corpus passes ``CorpusIndex.verify()``
   (bit-identical to a from-scratch build over the same winners);
@@ -119,7 +119,7 @@ def test_perf_retrieval_topk_assembly():
         _write_query_data(data_dir)
         query = queries[0]
         winners = [hit.record.source for hit in pool.top_k(query, K)]
-        config = bench_config(retrieval_k=K, verify_retrieval=True)
+        config = bench_config(retrieval_k=K, audit=True)
         retrieved = LucidScript(pool, data_dir=data_dir, config=config).standardize(
             query
         )

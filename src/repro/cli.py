@@ -19,6 +19,9 @@ request model the server also answers: each builds its request from its
 flags (:func:`_job_params`), runs it in-process and renders the result
 dict.  A malformed request exits with one ``error:`` line; an input
 script that cannot be standardized prints ``error: …`` and returns 1.
+``--audit`` runs every layer's naive oracle beside its fast path
+(``LSConfig.audit``); a divergence, like a failed ``index … --audit``
+or ``dialect verify``, prints ``error: <layer>: …`` and returns 1.
 
 ``--index peers.index.json`` replaces (or joins) ``--corpus-dir``: the
 persisted offline phase is loaded in O(snapshot) and, when a corpus
@@ -27,9 +30,9 @@ directory is also given, refreshed by reparsing only changed files.
 ``--retrieve-k N`` switches the job ops to the retrieve-then-compute
 path: the corpus is treated as a *pool*, and the working corpus becomes
 the pool's N most similar scripts to the input (LSH top-k over minhash +
-schema signatures; ``--verify-retrieval`` audits each query against
-brute force).  ``index retrieve`` exposes the same search directly,
-printing the ranked hits.
+schema signatures; ``--audit`` checks each query against brute force).
+``index retrieve`` exposes the same search directly, printing the
+ranked hits.
 
 Standardization-as-a-service::
 
@@ -50,6 +53,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+from ._audit import AuditMismatchError
 from .core.standardizer import summarize
 from .corpus import (
     CorpusIndex,
@@ -125,10 +129,11 @@ def _add_common(
         "similar to the input via LSH top-k retrieval",
     )
     parser.add_argument(
-        "--verify-retrieval",
+        "--audit",
         action="store_true",
-        help="audit every top-k retrieval against brute-force signature "
-        "similarity (debug mode, O(pool) per query)",
+        help="run every layer's naive oracle beside its fast path and fail "
+        "on any divergence (debug mode: scoring, intent, index, retrieval "
+        "and kernel audits)",
     )
     if with_search:
         parser.add_argument("--data-dir", help="directory holding the dataset CSVs")
@@ -297,8 +302,8 @@ def _job_params(op: str, args) -> Dict[str, Any]:
         params["corpus_dir"] = args.corpus_dir
     else:
         params["corpus"] = _corpus_dir_scripts(args.corpus_dir)
-    if args.verify_retrieval:
-        params["config"]["verify_retrieval"] = True
+    if args.audit:
+        params["config"]["audit"] = True
     if op != "score":
         params.update(
             data_dir=args.data_dir, target=args.target, tau_j=args.tau_j, tau_m=args.tau_m
@@ -501,13 +506,9 @@ def cmd_dialect(args) -> int:
         return 0
 
     # verify
-    from .dialects.verify import DialectMismatchError, verify_dialect
+    from .dialects.verify import verify_dialect
 
-    try:
-        records = verify_dialect(args.dialects)
-    except DialectMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = verify_dialect(args.dialects)
     for name in sorted(records):
         print(f"{name}: fixture replay is byte-identical")
     return 0
@@ -589,7 +590,11 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except AuditMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,7 +5,8 @@ user-intent measures, transformation search (Algorithms 1-3), and the
 :class:`LucidScript` facade.
 """
 
-from .beam import BeamSearch, Candidate, ScoringMismatchError, SearchStats
+from .._audit import AuditMismatchError
+from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig, recommend_parameters
 from .diversity import cluster_transformations, kmeans, transformation_features
 from .entropy import (
@@ -18,7 +19,6 @@ from .explain import TransformationExplanation, explain_result
 from .grouping import OperationGroups, group_operations
 from .intent import (
     IntentMeasure,
-    IntentMismatchError,
     IntentStats,
     ModelPerformanceIntent,
     PreparedIntent,
@@ -42,12 +42,12 @@ from .transformations import (
 )
 
 __all__ = [
+    "AuditMismatchError",
     "BagOfOperationsIntent",
     "BeamSearch",
     "Candidate",
     "FairnessIntent",
     "IntentMeasure",
-    "IntentMismatchError",
     "IntentStats",
     "LSConfig",
     "LeakageDetection",
@@ -57,7 +57,6 @@ __all__ = [
     "PreparedIntent",
     "REStats",
     "RelativeEntropyScorer",
-    "ScoringMismatchError",
     "SearchStats",
     "StandardizationError",
     "StandardizationResult",

@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .._audit import AuditMismatchError
 from .._lru import LRUCache
 from ..dialects import get_dialect
 from ..lang.errors import ScriptError
@@ -56,13 +57,7 @@ from .transformations import (
     enumerate_transformations,
 )
 
-__all__ = ["Candidate", "ScoringMismatchError", "SearchStats", "BeamSearch"]
-
-
-class ScoringMismatchError(RuntimeError):
-    """Raised by ``LSConfig.verify_scoring`` when the O(Δ) incremental
-    score diverges from the full recount (a delta-engine bug, never a
-    legitimate runtime condition — hence not a swallowed ``ValueError``)."""
+__all__ = ["Candidate", "SearchStats", "BeamSearch"]
 
 
 @dataclass(frozen=True)
@@ -113,13 +108,11 @@ class SearchStats:
     n_steps_enumerated: int = 0
     n_delta_scores: int = 0
     n_full_recounts: int = 0
-    get_steps_speedup: float = 0.0
     n_exec_checks: int = 0
     n_intent_checks: int = 0
     n_intent_cache_hits: int = 0
     n_column_set_reuse: int = 0
     n_intent_short_circuits: int = 0
-    intent_speedup: float = 0.0
     n_corpus_index_hits: int = 0
     n_corpus_script_hits: int = 0
     n_corpus_reparses: int = 0
@@ -156,7 +149,6 @@ class SearchStats:
             "GetSteps": self.get_steps_s,
             "DeltaScoreHits": float(self.n_delta_scores),
             "FullRecountFallbacks": float(self.n_full_recounts),
-            "GetStepsSpeedup": self.get_steps_speedup,
             "GetTopKBeams": self.get_top_k_s,
             "CheckIfExecutes": self.check_executes_s,
             "VerifyConstraints": self.verify_constraints_s,
@@ -164,7 +156,6 @@ class SearchStats:
             "IntentCacheHits": float(self.n_intent_cache_hits),
             "ColumnSetReuse": float(self.n_column_set_reuse),
             "IntentShortCircuits": float(self.n_intent_short_circuits),
-            "IntentSpeedup": self.intent_speedup,
             "CorpusIndexHits": float(self.n_corpus_index_hits),
             "CorpusScriptHits": float(self.n_corpus_script_hits),
             "CorpusReparses": float(self.n_corpus_reparses),
@@ -236,9 +227,6 @@ class BeamSearch:
         # frozen dataclass's field-tuple hashing on the hot path
         self._wave_deltas: Dict[int, EdgeDelta] = {}
         self._wave_parent_key: Optional[str] = None
-        # verify_scoring timing accumulators (drive GetStepsSpeedup)
-        self._delta_score_s = 0.0
-        self._full_score_s = 0.0
         self._archive: Dict[str, Candidate] = {}
         self.stats = SearchStats()
 
@@ -361,17 +349,17 @@ class BeamSearch:
     ) -> float:
         """Score one transformation off the parent's state in O(Δ).
 
-        With ``verify_scoring`` on, the full recount runs alongside and
+        With ``config.audit`` on, the full recount runs alongside and
         any divergence — in value *or* in raised-exception behaviour —
-        raises :class:`ScoringMismatchError` (bit-identity is the delta
-        engine's contract, so the comparison is exact, not approximate).
+        raises :class:`~repro.core.AuditMismatchError` (layer
+        ``scoring``; bit-identity is the delta engine's contract, so the
+        comparison is exact, not approximate).
         """
-        if not self.config.verify_scoring:
+        if not self.config.audit:
             delta = self._delta_for(edge_state, transformation)
             score = self.scorer.score_delta(re_stats, edge_state.counts, delta)
             self._wave_deltas[id(transformation)] = delta
             return score
-        started = time.perf_counter()
         try:
             delta = self._delta_for(edge_state, transformation)
             score: Optional[float] = self.scorer.score_delta(
@@ -380,8 +368,6 @@ class BeamSearch:
             delta_error: Optional[BaseException] = None
         except (ScriptError, IndexError, ValueError) as exc:
             score, delta, delta_error = None, None, exc
-        self._delta_score_s += time.perf_counter() - started
-        started = time.perf_counter()
         try:
             full: Optional[float] = self._projected_score(
                 candidate.statements, transformation
@@ -389,14 +375,14 @@ class BeamSearch:
             full_error: Optional[BaseException] = None
         except (ScriptError, IndexError, ValueError) as exc:
             full, full_error = None, exc
-        self._full_score_s += time.perf_counter() - started
         if (delta_error is None) != (full_error is None) or (
             score is not None and score != full
         ):
-            raise ScoringMismatchError(
+            raise AuditMismatchError(
+                "scoring",
                 f"incremental score {score!r} (error={delta_error!r}) != "
                 f"full recount {full!r} (error={full_error!r}) for "
-                f"{transformation.describe()} on:\n{candidate.source()}"
+                f"{transformation.describe()} on {candidate.source()!r}"
             )
         if delta_error is not None:
             raise delta_error
@@ -590,9 +576,6 @@ class BeamSearch:
         stats.statement_cache_hit_rate = (
             self._statement_tally["hits"] / lookups if lookups else 0.0
         )
-        if self._delta_score_s > 0:
-            # verify_scoring timed both paths on identical proposals
-            stats.get_steps_speedup = self._full_score_s / self._delta_score_s
         if self._executor is None:
             return
         current = self._executor.stats.as_dict()

@@ -48,8 +48,8 @@ class LSConfig:
     intent checks run on a :class:`~repro.core.intent.PreparedIntent`
     (O(changed columns) per candidate), and raw corpus scripts are
     curated through the process-wide warm cache
-    (:mod:`repro.corpus.cache`).  Each ``verify_*`` audit shadow-runs
-    its layer's naive oracle and fails on any divergence.
+    (:mod:`repro.corpus.cache`).  ``audit`` shadow-runs every layer's
+    naive oracle and fails on any divergence.
 
     Attributes
     ----------
@@ -81,22 +81,24 @@ class LSConfig:
         search-space reduction); None disables grouping.
     random_state:
         Seed for the diversity clustering and any sampling decisions.
-    verify_scoring:
-        Debug mode: run the full recount alongside every delta score and
-        raise :class:`repro.core.beam.ScoringMismatchError` on any
-        divergence (exact comparison).  Also times both paths, surfacing
-        the measured ratio as ``SearchStats.get_steps_speedup``.  Off by
-        default — it exists to audit the delta engine, not for
-        production.
-    verify_intent:
-        Debug mode: recompute every prepared intent delta through the
-        naive cache-free :meth:`~repro.core.intent.IntentMeasure.check`
-        alongside and raise
-        :class:`repro.core.intent.IntentMismatchError` on any float
-        divergence (exact comparison).  Also times both paths, surfacing
-        the measured ratio as ``SearchStats.intent_speedup``.  Off by
-        default — it exists to audit the intent engine, not for
-        production.
+    audit:
+        Debug mode: run each layer's naive oracle beside its fast path
+        and raise :class:`repro.core.AuditMismatchError` on any
+        divergence (exact comparison), with ``layer`` naming the layer:
+        ``scoring`` recounts RE in full beside every delta score;
+        ``intent`` recomputes every prepared intent delta through the
+        cache-free :meth:`~repro.core.intent.IntentMeasure.bare_delta`;
+        ``index`` rebuilds the corpus index from scratch at construction
+        and assembly (:meth:`repro.corpus.CorpusIndex.verify`), and on a
+        retrieval pool ``score()`` also assembles the working corpus and
+        requires its RE to equal the one computed from the neighbours'
+        edge counts; ``retrieval`` ranks the whole pool by brute force
+        beside every LSH top-k; ``kernel`` shadow-runs the row-at-a-time
+        reference beside every minipandas columnar kernel a
+        ``standardize()`` touches, and a mismatch inside a sandboxed
+        script fails the call instead of the script.  Off by default:
+        the oracles cost O(corpus) or O(pool) per check and exist to
+        prove the engines exact, not for production.
     exec_timeout_s:
         Wall-clock budget (seconds) for one candidate script inside
         CheckIfExecutes/VerifyConstraints.  A candidate that exceeds it
@@ -108,16 +110,6 @@ class LSConfig:
         Wall-clock budget for each individual statement of a candidate;
         tighter than ``exec_timeout_s`` when a single statement is the
         pathology.  None disables it.
-    verify_index:
-        Debug mode: audit the corpus index backing this search against
-        a from-scratch offline-phase rebuild at construction time and
-        raise :class:`repro.corpus.IndexMismatchError` on any
-        divergence (exact comparison, including successor tie order and
-        relative-position float means).  On a retrieval pool, ``score()``
-        also assembles and audits the working corpus it otherwise skips,
-        and requires its RE to equal the one computed from the
-        neighbours' edge counts.  Off by default — it exists to audit
-        the corpus engine, not for production.
     retrieval_k:
         How many pool scripts ``top_k`` retrieval assembles into the
         working corpus when the system is constructed over a
@@ -127,22 +119,6 @@ class LSConfig:
         search over it is bit-identical to a search over the same
         scripts curated by hand.  Ignored when the corpus is given
         directly as scripts, an index, or a vocabulary.
-    verify_retrieval:
-        Debug mode: cross-check every LSH top-k retrieval against
-        brute-force signature similarity over the whole pool and raise
-        :class:`repro.corpus.RetrievalMismatchError` on any divergence
-        (exact comparison, including scores and tie order).  O(pool)
-        per query — it exists to audit the retrieval engine, not for
-        production.
-    verify_kernels:
-        Debug mode: shadow-run the naive row-at-a-time reference
-        implementation alongside every minipandas columnar kernel
-        (``fillna``/``dropna``/``duplicated``/``take``/``get_dummies``/
-        groupby aggregation) touched during ``standardize()`` and raise
-        :class:`repro.minipandas.KernelMismatchError` on any divergence
-        (bit-exact comparison, including missingness flavour and cell
-        types).  Off by default — it exists to audit the kernel engine,
-        not for production.
     dialect:
         Name of the registered :class:`~repro.dialects.ApiDialect` this
         search standardizes against — the recognized call surface,
@@ -163,14 +139,10 @@ class LSConfig:
     sample_rows: Optional[int] = 500
     operation_groups: Optional[int] = None
     random_state: int = 0
-    verify_scoring: bool = False
-    verify_intent: bool = False
+    audit: bool = False
     exec_timeout_s: Optional[float] = None
     statement_timeout_s: Optional[float] = None
-    verify_index: bool = False
     retrieval_k: int = 20
-    verify_retrieval: bool = False
-    verify_kernels: bool = False
     dialect: str = "pandas"
 
     def __post_init__(self):

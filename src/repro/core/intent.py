@@ -14,13 +14,12 @@ fingerprints, so a wave of near-duplicate candidates — the shape
 ``VerifyAllConstraints`` produces — reuses distinct-value sets across both
 candidates and intent modes instead of rebuilding the original's cell set
 per check.  The prepared path is exact, not a sketch: every delta it
-returns is bit-identical to the naive recomputation (``verify_intent``
-audits exactly that).
+returns is bit-identical to the naive recomputation (``LSConfig.audit``
+checks exactly that).
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from hashlib import sha1
@@ -28,6 +27,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .._audit import AuditMismatchError
 from .._lru import LRUCache
 from ..minipandas import DataFrame, Series, is_missing
 from ..minipandas._missing import missing_mask
@@ -38,7 +38,6 @@ __all__ = [
     "ACCURACY_CACHE",
     "ACCURACY_CACHE_LIMIT",
     "IntentMeasure",
-    "IntentMismatchError",
     "IntentStats",
     "PreparedIntent",
     "TableJaccardIntent",
@@ -47,12 +46,6 @@ __all__ = [
     "table_jaccard",
     "model_performance_delta",
 ]
-
-
-class IntentMismatchError(RuntimeError):
-    """Raised by ``LSConfig.verify_intent`` when a prepared incremental
-    intent delta diverges from the naive recomputation (an engine bug,
-    never a legitimate runtime condition)."""
 
 
 # --------------------------------------------------------------- fingerprints
@@ -202,16 +195,13 @@ class IntentStats:
     cached :class:`PreparedIntent` was reused instead of re-freezing the
     original; ``column_set_reuse`` — per-column lookups answered from the
     content-addressed memo (zero set construction); ``short_circuits`` —
-    whole-table fingerprint matches answered without touching any set;
-    ``naive_s``/``prepared_s`` — audit-mode timings of both paths.
+    whole-table fingerprint matches answered without touching any set.
     """
 
     checks: int = 0
     prepared_hits: int = 0
     column_set_reuse: int = 0
     short_circuits: int = 0
-    naive_s: float = 0.0
-    prepared_s: float = 0.0
 
 
 class _ColumnContent:
@@ -282,8 +272,8 @@ class PreparedIntent:
 
     With ``verify=True`` every prepared delta is cross-checked against
     :meth:`IntentMeasure.bare_delta` (all caches bypassed) and any float
-    divergence raises :class:`IntentMismatchError` — the exact analogue of
-    ``LSConfig.verify_scoring`` for the scoring engine.
+    divergence raises :class:`~repro.core.AuditMismatchError` (layer
+    ``intent``) — the exact analogue of the scoring engine's audit.
 
     *columns*, the original's :func:`_keyed_columns` when the caller has
     them already, spare a measure that reads them a second pass.
@@ -325,17 +315,13 @@ class PreparedIntent:
         self._table_fp = None
 
     def delta(self, candidate: DataFrame) -> float:
-        counters = self.counters
-        counters.checks += 1
-        started = time.perf_counter()
+        self.counters.checks += 1
         value = self._prepared_delta(candidate)
-        counters.prepared_s += time.perf_counter() - started
         if self.verify:
-            started = time.perf_counter()
             reference = self.intent.bare_delta(self.original, candidate)
-            counters.naive_s += time.perf_counter() - started
             if value != reference:
-                raise IntentMismatchError(
+                raise AuditMismatchError(
+                    "intent",
                     f"prepared {self.intent.name} delta {value!r} != naive "
                     f"recomputation {reference!r} (original fingerprint "
                     f"{self.table_fp[:12]})"
@@ -560,8 +546,8 @@ ACCURACY_CACHE_LIMIT = 4096
 #: key, since it does not affect accuracy.  Only successes are stored: a
 #: table the model cannot use is evaluated, and raises, on every check.
 #: The naive measures (``accuracy``, ``delta``, ``bare_delta``, ``check``)
-#: never read it, so the ``verify_intent`` audit and every oracle train
-#: afresh.
+#: never read it, so the intent audit (``LSConfig.audit``) and every
+#: oracle train afresh.
 ACCURACY_CACHE = LRUCache(ACCURACY_CACHE_LIMIT, thread_safe=True)
 
 

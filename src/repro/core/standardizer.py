@@ -13,11 +13,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .._audit import AuditMismatchError
 from .._lru import LRUCache
 from ..corpus import (
     CorpusCacheCounters,
     CorpusIndex,
-    IndexMismatchError,
     RetrievalCounters,
     RetrievalIndex,
     RetrievedScript,
@@ -217,14 +217,14 @@ class LucidScript:
         before = corpus_cache_counters()
         if isinstance(corpus, CorpusIndex):
             self._check_corpus_dialect(corpus.dialect, "the supplied corpus index")
-            if self.config.verify_index:
+            if self.config.audit:
                 corpus.verify()
             vocabulary = corpus.to_vocabulary()
         elif isinstance(corpus, CorpusVocabulary):
             vocabulary = corpus
         else:
             index = cached_index(corpus, dialect=self.dialect.name)
-            if self.config.verify_index:
+            if self.config.audit:
                 index.verify()
             vocabulary = index.to_vocabulary()
         return vocabulary, corpus_cache_counters().delta(before)
@@ -235,9 +235,8 @@ class LucidScript:
         Only for a system built over a
         :class:`~repro.corpus.RetrievalIndex`.  The record's ``source``
         is ``lemmatize(script)``.  Its signature selects
-        ``config.retrieval_k`` pool neighbours
-        (``config.verify_retrieval`` audits the selection against brute
-        force).  ``top_k`` runs once per query content: the hits are
+        ``config.retrieval_k`` pool neighbours (``config.audit`` checks
+        the selection against brute force).  ``top_k`` runs once per query content: the hits are
         kept until a different script is queried, which also drops the
         working corpus assembled from the old ones.
         """
@@ -254,7 +253,7 @@ class LucidScript:
             hits = self._retrieval.top_k(
                 record.signature,
                 self.config.retrieval_k,
-                verify=self.config.verify_retrieval,
+                verify=self.config.audit,
             )
             if not hits:
                 raise StandardizationError(
@@ -289,7 +288,7 @@ class LucidScript:
             return
         before = corpus_cache_counters()
         corpus = self._retrieval.assemble_from_hits(hits)
-        if self.config.verify_index:
+        if self.config.audit:
             corpus.verify()
         self.vocabulary = corpus.to_vocabulary()
         self.scorer = RelativeEntropyScorer(self.vocabulary)
@@ -325,7 +324,7 @@ class LucidScript:
                 original_output,
                 columns=columns,
                 counters=counters,
-                verify=self.config.verify_intent,
+                verify=self.config.audit,
             )
             if key is not None:
                 self._intent_cache[key] = prepared
@@ -333,7 +332,7 @@ class LucidScript:
             counters.prepared_hits += 1
             prepared.rebind(original_output)
             prepared.counters = counters
-            prepared.verify = self.config.verify_intent
+            prepared.verify = self.config.audit
         return prepared
 
     def _shared_executor(self) -> IncrementalExecutor:
@@ -370,9 +369,10 @@ class LucidScript:
         over the script's own edges, so the score reads the query
         record's edge counts and the neighbours' counts on those edges
         and in total (:meth:`RelativeEntropyScorer.on_edges`); no working
-        corpus is assembled.  With ``config.verify_index`` it is
-        assembled and verified too, and its scorer must give the same
-        float, or :class:`~repro.corpus.IndexMismatchError` is raised.
+        corpus is assembled.  With ``config.audit`` it is assembled and
+        verified too, and its scorer must give the same float, or
+        :class:`~repro.core.AuditMismatchError` (layer ``index``) is
+        raised.
 
         A script or corpus without data-flow edges raises
         :class:`StandardizationError`.
@@ -385,12 +385,13 @@ class LucidScript:
             record.edge_counts, (hit.record.edge_counts for hit in hits)
         )
         score = _relative_entropy(scorer, record.edge_counts)
-        if self.config.verify_index:
+        if self.config.audit:
             self._ensure_search_space(script)
             dag = parse_script(record.source, lemmatized=True, dialect=self.dialect)
             assembled = _relative_entropy(self.scorer, dag.edge_counter())
             if assembled.hex() != score.hex():
-                raise IndexMismatchError(
+                raise AuditMismatchError(
+                    "index",
                     f"retrieval score {score!r} from the neighbours' edge counts "
                     f"!= {assembled!r} over the assembled corpus"
                 )
@@ -399,7 +400,7 @@ class LucidScript:
     # ------------------------------------------------------------- online phase
     def standardize(self, script: str) -> StandardizationResult:
         """Produce a standardized version of *script* (Definition 4.5)."""
-        with kernel_audit(self.config.verify_kernels):
+        with kernel_audit(self.config.audit):
             return self._standardize(script)
 
     def _standardize(self, script: str) -> StandardizationResult:
@@ -476,9 +477,6 @@ class LucidScript:
         stats.n_intent_cache_hits += counters.prepared_hits
         stats.n_column_set_reuse += counters.column_set_reuse
         stats.n_intent_short_circuits += counters.short_circuits
-        if counters.prepared_s > 0 and counters.naive_s > 0:
-            # verify_intent timed both paths on identical checks
-            stats.intent_speedup = counters.naive_s / counters.prepared_s
 
     def _verify_all_constraints(
         self,

@@ -27,7 +27,6 @@ from .cache import (
 )
 from .index import (
     CorpusIndex,
-    IndexMismatchError,
     MembershipIndex,
     RefreshReport,
     read_corpus_dir,
@@ -52,7 +51,6 @@ from .store import ScriptRecord, ScriptStore, StoreCounters, content_address
 __all__ = [
     "CorpusCacheCounters",
     "CorpusIndex",
-    "IndexMismatchError",
     "MembershipIndex",
     "RefreshReport",
     "RetrievalCounters",

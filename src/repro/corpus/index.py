@@ -27,9 +27,9 @@ tie order of ``ngram_successors`` (Counter insertion order is replayed
 from per-script successor lists), and the insertion order of the three
 aggregate Counters (each member's first-seen keys are kept, so a
 removal hands the keys it put first on to their next holder).
-:meth:`verify` audits this the way ``LSConfig.verify_scoring``/
-``verify_intent`` audit the search engines: rebuild from scratch,
-compare exactly, raise on any divergence.
+:meth:`verify` audits this the way ``LSConfig.audit`` audits the
+search engines: rebuild from scratch, compare exactly, raise on any
+divergence.
 
 Order-sensitive derived structures (successors, templates, positions)
 are rebuilt lazily, per dirty signature, from posting lists — a
@@ -47,6 +47,7 @@ from hashlib import sha1
 from itertools import chain, filterfalse
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .._audit import AuditMismatchError
 from .._floats import left_sum
 from ..lang.errors import ScriptError
 from ..lang.vocabulary import CorpusStats, CorpusVocabulary
@@ -54,17 +55,10 @@ from .store import ScriptRecord, ScriptStore, TemplateSlot
 
 __all__ = [
     "CorpusIndex",
-    "IndexMismatchError",
     "MembershipIndex",
     "RefreshReport",
     "read_corpus_dir",
 ]
-
-
-class IndexMismatchError(RuntimeError):
-    """Raised by :meth:`CorpusIndex.verify` when the incrementally
-    maintained statistics diverge from a from-scratch rebuild (an index
-    bug, never a legitimate runtime condition)."""
 
 
 @dataclass
@@ -704,10 +698,9 @@ class CorpusIndex(MembershipIndex):
     def verify(self) -> None:
         """Audit mode: rebuild from scratch and compare bit-for-bit.
 
-        In the spirit of ``LSConfig.verify_scoring``/``verify_intent``:
-        any divergence is an engine bug and raises
-        :class:`IndexMismatchError` naming the first structure that
-        differs.  O(full corpus reparse) — a debugging tool, not a
+        Any divergence is an engine bug and raises
+        :class:`~repro.core.AuditMismatchError` (layer ``index``) naming
+        the first structure that differs.  O(full corpus reparse) — a debugging tool, not a
         production path.
         """
         if not self._members:
@@ -737,7 +730,8 @@ class CorpusIndex(MembershipIndex):
         self._compare("stats", mine.stats(), fresh.stats())
         for sig in fresh.ngram_counts:
             if mine.statement_frequency(sig) != fresh.statement_frequency(sig):
-                raise IndexMismatchError(
+                raise AuditMismatchError(
+                    "index",
                     f"statement_frequency({sig!r}): "
                     f"{mine.statement_frequency(sig)!r} != "
                     f"{fresh.statement_frequency(sig)!r}"
@@ -749,6 +743,7 @@ class CorpusIndex(MembershipIndex):
     @staticmethod
     def _compare(what: str, mine, fresh) -> None:
         if mine != fresh:
-            raise IndexMismatchError(
+            raise AuditMismatchError(
+                "index",
                 f"incremental index diverged from from-scratch rebuild on {what}"
             )

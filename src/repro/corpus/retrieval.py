@@ -24,10 +24,10 @@ platforms).  ``top_k`` scores all candidates at once from a column
 store of the pool's signatures, with the same IEEE operations in the
 same order as the scalar :func:`signature_similarity`, which stays as
 the oracle of :meth:`RetrievalIndex.brute_force_top_k`.
-``verify_retrieval`` (:meth:`RetrievalIndex.top_k` with
-``verify=True``) audits the equality per query the way
-``verify_scoring``/``verify_index`` audit their engines, raising
-:class:`RetrievalMismatchError` on any divergence.
+:meth:`RetrievalIndex.top_k` with ``verify=True`` (what
+``LSConfig.audit`` turns on) audits the equality per query, raising
+:class:`~repro.core.AuditMismatchError` (layer ``retrieval``) on any
+divergence.
 
 Membership rides :class:`~repro.corpus.index.MembershipIndex`: add /
 remove / directory ``refresh`` are pure deltas (bucket edits on the
@@ -44,6 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from .._audit import AuditMismatchError
 from ..lang.errors import ScriptError
 from .index import CorpusIndex, MembershipIndex
 from .signatures import (
@@ -65,11 +66,8 @@ __all__ = [
     "RetrievedScript",
 ]
 
-
-class RetrievalMismatchError(RuntimeError):
-    """Raised by the ``verify_retrieval`` audit when the LSH candidate
-    path diverges from brute-force signature similarity (an engine bug,
-    never a legitimate runtime condition)."""
+#: The historical name of the retrieval audit's error.
+RetrievalMismatchError = AuditMismatchError
 
 
 @dataclass(frozen=True)
@@ -331,9 +329,9 @@ class RetrievalIndex(MembershipIndex):
         (:meth:`_similarities`), equal bit for bit to the scalar
         :func:`signature_similarity`.
 
-        With ``verify=True`` (the ``verify_retrieval`` audit mode) the
-        brute-force ranking is computed alongside and any divergence
-        raises :class:`RetrievalMismatchError`.
+        With ``verify=True`` (the retrieval audit) the brute-force
+        ranking is computed alongside and any divergence raises
+        :class:`~repro.core.AuditMismatchError` (layer ``retrieval``).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -369,8 +367,9 @@ class RetrievalIndex(MembershipIndex):
         want = [(hit.content_hash, hit.score) for hit in expected]
         if got != want:
             missed = [pair for pair in want if pair not in got]
-            raise RetrievalMismatchError(
-                "verify_retrieval: LSH top-k diverged from brute-force "
+            raise AuditMismatchError(
+                "retrieval",
+                "LSH top-k diverged from brute-force "
                 f"signature similarity; missed {missed[:3]!r} "
                 f"(k={k}, pool={len(self._rows)})"
             )

@@ -343,7 +343,7 @@ def signature_similarity(a: ScriptSignature, b: ScriptSignature) -> float:
     schema postings, so the candidate set the
     :class:`~repro.corpus.retrieval.RetrievalIndex` scores contains the
     complete positive-similarity set and its top-k equals the
-    brute-force top-k (the invariant ``verify_retrieval`` audits).
+    brute-force top-k (the invariant the retrieval audit checks).
     Vocabulary overlap and the phase histogram only *refine* ranking
     among reachable candidates.
     """

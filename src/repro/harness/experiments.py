@@ -142,8 +142,8 @@ def evaluate_lucidscript(
         When set, run the retrieve-then-compute path: each pair's
         reference scripts become a :class:`RetrievalIndex` pool and the
         system curates the input's ``retrieval_k`` nearest neighbours
-        instead of the whole remainder (``config.verify_retrieval``
-        audits every query).  Pool membership is maintained as deltas
+        instead of the whole remainder (``config.audit`` audits every
+        query).  Pool membership is maintained as deltas
         across pairs — the leave-one-out sweep swaps one script in and
         one out per pair instead of rebuilding the pool.
     """

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .._astparse import ast_parse
 from .._lru import LRUCache
+from ..dialects import resolve_dialect
 from .errors import ScriptParseError, UnsupportedScriptError
 
 __all__ = [
@@ -61,19 +62,7 @@ def _check_straight_line(tree: ast.Module) -> None:
             )
 
 
-#: The historical (pandas) call surface, used whenever no dialect is given.
-_DEFAULT_LOADER_NAMES = frozenset({"read_csv"})
-_DEFAULT_CANONICAL_BASE = "df"
-
-
-def _loader_surface(dialect=None):
-    """(loader_names, canonical_base) for *dialect* (None = pandas)."""
-    if dialect is None:
-        return _DEFAULT_LOADER_NAMES, _DEFAULT_CANONICAL_BASE
-    return dialect.loader_names, dialect.canonical_base
-
-
-def _read_csv_path(call: ast.Call, loader_names=_DEFAULT_LOADER_NAMES) -> Optional[str]:
+def _read_csv_path(call: ast.Call, loader_names) -> Optional[str]:
     """Return the constant path argument of a loader call, if present."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -86,7 +75,7 @@ def _read_csv_path(call: ast.Call, loader_names=_DEFAULT_LOADER_NAMES) -> Option
 
 def read_csv_files(source: str, dialect=None) -> List[str]:
     """List the distinct data paths a script loads, in first-read order."""
-    loader_names, _base = _loader_surface(dialect)
+    loader_names = resolve_dialect(dialect).loader_names
     tree = _parse(source)
     paths: List[str] = []
     for node in ast.walk(tree):
@@ -97,10 +86,11 @@ def read_csv_files(source: str, dialect=None) -> List[str]:
     return paths
 
 
-def _build_rename_map(tree: ast.Module, dialect=None) -> Dict[str, str]:
-    """Map loader-result variable names to the dialect's canonical
-    ``df``/``df2``/... (pandas) or ``design``/``design2``/... names."""
-    loader_names, base = _loader_surface(dialect)
+def _build_rename_map(tree: ast.Module, dialect) -> Dict[str, str]:
+    """Map loader-result variable names to the (resolved) dialect's
+    canonical ``df``/``df2``/... (pandas) or ``design``/``design2``/...
+    names."""
+    loader_names, base = dialect.loader_names, dialect.canonical_base
     canonical_by_path: Dict[str, str] = {}
     rename: Dict[str, str] = {}
     for node in tree.body:
@@ -185,10 +175,11 @@ def lemmatize_statements(source: str, dialect=None) -> List[LemmaStatement]:
     a caller that needs the renamed node to rename on demand.  Raises
     as :func:`lemmatize` does.
     """
+    dialect = resolve_dialect(dialect)
     tree = _parse(source)
     _check_straight_line(tree)
     renames = tuple(_build_rename_map(tree, dialect).items())
-    name = "pandas" if dialect is None else dialect.name
+    name = dialect.name
     statements: List[LemmaStatement] = []
     for node, raw in zip(tree.body, statement_sources(source, tree.body)):
         if raw.isascii():
@@ -210,8 +201,8 @@ def lemmatize_statements(source: str, dialect=None) -> List[LemmaStatement]:
 def lemmatize(source: str, dialect=None) -> str:
     """Return the canonical (lemmatized) form of *source*.
 
-    *dialect* (an :class:`~repro.dialects.ApiDialect`, or None for the
-    historical pandas behavior) supplies the loader entry points and the
+    *dialect* (an :class:`~repro.dialects.ApiDialect` or a registered
+    name; None means pandas) supplies the loader entry points and the
     canonical variable stem; everything else is surface-independent.
 
     Raises

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .._astparse import ast_parse
 from .._lru import LRUCache
+from ..dialects import resolve_dialect
 from .atoms import NGRAM, ONEGRAM, Atom, Edge
 from .errors import ScriptParseError
 from .lemmatize import lemmatize_statements, rename_names, statement_sources
@@ -191,20 +192,20 @@ class Statement:
 
     @classmethod
     def from_ast(
-        cls, index: int, node: ast.stmt, dialect=None, source: Optional[str] = None
+        cls, index: int, node: ast.stmt, dialect, source: Optional[str] = None
     ) -> "Statement":
-        """The statement of *node*; *source*, when given, is its
+        """The statement of *node* under *dialect*, a resolved
+        :class:`~repro.dialects.ApiDialect`; *source*, when given, is its
         ``ast.unparse`` text, which the caller already holds."""
         if source is None:
             source = ast.unparse(node)
         onegrams, intra_edges = extract_onegrams(node)
         reads, writes = _variables(node)
         is_import = isinstance(node, (ast.Import, ast.ImportFrom))
-        loader_names = ("read_csv",) if dialect is None else dialect.loader_names
         # a data load invokes a loader by name; a 1-gram that merely
         # mentions one (``drop(df,['read_csv_flag'])``) is not a load
         is_read_csv = any(
-            a.signature.partition("(")[0] in loader_names for a in onegrams
+            a.signature.partition("(")[0] in dialect.loader_names for a in onegrams
         )
         return cls(
             index=index,
@@ -228,7 +229,7 @@ class Statement:
             raise ScriptParseError(
                 f"expected a single statement, got {len(tree.body)}: {source!r}"
             )
-        return cls.from_ast(index, tree.body[0], dialect=dialect)
+        return cls.from_ast(index, tree.body[0], resolve_dialect(dialect))
 
     @property
     def protected(self) -> bool:
@@ -277,7 +278,8 @@ def parse_statement(
     The key is the dialect's name, so None and the registered pandas
     dialect share entries.
     """
-    key = ("pandas" if dialect is None else dialect.name, source)
+    dialect = resolve_dialect(dialect)
+    key = (dialect.name, source)
     statement = STATEMENT_CACHE.get(key)
     if tally is not None:
         tally["misses" if statement is None else "hits"] += 1
@@ -454,7 +456,7 @@ class EdgeState:
     instead of re-walking the whole script.  Scoring a candidate
     transformation therefore costs O(edges touched), not
     O(script × vocabulary) — the engine behind every GetSteps score
-    (``LSConfig.verify_scoring`` audits it against the full recount).
+    (``LSConfig.audit`` checks it against the full recount).
     """
 
     __slots__ = ("statements", "counts", "_writers", "_readers", "_incoming_memo")
@@ -697,6 +699,7 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> ScriptD
     looked up by its lemmatized text in :data:`STATEMENT_CACHE`, and only
     a miss renames its node and builds it.
     """
+    dialect = resolve_dialect(dialect)
     if lemmatized:
         try:
             tree = ast_parse(source)
@@ -706,17 +709,16 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> ScriptD
         items = [(text, node, ()) for text, node in zip(texts, tree.body)]
     else:
         items = lemmatize_statements(source, dialect)
-    name = "pandas" if dialect is None else dialect.name
     statements = []
     for index, (text, node, renames) in enumerate(items):
-        key = (name, text)
+        key = (dialect.name, text)
         statement = STATEMENT_CACHE.get(key)
         if statement is None:
             if renames:
                 rename_names(node, dict(renames))
             # an already-lemmatized text is as written, not as unparsed
             statement = Statement.from_ast(
-                0, node, dialect=dialect, source=None if lemmatized else text
+                0, node, dialect, source=None if lemmatized else text
             )
             STATEMENT_CACHE[key] = statement
         statements.append(statement.at(index))

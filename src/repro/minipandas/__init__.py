@@ -22,7 +22,7 @@ from .datetimes import to_datetime
 from .frame import DataFrame
 from .index import Index, RangeIndex
 from .io import read_csv
-from .kernels import KernelMismatchError, kernel_audit, set_kernel_audit
+from .kernels import kernel_audit, set_kernel_audit
 from .ops import (
     concat,
     cut,
@@ -43,7 +43,6 @@ __all__ = [
     "NA",
     "DataFrame",
     "Index",
-    "KernelMismatchError",
     "RangeIndex",
     "Series",
     "concat",

@@ -1,6 +1,6 @@
 """Naive row-at-a-time reference implementations for the kernel audit.
 
-``LSConfig.verify_kernels`` makes every columnar kernel shadow-run the
+``LSConfig.audit`` makes every columnar kernel shadow-run the
 matching function here and demands bit-identical results
 (:func:`repro.minipandas.kernels.audit`).  These are the *old* per-element
 ``iloc`` loops, deliberately kept structurally different from the

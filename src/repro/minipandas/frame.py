@@ -13,10 +13,10 @@ array payload, one loop over a list payload — and any column an op leaves
 untouched is passed through as the *same payload object* under
 copy-on-write (:meth:`Series._share`), so derived frames — and the
 sandbox's prefix snapshots — share storage until something actually
-writes a cell.  ``LSConfig.verify_kernels`` shadow-runs the naive
-row-at-a-time references in :mod:`repro.minipandas._naive` against every
-kernel and raises :class:`repro.minipandas.kernels.KernelMismatchError`
-on divergence.
+writes a cell.  ``LSConfig.audit`` shadow-runs the naive row-at-a-time
+references in :mod:`repro.minipandas._naive` against every kernel and
+raises :class:`~repro.core.AuditMismatchError` (layer ``kernel``) on
+divergence.
 """
 
 from __future__ import annotations

@@ -11,12 +11,15 @@ share:
   cells (a genuine ``"__na__"`` string can never collide with NA) and a
   repr-key fallback for unhashable cell values (a cell holding a list
   must not abort a search wave with ``TypeError``);
-* the **audit mode** behind ``LSConfig.verify_kernels`` — a process-wide
-  switch that makes every kernel shadow-run the naive row-at-a-time
-  reference implementation (:mod:`repro.minipandas._naive`) and raise
-  :class:`KernelMismatchError` on any divergence.  The kernels are
-  bit-identical to the references by construction; the audit exists to
-  *prove* that on live workloads, not for production.
+* the **audit mode** behind ``LSConfig.audit`` — a process-wide switch
+  that makes every kernel shadow-run the naive row-at-a-time reference
+  implementation (:mod:`repro.minipandas._naive`) and raise
+  :class:`~repro.core.AuditMismatchError` (layer ``kernel``) on any
+  divergence.  The kernels are bit-identical to the references by
+  construction; the audit exists to *prove* that on live workloads, not
+  for production.  Inside a sandboxed script a mismatch is not the
+  script's failure: while the switch is on, the sandbox lets it
+  propagate.
 
 The audit flag is deliberately module-global: the sandbox executes
 candidate scripts against this substrate in-process, so one switch
@@ -29,10 +32,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable
 
+from .._audit import AuditMismatchError
 from ._missing import is_missing
 
 __all__ = [
-    "KernelMismatchError",
     "kernel_audit",
     "set_kernel_audit",
     "audit_enabled",
@@ -91,10 +94,6 @@ def fresh_name(name: str, used) -> str:
 
 
 # ------------------------------------------------------------------ audit mode
-class KernelMismatchError(AssertionError):
-    """A columnar kernel diverged from its naive reference implementation."""
-
-
 #: Process-wide audit switch; read directly by the kernels as
 #: ``kernels._AUDIT`` so the disabled path costs one attribute load.
 _AUDIT = False
@@ -112,7 +111,7 @@ def set_kernel_audit(enabled: bool) -> None:
 
 @contextmanager
 def kernel_audit(enabled: bool = True):
-    """Scope the audit switch: ``with kernel_audit(cfg.verify_kernels): …``."""
+    """Scope the audit switch: ``with kernel_audit(cfg.audit): …``."""
     global _AUDIT
     prior = _AUDIT
     _AUDIT = bool(enabled)
@@ -136,7 +135,8 @@ def audit(op: str, kernel_result, naive: Callable[[], Any]) -> None:
     finally:
         _AUDIT = True
     if not _results_match(kernel_result, expected):
-        raise KernelMismatchError(
+        raise AuditMismatchError(
+            "kernel",
             f"kernel {op!r} diverged from its naive reference: "
             f"kernel={_describe(kernel_result)} naive={_describe(expected)}"
         )

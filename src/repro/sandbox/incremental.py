@@ -72,12 +72,14 @@ from .._lru import LRUCache
 from ..dialects import resolve_dialect
 from ..dialects.base import ModuleProxy
 from ..minipandas import DataFrame
+from ..minipandas.kernels import frames_match
 from ..minipandas.series import Series
 from .runner import (
     ExecTimeout,
     ExecutionResult,
     _Watchdog,
     build_sandbox_namespace,
+    kernel_audit_fault,
     run_script,
     script_error_line,
 )
@@ -589,6 +591,8 @@ class IncrementalExecutor:
             except BaseException as exc:  # noqa: BLE001 - script failures are data
                 if watchdog is not None:
                     sys.settrace(watchdog.prior)  # see _Watchdog's disarm protocol
+                if kernel_audit_fault(exc):
+                    raise
                 if isinstance(exc, ExecTimeout):
                     self.stats.timeouts += 1
                 return ExecutionResult(
@@ -630,8 +634,6 @@ class IncrementalExecutor:
             return False
         if cold.output is None:
             return True
-        return (
-            cold.output.columns == result.output.columns
-            and cold.output.index.tolist() == result.output.index.tolist()
-            and cold.output.to_dict() == result.output.to_dict()
-        )
+        # bit-identity, as the kernel audit defines it: a NaN cell equals
+        # a NaN cell of the same missingness flavour, unlike under ==
+        return frames_match(cold.output, result.output)

@@ -26,10 +26,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from .._astparse import not_utf8
+from .._audit import AuditMismatchError
 from ..dialects import resolve_dialect
 from ..dialects import base as _dialect_base
 from ..dialects.base import TableLoader, _last_assigned_variable
 from ..minipandas import DataFrame
+from ..minipandas.kernels import audit_enabled
 
 __all__ = [
     "ExecutionResult",
@@ -248,6 +250,17 @@ def build_sandbox_namespace(
     return namespace
 
 
+def kernel_audit_fault(exc: BaseException) -> bool:
+    """Whether *exc* is the kernel audit's mismatch, the engine's fault
+    rather than the script's, so the run must raise it, not record it.
+
+    Only while the audit is on: with it off, every exception a script
+    raises is its own failure, even this class, which a script can reach
+    through ``__subclasses__``.
+    """
+    return audit_enabled() and isinstance(exc, AuditMismatchError)
+
+
 def script_error_line(exc: BaseException) -> Optional[int]:
     """Deepest ``<script>`` frame in the exception's traceback."""
     tb = exc.__traceback__
@@ -308,6 +321,8 @@ def run_script(
     except BaseException as exc:  # noqa: BLE001 - any script failure is data
         if watchdog is not None:
             sys.settrace(watchdog.prior)  # see _Watchdog's disarm protocol
+        if kernel_audit_fault(exc):
+            raise
         return ExecutionResult(ok=False, error=exc, error_line=script_error_line(exc))
     finally:
         if watchdog is not None:

@@ -35,7 +35,7 @@ from .engine import (
 from .jobs import JobError, execute_job, normalize_job, system_key
 from .protocol import decode, encode, error_response, ok_response
 from .queue import Job, JobQueue, QueueFullError
-from .verify import ServerMismatchError, audit_job
+from .verify import audit_job
 
 __all__ = [
     "Job",
@@ -45,7 +45,6 @@ __all__ = [
     "ServerClient",
     "ServerConfig",
     "ServerError",
-    "ServerMismatchError",
     "ServerStats",
     "ServerThread",
     "StandardizationServer",

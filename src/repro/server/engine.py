@@ -56,12 +56,13 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from .._audit import AuditMismatchError
 from .._lru import LRUCache
 from ..core import LucidScript
 from . import jobs as jobs_mod
 from . import protocol
 from .queue import Job, JobQueue, QueueFullError
-from .verify import ServerMismatchError, audit_job
+from .verify import audit_job
 
 __all__ = [
     "ServerConfig",
@@ -536,7 +537,7 @@ class StandardizationServer:
             try:
                 audit_job(job_dict, response)
                 self.stats.record_audit(True)
-            except ServerMismatchError as exc:
+            except AuditMismatchError as exc:
                 self.stats.record_audit(False)
                 response = protocol.error_response(
                     job.request_id, "audit_mismatch", str(exc)

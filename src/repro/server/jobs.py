@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from hashlib import sha1
 from typing import Any, Dict, List, Optional
 
+from .._audit import AuditMismatchError
 from ..core import (
     LSConfig,
     LucidScript,
@@ -65,9 +66,9 @@ class JobError(Exception):
     """A job failed with a deterministic, client-visible verdict.
 
     ``kind`` maps onto the protocol error taxonomy (``bad_request``,
-    ``standardization``); the message is part of the deterministic
-    payload, so it must not embed timing, pids, or paths that differ
-    between the warm server and a cold replay.
+    ``standardization``, ``audit_mismatch``); the message is part of the
+    deterministic payload, so it must not embed timing, pids, or paths
+    that differ between the warm server and a cold replay.
     """
 
     def __init__(self, kind: str, message: str):
@@ -325,6 +326,8 @@ def build_system(resolved: ResolvedJob) -> LucidScript:
         )
     except ScriptError as exc:
         raise JobError("bad_request", f"corpus failed to curate: {exc}") from exc
+    except AuditMismatchError as exc:
+        raise JobError("audit_mismatch", str(exc)) from exc
 
 
 # --------------------------------------------------------------------------
@@ -354,6 +357,8 @@ def execute_job(
         raise JobError("standardization", str(exc)) from exc
     except ScriptError as exc:
         raise JobError("bad_request", f"input script failed to parse: {exc}") from exc
+    except AuditMismatchError as exc:
+        raise JobError("audit_mismatch", str(exc)) from exc
     if op == "standardize":
         return result.to_dict()
     if op == "explain":

@@ -1,4 +1,4 @@
-"""verify_server: replay warm responses cold and require byte-identity.
+"""The server audit: replay warm responses cold and require byte-identity.
 
 The server's whole value is serving from warm state — shared corpus
 index, prefix snapshots, prepared intents — so its correctness claim
@@ -7,9 +7,10 @@ response.  :func:`audit_job` replays a job in a **fresh one-shot
 process** (empty caches, new interpreter) and compares the
 deterministic slice of both responses (:func:`protocol.parity_payload`)
 as canonical JSON text.  Any byte of difference raises
-:class:`ServerMismatchError`; the engine converts that into an
-``audit_mismatch`` error response instead of shipping the unverified
-result, mirroring the repo's other ``verify_*`` audit modes.
+:class:`~repro.core.AuditMismatchError` (layer ``server``); the engine
+converts that into an ``audit_mismatch`` error response instead of
+shipping the unverified result, as it does for the in-process audits
+``LSConfig.audit`` turns on.
 
 Only deterministic responses are auditable: ``ok`` results and the
 deterministic error verdicts (``standardization``, ``bad_request``).
@@ -23,17 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from .._audit import AuditMismatchError
 from . import protocol
 from .oneshot import run_oneshot_process
 
-__all__ = ["ServerMismatchError", "audit_job", "auditable"]
+__all__ = ["audit_job", "auditable"]
 
 #: Error kinds with deterministic payloads (replayable verdicts).
 _DETERMINISTIC_ERROR_KINDS = frozenset({"standardization", "bad_request"})
-
-
-class ServerMismatchError(AssertionError):
-    """A warm server response diverged from its cold one-shot replay."""
 
 
 def auditable(response: Dict[str, Any]) -> bool:
@@ -48,7 +46,8 @@ def audit_job(job: Dict[str, Any], response: Dict[str, Any]) -> None:
     """Replay *job* cold and require byte-identical deterministic payloads.
 
     No-op for non-auditable responses.  Raises
-    :class:`ServerMismatchError` on any divergence.
+    :class:`~repro.core.AuditMismatchError` (layer ``server``) on any
+    divergence.
     """
     if not auditable(response):
         return
@@ -57,8 +56,9 @@ def audit_job(job: Dict[str, Any], response: Dict[str, Any]) -> None:
     warm_text = protocol.canonical(protocol.parity_payload(response))
     cold_text = protocol.canonical(protocol.parity_payload(cold))
     if warm_text != cold_text:
-        raise ServerMismatchError(
-            "verify_server: warm response diverged from cold replay for "
+        raise AuditMismatchError(
+            "server",
+            "warm response diverged from cold replay for "
             f"request {request_id!r} (op {job.get('op')!r}):\n"
             f"  warm: {warm_text[:500]}\n"
             f"  cold: {cold_text[:500]}"

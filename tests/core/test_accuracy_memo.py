@@ -5,8 +5,8 @@ random_state)`` to the accuracy ``evaluate_downstream`` returned for that
 table.  Only ``PreparedModelPerformance`` reads or writes it.  The
 contract under test: every prepared delta stays bit-identical to the
 naive ``bare_delta``, every memo value equals a fresh training, the naive
-measures never consult the memo (so the ``verify_intent`` audit catches a
-wrong entry), failures are never stored, and nothing but floats outlives
+measures never consult the memo (so the intent audit catches a wrong
+entry), failures are never stored, and nothing but floats outlives
 a check.
 """
 
@@ -18,11 +18,10 @@ import weakref
 import pytest
 
 import repro.core.intent as intent_mod
-from repro.core import LSConfig, LucidScript, StandardizationError
+from repro.core import AuditMismatchError, LSConfig, LucidScript, StandardizationError
 from repro.core.intent import (
     ACCURACY_CACHE,
     ACCURACY_CACHE_LIMIT,
-    IntentMismatchError,
     ModelPerformanceIntent,
     table_fingerprint,
 )
@@ -229,14 +228,14 @@ class TestOraclesIgnoreTheMemo:
     def test_the_audit_catches_a_wrong_entry(self, planted):
         intent, original, candidate, truth = planted
         assert intent.prepare(original).delta(candidate) != truth["delta"]
-        with pytest.raises(IntentMismatchError):
+        with pytest.raises(AuditMismatchError, match="^intent: "):
             intent.prepare(original, verify=True).delta(candidate)
 
     def test_the_audit_catches_a_wrong_original_entry(self):
         intent = ModelPerformanceIntent(target="label", tau=5.0)
         original, candidate = frame(), frame(shift=1)
         ACCURACY_CACHE[key_of(original, intent)] = 0.123
-        with pytest.raises(IntentMismatchError):
+        with pytest.raises(AuditMismatchError, match="^intent: "):
             intent.prepare(original, verify=True).delta(candidate)
 
 

@@ -242,9 +242,11 @@ class TestConfig:
         "sample_rows", "operation_groups", "random_state", "retrieval_k",
     ]
     NUMBER_FIELDS = ["score_band", "exec_timeout_s", "statement_timeout_s"]
-    BOOL_FIELDS = [
-        "diversity", "early_check", "verify_scoring", "verify_intent",
-        "verify_index", "verify_retrieval", "verify_kernels",
+    BOOL_FIELDS = ["diversity", "early_check", "audit"]
+    # the five per-layer audit switches that ``audit`` replaced
+    RETIRED_BOOL_FIELDS = [
+        "verify_scoring", "verify_intent", "verify_index", "verify_retrieval",
+        "verify_kernels",
     ]
 
     @pytest.mark.parametrize("name", INTEGER_FIELDS)
@@ -261,10 +263,16 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"{name} must be a finite number"):
             LSConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", BOOL_FIELDS)
+    @pytest.mark.parametrize("name", BOOL_FIELDS + RETIRED_BOOL_FIELDS)
     @pytest.mark.parametrize("value", [0, 1, "yes", None])
     def test_bool_fields_take_bools(self, name, value):
-        with pytest.raises(TypeError, match=f"{name} must be a bool"):
+        """A bool field's type check refuses a non-bool; a retired audit
+        switch is no field at all, so it refuses every value."""
+        if name in self.RETIRED_BOOL_FIELDS:
+            message = f"unexpected keyword argument '{name}'"
+        else:
+            message = f"{name} must be a bool"
+        with pytest.raises(TypeError, match=message):
             LSConfig(**{name: value})
 
     def test_every_field_is_type_checked(self):

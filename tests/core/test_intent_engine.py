@@ -3,8 +3,8 @@
 The contract under test is exactness: every delta the prepared engine
 returns must be bit-identical (``==`` on floats, not approx) to the naive
 pairwise recomputation, across all three Jaccard modes and arbitrary
-candidate perturbations, and the ``verify_intent`` audit must stay silent
-over a full search.
+candidate perturbations, and the intent audit (``LSConfig.audit``) must
+stay silent over a full search.
 """
 
 import random
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AuditMismatchError,
     LSConfig,
     LucidScript,
     ModelPerformanceIntent,
@@ -22,7 +23,6 @@ from repro.core import (
 )
 from repro.core.intent import (
     ACCURACY_CACHE,
-    IntentMismatchError,
     IntentStats,
     PreparedIntent,
     PreparedTableJaccard,
@@ -209,7 +209,6 @@ class TestVerifyMode:
         for _ in range(20):
             prepared.delta(perturb(rng, original))
         assert counters.checks == 20
-        assert counters.naive_s > 0.0 and counters.prepared_s > 0.0
 
     def test_divergence_raises(self, monkeypatch):
         original = DataFrame({"a": [1, 2]})
@@ -219,8 +218,9 @@ class TestVerifyMode:
         monkeypatch.setattr(
             PreparedTableJaccard, "_prepared_delta", lambda self, c: 0.123
         )
-        with pytest.raises(IntentMismatchError):
+        with pytest.raises(AuditMismatchError) as caught:
             prepared.delta(DataFrame({"a": [1, 2]}))
+        assert caught.value.layer == "intent"
 
     def test_generic_fallback_delegates_to_naive(self):
         class OddIntent(TableJaccardIntent):
@@ -327,7 +327,7 @@ class TestSearchParity:
         ``IntentMeasure.check`` and compared exactly; the audited search
         returns what the plain one does."""
         result = self._run(
-            diabetes_corpus, diabetes_dir, alex_script, verify_intent=True
+            diabetes_corpus, diabetes_dir, alex_script, audit=True
         )
         plain = self._run(diabetes_corpus, diabetes_dir, alex_script)
         assert result.output_script == plain.output_script
@@ -335,9 +335,8 @@ class TestSearchParity:
         assert result.intent_satisfied == plain.intent_satisfied
         assert result.re_after == plain.re_after
         assert result.stats.n_intent_checks == plain.stats.n_intent_checks > 0
-        assert result.stats.intent_speedup > 0.0
         breakdown = result.stats.breakdown()
-        assert "IntentChecks" in breakdown and "IntentSpeedup" in breakdown
+        assert "IntentChecks" in breakdown
 
 
 # ------------------------------------------------------------ exact value sets

@@ -1,9 +1,9 @@
-"""Full-search parity for the columnar kernels (``verify_kernels``).
+"""Full-search parity for the columnar kernels (the kernel audit).
 
 The kernels claim bit-identity with the naive row-at-a-time path by
 construction; this module proves it end-to-end: a complete standardize()
-run with the shadow audit on must finish with zero mismatches and return
-exactly what the unaudited run returns.
+run with the shadow audit on (``LSConfig.audit``) must finish with zero
+mismatches and return exactly what the unaudited run returns.
 """
 
 import pytest
@@ -27,11 +27,11 @@ class TestKernelSearchParity:
         self, diabetes_corpus, diabetes_dir, alex_script
     ):
         audited = self._run(
-            diabetes_corpus, diabetes_dir, alex_script, verify_kernels=True
+            diabetes_corpus, diabetes_dir, alex_script, audit=True
         )
         plain = self._run(diabetes_corpus, diabetes_dir, alex_script)
-        # zero mismatches: the audited run completed without
-        # KernelMismatchError, and both runs agree exactly
+        # zero mismatches: the audited run completed without an
+        # AuditMismatchError, and both runs agree exactly
         assert audited.output_script == plain.output_script
         assert audited.re_after == plain.re_after
         assert audited.intent_delta == plain.intent_delta
@@ -41,5 +41,5 @@ class TestKernelSearchParity:
         self, diabetes_corpus, diabetes_dir, alex_script
     ):
         assert not kernels.audit_enabled()
-        self._run(diabetes_corpus, diabetes_dir, alex_script, verify_kernels=True)
+        self._run(diabetes_corpus, diabetes_dir, alex_script, audit=True)
         assert not kernels.audit_enabled()

@@ -19,11 +19,19 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
+
+import pytest
 
 import repro.core.intent as intent_mod
-from repro.core import LSConfig, LucidScript, recommend_parameters
-from repro.core.intent import ACCURACY_CACHE
-from repro.corpus import cached_index, clear_corpus_cache, corpus_cache_counters
+from repro.core import IntentMeasure, LSConfig, LucidScript, recommend_parameters
+from repro.core.intent import ACCURACY_CACHE, PreparedTableJaccard
+from repro.corpus import (
+    CorpusIndex,
+    cached_index,
+    clear_corpus_cache,
+    corpus_cache_counters,
+)
 from repro.harness import make_intent
 from repro.workloads import build_competition, competition_names
 
@@ -93,37 +101,72 @@ def test_replays_recorded_leave_one_out_outputs(tmp_path):
             assert got.get(key) == want.get(key), f"{where}: field {key!r} diverged"
 
 
-def test_jaccard_ops_replay_with_every_derived_index_audited(tmp_path):
-    """The 30 τ_J ops again with ``verify_index=True``.  Each op's corpus
-    is derived from its competition's cached full index (``_table2``
-    cached it), and the audit rebuilds the derived index from scratch and
-    compares it before the search uses it."""
+def _recorded(kind):
     with open(FIXTURE) as handle:
-        recorded = [record for record in json.load(handle) if record["intent"] == "jaccard"]
-    clear_corpus_cache()
-    before = corpus_cache_counters()
-    assert run_ops(str(tmp_path), kinds=("jaccard",), verify_index=True) == recorded
-    assert corpus_cache_counters().delta(before).index_derivations == len(recorded)
+        return [record for record in json.load(handle) if record["intent"] == kind]
 
 
-def test_jaccard_ops_replay_with_every_intent_check_audited(tmp_path):
-    """The 30 τ_J ops again with ``verify_intent=True``: each prepared Δ_J
-    check, on the table the search's execution check produced, is
-    recomputed by the naive ``table_jaccard`` over both tables and
-    compared exactly."""
-    with open(FIXTURE) as handle:
-        recorded = [record for record in json.load(handle) if record["intent"] == "jaccard"]
-    assert run_ops(str(tmp_path), kinds=("jaccard",), verify_intent=True) == recorded
+@pytest.fixture(scope="module")
+def audited_jaccard_ops(tmp_path_factory):
+    """The 30 τ_J ops run once with ``audit=True``, for the two tests
+    below.  Each op's corpus is derived from its competition's cached
+    full index (``_table2`` cached it), and the index audit rebuilds the
+    derived index from scratch and compares it before the search uses
+    it.  Every delta score is recounted in full, every prepared Δ_J
+    check (on the table the search's execution check produced) is
+    recomputed by the naive ``table_jaccard`` over both tables, and
+    every minipandas kernel is shadowed by its row-at-a-time reference,
+    all compared exactly.
+
+    Returns the op records, the corpus cache counters over the run, and
+    the calls of ``CorpusIndex.verify``, of the prepared Δ_J and of the
+    naive ``bare_delta``.
+    """
+    calls = Counter()
+
+    def spy(patch, owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        patch.setattr(owner, name, counted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        spy(patch, CorpusIndex, "verify")
+        spy(patch, PreparedTableJaccard, "_prepared_delta")
+        spy(patch, IntentMeasure, "bare_delta")
+        clear_corpus_cache()
+        before = corpus_cache_counters()
+        root = str(tmp_path_factory.mktemp("loo"))
+        records = run_ops(root, kinds=("jaccard",), audit=True)
+        counters = corpus_cache_counters().delta(before)
+    return records, counters, calls
+
+
+def test_jaccard_ops_replay_with_every_derived_index_audited(audited_jaccard_ops):
+    records, counters, calls = audited_jaccard_ops
+    recorded = _recorded("jaccard")
+    assert records == recorded
+    assert counters.index_derivations == len(recorded)
+    assert calls["verify"] == len(recorded)
+
+
+def test_jaccard_ops_replay_with_every_intent_check_audited(audited_jaccard_ops):
+    records, _, calls = audited_jaccard_ops
+    assert records == _recorded("jaccard")
+    assert calls["bare_delta"] == calls["_prepared_delta"] > 0
 
 
 def test_model_ops_replay_on_a_warm_accuracy_memo(tmp_path, monkeypatch):
     """The 30 τ_M ops, run three times in one process.  The first pass
     starts from an empty accuracy memo.  The second trains no downstream
     model at all, since every table it checks was scored by the first.
-    The third audits every prepared delta against the naive, memo-free
-    ``bare_delta`` (``verify_intent``).  All three replay the fixture."""
-    with open(FIXTURE) as handle:
-        recorded = [record for record in json.load(handle) if record["intent"] == "model"]
+    The third runs with ``audit=True``, which checks every prepared
+    delta against the naive, memo-free ``bare_delta``.  All three replay
+    the fixture."""
+    recorded = _recorded("model")
     assert len(recorded) == len(competition_names()) * HELD_OUT
     root = str(tmp_path)
     ACCURACY_CACHE.clear()
@@ -141,7 +184,7 @@ def test_model_ops_replay_on_a_warm_accuracy_memo(tmp_path, monkeypatch):
     assert trained == []
     monkeypatch.setattr(intent_mod, "evaluate_downstream", real)
 
-    assert run_ops(root, kinds=("model",), verify_intent=True) == recorded
+    assert run_ops(root, kinds=("model",), audit=True) == recorded
 
 
 if __name__ == "__main__":

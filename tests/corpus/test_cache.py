@@ -82,7 +82,7 @@ class TestLucidScriptWiring:
         assert system.vocabulary is vocabulary
 
     def test_verify_index_audits_construction(self, diabetes_corpus):
-        LucidScript(diabetes_corpus, config=LSConfig(verify_index=True))
+        LucidScript(diabetes_corpus, config=LSConfig(audit=True))
 
     def test_search_results_identical_with_and_without_index(
         self, diabetes_corpus, alex_script, diabetes_dir

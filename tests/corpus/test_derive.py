@@ -25,13 +25,12 @@ import pytest
 
 from repro.corpus import (
     CorpusIndex,
-    IndexMismatchError,
     cached_index,
     clear_corpus_cache,
     corpus_cache_counters,
 )
 from repro.corpus.cache import INDEX_CACHE_LIMIT
-from repro.core import LSConfig, LucidScript
+from repro.core import AuditMismatchError, LSConfig, LucidScript
 from repro.lang import CorpusVocabulary, ScriptError, parse_script
 from repro.workloads import build_competition, competition_names
 from tests.corpus.test_index import SCRIPT_POOL, assert_bit_identical
@@ -210,7 +209,7 @@ class TestEdgeCases:
         scripts = diabetes_corpus + [SCRIPT_POOL[4]]
         cached_index(scripts)
         before = corpus_cache_counters()
-        LucidScript(scripts[:-1], config=LSConfig(verify_index=True))
+        LucidScript(scripts[:-1], config=LSConfig(audit=True))
         assert corpus_cache_counters().delta(before).index_derivations == 1
 
 
@@ -308,7 +307,7 @@ class TestAggregateOrder:
         index = CorpusIndex.from_scripts(SCRIPT_POOL)
         first = next(iter(index.onegram_counts))
         index.onegram_counts[first] = index.onegram_counts.pop(first)  # to the end
-        with pytest.raises(IndexMismatchError, match="onegram_counts"):
+        with pytest.raises(AuditMismatchError, match="^index: .*onegram_counts"):
             index.verify()
 
 

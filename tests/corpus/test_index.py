@@ -11,9 +11,9 @@ import random
 
 import pytest
 
+from repro.core import AuditMismatchError
 from repro.corpus import (
     CorpusIndex,
-    IndexMismatchError,
     index_from_dict,
     index_to_dict,
 )
@@ -148,8 +148,9 @@ class TestDeltas:
         index = CorpusIndex.from_scripts(SCRIPT_POOL)
         sig = next(iter(index.ngram_counts))
         index.ngram_counts[sig] += 1
-        with pytest.raises(IndexMismatchError):
+        with pytest.raises(AuditMismatchError) as caught:
             index.verify()
+        assert caught.value.layer == "index"
 
 
 class TestRandomizedInterleavings:

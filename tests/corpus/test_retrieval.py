@@ -1,7 +1,7 @@
 """Tests for the sub-linear retrieval engine.
 
 The acceptance contract: ``top_k`` equals brute-force signature
-similarity exactly (the verify_retrieval audit), membership deltas under
+similarity exactly (the retrieval audit), membership deltas under
 any add/remove/refresh interleaving leave the index bit-identical to a
 from-scratch build over the surviving scripts, results are deterministic
 with content-address tie-breaking, and a retrieval-assembled search is
@@ -15,11 +15,10 @@ from collections import Counter
 
 import pytest
 
-from repro.core import LSConfig, LucidScript, StandardizationError
+from repro.core import AuditMismatchError, LSConfig, LucidScript, StandardizationError
 from repro.core.entropy import RelativeEntropyScorer
 from repro.corpus import (
     CorpusIndex,
-    IndexMismatchError,
     RetrievalIndex,
     RetrievalMismatchError,
     ScriptStore,
@@ -204,7 +203,7 @@ class TestDeltas:
 
 class TestTopK:
     def test_equals_brute_force_for_every_pool_query(self):
-        """The verify_retrieval audit over a whole seeded pool."""
+        """The retrieval audit over a whole seeded pool."""
         pool = make_pool(5)
         index = RetrievalIndex.from_scripts(pool)
         for script in pool:
@@ -273,8 +272,11 @@ class TestTopK:
             bucket.discard(target)
         for posting in index._schema_posts.values():
             posting.discard(target)
-        with pytest.raises(RetrievalMismatchError):
+        # the historical name, which callers still import, is the one class
+        assert RetrievalMismatchError is AuditMismatchError
+        with pytest.raises(AuditMismatchError) as caught:
             index.top_k(pool[0], 3, verify=True)
+        assert caught.value.layer == "retrieval"
 
 
 class TestAssembly:
@@ -399,7 +401,7 @@ class TestLucidScriptRetrieval:
             "df = pd.get_dummies(df)"
         )
         k = len(diabetes_corpus)
-        config = LSConfig(retrieval_k=k, verify_retrieval=True)
+        config = LSConfig(retrieval_k=k, audit=True)
         retrieved = LucidScript(pool, data_dir=diabetes_dir, config=config)
         result_retrieved = retrieved.standardize(user)
         hand = [hit.record.source for hit in pool.top_k(user, k)]
@@ -565,7 +567,7 @@ class TestScoreFromNeighbourCounts:
         self, diabetes_corpus, alex_script, monkeypatch
     ):
         pool = self.pool(diabetes_corpus)
-        audited = LSConfig(retrieval_k=3, verify_index=True)
+        audited = LSConfig(retrieval_k=3, audit=True)
         exact = LucidScript(pool, config=audited).score(alex_script)
         real = RelativeEntropyScorer.on_edges.__func__
 
@@ -576,5 +578,5 @@ class TestScoreFromNeighbourCounts:
         monkeypatch.setattr(RelativeEntropyScorer, "on_edges", classmethod(skewed))
         unaudited = LucidScript(pool, config=LSConfig(retrieval_k=3)).score(alex_script)
         assert unaudited != exact
-        with pytest.raises(IndexMismatchError, match="assembled corpus"):
+        with pytest.raises(AuditMismatchError, match="^index: .*assembled corpus"):
             LucidScript(pool, config=audited).score(alex_script)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List
 
+from repro.dialects import resolve_dialect
 from repro.lang.errors import ScriptParseError
 from repro.lang.lemmatize import _build_rename_map, _check_straight_line, _parse
 from repro.lang.parser import Statement
@@ -32,7 +33,7 @@ class _Renamer(ast.NodeTransformer):
 def lemmatize(source: str, dialect=None) -> str:
     tree = _parse(source)
     _check_straight_line(tree)
-    mapping = _build_rename_map(tree, dialect)
+    mapping = _build_rename_map(tree, resolve_dialect(dialect))
     if mapping:
         tree = _Renamer(mapping).visit(tree)
         ast.fix_missing_locations(tree)
@@ -46,6 +47,6 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> List[St
     except SyntaxError as exc:
         raise ScriptParseError(str(exc)) from exc
     return [
-        Statement.from_ast(index, node, dialect=dialect)
+        Statement.from_ast(index, node, resolve_dialect(dialect))
         for index, node in enumerate(tree.body)
     ]

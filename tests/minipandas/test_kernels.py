@@ -6,7 +6,7 @@ columnar kernels produce must match the naive row-at-a-time references in
 types, same labels — across randomized NA-heavy, duplicate-row,
 mixed-dtype, empty, and unhashable-cell frames.  Running each op inside
 ``kernel_audit(True)`` makes the audit machinery itself perform the
-comparison and raise ``KernelMismatchError`` on any divergence, so these
+comparison and raise ``AuditMismatchError`` on any divergence, so these
 tests double as the audit's own regression suite.
 """
 
@@ -15,10 +15,10 @@ import random
 import pytest
 
 import repro.minipandas as pd
+from repro.core import AuditMismatchError
 from repro.minipandas import (
     NA,
     DataFrame,
-    KernelMismatchError,
     Series,
     kernel_audit,
 )
@@ -188,8 +188,9 @@ class TestKernelAudit:
             naive, "fillna_frame", lambda f, v: DataFrame({"a": [9, 9, 9]})
         )
         with kernel_audit():
-            with pytest.raises(KernelMismatchError):
+            with pytest.raises(AuditMismatchError) as caught:
                 frame.fillna(0)
+        assert caught.value.layer == "kernel"
 
     def test_audit_scope_restores_prior_state(self):
         assert not kernels.audit_enabled()

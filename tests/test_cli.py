@@ -335,7 +335,7 @@ class TestRetrieveKFlag:
             main(
                 [
                     "score", "--script", script_path, "--corpus-dir", corpus_dir,
-                    "--retrieve-k", "3", "--verify-retrieval",
+                    "--retrieve-k", "3", "--audit",
                 ]
             )
             == 0

@@ -8,7 +8,8 @@ detect-leakage`` run in-process through :func:`repro.cli.main`:
   example (``--dialect tablereport``, ``prep_03.py`` as the input);
 * three corpus forms: ``--corpus-dir``, ``--index`` (a fresh
   ``index build`` of the same directory) and ``--retrieve-k 4
-  --verify-retrieval``;
+  --audit``, which runs every oracle (the retrieval, scoring, intent,
+  index and kernel audits) beside the fast paths;
 * for the searching ops, the default flags, ``--no-diversity
   --late-check --sample-rows 0`` and, on the pandas corpora,
   ``--target``; every search runs ``--seq 16 --beam-size 1``.
@@ -94,7 +95,7 @@ def _cases(root):
             "corpus-dir": ["--corpus-dir", corpus_dir],
             "index": ["--index", index_path],
             "retrieve-k": ["--corpus-dir", corpus_dir, "--retrieve-k", "4",
-                           "--verify-retrieval"],
+                           "--audit"],
         }
         variants = {
             "default": [],

@@ -73,12 +73,12 @@ class TestEvaluateLucidScript:
     def test_retrieval_pool_run(self, medical_competition):
         # the retrieve-then-compute path: the leave-one-out remainder
         # becomes a RetrievalIndex pool, every query audited for
-        # exactness against brute-force scoring
+        # exactness against brute-force scoring (with every other audit)
         run = evaluate_lucidscript(
             medical_competition,
             intent_kind="jaccard",
             config=LSConfig(
-                seq=3, beam_size=1, sample_rows=120, verify_retrieval=True
+                seq=3, beam_size=1, sample_rows=120, audit=True
             ),
             max_scripts=2,
             retrieval_k=3,

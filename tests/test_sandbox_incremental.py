@@ -15,6 +15,7 @@ from repro.minipandas import DataFrame
 from repro.sandbox import IncrementalExecutor, check_executes, run_script
 from repro.sandbox import runner as runner_module
 from repro.sandbox.incremental import statement_segments
+from repro.workloads import build_competition
 
 
 PREFIX = (
@@ -370,6 +371,26 @@ class TestIncrementalExecutor:
         for suffix in SUFFIXES:
             executor.run_script(f"{PREFIX}\n{suffix}")
         assert executor.stats.fallbacks == 0
+
+    def test_verify_mode_matches_an_output_with_nan_cells(self, tmp_path):
+        # NaN != NaN, so an == comparison calls every output holding a
+        # missing float a mismatch, which clears every snapshot and re-runs
+        # the script cold
+        corpus = build_competition("titanic", str(tmp_path), seed=1)
+        executor = IncrementalExecutor(
+            data_dir=corpus.data_dir, sample_rows=500, verify=True
+        )
+        result = executor.run_script(
+            "import pandas as pd\n"
+            "df = pd.read_csv('train.csv')\n"
+            "df = df.drop('Name', axis=1)"
+        )
+        assert any(
+            value != value for column in result.output.columns
+            for value in result.output[column]
+        )
+        assert executor.stats.fallbacks == 0
+        assert executor.snapshot_count() == 3
 
     def test_check_executes_parity(self, diabetes_dir):
         executor = IncrementalExecutor(data_dir=diabetes_dir, sample_rows=100)
