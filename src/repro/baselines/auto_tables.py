@@ -14,7 +14,7 @@ wins and the script is returned unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..minipandas import DataFrame
 from ..minipandas.ops import melt

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List
 
-from ..minipandas import DataFrame, is_missing
+from ..minipandas import DataFrame
 
 __all__ = ["TableFeatures", "featurize_table"]
 

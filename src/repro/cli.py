@@ -64,7 +64,6 @@ from .corpus import (
     save_index,
     save_retrieval_index,
 )
-from .lang import CorpusVocabulary
 from .workloads import build_competition, competition_names
 
 __all__ = ["main", "build_parser"]
@@ -176,14 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_leak = sub.add_parser("detect-leakage", help="flag target-leakage-like steps")
     _add_common(p_leak)
-
-    p_curate = sub.add_parser(
-        "curate", help="run the offline phase and persist the search space"
-    )
-    p_curate.add_argument("--corpus-dir", required=True,
-                          help="directory of peer .py scripts")
-    p_curate.add_argument("--out", required=True,
-                          help="path for the vocabulary JSON")
 
     p_index = sub.add_parser(
         "index", help="build / update / inspect a persistent corpus index"
@@ -378,21 +369,6 @@ def cmd_build_workload(args) -> int:
     return 0
 
 
-def cmd_curate(args) -> int:
-    from .lang import save_vocabulary
-
-    corpus = _corpus_dir_scripts(args.corpus_dir)
-    vocabulary = CorpusVocabulary.from_scripts(corpus)
-    save_vocabulary(vocabulary, args.out)
-    stats = vocabulary.stats()
-    print(f"curated {stats.n_scripts} scripts -> {args.out}")
-    print(
-        f"vocabulary: {stats.uniq_onegrams} 1-grams, {stats.uniq_ngrams} n-grams, "
-        f"{stats.uniq_edges} edges"
-    )
-    return 0
-
-
 def _print_index_summary(index: CorpusIndex) -> None:
     stats = index.stats()
     print(f"dialect: {index.dialect}")
@@ -578,7 +554,6 @@ def cmd_client(args) -> int:
 
 
 _COMMANDS = {
-    "curate": cmd_curate,
     "dialect": cmd_dialect,
     "index": cmd_index,
     "build-workload": cmd_build_workload,

@@ -16,11 +16,10 @@ left-to-right.  A passing check keeps the candidate's output table, which
 constraint verification takes (:meth:`BeamSearch.take_output`) instead of
 running the candidate again.
 
-Checks run under optional execution budgets (``LSConfig.exec_timeout_s``
-/ ``statement_timeout_s``): a candidate that exceeds its budget fails
-``CheckIfExecutes`` and is skipped — counted in
-``SearchStats.breakdown()`` (``ExecTimeouts``) but never fatal to the
-search.
+Checks run under an optional execution budget (``LSConfig.exec_timeout_s``):
+a candidate that exceeds it fails ``CheckIfExecutes`` and is skipped —
+counted in ``SearchStats.breakdown()`` (``ExecTimeouts``) but never fatal
+to the search.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import time
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._audit import AuditMismatchError
@@ -58,6 +57,14 @@ from .transformations import (
 )
 
 __all__ = ["Candidate", "SearchStats", "BeamSearch"]
+
+#: Cap on the ranked next-step transformations GetSteps() returns.
+MAX_STEP_CANDIDATES = 48
+
+#: RE scores within this tolerance compare equal during ranking and beam
+#: eviction; ties break toward earlier script positions (lower
+#: frontiers), which preserves the monotone search's future options.
+SCORE_BAND = 0.02
 
 
 @dataclass(frozen=True)
@@ -192,9 +199,7 @@ class BeamSearch:
         if config.operation_groups is not None:
             from .grouping import group_operations
 
-            self.operation_groups = group_operations(
-                vocabulary, config.operation_groups, random_state=config.random_state
-            )
+            self.operation_groups = group_operations(vocabulary, config.operation_groups)
         self._exec_checker = exec_checker
         self._dialect = get_dialect(config.dialect)
         self._executor = executor
@@ -203,7 +208,6 @@ class BeamSearch:
                 data_dir=data_dir,
                 sample_rows=config.sample_rows,
                 exec_timeout_s=config.exec_timeout_s,
-                statement_timeout_s=config.statement_timeout_s,
                 dialect=self._dialect,
             )
         # executors may be shared across searches; stats report deltas
@@ -250,9 +254,7 @@ class BeamSearch:
         matters for multi-line nonstandard snippets (e.g. target leakage,
         Section 6.6) whose per-line deletions score almost identically.
         """
-        if self.config.score_band <= 0:
-            return int(score * 1e12)
-        return int(round(score / self.config.score_band))
+        return int(round(score / SCORE_BAND))
 
     def check_if_executes(
         self, source: str, segments: Optional[Tuple[str, ...]] = None
@@ -421,7 +423,7 @@ class BeamSearch:
             self.stats.n_delta_scores += 1
             ranked.append((transformation, score))
         ranked.sort(key=lambda pair: (self._band(pair[1]), pair[0].position, pair[1]))
-        ranked = ranked[: self.config.max_step_candidates]
+        ranked = ranked[:MAX_STEP_CANDIDATES]
         self.stats.get_steps_s += time.perf_counter() - start
         self.stats.n_steps_enumerated += len(ranked)
         return ranked
@@ -551,9 +553,7 @@ class BeamSearch:
         """Algorithm 3: iterate clusters, drawing K/M beams from each."""
         transformations = [t for t, _ in ranked]
         score_by_transformation = {t: s for t, s in ranked}
-        clusters = cluster_transformations(
-            transformations, self.config.clusters, random_state=self.config.random_state
-        )
+        clusters = cluster_transformations(transformations, self.config.clusters)
         per_cluster = max(1, self.config.beam_size // max(len(clusters), 1))
         for cluster in clusters:
             cluster_ranked = [(t, score_by_transformation[t]) for t in cluster]

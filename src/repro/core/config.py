@@ -51,6 +51,10 @@ class LSConfig:
     (:mod:`repro.corpus.cache`).  ``audit`` shadow-runs every layer's
     naive oracle and fails on any divergence.
 
+    The fields are the paper's parameters (``seq`` to
+    ``operation_groups``) and what an operator sets (``audit`` to
+    ``dialect``: the CLI, the server or the benchmark sets each).
+
     Attributes
     ----------
     seq:
@@ -65,12 +69,6 @@ class LSConfig:
     early_check:
         α — verify the execution constraint after every transformation
         (True) or only once sequences are complete (False).
-    max_step_candidates:
-        Cap on ranked next-step transformations returned by GetSteps().
-    score_band:
-        RE scores within this tolerance compare equal during ranking and
-        beam eviction; ties break toward earlier script positions (lower
-        frontiers), which preserves the monotone search's future options.
     sample_rows:
         Row cap applied when loading D_IN inside constraint checks, at
         least 1; None disables sampling (the CLI's ``--sample-rows 0``).
@@ -79,8 +77,6 @@ class LSConfig:
         semantic operation families and only propose each family's most
         frequent representative for 1-gram adds (the Section 6.5
         search-space reduction); None disables grouping.
-    random_state:
-        Seed for the diversity clustering and any sampling decisions.
     audit:
         Debug mode: run each layer's naive oracle beside its fast path
         and raise :class:`repro.core.AuditMismatchError` on any
@@ -106,10 +102,6 @@ class LSConfig:
         ``SearchStats.breakdown()``, never fatal).  None — the default —
         disables the watchdog entirely, preserving the bit-identical
         serial path.
-    statement_timeout_s:
-        Wall-clock budget for each individual statement of a candidate;
-        tighter than ``exec_timeout_s`` when a single statement is the
-        pathology.  None disables it.
     retrieval_k:
         How many pool scripts ``top_k`` retrieval assembles into the
         working corpus when the system is constructed over a
@@ -134,14 +126,10 @@ class LSConfig:
     diversity: bool = True
     diversity_clusters: Optional[int] = None
     early_check: bool = True
-    max_step_candidates: int = 48
-    score_band: float = 0.02
     sample_rows: Optional[int] = 500
     operation_groups: Optional[int] = None
-    random_state: int = 0
     audit: bool = False
     exec_timeout_s: Optional[float] = None
-    statement_timeout_s: Optional[float] = None
     retrieval_k: int = 20
     dialect: str = "pandas"
 
@@ -159,10 +147,6 @@ class LSConfig:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.diversity_clusters is not None and self.diversity_clusters < 1:
             raise ValueError("diversity_clusters must be >= 1 when set")
-        if self.max_step_candidates < 1:
-            raise ValueError("max_step_candidates must be >= 1")
-        if self.score_band < 0:
-            raise ValueError("score_band must be non-negative")
         if self.sample_rows is not None and self.sample_rows < 1:
             raise ValueError(f"sample_rows must be >= 1 when set, got {self.sample_rows}")
         if self.operation_groups is not None and self.operation_groups < 1:
@@ -170,11 +154,6 @@ class LSConfig:
         if self.exec_timeout_s is not None and self.exec_timeout_s <= 0:
             raise ValueError(
                 f"exec_timeout_s must be positive when set, got {self.exec_timeout_s}"
-            )
-        if self.statement_timeout_s is not None and self.statement_timeout_s <= 0:
-            raise ValueError(
-                "statement_timeout_s must be positive when set, "
-                f"got {self.statement_timeout_s}"
             )
         if self.retrieval_k < 1:
             raise ValueError(f"retrieval_k must be >= 1, got {self.retrieval_k}")

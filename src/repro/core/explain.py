@@ -11,12 +11,12 @@ rationale behind it."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..lang import CorpusVocabulary, parse_script
 from .entropy import RelativeEntropyScorer
 from .standardizer import StandardizationResult
-from .transformations import ADD, DELETE, apply_transformation
+from .transformations import ADD, apply_transformation
 
 __all__ = ["TransformationExplanation", "explain_result"]
 

@@ -11,11 +11,11 @@ content-addressed incremental verification engine: :meth:`IntentMeasure
 :class:`PreparedIntent`, after which each candidate check pays for its own
 changed content only.  Candidate tables are addressed by per-column content
 fingerprints, so a wave of near-duplicate candidates — the shape
-``VerifyAllConstraints`` produces — reuses distinct-value sets across both
-candidates and intent modes instead of rebuilding the original's cell set
-per check.  The prepared path is exact, not a sketch: every delta it
-returns is bit-identical to the naive recomputation (``LSConfig.audit``
-checks exactly that).
+``VerifyAllConstraints`` produces — reuses distinct-value sets across
+candidates instead of rebuilding the original's value set per check.
+The prepared path is exact, not a sketch: every delta it returns is
+bit-identical to the naive recomputation (``LSConfig.audit`` checks
+exactly that).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from hashlib import sha1
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -165,10 +165,11 @@ def table_jaccard(a: DataFrame, b: DataFrame, mode: str = "cells") -> float:
     also notices column renames; ``'rows'`` compares distinct rows.
     Returns 1.0 when both tables are empty.
 
-    Note the deliberately divergent defaults: this *function* defaults to
-    the strictest cheap comparison (``'cells'``), while
-    :class:`TableJaccardIntent` — the measure wired into the search —
-    defaults to ``'values'`` to match the paper's Example 2.1 semantics.
+    Note the deliberately divergent measures: this *function* defaults
+    to the strictest cheap comparison (``'cells'``, the user study's
+    measure), while :class:`TableJaccardIntent` — the measure wired into
+    the search — always measures ``'values'``, the paper's Example 2.1
+    semantics, and audits itself against this function in that mode.
     """
     sa, sb = _cell_set(a, mode), _cell_set(b, mode)
     union = sa | sb
@@ -211,8 +212,8 @@ class _ColumnContent:
     sentinel the naive ``_cell_set`` uses (including its collision with a
     genuine ``"__NA__"`` string — bit-identity covers quirks).  Both
     products are built at most once per distinct content and shared across
-    every intent mode and every candidate that carries the column, from
-    the column's payload: a typed array's missing cells are its NaNs.
+    every candidate that carries the column, from the column's payload: a
+    typed array's missing cells are its NaNs.
     ``hashable()`` re-keys unhashable cells the way ``_cell_set`` falls
     back to, once a set over the plain values raised ``TypeError``.
     """
@@ -307,9 +308,9 @@ class PreparedIntent:
 
         A list column's key compares cells with ``==``, under which ``1``,
         ``1.0`` and ``True``, or ``0.0`` and ``-0.0``, are one value.  The
-        state derived from such keys (distinct-value and row sets) is the
-        same as sets, but whatever reads the table itself (Δ_M's training
-        and fingerprint, the audit's naive delta) reads *original*.
+        state derived from such keys (distinct-value sets) is the same as
+        sets, but whatever reads the table itself (Δ_M's training and
+        fingerprint, the audit's naive delta) reads *original*.
         """
         self.original = original
         self._table_fp = None
@@ -338,23 +339,14 @@ class PreparedIntent:
 
 
 class PreparedTableJaccard(PreparedIntent):
-    """Incremental Δ_J: per-mode original state + content-addressed memo.
+    """Incremental Δ_J: the original's distinct values + a content-addressed
+    memo.
 
-    For ``mode='cells'`` the check is an exact disjoint-column
-    decomposition: a cell ``(c, v)`` can only collide with cells of the
-    same column name, so with ``A_c``/``B_c`` the per-column distinct
-    normalized value sets,
-
-        ``J(A, B) = Σ_c |A_c ∩ B_c| / Σ_c |A_c ∪ B_c|``
-
-    where name-mismatched columns contribute only to the union.  A
-    candidate column whose content matches the original's contributes
-    ``|A_c|`` to both sums with zero set work, so a check costs
-    O(changed columns), not O(cells).  ``'values'`` and ``'rows'`` have
-    no disjoint decomposition (values collide across columns, rows span
-    all columns) but share the same per-column memo: distinct-value sets
-    respectively normalized column vectors are built once per distinct
-    column content and reused across the whole candidate wave.
+    Values collide across columns, so the measure has no per-column
+    decomposition; instead each distinct column content's distinct-value
+    set is built once and reused across the whole candidate wave, and a
+    candidate whose row count and (name, content) pairs equal the
+    original's answers 1.0 without touching a set.
 
     Within one process a column's content key (:func:`_column_key`: dtype
     and canonical-NaN bytes of a typed payload, else the value tuple) is
@@ -385,44 +377,19 @@ class PreparedTableJaccard(PreparedIntent):
         self._original_pairs: List[Tuple[str, Hashable]] = [
             (name, key) for name, key, _ in columns
         ]
-        self._original_keys: Dict[str, Hashable] = dict(self._original_pairs)
-        #: name -> content for the original's columns
-        self._original_columns: Dict[str, _ColumnContent] = {
-            name: self._memoized(key, payload)[0] for name, key, payload in columns
-        }
+        self._original_contents: List[_ColumnContent] = [
+            self._memoized(key, payload)[0] for _, key, payload in columns
+        ]
         self._original_rows_n = len(original)
         self._value_union: Optional[frozenset] = None
-        self._row_set: Optional[frozenset] = None
 
     # ----------------------------------------------------- original-side state
     def _original_value_union(self) -> frozenset:
         if self._value_union is None:
             self._value_union = frozenset().union(
-                *(
-                    content.value_set()
-                    for content in self._original_columns.values()
-                )
+                *(content.value_set() for content in self._original_contents)
             )
         return self._value_union
-
-    def _original_row_set(self) -> frozenset:
-        if self._row_set is None:
-            self._row_set = self._rows_from(
-                list(self._original_columns.values()),
-                self._original_rows_n,
-            )
-        return self._row_set
-
-    @staticmethod
-    def _rows_from(contents: List[_ColumnContent], n_rows: int) -> frozenset:
-        if not contents:
-            # a column-free table still has one distinct (empty) row per
-            # the naive construction, as long as it has rows at all
-            return frozenset([()]) if n_rows else frozenset()
-        try:
-            return frozenset(zip(*(content.normalized() for content in contents)))
-        except TypeError:
-            return frozenset(zip(*(content.hashable() for content in contents)))
 
     # ------------------------------------------------------------- candidates
     def _memoized(self, key: Hashable, payload) -> Tuple[_ColumnContent, bool]:
@@ -455,65 +422,10 @@ class PreparedTableJaccard(PreparedIntent):
         ] == self._original_pairs:
             self.counters.short_circuits += 1
             return 1.0
-        mode = self.intent.mode
-        if mode == "cells":
-            return self._cells_delta(columns)
-        if mode == "values":
-            return self._values_delta(columns)
-        if mode == "rows":
-            return self._rows_delta(columns, len(candidate))
-        raise ValueError(f"unknown table-jaccard mode: {mode!r}")
-
-    def _cells_delta(self, columns: List[Tuple[str, Hashable, Any]]) -> float:
-        original = self._original_columns
-        original_keys = self._original_keys
-        intersection = 0
-        union = 0
-        seen = set()
-        for name, key, payload in columns:
-            seen.add(name)
-            content_a = original.get(name)
-            if content_a is not None and original_keys[name] == key:
-                # unchanged column: A_c == B_c, zero set construction
-                n = len(content_a.value_set())
-                self.counters.column_set_reuse += 1
-                intersection += n
-                union += n
-                continue
-            b = self._content_for(key, payload).value_set()
-            if content_a is None:
-                union += len(b)
-            else:
-                a = content_a.value_set()
-                common = len(a & b)
-                intersection += common
-                union += len(a) + len(b) - common
-        for name, content in original.items():
-            if name not in seen:
-                union += len(content.value_set())
-        if not union:
-            return 1.0
-        return intersection / union
-
-    def _values_delta(self, columns: List[Tuple[str, Hashable, Any]]) -> float:
         original = self._original_value_union()
         candidate: Set[Any] = set()
         for _, key, payload in columns:
             candidate |= self._content_for(key, payload).value_set()
-        common = len(original & candidate)
-        union = len(original) + len(candidate) - common
-        if not union:
-            return 1.0
-        return common / union
-
-    def _rows_delta(
-        self, columns: List[Tuple[str, Hashable, Any]], n_rows: int
-    ) -> float:
-        original = self._original_row_set()
-        candidate = self._rows_from(
-            [self._content_for(key, payload) for _, key, payload in columns],
-            n_rows,
-        )
         common = len(original & candidate)
         union = len(original) + len(candidate) - common
         if not union:
@@ -647,23 +559,21 @@ class TableJaccardIntent(IntentMeasure):
     """Δ_J: candidate output must stay Jaccard-similar to the original.
 
     ``delta`` is the Jaccard *similarity* (1.0 = identical); the constraint
-    is satisfied when similarity ≥ τ_J (paper default 0.9).  The default
-    ``mode='values'`` matches the paper's Example 2.1 (distinct cell
-    values) — intentionally *unlike* the lower-level :func:`table_jaccard`
-    helper, whose default is the stricter ``'cells'``; pass ``'cells'`` or
-    ``'rows'`` here for the stricter comparisons.
+    is satisfied when similarity ≥ τ_J (paper default 0.9).  It compares
+    distinct cell values, the paper's Example 2.1 — intentionally *unlike*
+    the lower-level :func:`table_jaccard` helper, whose default is the
+    stricter ``'cells'``.
     """
 
     name = "table_jaccard"
 
-    def __init__(self, tau: float = 0.9, mode: str = "values"):
+    def __init__(self, tau: float = 0.9):
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau_J must be in [0, 1], got {tau}")
         self.tau = tau
-        self.mode = mode
 
     def delta(self, original: DataFrame, candidate: DataFrame) -> float:
-        return table_jaccard(original, candidate, mode=self.mode)
+        return table_jaccard(original, candidate, mode="values")
 
     def satisfied(self, delta: float) -> bool:
         return delta >= self.tau

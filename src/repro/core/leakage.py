@@ -11,7 +11,7 @@ contains it and the output satisfies all constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..lang import lemmatize
 from .standardizer import LucidScript, StandardizationError, StandardizationResult

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from .._audit import AuditMismatchError
 from .._lru import LRUCache
@@ -342,8 +342,8 @@ class LucidScript:
         across standardize() calls — so every phase resumes from prefixes
         any earlier phase already snapshotted.  Rebuilt if the config's
         sampling (or dialect) changes — snapshots are only valid within
-        one setting.  The execution budgets bound each run and never
-        enter a snapshot, so a changed budget is set on the kept
+        one setting.  The execution budget bounds each run and never
+        enters a snapshot, so a changed budget is set on the kept
         executor instead.
         """
         if (
@@ -357,7 +357,6 @@ class LucidScript:
                 dialect=self.dialect,
             )
         self._executor.exec_timeout_s = self.config.exec_timeout_s
-        self._executor.statement_timeout_s = self.config.statement_timeout_s
         return self._executor
 
     # ------------------------------------------------------------------ scoring

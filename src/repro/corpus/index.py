@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from hashlib import sha1
 from itertools import chain, filterfalse
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .._audit import AuditMismatchError
 from .._floats import left_sum
@@ -677,10 +677,10 @@ class CorpusIndex(MembershipIndex):
         vocabulary.onegram_templates = dict(self._templates)
         vocabulary.relative_positions = dict(self._positions)
         vocabulary._total_edges = sum(self.edge_counts.values())
-        vocabulary._restored_n_scripts = n
-        vocabulary._restored_avg_lines = self._total_statements / n
-        vocabulary._restored_frequencies = {
-            sig: len(self._position_members[sig]) / n for sig in self.ngram_counts
+        vocabulary.n_scripts = n
+        vocabulary._total_lines = self._total_statements
+        vocabulary._script_counts = {
+            sig: len(self._position_members[sig]) for sig in self.ngram_counts
         }
         return vocabulary
 

@@ -1,11 +1,12 @@
 """On-disk snapshots of a :class:`~repro.corpus.index.CorpusIndex`.
 
-Extends the offline-phase persistence of :mod:`repro.lang.persistence`
-(which freezes one *vocabulary*) to the full incremental index: the
-snapshot carries the content-addressed script records, the membership
-order, and the directory manifest (per-file sha1 + mtime + size), so a
-reloaded index can ``refresh()`` against its corpus directory and
-reparse only files whose bytes actually changed.
+The one persisted form of the offline phase's search space (``repro
+index build`` writes it; ``--index``, the server's ``index`` and ``repro
+index update`` read it).  The snapshot carries the content-addressed
+script records, the membership order, and the directory manifest
+(per-file sha1 + mtime + size), so a reloaded index can ``refresh()``
+against its corpus directory and reparse only files whose bytes actually
+changed.
 
 Everything order-sensitive (successor target lists, position lists,
 membership) is stored as JSON arrays, so a load → ``to_vocabulary()``
@@ -19,7 +20,6 @@ import sys
 from collections import Counter
 from typing import Dict, Optional
 
-from ..lang.persistence import check_format_version
 from .index import CorpusIndex, MembershipIndex, _FileEntry
 from .retrieval import RetrievalIndex
 from .signatures import signature_from_dict, signature_from_source, signature_to_dict
@@ -37,6 +37,28 @@ __all__ = [
 ]
 
 _INDEX_FORMAT_VERSION = 1
+
+
+def check_format_version(found, supported: int, what: str) -> None:
+    """Reject snapshots this build cannot faithfully interpret.
+
+    A *newer* ``format_version`` means the snapshot was written by a
+    later build whose schema this one does not know — loading it anyway
+    could succeed structurally yet be silently wrong, so the error says
+    to upgrade (or rebuild the snapshot).  Anything else that is not the
+    supported version is malformed or from a retired format.
+    """
+    if found == supported:
+        return
+    if isinstance(found, int) and found > supported:
+        raise ValueError(
+            f"{what} snapshot has format_version {found}, newer than the "
+            f"supported version {supported}: upgrade repro, or rebuild the "
+            f"snapshot with this version"
+        )
+    raise ValueError(
+        f"unsupported {what} format version: {found!r} (expected {supported})"
+    )
 
 
 def _snapshot_dialect(payload: dict, what: str) -> str:

@@ -42,7 +42,6 @@ class FixtureCase:
     corpus: List[str]
     input_script: str
     tau: float
-    mode: str
     seq: int
     beam_size: int
     sample_rows: int
@@ -125,7 +124,6 @@ def _tablereport_case() -> FixtureCase:
         corpus=corpus,
         input_script=input_script,
         tau=0.8,
-        mode="values",
         seq=6,
         beam_size=2,
         sample_rows=200,
@@ -141,7 +139,6 @@ def fixture_case(name: str) -> FixtureCase:
             corpus=list(_PANDAS_CORPUS),
             input_script=_PANDAS_INPUT,
             tau=0.8,
-            mode="values",
             seq=6,
             beam_size=2,
             sample_rows=200,
@@ -176,7 +173,7 @@ def run_case(name: str) -> Dict[str, object]:
         system = LucidScript(
             case.corpus,
             data_dir=data_dir,
-            intent=TableJaccardIntent(tau=case.tau, mode=case.mode),
+            intent=TableJaccardIntent(tau=case.tau),
             config=LSConfig(**kwargs),
         )
         result = system.standardize(case.input_script)

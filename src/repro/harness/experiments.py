@@ -26,7 +26,7 @@ from ..core import (
     percent_improvement,
 )
 from ..core.entropy import RelativeEntropyScorer
-from ..lang import CorpusVocabulary, ScriptError, lemmatize, parse_script
+from ..lang import CorpusVocabulary, ScriptError, parse_script
 from ..workloads import ScriptCorpus
 
 __all__ = [

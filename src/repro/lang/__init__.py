@@ -17,12 +17,6 @@ from .parser import (
     parse_script,
 )
 from .notebooks import script_from_notebook
-from .persistence import (
-    load_vocabulary,
-    save_vocabulary,
-    vocabulary_from_dict,
-    vocabulary_to_dict,
-)
 from .vocabulary import CorpusStats, CorpusVocabulary
 
 __all__ = [
@@ -42,12 +36,8 @@ __all__ = [
     "compute_edge_counts",
     "extract_onegrams",
     "lemmatize",
-    "load_vocabulary",
     "parse_script",
     "read_csv_files",
-    "save_vocabulary",
     "script_from_notebook",
     "split_statements",
-    "vocabulary_from_dict",
-    "vocabulary_to_dict",
 ]

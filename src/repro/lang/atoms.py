@@ -16,7 +16,7 @@ statements that read/write the same canonical dataframe variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["Atom", "Edge", "NGRAM", "ONEGRAM"]

@@ -14,9 +14,9 @@ statement the process has seen before is never rebuilt.
 from __future__ import annotations
 
 import ast
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .._astparse import ast_parse

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .._floats import left_sum
 from .atoms import NGRAM, ONEGRAM
 from .errors import ScriptError
-from .lemmatize import lemmatize
 from .parser import ScriptDAG, parse_script
 
 __all__ = ["CorpusVocabulary", "CorpusStats", "smoothing_mass"]
@@ -67,12 +66,16 @@ class CorpusVocabulary:
         self.onegram_templates: Dict[str, str] = {}
         #: n-gram signature -> mean relative position (0=start .. 1=end)
         self.relative_positions: Dict[str, float] = {}
+        self.n_scripts = len(self._dags)
+        #: statements over all scripts, the numerator of the mean length
+        self._total_lines = 0
         #: n-gram signature -> number of scripts holding it, counted at
         #: the first statement_frequency() call
-        self._script_counts: Optional[Counter] = None
+        self._script_counts: Optional[Dict[str, int]] = None
 
         position_sums: Dict[str, List[float]] = defaultdict(list)
         for dag in self._dags:
+            self._total_lines += len(dag)
             self.edge_counts.update(dag.edge_counter())
             self.onegram_counts.update(dag.onegram_counter())
             self.ngram_counts.update(dag.ngram_counter())
@@ -115,13 +118,6 @@ class CorpusVocabulary:
 
     # ------------------------------------------------------------------ sizes
     @property
-    def n_scripts(self) -> int:
-        if self._dags:
-            return len(self._dags)
-        # vocabulary restored from disk (repro.lang.persistence)
-        return getattr(self, "_restored_n_scripts", 0)
-
-    @property
     def total_edges(self) -> int:
         return self._total_edges
 
@@ -130,13 +126,9 @@ class CorpusVocabulary:
         return len(self.edge_counts)
 
     def stats(self) -> CorpusStats:
-        if self._dags:
-            avg_lines = sum(len(d) for d in self._dags) / len(self._dags)
-        else:
-            avg_lines = getattr(self, "_restored_avg_lines", 0.0)
         return CorpusStats(
             n_scripts=self.n_scripts,
-            avg_code_lines=avg_lines,
+            avg_code_lines=self._total_lines / self.n_scripts,
             uniq_onegrams=len(self.onegram_counts),
             uniq_ngrams=len(self.ngram_counts),
             uniq_edges=len(self.edge_counts),
@@ -165,9 +157,6 @@ class CorpusVocabulary:
     # ------------------------------------------------------------- step lookup
     def statement_frequency(self, signature: str) -> float:
         """Fraction of corpus scripts whose DAG contains this n-gram atom."""
-        if not self._dags:
-            restored = getattr(self, "_restored_frequencies", {})
-            return restored.get(signature, 0.0)
         if self._script_counts is None:
             # one pass over the corpus, not one per signature asked (two
             # threads racing here count alike)
@@ -175,7 +164,7 @@ class CorpusVocabulary:
             for dag in self._dags:
                 script_counts.update(dag.ngram_counter().keys())
             self._script_counts = script_counts
-        return self._script_counts[signature] / len(self._dags)
+        return self._script_counts.get(signature, 0) / self.n_scripts
 
     def ngram_successors(self, signature: str) -> List[Tuple[str, int]]:
         """Statements observed to directly follow *signature*, most common first."""

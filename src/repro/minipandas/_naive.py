@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import kernels
-from ._missing import NA, is_missing
+from ._missing import is_missing
 from .frame import DataFrame
 from .series import Series, _coerce_scalar
 

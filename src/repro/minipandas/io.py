@@ -14,7 +14,6 @@ from typing import Any, List, Optional, Sequence, Union
 
 from ._missing import NA
 from .frame import DataFrame
-from .series import Series
 
 __all__ = ["read_csv", "write_csv"]
 

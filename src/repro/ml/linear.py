@@ -8,7 +8,7 @@ script output, so run-to-run noise would corrupt the constraint check.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

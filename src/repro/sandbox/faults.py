@@ -17,7 +17,7 @@ how fast the watchdog notices it).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .._astparse import ast_parse
 from .incremental import IncrementalExecutor

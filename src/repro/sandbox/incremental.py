@@ -97,6 +97,9 @@ _COLD_PATTERN = _re.compile(r"\b(?:random|global|__future__)\b")
 #: of every class a script defines.
 _SANDBOX_NAME = "__sandbox__"
 
+#: LRU capacity of each executor's prefix-snapshot store.
+SNAPSHOT_LIMIT = 64
+
 #: Capacity of the process-wide code-object cache below.  A search runs
 #: a few hundred distinct statements, and every search over one corpus
 #: runs mostly the same ones at the same lines.
@@ -338,20 +341,14 @@ class IncrementalExecutor:
         Fixed per executor — they define the semantics of ``read_csv``
         inside scripts, so snapshots are only valid within one setting.
         Callers needing another setting build another executor.
-    snapshot_budget:
-        LRU capacity of the prefix-snapshot store.  0 disables resumption
-        (every run is a cold :func:`run_script`).
     verify:
         Cross-check each incremental result against a cold run and fall
         back on mismatch.  Defeats the speedup; for audits and tests.
     exec_timeout_s:
         Wall-clock budget for one whole script; on expiry the run fails
-        with :class:`ExecTimeout` (counted in ``stats.timeouts``).  None
-        (the default) executes unwatched.
-    statement_timeout_s:
-        Wall-clock budget for each individual statement — tighter than
-        the script budget when one statement is the pathology (an
-        unbounded loop, a quadratic ``apply``).  None disables it.
+        with :class:`ExecTimeout` (counted in ``stats.timeouts``).  Each
+        statement runs watched for what is left of it.  None (the
+        default) executes unwatched.
     dialect:
         The API surface scripts execute against (name or
         :class:`~repro.dialects.ApiDialect`); fixed per executor like
@@ -363,19 +360,16 @@ class IncrementalExecutor:
         self,
         data_dir: Optional[str] = None,
         sample_rows: Optional[int] = None,
-        snapshot_budget: int = 64,
         verify: bool = False,
         exec_timeout_s: Optional[float] = None,
-        statement_timeout_s: Optional[float] = None,
         dialect=None,
     ):
         self.data_dir = data_dir
         self.sample_rows = sample_rows
         self.verify = verify
         self.exec_timeout_s = exec_timeout_s
-        self.statement_timeout_s = statement_timeout_s
         self.dialect = resolve_dialect(dialect)
-        self._snapshots = LRUCache(snapshot_budget)
+        self._snapshots = LRUCache(SNAPSHOT_LIMIT)
         self._base_builtins = build_sandbox_namespace(
             data_dir, sample_rows, dialect=self.dialect
         )["__builtins__"]
@@ -404,11 +398,7 @@ class IncrementalExecutor:
             if "\n".join(segments) != source:
                 raise ValueError("segments do not join to the script source")
         self.stats.runs += 1
-        if (
-            extra_globals
-            or self._snapshots.capacity == 0
-            or _COLD_PATTERN.search(source)
-        ):
+        if extra_globals or _COLD_PATTERN.search(source):
             return self._cold(source, extra_globals)
         state = self._data_dir_state()
         if state != self._data_state:
@@ -570,11 +560,11 @@ class IncrementalExecutor:
             time.monotonic() + self.exec_timeout_s if self.exec_timeout_s else None
         )
         for position, code in enumerate(codes, resumed):
-            # per-statement budget, clipped to whatever script budget remains
-            budget = self.statement_timeout_s
+            # each statement runs watched for what is left of the budget
+            budget = None
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                budget = deadline - time.monotonic()
+                if budget <= 0:
                     self.stats.timeouts += 1
                     exhausted = ExecTimeout(
                         f"script exceeded its {self.exec_timeout_s:g}s execution budget"
@@ -584,7 +574,6 @@ class IncrementalExecutor:
                         error=exhausted,
                         error_line=linenos[position],
                     )
-                budget = min(budget, remaining) if budget else remaining
             watchdog = _Watchdog.arm(budget)
             try:
                 exec(code, namespace)

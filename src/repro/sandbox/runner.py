@@ -29,7 +29,6 @@ from .._astparse import not_utf8
 from .._audit import AuditMismatchError
 from ..dialects import resolve_dialect
 from ..dialects import base as _dialect_base
-from ..dialects.base import TableLoader, _last_assigned_variable
 from ..minipandas import DataFrame
 from ..minipandas.kernels import audit_enabled
 
@@ -175,20 +174,6 @@ class ExecutionResult:
 #: and long-lived executors clear/inspect it through this module).
 _CSV_CACHE = _dialect_base._CSV_CACHE
 _load_table = _dialect_base.load_table
-
-#: Historical name for the dialect loader (pandas read_csv resolution).
-_ReadCsvResolver = TableLoader
-
-#: Historical name for the output-convention helper.
-_last_dataframe_variable = _last_assigned_variable
-
-
-def _select_output(
-    namespace: Dict[str, Any], source: str, dialect=None
-) -> Optional[DataFrame]:
-    """Pick the script's output table per the dialect's convention
-    (for pandas: 'df' first, else the last assigned frame, else any)."""
-    return resolve_dialect(dialect).select_output(namespace, source)
 
 
 def _make_guarded_open(data_dir: Optional[str]):

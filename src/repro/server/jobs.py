@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from hashlib import sha1
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .._audit import AuditMismatchError
 from ..core import (

@@ -8,11 +8,11 @@ model-performance intent measure responds to data-preparation changes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..minipandas import NA, DataFrame
+from ..minipandas import DataFrame
 
 __all__ = [
     "generate_titanic",

@@ -12,8 +12,8 @@ to 40k rows for runtime (documented in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 __all__ = ["StepSlot", "CompetitionSpec", "GROUPS"]
 

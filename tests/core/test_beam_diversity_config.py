@@ -47,7 +47,9 @@ class TestGetSteps:
         ranked = search.get_steps(candidate)
         scores = [s for _, s in ranked]
         assert scores == sorted(scores)
-        assert len(ranked) <= search.config.max_step_candidates
+        from repro.core.beam import MAX_STEP_CANDIDATES
+
+        assert len(ranked) <= MAX_STEP_CANDIDATES
 
     def test_best_step_improves_score(self, vocab, scorer, diabetes_dir, alex_script):
         search = make_search(vocab, scorer, diabetes_dir)
@@ -234,44 +236,50 @@ class TestConfig:
             LSConfig(beam_size=0)
         with pytest.raises(ValueError):
             LSConfig(diversity_clusters=0)
-        with pytest.raises(ValueError):
-            LSConfig(max_step_candidates=0)
 
     INTEGER_FIELDS = [
-        "seq", "beam_size", "diversity_clusters", "max_step_candidates",
-        "sample_rows", "operation_groups", "random_state", "retrieval_k",
+        "seq", "beam_size", "diversity_clusters", "sample_rows",
+        "operation_groups", "retrieval_k",
     ]
-    NUMBER_FIELDS = ["score_band", "exec_timeout_s", "statement_timeout_s"]
+    NUMBER_FIELDS = ["exec_timeout_s"]
     BOOL_FIELDS = ["diversity", "early_check", "audit"]
     # the five per-layer audit switches that ``audit`` replaced
     RETIRED_BOOL_FIELDS = [
         "verify_scoring", "verify_intent", "verify_index", "verify_retrieval",
         "verify_kernels",
     ]
+    # implementation knobs no caller set; each now keeps its old default
+    RETIRED_INTEGER_FIELDS = ["max_step_candidates", "random_state"]
+    RETIRED_NUMBER_FIELDS = ["score_band", "statement_timeout_s"]
 
-    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    @staticmethod
+    def _refusal(name, retired, expected):
+        """The message ``LSConfig(name=<ill-typed value>)`` raises: a
+        retired field is no field at all, so it refuses every value."""
+        if name in retired:
+            return f"unexpected keyword argument '{name}'"
+        return f"{name} must be {expected}"
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS + RETIRED_INTEGER_FIELDS)
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
     def test_integer_fields_take_integers_not_bools(self, name, value):
-        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        message = self._refusal(name, self.RETIRED_INTEGER_FIELDS, "an integer")
+        with pytest.raises(TypeError, match=message):
             LSConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", NUMBER_FIELDS)
+    @pytest.mark.parametrize("name", NUMBER_FIELDS + RETIRED_NUMBER_FIELDS)
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), -float("inf"), 10**400, True, "1"]
     )
     def test_number_fields_take_finite_numbers(self, name, value):
-        with pytest.raises(TypeError, match=f"{name} must be a finite number"):
+        message = self._refusal(name, self.RETIRED_NUMBER_FIELDS, "a finite number")
+        with pytest.raises(TypeError, match=message):
             LSConfig(**{name: value})
 
     @pytest.mark.parametrize("name", BOOL_FIELDS + RETIRED_BOOL_FIELDS)
     @pytest.mark.parametrize("value", [0, 1, "yes", None])
     def test_bool_fields_take_bools(self, name, value):
-        """A bool field's type check refuses a non-bool; a retired audit
-        switch is no field at all, so it refuses every value."""
-        if name in self.RETIRED_BOOL_FIELDS:
-            message = f"unexpected keyword argument '{name}'"
-        else:
-            message = f"{name} must be a bool"
+        message = self._refusal(name, self.RETIRED_BOOL_FIELDS, "a bool")
         with pytest.raises(TypeError, match=message):
             LSConfig(**{name: value})
 
@@ -284,9 +292,8 @@ class TestConfig:
             LSConfig(dialect=5)
 
     def test_well_typed_values_are_kept(self):
-        config = LSConfig(score_band=0, exec_timeout_s=3, sample_rows=None,
-                          statement_timeout_s=0.5, diversity=False)
-        assert (config.score_band, config.exec_timeout_s) == (0, 3)
+        config = LSConfig(exec_timeout_s=3, sample_rows=None, diversity=False)
+        assert config.exec_timeout_s == 3
         assert config.sample_rows is None and config.diversity is False
 
     def test_clusters_default_to_beam_size(self):

@@ -40,9 +40,7 @@ def config(**kwargs):
 
 class TestLSConfigKnobs:
     def test_budgets_default_off(self):
-        cfg = LSConfig()
-        assert cfg.exec_timeout_s is None
-        assert cfg.statement_timeout_s is None
+        assert LSConfig().exec_timeout_s is None
 
     @pytest.mark.parametrize("value", [0, -1, -0.5])
     def test_nonpositive_exec_timeout_rejected(self, value):
@@ -51,18 +49,18 @@ class TestLSConfigKnobs:
 
     @pytest.mark.parametrize("value", [0, -2])
     def test_nonpositive_statement_timeout_rejected(self, value):
-        with pytest.raises(ValueError):
+        # the per-statement budget is gone: every value is refused
+        with pytest.raises(TypeError, match="statement_timeout_s"):
             LSConfig(statement_timeout_s=value)
 
     def test_executor_inherits_budgets(self, vocab, scorer, diabetes_dir):
         search = BeamSearch(
             vocab,
             scorer,
-            config(exec_timeout_s=5.0, statement_timeout_s=1.0),
+            config(exec_timeout_s=5.0),
             data_dir=diabetes_dir,
         )
         assert search._executor.exec_timeout_s == 5.0
-        assert search._executor.statement_timeout_s == 1.0
 
 
 class TestStatsPlumbing:
@@ -167,7 +165,7 @@ class TestBudgetsDisabledIsBitIdentical:
         budgeted = BeamSearch(
             vocab,
             scorer,
-            config(exec_timeout_s=30.0, statement_timeout_s=30.0),
+            config(exec_timeout_s=30.0),
             data_dir=diabetes_dir,
         )
         plain_out = [(c.source(), c.score) for c in plain.search(statements)]

@@ -172,10 +172,9 @@ class TestSharedExecutor:
         executor = system._executor
         # how the server clamps one job to its deadline
         config.exec_timeout_s = 30.0
-        config.statement_timeout_s = 10.0
         system.standardize(alex_script)
         assert system._executor is executor
-        assert (executor.exec_timeout_s, executor.statement_timeout_s) == (30.0, 10.0)
+        assert executor.exec_timeout_s == 30.0
 
     def test_sampling_change_rebuilds_executor(
         self, diabetes_corpus, diabetes_dir, alex_script
@@ -207,6 +206,6 @@ class TestConfigValidation:
             LSConfig(**{name: 2})
 
     def test_snapshot_budget_must_be_non_negative(self):
-        # the budget lives on the executor, whose default every search uses
-        with pytest.raises(ValueError):
+        # the store's capacity is the constant SNAPSHOT_LIMIT, not a parameter
+        with pytest.raises(TypeError, match="snapshot_budget"):
             IncrementalExecutor(snapshot_budget=-1)

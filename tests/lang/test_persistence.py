@@ -1,18 +1,18 @@
-"""Tests for curated-search-space persistence."""
+"""The persisted search space: the snapshot ``repro index build`` writes.
+
+``load_index`` reads it back without reparsing, and its vocabulary (the
+one the online phase runs on) answers every query a from-scratch
+curation of the same scripts answers.
+"""
 
 import json
 
 import pytest
 
-from repro.core.entropy import RelativeEntropyScorer
-from repro.lang import (
-    CorpusVocabulary,
-    load_vocabulary,
-    parse_script,
-    save_vocabulary,
-    vocabulary_from_dict,
-    vocabulary_to_dict,
-)
+from repro.cli import main
+from repro.core import LucidScript
+from repro.corpus import CorpusIndex, index_from_dict, index_to_dict, load_index
+from repro.lang import CorpusVocabulary
 
 
 @pytest.fixture()
@@ -20,93 +20,97 @@ def vocab(diabetes_corpus):
     return CorpusVocabulary.from_scripts(diabetes_corpus)
 
 
+@pytest.fixture()
+def snapshot(tmp_path, diabetes_corpus, capsys):
+    """Path of ``repro index build``'s snapshot of the diabetes corpus."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for position, script in enumerate(diabetes_corpus):
+        (corpus_dir / f"peer_{position}.py").write_text(script + "\n")
+    path = str(tmp_path / "index.json")
+    assert main(["index", "build", "--corpus-dir", str(corpus_dir), "--out", path]) == 0
+    capsys.readouterr()
+    return path
+
+
+def restore(path):
+    return load_index(path).to_vocabulary()
+
+
+def snapshot_payload(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
 class TestRoundtrip:
-    def test_edge_counts_preserved(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        restored = load_vocabulary(path)
+    def test_edge_counts_preserved(self, vocab, snapshot):
+        restored = restore(snapshot)
         assert restored.edge_counts == vocab.edge_counts
         assert restored.total_edges == vocab.total_edges
 
-    def test_atom_counts_preserved(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        restored = load_vocabulary(path)
+    def test_atom_counts_preserved(self, vocab, snapshot):
+        restored = restore(snapshot)
         assert restored.onegram_counts == vocab.onegram_counts
         assert restored.ngram_counts == vocab.ngram_counts
 
-    def test_stats_preserved(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        restored = load_vocabulary(path)
+    def test_stats_preserved(self, vocab, snapshot):
+        restored = restore(snapshot)
         assert restored.stats() == vocab.stats()
-        assert restored.n_scripts == vocab.n_scripts
+        assert restored.n_scripts == vocab.n_scripts == 3
 
-    def test_successors_preserved(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        restored = load_vocabulary(path)
+    def test_successors_preserved(self, vocab, snapshot):
+        restored = restore(snapshot)
         key = "df = df.fillna(df.mean())"
         assert restored.ngram_successors(key) == vocab.ngram_successors(key)
 
-    def test_statement_frequency_preserved(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        restored = load_vocabulary(path)
+    def test_statement_frequency_preserved(self, vocab, snapshot):
+        restored = restore(snapshot)
         sig = "df = df[df['SkinThickness'] < 80]"
         assert restored.statement_frequency(sig) == vocab.statement_frequency(sig)
         assert restored.statement_frequency("df = df.bogus()") == 0.0
 
-    def test_templates_and_positions_preserved(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        restored = load_vocabulary(path)
+    def test_templates_and_positions_preserved(self, vocab, snapshot):
+        restored = restore(snapshot)
         assert restored.onegram_templates == vocab.onegram_templates
         assert restored.relative_positions == vocab.relative_positions
 
-    def test_scoring_identical_after_restore(self, vocab, tmp_path, alex_script):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        restored = load_vocabulary(path)
-        dag = parse_script(alex_script)
-        assert RelativeEntropyScorer(restored).score_dag(dag) == pytest.approx(
-            RelativeEntropyScorer(vocab).score_dag(dag)
-        )
+    def test_scoring_identical_after_restore(
+        self, snapshot, diabetes_corpus, alex_script
+    ):
+        from_snapshot = LucidScript(load_index(snapshot)).score(alex_script)
+        assert from_snapshot == LucidScript(diabetes_corpus).score(alex_script)
 
-    def test_file_is_json(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        with open(path) as handle:
-            payload = json.load(handle)
+    def test_file_is_json(self, snapshot):
+        payload = snapshot_payload(snapshot)
         assert payload["format_version"] == 1
+        assert len(payload["members"]) == 3
 
-    def test_dict_roundtrip_without_disk(self, vocab):
-        restored = vocabulary_from_dict(vocabulary_to_dict(vocab))
+    def test_dict_roundtrip_without_disk(self, vocab, diabetes_corpus):
+        index = CorpusIndex.from_scripts(diabetes_corpus)
+        restored = index_from_dict(index_to_dict(index)).to_vocabulary()
         assert restored.edge_counts == vocab.edge_counts
 
-    def test_wrong_version_rejected(self, vocab):
-        payload = vocabulary_to_dict(vocab)
+    def test_wrong_version_rejected(self, snapshot):
+        payload = snapshot_payload(snapshot)
         payload["format_version"] = 99
         with pytest.raises(ValueError):
-            vocabulary_from_dict(payload)
+            index_from_dict(payload)
 
-    def test_newer_version_names_the_remedy(self, vocab):
+    def test_newer_version_names_the_remedy(self, snapshot):
         # a snapshot from a future release is distinguished from junk:
         # the error says the file is newer and how to proceed
-        payload = vocabulary_to_dict(vocab)
+        payload = snapshot_payload(snapshot)
         payload["format_version"] = 2
         with pytest.raises(ValueError, match="newer than the supported"):
-            vocabulary_from_dict(payload)
+            index_from_dict(payload)
         with pytest.raises(ValueError, match="rebuild the snapshot"):
-            vocabulary_from_dict(payload)
+            index_from_dict(payload)
 
-    def test_non_integer_version_rejected(self, vocab):
-        payload = vocabulary_to_dict(vocab)
+    def test_non_integer_version_rejected(self, snapshot):
+        payload = snapshot_payload(snapshot)
         payload["format_version"] = "v1"
         with pytest.raises(ValueError, match="unsupported"):
-            vocabulary_from_dict(payload)
+            index_from_dict(payload)
 
-    def test_epsilon_preserved(self, vocab, tmp_path):
-        path = str(tmp_path / "v.json")
-        save_vocabulary(vocab, path)
-        assert load_vocabulary(path).epsilon == vocab.epsilon
+    def test_epsilon_preserved(self, vocab, snapshot):
+        assert restore(snapshot).epsilon == vocab.epsilon

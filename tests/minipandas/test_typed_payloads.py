@@ -309,13 +309,12 @@ class TestFingerprints:
     def test_prepared_jaccard_matches_naive_on_typed_columns(self):
         original = DataFrame({"x": [1.5, NA, 0.0], "y": [1, 2, 3]})
         candidate = DataFrame({"x": [1.5, float("nan"), -0.0], "y": [1.0, 2.0, 3.0]})
-        for mode in ("values", "cells", "rows"):
-            intent = TableJaccardIntent(mode=mode)
-            prepared = intent.prepare(original)
-            assert prepared.delta(candidate) == intent.delta(original, candidate)
-            fresh = DataFrame({"x": [1.5, float("nan"), 0.0], "y": [1, 2, 3]})
-            assert prepared.delta(fresh) == 1.0
-            assert prepared.counters.short_circuits == 1
+        intent = TableJaccardIntent()
+        prepared = intent.prepare(original)
+        assert prepared.delta(candidate) == intent.delta(original, candidate)
+        fresh = DataFrame({"x": [1.5, float("nan"), 0.0], "y": [1, 2, 3]})
+        assert prepared.delta(fresh) == 1.0
+        assert prepared.counters.short_circuits == 1
 
     def test_signed_zero_and_int_vs_float_differ(self):
         base = table_fingerprint(DataFrame({"x": [0.0]}))

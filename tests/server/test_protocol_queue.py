@@ -111,6 +111,11 @@ class TestNormalizeJob:
             "incremental_intent",
             "corpus_cache",
             "snapshot_budget",
+            # implementation knobs no caller set, now constants or defaults
+            "max_step_candidates",
+            "score_band",
+            "random_state",
+            "statement_timeout_s",
         ],
     )
     def test_rejects_unknown_config_field(self, name, diabetes_corpus):
@@ -127,13 +132,13 @@ class TestNormalizeJob:
         "config",
         [
             {"seq": 2.5},
-            {"score_band": float("nan")},
+            {"exec_timeout_s": float("inf")},
             {"sample_rows": 10.5},
             {"seq": True},
             {"retrieval_k": False},
-            {"score_band": float("inf")},
+            {"diversity_clusters": 2.0},
             {"exec_timeout_s": float("nan")},
-            {"statement_timeout_s": "1"},
+            {"exec_timeout_s": "1"},
             {"diversity": 1},
             {"dialect": 5},
         ],

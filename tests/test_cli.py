@@ -134,16 +134,25 @@ class TestDetectLeakage:
 
 class TestCurate:
     def test_writes_vocabulary_json(self, corpus_dir, tmp_path, capsys):
-        out = str(tmp_path / "vocab.json")
-        code = main(["curate", "--corpus-dir", corpus_dir, "--out", out])
+        """The offline phase persists as ``index build``'s JSON snapshot."""
+        out = str(tmp_path / "index.json")
+        code = main(["index", "build", "--corpus-dir", corpus_dir, "--out", out])
         assert code == 0
-        assert "curated 3 scripts" in capsys.readouterr().out
+        assert "indexed 3 scripts" in capsys.readouterr().out
 
-        from repro.lang import load_vocabulary
+        from repro.corpus import load_index
 
-        vocabulary = load_vocabulary(out)
+        vocabulary = load_index(out).to_vocabulary()
         assert vocabulary.n_scripts == 3
         assert vocabulary.total_edges > 0
+
+    def test_curate_subcommand_is_gone(self, corpus_dir, tmp_path, capsys):
+        out = str(tmp_path / "vocab.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["curate", "--corpus-dir", corpus_dir, "--out", out])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'curate'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestCorpusWarnings:

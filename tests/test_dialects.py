@@ -292,7 +292,7 @@ class TestEndToEndSmoke:
             system = LucidScript(
                 case.corpus,
                 data_dir=tablereport_dir,
-                intent=TableJaccardIntent(tau=case.tau, mode=case.mode),
+                intent=TableJaccardIntent(tau=case.tau),
                 config=LSConfig(
                     seq=case.seq,
                     beam_size=case.beam_size,

@@ -170,8 +170,9 @@ class TestIncrementalBudgets:
         assert executor.stats.as_dict()["timeouts"] == 1
 
     def test_statement_budget_interrupts_the_hanging_statement(self):
+        # each statement runs watched for what is left of the script budget
         source = GOOD + "\n" + fault_snippet("hang")
-        executor = IncrementalExecutor(statement_timeout_s=BUDGET_S)
+        executor = IncrementalExecutor(exec_timeout_s=BUDGET_S)
         result = executor.run_script(source)
         assert result.timed_out
         # the interrupt lands inside the hang loop, after the good prefix
@@ -185,10 +186,13 @@ class TestIncrementalBudgets:
         result = executor.run_script(GOOD + "\ndf2 = df")
         assert result.ok
 
+    def test_script_budget_is_the_only_budget(self):
+        with pytest.raises(TypeError, match="statement_timeout_s"):
+            IncrementalExecutor(statement_timeout_s=BUDGET_S)
+
     def test_no_budget_means_no_timeout_accounting(self):
         executor = IncrementalExecutor()
         assert executor.exec_timeout_s is None
-        assert executor.statement_timeout_s is None
         result = executor.run_script(GOOD)
         assert result.ok
         assert executor.stats.timeouts == 0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro._lru import LRUCache
 from repro.minipandas import DataFrame
 from repro.sandbox import IncrementalExecutor, check_executes, run_script
+from repro.sandbox import incremental
 from repro.sandbox import runner as runner_module
 from repro.sandbox.incremental import statement_segments
 from repro.workloads import build_competition
@@ -319,20 +320,12 @@ class TestIncrementalExecutor:
         assert result.namespace["y"] == 2
         assert executor.stats.cold_runs == 1
 
-    def test_snapshot_budget_bounds_store(self, diabetes_dir):
-        executor = IncrementalExecutor(
-            data_dir=diabetes_dir, sample_rows=50, snapshot_budget=3
-        )
+    def test_snapshot_budget_bounds_store(self, diabetes_dir, monkeypatch):
+        monkeypatch.setattr(incremental, "SNAPSHOT_LIMIT", 3)
+        executor = IncrementalExecutor(data_dir=diabetes_dir, sample_rows=50)
         for suffix in SUFFIXES:
             executor.run_script(f"{PREFIX}\n{suffix}")
-        assert executor.snapshot_count() <= 3
-
-    def test_zero_budget_runs_cold(self, diabetes_dir):
-        executor = IncrementalExecutor(
-            data_dir=diabetes_dir, sample_rows=50, snapshot_budget=0
-        )
-        assert executor.run_script(PREFIX).ok
-        assert executor.stats.cold_runs == 1
+        assert executor.snapshot_count() == 3
 
     def test_data_file_change_invalidates_snapshots(self, tmp_path):
         data_dir = str(tmp_path)
