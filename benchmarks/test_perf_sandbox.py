@@ -158,7 +158,8 @@ def test_perf_sandbox_engines(bench_dir):
 
 def test_perf_incremental_verified_against_cold(bench_dir):
     """Self-audit: verify-mode cross-checks every wave result against a
-    cold run; zero fallbacks means the snapshots were faithful."""
+    cold run and raises on a divergence; zero fallbacks means no
+    snapshot failed its fingerprint check either."""
     executor = IncrementalExecutor(
         data_dir=bench_dir, sample_rows=SAMPLE_ROWS, verify=True
     )

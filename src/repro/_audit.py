@@ -18,8 +18,8 @@ class AuditMismatchError(RuntimeError):
     """A fast path diverged from its naive oracle.
 
     ``layer`` is one of ``scoring``, ``intent``, ``index``,
-    ``retrieval``, ``kernel``, ``server`` or ``dialect``; ``detail``
-    says what differed.
+    ``retrieval``, ``kernel``, ``sandbox``, ``server`` or ``dialect``;
+    ``detail`` says what differed.
     """
 
     def __init__(self, layer: str, detail: str):

@@ -32,7 +32,8 @@ path: the corpus is treated as a *pool*, and the working corpus becomes
 the pool's N most similar scripts to the input (LSH top-k over minhash +
 schema signatures; ``--audit`` checks each query against brute force).
 ``index retrieve`` exposes the same search directly, printing the
-ranked hits.
+ranked hits; its ``--index`` reads any index snapshot, and its ``--out``
+writes one that ``--index`` reads everywhere.
 
 Standardization-as-a-service::
 
@@ -59,10 +60,8 @@ from .corpus import (
     CorpusIndex,
     RetrievalIndex,
     load_index,
-    load_retrieval_index,
     read_corpus_dir,
     save_index,
-    save_retrieval_index,
 )
 from .workloads import build_competition, competition_names
 
@@ -131,8 +130,8 @@ def _add_common(
         "--audit",
         action="store_true",
         help="run every layer's naive oracle beside its fast path and fail "
-        "on any divergence (debug mode: scoring, intent, index, retrieval "
-        "and kernel audits)",
+        "on any divergence (debug mode: scoring, intent, index, retrieval, "
+        "kernel and sandbox audits)",
     )
     if with_search:
         parser.add_argument("--data-dir", help="directory holding the dataset CSVs")
@@ -208,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_iretr.add_argument("--corpus-dir",
                          help="directory of pool .py/.ipynb scripts")
     p_iretr.add_argument("--index",
-                         help="persisted retrieval-pool snapshot "
-                         "(from a previous 'index retrieve --out')")
+                         help="index snapshot (from 'index build' or a "
+                         "previous 'index retrieve --out')")
     p_iretr.add_argument("--script", required=True, help="query script path")
     p_iretr.add_argument("-k", "--k", type=int, default=20, dest="k",
                          help="number of hits to retrieve (default 20)")
-    p_iretr.add_argument("--verify", action="store_true",
+    p_iretr.add_argument("--audit", action="store_true",
                          help="audit the LSH result against brute-force "
                          "signature similarity")
     p_iretr.add_argument("--out",
@@ -402,12 +401,14 @@ def _refresh(index, corpus_dir: str):
 
 
 def cmd_index_retrieve(args) -> int:
+    # *index* holds the manifest that --out persists
     if args.index:
-        pool = _load_snapshot(load_retrieval_index, args.index)
+        index = _load_snapshot(load_index, args.index)
         if args.corpus_dir:
-            _refresh(pool, args.corpus_dir)
+            _refresh(index, args.corpus_dir)
+        pool = RetrievalIndex.from_index(index)
     elif args.corpus_dir:
-        pool = RetrievalIndex(dialect=args.dialect)
+        index = pool = RetrievalIndex(dialect=args.dialect)
         _refresh(pool, args.corpus_dir)
     else:
         raise SystemExit("one of --corpus-dir or --index is required")
@@ -415,7 +416,7 @@ def cmd_index_retrieve(args) -> int:
         raise SystemExit("retrieval pool is empty")
     query = _read_script(args.script)
     try:
-        hits = pool.top_k(query, args.k, verify=args.verify)
+        hits = pool.top_k(query, args.k, verify=args.audit)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     stats = pool.stats()
@@ -423,13 +424,13 @@ def cmd_index_retrieve(args) -> int:
         f"pool [{stats['dialect']}]: {stats['n_unique_scripts']} unique scripts, "
         f"{stats['n_band_buckets']} band buckets, "
         f"{stats['n_schema_tokens']} schema tokens"
-        + (" [audited]" if args.verify else "")
+        + (" [audited]" if args.audit else "")
     )
     for rank, hit in enumerate(hits, start=1):
         first_line = hit.record.source.splitlines()[0] if hit.record.source else ""
         print(f"{rank:3d}  {hit.score:.4f}  {hit.content_hash[:12]}  {first_line}")
     if args.out:
-        save_retrieval_index(pool, args.out)
+        save_index(index, args.out)
         print(f"pool snapshot -> {args.out}")
     return 0
 

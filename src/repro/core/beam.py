@@ -36,7 +36,6 @@ from ..dialects import get_dialect
 from ..lang.errors import ScriptError
 from ..lang.parser import (
     STATEMENT_CACHE,
-    EdgeDelta,
     EdgeState,
     Statement,
     compute_edge_counts,
@@ -155,7 +154,7 @@ class SearchStats:
         return {
             "GetSteps": self.get_steps_s,
             "DeltaScoreHits": float(self.n_delta_scores),
-            "FullRecountFallbacks": float(self.n_full_recounts),
+            "FullRecounts": float(self.n_full_recounts),
             "GetTopKBeams": self.get_top_k_s,
             "CheckIfExecutes": self.check_executes_s,
             "VerifyConstraints": self.verify_constraints_s,
@@ -207,6 +206,7 @@ class BeamSearch:
             self._executor = IncrementalExecutor(
                 data_dir=data_dir,
                 sample_rows=config.sample_rows,
+                verify=config.audit,
                 exec_timeout_s=config.exec_timeout_s,
                 dialect=self._dialect,
             )
@@ -221,28 +221,16 @@ class BeamSearch:
         #: this search's hits and misses against the process-wide
         #: parsed-statement cache (``parse_statement``)
         self._statement_tally: Counter = Counter()
-        #: source -> (EdgeState, REStats): per-candidate scoring state for
-        #: the O(Δ) incremental path; a miss rebuilds via a full recount.
-        self._score_state_cache: LRUCache = LRUCache(self.SCORE_STATE_CACHE_LIMIT)
-        #: deltas of the current GetSteps wave, so admission can derive
-        #: the child's scoring state from the parent's without recounting
-        # keyed by id(transformation): proposals are unique objects per wave
-        # and stay alive in the ranked list, and identity lookups skip the
-        # frozen dataclass's field-tuple hashing on the hot path
-        self._wave_deltas: Dict[int, EdgeDelta] = {}
-        self._wave_parent_key: Optional[str] = None
         self._archive: Dict[str, Candidate] = {}
         self.stats = SearchStats()
 
     #: Upper bound on archived candidates handed to constraint verification.
     ARCHIVE_LIMIT = 64
 
-    #: Capacity of the per-search memo caches.  A search touches a few
+    #: Capacity of the per-search execution memo.  A search touches a few
     #: hundred distinct sources; the bound only matters for long-lived
-    #: searches (large seq × beam × corpus), which previously grew these
-    #: dicts without limit.
+    #: searches (large seq × beam × corpus).
     EXEC_CACHE_LIMIT = 4096
-    SCORE_STATE_CACHE_LIMIT = 256
 
     # ------------------------------------------------------------- components
     def _band(self, score: float) -> int:
@@ -316,25 +304,15 @@ class BeamSearch:
         return self.scorer.score_edge_counts(compute_edge_counts(virtual))
 
     def _score_state(self, candidate: Candidate) -> Tuple[EdgeState, REStats]:
-        """The candidate's (edge state, sufficient statistics) pair.
-
-        Cache misses — the root candidate, or an entry evicted from the
-        bounded LRU — rebuild via one full recount, counted in
-        ``SearchStats.n_full_recounts``; everything else is either a hit
-        or derived from its parent by :meth:`_derive_child_state`.
-        """
-        key = candidate.source()
-        state = self._score_state_cache.get(key)
-        if state is None:
-            edge_state = EdgeState.from_statements(candidate.statements)
-            state = (edge_state, self.scorer.stats_from_counts(edge_state.counts))
-            self._score_state_cache[key] = state
-            self.stats.n_full_recounts += 1
-        return state
+        """The candidate's (edge state, sufficient statistics) pair, from
+        one full recount, counted in ``SearchStats.n_full_recounts``."""
+        edge_state = EdgeState.from_statements(candidate.statements)
+        self.stats.n_full_recounts += 1
+        return edge_state, self.scorer.stats_from_counts(edge_state.counts)
 
     def _delta_for(
         self, edge_state: EdgeState, transformation: Transformation
-    ) -> EdgeDelta:
+    ) -> Dict[Tuple[str, str], int]:
         if transformation.kind == DELETE:
             return edge_state.delta_delete(transformation.position)
         return edge_state.delta_insert(
@@ -359,9 +337,7 @@ class BeamSearch:
         """
         if not self.config.audit:
             delta = self._delta_for(edge_state, transformation)
-            score = self.scorer.score_delta(re_stats, edge_state.counts, delta)
-            self._wave_deltas[id(transformation)] = delta
-            return score
+            return self.scorer.score_delta(re_stats, edge_state.counts, delta)
         try:
             delta = self._delta_for(edge_state, transformation)
             score: Optional[float] = self.scorer.score_delta(
@@ -369,7 +345,7 @@ class BeamSearch:
             )
             delta_error: Optional[BaseException] = None
         except (ScriptError, IndexError, ValueError) as exc:
-            score, delta, delta_error = None, None, exc
+            score, delta_error = None, exc
         try:
             full: Optional[float] = self._projected_score(
                 candidate.statements, transformation
@@ -388,17 +364,16 @@ class BeamSearch:
             )
         if delta_error is not None:
             raise delta_error
-        self._wave_deltas[id(transformation)] = delta
         return score  # type: ignore[return-value]
 
     def get_steps(self, candidate: Candidate) -> List[Tuple[Transformation, float]]:
         """GetSteps(): rank legal next transformations by projected RE.
 
-        Every proposal is scored by the marginal-update engine: the
-        candidate's cached edge state yields an O(Δ) edge delta, and the
-        sufficient-statistics representation turns that into the new RE
-        without touching untouched edges.  The deltas are kept for the
-        wave so a winning extension's state derives from its parent's.
+        Every proposal is scored by the marginal-update engine: one
+        recount of the candidate gives its edge state, each proposal's
+        O(Δ) edge delta comes off that state, and the sufficient
+        statistics turn it into the new RE without touching untouched
+        edges.
         """
         start = time.perf_counter()
         added = {t.signature for t in candidate.applied if t.kind == ADD}
@@ -412,8 +387,6 @@ class BeamSearch:
             operation_groups=self.operation_groups,
         )
         edge_state, re_stats = self._score_state(candidate)
-        self._wave_deltas = {}
-        self._wave_parent_key = candidate.source()
         ranked: List[Tuple[Transformation, float]] = []
         for transformation in raw:
             try:
@@ -449,32 +422,6 @@ class BeamSearch:
             applied=candidate.applied + (transformation,),
             frontier=frontier,
             score=score,
-        )
-
-    def _derive_child_state(
-        self, parent: Candidate, transformation: Transformation, child: Candidate
-    ) -> None:
-        """Seed the child's scoring state by applying the winning delta.
-
-        Only called for candidates admitted to a beam (the ones GetSteps
-        will visit next iteration).  If the wave's delta or the parent's
-        state is gone (LRU eviction, different wave), the child simply
-        rebuilds lazily on its first GetSteps — a counted fallback, never
-        an error.
-        """
-        key = child.source()
-        if key in self._score_state_cache:
-            return
-        if self._wave_parent_key != parent.source():
-            return
-        delta = self._wave_deltas.get(id(transformation))
-        parent_state = self._score_state_cache.peek(parent.source())
-        if delta is None or parent_state is None:
-            return
-        edge_state, re_stats = parent_state
-        self._score_state_cache[key] = (
-            edge_state.apply(delta),
-            self.scorer.apply_delta(re_stats, edge_state.counts, delta),
         )
 
     def get_top_k_beams(
@@ -535,7 +482,6 @@ class BeamSearch:
                 sources.discard(dropped.source())
             insort(beams, extended, key=self._beam_key)
             sources.add(source)
-            self._derive_child_state(candidate, transformation, extended)
             self.stats.max_beam_width = max(self.stats.max_beam_width, len(beams))
         self.stats.get_top_k_s += time.perf_counter() - start
         return beams

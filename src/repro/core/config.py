@@ -83,7 +83,7 @@ class LSConfig:
         divergence (exact comparison), with ``layer`` naming the layer:
         ``scoring`` recounts RE in full beside every delta score;
         ``intent`` recomputes every prepared intent delta through the
-        cache-free :meth:`~repro.core.intent.IntentMeasure.bare_delta`;
+        naive, cache-free :meth:`~repro.core.intent.IntentMeasure.delta`;
         ``index`` rebuilds the corpus index from scratch at construction
         and assembly (:meth:`repro.corpus.CorpusIndex.verify`), and on a
         retrieval pool ``score()`` also assembles the working corpus and
@@ -92,7 +92,10 @@ class LSConfig:
         beside every LSH top-k; ``kernel`` shadow-runs the row-at-a-time
         reference beside every minipandas columnar kernel a
         ``standardize()`` touches, and a mismatch inside a sandboxed
-        script fails the call instead of the script.  Off by default:
+        script fails the call instead of the script; ``sandbox`` re-runs
+        every incremental sandbox run cold and compares the outcome, error
+        line and output table (runs where either side exceeded
+        ``exec_timeout_s`` are not compared).  Off by default:
         the oracles cost O(corpus) or O(pool) per check and exist to
         prove the engines exact, not for production.
     exec_timeout_s:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..lang.parser import EdgeDelta, ScriptDAG, Statement
+from ..lang.parser import ScriptDAG, Statement
 from ..lang.vocabulary import CorpusVocabulary, smoothing_mass
 
 __all__ = [
@@ -102,9 +102,9 @@ class REStats:
 
     Histogram updates are integer arithmetic (exact, order-independent),
     and the float sums are taken fresh with :func:`math.fsum` (correctly
-    rounded, hence order-independent), so a delta-updated state scores
-    bit-identically to a from-scratch recount while each transformation
-    costs O(edges touched + distinct histogram values).
+    rounded, hence order-independent), so a delta score is bit-identical
+    to a from-scratch recount of the changed script while each
+    transformation costs O(edges touched + distinct histogram values).
     """
 
     total: int
@@ -117,9 +117,9 @@ class RelativeEntropyScorer:
 
     Besides whole-script scoring, the scorer maintains the sufficient
     statistics above for the beam search's O(Δ) incremental path:
-    :meth:`stats_from_counts` bootstraps a state, :meth:`score_delta`
-    scores one insert/delete without rescoring the script, and
-    :meth:`apply_delta` derives the successor state.
+    :meth:`stats_from_counts` builds them from a script's edge counts,
+    and :meth:`score_delta` scores one insert/delete off them without
+    rescoring the script.
     """
 
     def __init__(self, vocabulary: CorpusVocabulary):
@@ -193,58 +193,22 @@ class RelativeEntropyScorer:
         s2 = math.fsum(w * level for level, w in stats.q_hist.items())
         return (s1 - s2) / stats.total - math.log2(stats.total)
 
-    def _shifted_stats(
-        self,
-        stats: REStats,
-        base_counts: Mapping[EdgeKey, int],
-        changes: Mapping[EdgeKey, int],
-    ) -> REStats:
-        total = stats.total
-        count_hist = dict(stats.count_hist)
-        q_hist = dict(stats.q_hist)
-        log2_q = self._log2_q
-        log2_eps = self._log2_epsilon
-        for edge, change in changes.items():
-            if not change:
-                continue
-            old = base_counts.get(edge, 0)
-            new = old + change
-            if new < 0:
-                raise ValueError(f"delta drives edge {edge!r} below zero")
-            total += change
-            if old:
-                remaining = count_hist[old] - 1
-                if remaining:
-                    count_hist[old] = remaining
-                else:
-                    del count_hist[old]
-            if new:
-                count_hist[new] = count_hist.get(new, 0) + 1
-            level = log2_q.get(edge, log2_eps)
-            weight = q_hist.get(level, 0) + change
-            if weight:
-                q_hist[level] = weight
-            else:
-                q_hist.pop(level, None)
-        return REStats(total, count_hist, q_hist)
-
     def score_delta(
         self,
         base_stats: REStats,
         base_counts: Mapping[EdgeKey, int],
-        delta: EdgeDelta,
+        delta: Mapping[EdgeKey, int],
     ) -> float:
-        """Score of the script *after* applying *delta* — O(Δ).
+        """Score of the script *after* the ``{edge: change}`` *delta* — O(Δ).
 
         ``base_counts`` is the pre-delta edge multiset (the paired
         :class:`~repro.lang.parser.EdgeState`'s ``counts``), needed to
         move each touched edge between count-histogram buckets.
 
-        Equivalent to ``score_stats(apply_delta(...))`` bit for bit, but
-        materializes only small *patch* overlays on the base histograms
-        instead of copying them: the :func:`math.fsum` term multiset is
-        identical (base buckets not in the patch, plus non-zero patched
-        buckets), and fsum is order-independent, so the score matches the
+        Only small *patch* overlays on the base histograms are built:
+        the :func:`math.fsum` term multiset equals a recount's (base
+        buckets not in the patch, plus non-zero patched buckets), and
+        fsum is order-independent, so the score matches the
         from-scratch recount exactly.
         """
         count_hist = base_stats.count_hist
@@ -254,7 +218,7 @@ class RelativeEntropyScorer:
         qpatch: Dict[float, int] = {}
         log2_q = self._log2_q
         log2_eps = self._log2_epsilon
-        for edge, change in delta.changes.items():
+        for edge, change in delta.items():
             if not change:
                 continue
             old = base_counts.get(edge, 0)
@@ -296,8 +260,7 @@ class RelativeEntropyScorer:
 
         One GetSteps wave scores every proposal against the same base
         stats, so the untouched-bucket terms are computed once.  Safe
-        because :class:`REStats` is treated as immutable everywhere
-        (:meth:`apply_delta` builds fresh dicts).
+        because :class:`REStats` is never mutated after it is built.
         """
         cached = stats.__dict__.get("_terms")
         if cached is None:
@@ -307,15 +270,6 @@ class RelativeEntropyScorer:
             )
             object.__setattr__(stats, "_terms", cached)
         return cached
-
-    def apply_delta(
-        self,
-        base_stats: REStats,
-        base_counts: Mapping[EdgeKey, int],
-        delta: EdgeDelta,
-    ) -> REStats:
-        """Successor sufficient statistics after *delta* (exact)."""
-        return self._shifted_stats(base_stats, base_counts, delta.changes)
 
     # ----------------------------------------------------------- whole-script
     def score_edge_counts(self, p_counts: Mapping[EdgeKey, int]) -> float:

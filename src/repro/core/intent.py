@@ -272,8 +272,8 @@ class PreparedIntent:
     :meth:`IntentMeasure.prepare`.
 
     With ``verify=True`` every prepared delta is cross-checked against
-    :meth:`IntentMeasure.bare_delta` (all caches bypassed) and any float
-    divergence raises :class:`~repro.core.AuditMismatchError` (layer
+    the naive :meth:`IntentMeasure.delta`, which reads no cache, and any
+    float divergence raises :class:`~repro.core.AuditMismatchError` (layer
     ``intent``) — the exact analogue of the scoring engine's audit.
 
     *columns*, the original's :func:`_keyed_columns` when the caller has
@@ -319,7 +319,7 @@ class PreparedIntent:
         self.counters.checks += 1
         value = self._prepared_delta(candidate)
         if self.verify:
-            reference = self.intent.bare_delta(self.original, candidate)
+            reference = self.intent.delta(self.original, candidate)
             if value != reference:
                 raise AuditMismatchError(
                     "intent",
@@ -457,9 +457,8 @@ ACCURACY_CACHE_LIMIT = 4096
 #: so skipping a training shifts no other random stream.  τ is not in the
 #: key, since it does not affect accuracy.  Only successes are stored: a
 #: table the model cannot use is evaluated, and raises, on every check.
-#: The naive measures (``accuracy``, ``delta``, ``bare_delta``, ``check``)
-#: never read it, so the intent audit (``LSConfig.audit``) and every
-#: oracle train afresh.
+#: The naive measures (``accuracy``, ``delta``, ``check``) never read it,
+#: so the intent audit (``LSConfig.audit``) and every oracle train afresh.
 ACCURACY_CACHE = LRUCache(ACCURACY_CACHE_LIMIT, thread_safe=True)
 
 
@@ -526,10 +525,6 @@ class IntentMeasure(ABC):
         d = self.delta(original, candidate)
         return d, self.satisfied(d)
 
-    def bare_delta(self, original: DataFrame, candidate: DataFrame) -> float:
-        """``delta`` with every cache bypassed — the audit ground truth."""
-        return self.delta(original, candidate)
-
     def cache_key(self) -> Tuple:
         """Hashable identity of everything that affects this measure's
         verdicts, used to address prepared state in caches (private
@@ -593,9 +588,8 @@ class ModelPerformanceIntent(IntentMeasure):
 
     A candidate whose output can no longer support the downstream task at
     all (e.g. it dropped the target column) fails the constraint outright.
-    The original side's accuracy is cached by table-content fingerprint
-    (one slot — a different original invalidates it), so repeated checks
-    against one original train its model once.
+    ``delta`` trains the model on both tables on every call, so it is the
+    ground truth for the prepared check (:meth:`prepare`) and its audit.
     """
 
     name = "model_performance"
@@ -615,7 +609,6 @@ class ModelPerformanceIntent(IntentMeasure):
         self.task = task
         self.model = model
         self.random_state = random_state
-        self._acc_cache: Optional[Tuple[str, float]] = None
 
     def accuracy(self, frame: DataFrame) -> float:
         return evaluate_downstream(
@@ -626,24 +619,7 @@ class ModelPerformanceIntent(IntentMeasure):
             random_state=self.random_state,
         ).accuracy
 
-    def _original_accuracy(self, original: DataFrame) -> float:
-        fingerprint = table_fingerprint(original)
-        cached = self._acc_cache
-        if cached is not None and cached[0] == fingerprint:
-            return cached[1]
-        acc = self.accuracy(original)  # cached only on success
-        self._acc_cache = (fingerprint, acc)
-        return acc
-
     def delta(self, original: DataFrame, candidate: DataFrame) -> float:
-        acc_orig = self._original_accuracy(original)
-        try:
-            acc_cand = self.accuracy(candidate)
-        except DownstreamEvaluationError:
-            return 100.0
-        return model_performance_delta(acc_orig, acc_cand)
-
-    def bare_delta(self, original: DataFrame, candidate: DataFrame) -> float:
         acc_orig = self.accuracy(original)
         try:
             acc_cand = self.accuracy(candidate)

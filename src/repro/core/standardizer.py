@@ -342,9 +342,9 @@ class LucidScript:
         across standardize() calls — so every phase resumes from prefixes
         any earlier phase already snapshotted.  Rebuilt if the config's
         sampling (or dialect) changes — snapshots are only valid within
-        one setting.  The execution budget bounds each run and never
-        enters a snapshot, so a changed budget is set on the kept
-        executor instead.
+        one setting.  The execution budget and the sandbox audit
+        (``config.audit``) act on each run and never enter a snapshot,
+        so they are set on the kept executor instead.
         """
         if (
             self._executor is None
@@ -357,6 +357,7 @@ class LucidScript:
                 dialect=self.dialect,
             )
         self._executor.exec_timeout_s = self.config.exec_timeout_s
+        self._executor.verify = self.config.audit
         return self._executor
 
     # ------------------------------------------------------------------ scoring
@@ -410,7 +411,9 @@ class LucidScript:
         self._ensure_search_space(normalized)
         re_before = _relative_entropy(self.scorer, dag.edge_counter())
 
-        original_output = self._run(normalized)
+        original_output = self._run(
+            normalized, tuple(s.source for s in dag.statements)
+        )
         if original_output is None:
             raise StandardizationError(
                 "input script must execute and emit a table before it can be standardized"

@@ -35,9 +35,7 @@ from .persistence import (
     index_from_dict,
     index_to_dict,
     load_index,
-    load_retrieval_index,
     save_index,
-    save_retrieval_index,
 )
 from .retrieval import (
     RetrievalCounters,
@@ -70,10 +68,8 @@ __all__ = [
     "index_from_dict",
     "index_to_dict",
     "load_index",
-    "load_retrieval_index",
     "read_corpus_dir",
     "save_index",
-    "save_retrieval_index",
     "shared_retrieval_index",
     "shared_store",
     "signature_similarity",

@@ -1,12 +1,17 @@
-"""On-disk snapshots of a :class:`~repro.corpus.index.CorpusIndex`.
+"""On-disk snapshots of a :class:`~repro.corpus.index.MembershipIndex`.
 
 The one persisted form of the offline phase's search space (``repro
-index build`` writes it; ``--index``, the server's ``index`` and ``repro
-index update`` read it).  The snapshot carries the content-addressed
-script records, the membership order, and the directory manifest
-(per-file sha1 + mtime + size), so a reloaded index can ``refresh()``
-against its corpus directory and reparse only files whose bytes actually
-changed.
+index build`` and ``repro index retrieve --out`` write it; ``--index``,
+the server's ``index``, ``repro index update`` and ``repro index
+retrieve --index`` read it).  The snapshot carries the
+content-addressed script records, the membership order, and the
+directory manifest (per-file sha1 + mtime + size), so a reloaded index
+can ``refresh()`` against its corpus directory and reparse only files
+whose bytes actually changed.  It loads as a
+:class:`~repro.corpus.index.CorpusIndex`, and
+:meth:`RetrievalIndex.from_index
+<repro.corpus.retrieval.RetrievalIndex.from_index>` makes a retrieval
+pool of it.
 
 Everything order-sensitive (successor target lists, position lists,
 membership) is stored as JSON arrays, so a load → ``to_vocabulary()``
@@ -21,19 +26,14 @@ from collections import Counter
 from typing import Dict, Optional
 
 from .index import CorpusIndex, MembershipIndex, _FileEntry
-from .retrieval import RetrievalIndex
 from .signatures import signature_from_dict, signature_from_source, signature_to_dict
 from .store import ScriptRecord, ScriptStore
 
 __all__ = [
     "save_index",
     "load_index",
-    "save_retrieval_index",
-    "load_retrieval_index",
     "index_to_dict",
     "index_from_dict",
-    "retrieval_index_to_dict",
-    "retrieval_index_from_dict",
 ]
 
 _INDEX_FORMAT_VERSION = 1
@@ -145,7 +145,6 @@ def index_to_dict(index: MembershipIndex) -> dict:
     """
     return {
         "format_version": _INDEX_FORMAT_VERSION,
-        "kind": "retrieval" if isinstance(index, RetrievalIndex) else "corpus",
         "dialect": index.dialect,
         "corpus_dir": index.corpus_dir,
         "n_failures": index.n_failures,
@@ -196,50 +195,20 @@ def _restore_members(index: MembershipIndex, payload: dict, dialect: str) -> Non
 
 
 def index_from_dict(payload: dict, store: Optional[ScriptStore] = None) -> CorpusIndex:
-    """Rebuild a :class:`CorpusIndex` from its snapshot, reparsing nothing."""
+    """Rebuild a :class:`CorpusIndex` from its snapshot, reparsing
+    nothing.  The ``kind`` field that older retrieval-pool snapshots
+    carry is ignored: every snapshot holds the same fields."""
     check_format_version(
         payload.get("format_version"), _INDEX_FORMAT_VERSION, "corpus index"
     )
-    if payload.get("kind", "corpus") != "corpus":
-        raise ValueError(
-            f"snapshot holds a {payload['kind']!r} index, not a corpus index"
-        )
     dialect = _snapshot_dialect(payload, "corpus index")
     index = CorpusIndex(store=store, dialect=dialect)
     _restore_members(index, payload, dialect)
     return index
 
 
-def retrieval_index_to_dict(index: RetrievalIndex) -> dict:
-    """JSON-serializable snapshot of a retrieval pool index."""
-    return index_to_dict(index)
-
-
-def retrieval_index_from_dict(
-    payload: dict, store: Optional[ScriptStore] = None
-) -> RetrievalIndex:
-    """Rebuild a :class:`RetrievalIndex` from its snapshot.
-
-    Signatures ride the persisted records (recomputed when loading a
-    pre-retrieval snapshot), so the band buckets and schema postings are
-    rebuilt without lemmatizing or parsing anything.
-    """
-    check_format_version(
-        payload.get("format_version"), _INDEX_FORMAT_VERSION, "retrieval index"
-    )
-    if payload.get("kind", "corpus") != "retrieval":
-        raise ValueError(
-            f"snapshot holds a {payload.get('kind', 'corpus')!r} index, "
-            "not a retrieval index"
-        )
-    dialect = _snapshot_dialect(payload, "retrieval index")
-    index = RetrievalIndex(store=store, dialect=dialect)
-    _restore_members(index, payload, dialect)
-    return index
-
-
-def save_index(index: CorpusIndex, path: str) -> None:
-    """Write an index snapshot to *path* as JSON."""
+def save_index(index: MembershipIndex, path: str) -> None:
+    """Write an index or pool snapshot to *path* as JSON."""
     with open(path, "w") as handle:
         json.dump(index_to_dict(index), handle, indent=1)
 
@@ -248,15 +217,3 @@ def load_index(path: str, store: Optional[ScriptStore] = None) -> CorpusIndex:
     """Load a snapshot previously written by :func:`save_index`."""
     with open(path, "r") as handle:
         return index_from_dict(json.load(handle), store=store)
-
-
-def save_retrieval_index(index: RetrievalIndex, path: str) -> None:
-    """Write a retrieval-pool snapshot to *path* as JSON."""
-    with open(path, "w") as handle:
-        json.dump(retrieval_index_to_dict(index), handle, indent=1)
-
-
-def load_retrieval_index(path: str, store: Optional[ScriptStore] = None) -> RetrievalIndex:
-    """Load a snapshot previously written by :func:`save_retrieval_index`."""
-    with open(path, "r") as handle:
-        return retrieval_index_from_dict(json.load(handle), store=store)

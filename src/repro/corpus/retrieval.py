@@ -31,9 +31,9 @@ divergence.
 
 Membership rides :class:`~repro.corpus.index.MembershipIndex`: add /
 remove / directory ``refresh`` are pure deltas (bucket edits on the
-refcount edges), so the pool index persists through the same snapshot +
-stat-scan machinery as the corpus index (see
-:func:`repro.corpus.persistence.save_retrieval_index`).
+refcount edges), so the pool persists as the same snapshot as the corpus
+index (:func:`repro.corpus.persistence.save_index`), and
+:meth:`RetrievalIndex.from_index` makes a pool of a loaded one.
 """
 
 from __future__ import annotations
@@ -148,6 +148,18 @@ class RetrievalIndex(MembershipIndex):
         self._schema_posts: Dict[str, Set[int]] = {}
         self._vocab_posts: Dict[str, Set[int]] = {}
         self.counters = RetrievalCounters()
+
+    @classmethod
+    def from_index(
+        cls, index: MembershipIndex, store: Optional[ScriptStore] = None
+    ) -> "RetrievalIndex":
+        """A pool of *index*'s members, in member order, admitted from
+        their records, so nothing is parsed: how a loaded snapshot
+        becomes a pool.  ``ValueError`` if *store* is of another dialect."""
+        pool = cls(store=store, dialect=None if store is not None else index.dialect)
+        for content_hash in index.content_hashes():
+            pool.add_record(index._records[content_hash])
+        return pool
 
     # ------------------------------------------------------------------- hooks
     def _allocate_row(self) -> int:

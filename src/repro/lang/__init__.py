@@ -8,7 +8,6 @@ from .atoms import NGRAM, ONEGRAM, Atom, Edge
 from .errors import ScriptError, ScriptParseError, UnsupportedScriptError
 from .lemmatize import lemmatize, read_csv_files, split_statements
 from .parser import (
-    EdgeDelta,
     EdgeState,
     ScriptDAG,
     Statement,
@@ -26,7 +25,6 @@ __all__ = [
     "CorpusStats",
     "CorpusVocabulary",
     "Edge",
-    "EdgeDelta",
     "EdgeState",
     "ScriptDAG",
     "ScriptError",

@@ -29,7 +29,6 @@ from .lemmatize import lemmatize_statements, rename_names, statement_sources
 __all__ = [
     "Statement",
     "ScriptDAG",
-    "EdgeDelta",
     "EdgeState",
     "parse_script",
     "parse_statement",
@@ -414,25 +413,6 @@ def compute_edge_counts(statements) -> Counter:
     return counts
 
 
-@dataclass(frozen=True)
-class EdgeDelta:
-    """Edge-count changes caused by inserting or deleting one statement.
-
-    ``changes`` maps edge tuples to their net count change (zero entries
-    stripped); ``kind``/``position``/``statement`` record the splice so an
-    :class:`EdgeState` can apply the delta and derive the successor state.
-    """
-
-    kind: str  # "insert" | "delete"
-    position: int
-    statement: Optional[Statement]
-    changes: Dict[Tuple[str, str], int]
-
-    @property
-    def touched_edges(self) -> int:
-        return len(self.changes)
-
-
 #: Sentinel writer identity for a statement being virtually inserted; must
 #: compare unequal to every real position so per-reader dedup treats the
 #: newcomer as one distinct writer.
@@ -480,7 +460,7 @@ class EdgeState:
     # ------------------------------------------------------------ constructors
     @classmethod
     def from_statements(cls, statements: Sequence[Statement]) -> "EdgeState":
-        """Full positional walk — the once-per-root bootstrap."""
+        """Full positional walk: the one recount per visited candidate."""
         statements = tuple(statements)
         counts: Counter = Counter()
         writers: Dict[str, List[int]] = {}
@@ -599,8 +579,9 @@ class EdgeState:
         return sorted(affected)
 
     # ------------------------------------------------------------------ deltas
-    def delta_delete(self, position: int) -> EdgeDelta:
-        """Edge delta of deleting the statement at *position* — O(Δ)."""
+    def delta_delete(self, position: int) -> Dict[Tuple[str, str], int]:
+        """Edge delta of deleting the statement at *position* — O(Δ): each
+        touched edge's net count change, zero changes left out."""
         if not 0 <= position < len(self.statements):
             raise IndexError(
                 f"delete position {position} out of range for "
@@ -619,10 +600,13 @@ class EdgeState:
                 changes[edge] = get(edge, 0) - n
             for edge, n in self._incoming(reader, skip=position).items():
                 changes[edge] = get(edge, 0) + n
-        return EdgeDelta("delete", position, None, _strip_zeros(changes))
+        return _strip_zeros(changes)
 
-    def delta_insert(self, position: int, stmt: Statement) -> EdgeDelta:
-        """Edge delta of inserting *stmt* at *position* — O(Δ)."""
+    def delta_insert(
+        self, position: int, stmt: Statement
+    ) -> Dict[Tuple[str, str], int]:
+        """Edge delta of inserting *stmt* at *position* — O(Δ), in
+        :meth:`delta_delete`'s form."""
         if not 0 <= position <= len(self.statements):
             raise IndexError(
                 f"insert position {position} out of range for "
@@ -650,36 +634,7 @@ class EdgeState:
                 reader, inserted_at=position, inserted=stmt
             ).items():
                 changes[edge] = get(edge, 0) + n
-        return EdgeDelta("insert", position, stmt, _strip_zeros(changes))
-
-    # ------------------------------------------------------------------- apply
-    def apply(self, delta: EdgeDelta) -> "EdgeState":
-        """Successor state after *delta*: splice + patched counts.
-
-        The edge multiset is patched from the delta (no recount); the
-        per-variable position indexes are rebuilt in one cheap pass, since
-        every position after the splice shifts anyway.
-        """
-        statements = list(self.statements)
-        if delta.kind == "delete":
-            del statements[delta.position]
-        else:
-            statements.insert(delta.position, delta.statement)
-        counts = Counter(self.counts)
-        for edge, change in delta.changes.items():
-            new = counts[edge] + change
-            if new:
-                counts[edge] = new
-            else:
-                del counts[edge]
-        writers: Dict[str, List[int]] = {}
-        readers: Dict[str, List[int]] = {}
-        for position, stmt in enumerate(statements):
-            for var in stmt.reads:
-                readers.setdefault(var, []).append(position)
-            for var in stmt.writes:
-                writers.setdefault(var, []).append(position)
-        return EdgeState(tuple(statements), counts, writers, readers)
+        return _strip_zeros(changes)
 
 
 def _strip_zeros(changes: Dict[Tuple[str, str], int]) -> Dict[Tuple[str, str], int]:

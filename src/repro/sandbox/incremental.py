@@ -49,8 +49,10 @@ whole suffix compiles before any of it runs, as a cold run compiles the
 whole script first; a compile-time error (``break`` outside a loop, ...)
 hands the script to a cold run, which reports it exactly.
 
-An optional ``verify=True`` mode cross-checks every incremental result
-against a cold run (used by tests and the perf benchmark's self-audit).
+An optional ``verify=True`` mode (``LSConfig.audit``) re-runs every
+incremental run cold and raises
+:class:`~repro._audit.AuditMismatchError` (layer ``sandbox``) when the
+two runs end differently.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .._astparse import ast_parse, not_utf8
+from .._audit import AuditMismatchError
 from .._lru import LRUCache
 from ..dialects import resolve_dialect
 from ..dialects.base import ModuleProxy
@@ -342,8 +345,10 @@ class IncrementalExecutor:
         inside scripts, so snapshots are only valid within one setting.
         Callers needing another setting build another executor.
     verify:
-        Cross-check each incremental result against a cold run and fall
-        back on mismatch.  Defeats the speedup; for audits and tests.
+        Re-run every incremental run cold and raise
+        :class:`~repro._audit.AuditMismatchError` (layer ``sandbox``) when
+        the runs end differently (:meth:`_audit`).  Defeats the speedup;
+        ``LSConfig.audit`` turns it on.
     exec_timeout_s:
         Wall-clock budget for one whole script; on expiry the run fails
         with :class:`ExecTimeout` (counted in ``stats.timeouts``).  Each
@@ -442,9 +447,8 @@ class IncrementalExecutor:
         result = self._execute_suffix(
             source, segments, codes, linenos, namespace, resumed
         )
-        if self.verify and not self._matches_cold(source, result):
-            self._snapshots.clear()
-            return self._cold(source, extra_globals, fallback=True)
+        if self.verify:
+            self._audit(source, result)
         return result
 
     def check_executes(
@@ -605,7 +609,13 @@ class IncrementalExecutor:
             namespace=namespace,
         )
 
-    def _matches_cold(self, source: str, result: ExecutionResult) -> bool:
+    def _audit(self, source: str, result: ExecutionResult) -> None:
+        """Raise :class:`AuditMismatchError` (layer ``sandbox``) unless a
+        cold run of *source* ends as *result* did: the same success, error
+        type and error line, and a matching output table.  A run in which
+        either side exceeded the execution budget is not compared."""
+        if result.timed_out:
+            return
         cold = run_script(
             source,
             data_dir=self.data_dir,
@@ -613,16 +623,20 @@ class IncrementalExecutor:
             timeout_s=self.exec_timeout_s,
             dialect=self.dialect,
         )
-        if cold.ok != result.ok:
-            return False
-        if not cold.ok:
-            return type(cold.error) is type(result.error) and (
-                cold.error_line == result.error_line
-            )
-        if (cold.output is None) != (result.output is None):
-            return False
-        if cold.output is None:
-            return True
+        if cold.timed_out:
+            return
+
+        def outcome(run: ExecutionResult) -> Tuple:
+            return run.ok, run.error_type, run.error_line, run.output is None
+
+        if outcome(cold) != outcome(result):
+            detail = f"ended as {outcome(result)}, the cold run as {outcome(cold)}"
         # bit-identity, as the kernel audit defines it: a NaN cell equals
         # a NaN cell of the same missingness flavour, unlike under ==
-        return frames_match(cold.output, result.output)
+        elif cold.output is not None and not frames_match(cold.output, result.output):
+            detail = "emitted a table that differs from the cold run's"
+        else:
+            return
+        raise AuditMismatchError(
+            "sandbox", f"incremental run of {source!r} {detail}"
+        )

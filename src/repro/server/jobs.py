@@ -299,14 +299,13 @@ def _load_corpus(params: Dict[str, Any], dialect: str):
         _require(corpus.n_scripts, f"corpus index {params['index']!r} is empty")
     if params["retrieve_k"] is None:
         return corpus
-    pool = RetrievalIndex(store=shared_store(dialect))
     try:
         if isinstance(corpus, list):
+            pool = RetrievalIndex(store=shared_store(dialect))
             for source in corpus:
                 pool.add_script(source)
         else:
-            for content_hash in corpus.content_hashes():
-                pool.add_record(corpus._records[content_hash])
+            pool = RetrievalIndex.from_index(corpus, shared_store(dialect))
     except ValueError as exc:  # a snapshot of another dialect
         raise JobError("bad_request", str(exc)) from exc
     _require(pool.n_scripts, "retrieval pool is empty")

@@ -4,7 +4,7 @@
 random_state)`` to the accuracy ``evaluate_downstream`` returned for that
 table.  Only ``PreparedModelPerformance`` reads or writes it.  The
 contract under test: every prepared delta stays bit-identical to the
-naive ``bare_delta``, every memo value equals a fresh training, the naive
+naive ``delta``, every memo value equals a fresh training, the naive
 measures never consult the memo (so the intent audit catches a wrong
 entry), failures are never stored, and nothing but floats outlives
 a check.
@@ -141,7 +141,7 @@ class TestOracle:
                     intent.accuracy(table)
             for table, delta in zip(tables, deltas):
                 assert float.hex(delta) == float.hex(
-                    intent.bare_delta(original, table)
+                    intent.delta(original, table)
                 ), name
             tables_by_fp.update((table_fingerprint(t), t) for t in tables)
 
@@ -174,10 +174,10 @@ class TestKey:
         ):
             trainings.clear()
             intent = ModelPerformanceIntent(**{**base, **change})
-            assert intent.prepare(original).delta(candidate) == intent.bare_delta(
+            assert intent.prepare(original).delta(candidate) == intent.delta(
                 original, candidate
             )
-            assert len(trainings) == 4, change  # 2 memo misses + bare_delta's 2
+            assert len(trainings) == 4, change  # 2 memo misses + delta's 2
 
     def test_tau_is_not_in_the_key(self, trainings):
         original, candidate = frame(), frame(shift=1)
@@ -209,7 +209,7 @@ class TestOraclesIgnoreTheMemo:
         original, candidate = frame(), frame(shift=1)
         truth = {
             "accuracy": fresh_accuracy(candidate, intent),
-            "delta": intent.bare_delta(original, candidate),
+            "delta": intent.delta(original, candidate),
         }
         wrong = 0.123 if truth["accuracy"] != 0.123 else 0.456
         ACCURACY_CACHE[key_of(candidate, intent)] = wrong
@@ -220,7 +220,6 @@ class TestOraclesIgnoreTheMemo:
         assert intent.accuracy(candidate) == truth["accuracy"]
         assert fresh_accuracy(candidate, intent) == truth["accuracy"]
         assert intent.delta(original, candidate) == truth["delta"]
-        assert intent.bare_delta(original, candidate) == truth["delta"]
         assert intent.check(original, candidate) == (
             truth["delta"], truth["delta"] <= intent.tau
         )
@@ -330,7 +329,7 @@ class TestBoundsAndMemory:
         originals = [frame(shift=s) for s in range(3)]
         candidates = [frame(shift=s) for s in range(8)]
         wanted = {
-            (o, c): intent.bare_delta(originals[o], candidates[c])
+            (o, c): intent.delta(originals[o], candidates[c])
             for o in range(3)
             for c in range(8)
         }

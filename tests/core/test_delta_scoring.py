@@ -3,8 +3,9 @@
 GetSteps scores every proposal through the delta engine, so it must
 match the full recount (``BeamSearch._projected_score``, the oracle)
 *bit for bit*, not approximately: every delta score equals the recount,
-the sufficient statistics evolve exactly, and a whole beam search under
-``LSConfig.audit`` compares every score against the recount.
+and a whole beam search under ``LSConfig.audit`` compares every score
+against the recount.  The search recounts each candidate it visits once
+(``SearchStats.n_full_recounts``) and scores its proposals off that.
 """
 
 import random
@@ -35,6 +36,17 @@ def build_script(body):
     return "\n".join(["import pandas as pd", "df = pd.read_csv('t.csv')"] + body)
 
 
+def spliced(state, position, stmt=None):
+    """*state*'s statements with the one at *position* deleted, or with
+    *stmt* inserted there."""
+    statements = list(state.statements)
+    if stmt is None:
+        del statements[position]
+    else:
+        statements.insert(position, stmt)
+    return statements
+
+
 @pytest.fixture()
 def scorer():
     rng = random.Random(99)
@@ -55,7 +67,9 @@ def test_stats_roundtrip_scores_like_score_edge_counts(scorer):
 
 def test_score_delta_bit_identical_over_random_walk(scorer):
     """Delta scores equal from-scratch scores exactly, including the
-    ε-floor for edges the corpus never saw, over hundreds of splices."""
+    ε-floor for edges the corpus never saw, over hundreds of splices.
+    Each spliced state is rebuilt from scratch, as the search rebuilds
+    every candidate it visits."""
     for seed in range(6):
         rng = random.Random(seed)
         state = EdgeState.from_statements(
@@ -65,14 +79,15 @@ def test_score_delta_bit_identical_over_random_walk(scorer):
         for _ in range(150):
             n = len(state)
             if n > 1 and (n >= 14 or rng.random() < 0.5):
-                delta = state.delta_delete(rng.randrange(n))
+                position = rng.randrange(n)
+                delta = state.delta_delete(position)
+                statements = spliced(state, position)
             else:
-                delta = state.delta_insert(
-                    rng.randrange(n + 1),
-                    Statement.from_source(0, rng.choice(STEP_POOL)),
-                )
-            new_state = state.apply(delta)
-            expected_counts = compute_edge_counts(new_state.statements)
+                position = rng.randrange(n + 1)
+                stmt = Statement.from_source(0, rng.choice(STEP_POOL))
+                delta = state.delta_insert(position, stmt)
+                statements = spliced(state, position, stmt)
+            expected_counts = compute_edge_counts(statements)
             try:
                 expected = scorer.score_edge_counts(expected_counts)
             except ValueError:
@@ -81,14 +96,9 @@ def test_score_delta_bit_identical_over_random_walk(scorer):
             else:
                 got = scorer.score_delta(stats, state.counts, delta)
                 assert got == expected  # bit-for-bit, not approx
-            stats = scorer.apply_delta(stats, state.counts, delta)
-            fresh = scorer.stats_from_counts(expected_counts)
-            assert (stats.total, stats.count_hist, stats.q_hist) == (
-                fresh.total,
-                fresh.count_hist,
-                fresh.q_hist,
-            )
-            state = new_state
+            state = EdgeState.from_statements(statements)
+            assert state.counts == expected_counts
+            stats = scorer.stats_from_counts(state.counts)
 
 
 def test_score_delta_on_unseen_edges_uses_epsilon_floor(scorer):
@@ -102,7 +112,7 @@ def test_score_delta_on_unseen_edges_uses_epsilon_floor(scorer):
     novel = Statement.from_source(0, "df = df.interpolate().clip(lower=0)")
     delta = state.delta_insert(len(state), novel)
     expected = scorer.score_edge_counts(
-        compute_edge_counts(state.apply(delta).statements)
+        compute_edge_counts(spliced(state, len(state), novel))
     )
     assert scorer.score_delta(stats, state.counts, delta) == expected
 
@@ -112,7 +122,7 @@ def test_delete_to_no_edges_raises_value_error_like_full_path(scorer):
     state = EdgeState.from_statements(statements)
     stats = scorer.stats_from_counts(state.counts)
     delta = state.delta_delete(1)  # drop the only edge-bearing statement
-    remaining = compute_edge_counts(state.apply(delta).statements)
+    remaining = compute_edge_counts(spliced(state, 1))
     with pytest.raises(ValueError):
         scorer.score_edge_counts(remaining)
     with pytest.raises(ValueError):
@@ -121,11 +131,8 @@ def test_delete_to_no_edges_raises_value_error_like_full_path(scorer):
 
 def test_negative_delta_beyond_base_counts_raises(scorer):
     stats = REStats(total=1, count_hist={1: 1}, q_hist={-1.0: 1})
-    from repro.lang.parser import EdgeDelta
-
-    bogus = EdgeDelta("delete", 0, None, {("a", "b"): -2})
     with pytest.raises(ValueError):
-        scorer.score_delta(stats, {("a", "b"): 1}, bogus)
+        scorer.score_delta(stats, {("a", "b"): 1}, {("a", "b"): -2})
 
 
 # ------------------------------------------------------------- beam search
@@ -159,8 +166,32 @@ def test_verify_scoring_mode_runs_clean_and_reports_speedup(workload):
     plain, plain_stats = _run_search(corpus, user)
     assert verified == plain  # same candidates, same order, same scores
     assert stats.n_delta_scores == plain_stats.n_delta_scores > 0
-    # the root is the only mandatory full recount on the delta path
-    assert plain_stats.n_full_recounts >= 1
+    assert stats.n_full_recounts == plain_stats.n_full_recounts >= 1
+
+
+@pytest.mark.parametrize("beam_size, diversity", [(1, False), (3, True)])
+def test_one_full_recount_per_visited_candidate(workload, monkeypatch, beam_size, diversity):
+    """Each GetSteps call recounts its candidate once and scores every
+    proposal as a delta off that; at Table 2's K=1 and at the default
+    K=3 with diversity, recounts equal GetSteps calls, never proposals."""
+    corpus, user = workload
+    visits = []
+    real = BeamSearch.get_steps
+
+    def get_steps(self, candidate):
+        visits.append(candidate.source())
+        return real(self, candidate)
+
+    monkeypatch.setattr(BeamSearch, "get_steps", get_steps)
+    vocab = CorpusVocabulary.from_scripts(corpus)
+    config = LSConfig(seq=6, beam_size=beam_size, diversity=diversity)
+    search = BeamSearch(
+        vocab, RelativeEntropyScorer(vocab), config, exec_checker=lambda s: True
+    )
+    search.search(list(parse_script(user).statements))
+    assert search.stats.n_full_recounts == len(visits) > 1
+    assert search.stats.n_delta_scores > search.stats.n_full_recounts
+    assert search.stats.breakdown()["FullRecounts"] == len(visits)
 
 
 def test_verify_scoring_detects_a_corrupted_delta(workload):

@@ -277,16 +277,15 @@ class TestModelPerformance:
         monkeypatch.setattr(intent_mod, "evaluate_downstream", counted)
         return calls
 
-    def test_delta_caches_original_accuracy(self, monkeypatch):
+    def test_naive_delta_trains_both_tables_on_every_call(self, monkeypatch):
+        """The naive delta keeps no state, so it is its own ground truth."""
         calls = self._counting(monkeypatch)
         intent = ModelPerformanceIntent(target="label", tau=5.0)
         original = classification_frame()
         intent.delta(original, classification_frame(shift=1))
         intent.delta(original, classification_frame(shift=2))
-        # 1 original training + 2 candidate trainings, not 4
-        assert len(calls) == 3
-        fp = table_fingerprint(original)
-        assert calls.count(fp) == 1
+        assert len(calls) == 4
+        assert calls.count(table_fingerprint(original)) == 2
 
     def test_cache_invalidated_by_different_original(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -296,15 +295,13 @@ class TestModelPerformance:
         # two distinct originals: each trained once
         assert len(calls) == 4
 
-    def test_prepared_matches_bare_delta(self):
+    def test_prepared_matches_naive_delta(self):
         intent = ModelPerformanceIntent(target="label", tau=5.0)
         original = classification_frame()
         prepared = intent.prepare(original)
         for shift in (0, 1, 2):
             candidate = classification_frame(shift=shift)
-            assert prepared.delta(candidate) == intent.bare_delta(
-                original, candidate
-            )
+            assert prepared.delta(candidate) == intent.delta(original, candidate)
 
     def test_prepared_short_circuits_identical_candidate(self, monkeypatch):
         calls = self._counting(monkeypatch)

@@ -24,7 +24,7 @@ from collections import Counter
 import pytest
 
 import repro.core.intent as intent_mod
-from repro.core import IntentMeasure, LSConfig, LucidScript, recommend_parameters
+from repro.core import LSConfig, LucidScript, TableJaccardIntent, recommend_parameters
 from repro.core.intent import ACCURACY_CACHE, PreparedTableJaccard
 from repro.corpus import (
     CorpusIndex,
@@ -114,13 +114,14 @@ def audited_jaccard_ops(tmp_path_factory):
     derived index from scratch and compares it before the search uses
     it.  Every delta score is recounted in full, every prepared Δ_J
     check (on the table the search's execution check produced) is
-    recomputed by the naive ``table_jaccard`` over both tables, and
-    every minipandas kernel is shadowed by its row-at-a-time reference,
-    all compared exactly.
+    recomputed by the naive ``table_jaccard`` over both tables, every
+    minipandas kernel is shadowed by its row-at-a-time reference, and
+    every incremental sandbox run is re-run cold, all compared
+    exactly.
 
     Returns the op records, the corpus cache counters over the run, and
     the calls of ``CorpusIndex.verify``, of the prepared Δ_J and of the
-    naive ``bare_delta``.
+    naive ``TableJaccardIntent.delta``.
     """
     calls = Counter()
 
@@ -136,7 +137,7 @@ def audited_jaccard_ops(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         spy(patch, CorpusIndex, "verify")
         spy(patch, PreparedTableJaccard, "_prepared_delta")
-        spy(patch, IntentMeasure, "bare_delta")
+        spy(patch, TableJaccardIntent, "delta")
         clear_corpus_cache()
         before = corpus_cache_counters()
         root = str(tmp_path_factory.mktemp("loo"))
@@ -156,7 +157,7 @@ def test_jaccard_ops_replay_with_every_derived_index_audited(audited_jaccard_ops
 def test_jaccard_ops_replay_with_every_intent_check_audited(audited_jaccard_ops):
     records, _, calls = audited_jaccard_ops
     assert records == _recorded("jaccard")
-    assert calls["bare_delta"] == calls["_prepared_delta"] > 0
+    assert calls["delta"] == calls["_prepared_delta"] > 0
 
 
 def test_model_ops_replay_on_a_warm_accuracy_memo(tmp_path, monkeypatch):
@@ -164,8 +165,8 @@ def test_model_ops_replay_on_a_warm_accuracy_memo(tmp_path, monkeypatch):
     starts from an empty accuracy memo.  The second trains no downstream
     model at all, since every table it checks was scored by the first.
     The third runs with ``audit=True``, which checks every prepared
-    delta against the naive, memo-free ``bare_delta``.  All three replay
-    the fixture."""
+    delta against the naive ``delta``, which trains both tables afresh.
+    All three replay the fixture."""
     recorded = _recorded("model")
     assert len(recorded) == len(competition_names()) * HELD_OUT
     root = str(tmp_path)

@@ -23,10 +23,9 @@ from repro.corpus import (
     RetrievalMismatchError,
     ScriptStore,
     clear_corpus_cache,
+    index_to_dict,
     load_index,
-    load_retrieval_index,
     save_index,
-    save_retrieval_index,
     shared_store,
     table_signature,
 )
@@ -305,8 +304,8 @@ class TestPersistence:
         pool = make_pool(14)
         index = RetrievalIndex.from_scripts(pool)
         path = str(tmp_path / "pool.retr.json")
-        save_retrieval_index(index, path)
-        back = load_retrieval_index(path)
+        save_index(index, path)
+        back = RetrievalIndex.from_index(load_index(path))
         assert retrieval_state(back) == retrieval_state(index)
         assert back.top_k(pool[0], 5) == index.top_k(pool[0], 5)
 
@@ -331,7 +330,7 @@ class TestPersistence:
         """A damaged signature raises, naming script and field; nothing loads."""
         pool = make_pool(19)
         path = str(tmp_path / "pool.json")
-        save_retrieval_index(RetrievalIndex.from_scripts(pool), path)
+        save_index(RetrievalIndex.from_scripts(pool), path)
         with open(path) as handle:
             payload = json.load(handle)
         content_hash = sorted(payload["records"])[0]
@@ -341,7 +340,7 @@ class TestPersistence:
             json.dump(payload, handle)
         store = ScriptStore()
         with pytest.raises(ValueError, match=rf"{content_hash}: '{field}'"):
-            load_retrieval_index(path, store=store)
+            load_index(path, store=store)
         assert len(store) == 0
 
     def test_corrupt_signature_fails_a_corpus_index_load(self, tmp_path):
@@ -357,16 +356,31 @@ class TestPersistence:
         with pytest.raises(ValueError, match=rf"{content_hash}: 'minhash'"):
             load_index(path, store=ScriptStore())
 
-    def test_kind_mismatch_is_rejected_both_ways(self, tmp_path):
+    def test_one_snapshot_format_both_ways(self, tmp_path):
+        """A pool and a corpus index over the same scripts write the same
+        snapshot, and either loads as a corpus index or, through
+        ``from_index``, as a pool; the ``kind`` older pool snapshots
+        carry is ignored."""
         pool = make_pool(15)
+        retrieval = RetrievalIndex.from_scripts(pool)
+        corpus = CorpusIndex.from_scripts(pool)
+        assert index_to_dict(retrieval) == index_to_dict(corpus)
+        assert "kind" not in index_to_dict(retrieval)
         retrieval_path = str(tmp_path / "a.json")
         corpus_path = str(tmp_path / "b.json")
-        save_retrieval_index(RetrievalIndex.from_scripts(pool), retrieval_path)
-        save_index(CorpusIndex.from_scripts(pool), corpus_path)
-        with pytest.raises(ValueError, match="retrieval"):
-            load_index(retrieval_path)
-        with pytest.raises(ValueError, match="corpus"):
-            load_retrieval_index(corpus_path)
+        save_index(retrieval, retrieval_path)
+        save_index(corpus, corpus_path)
+        with open(retrieval_path) as handle:
+            payload = json.load(handle)
+        payload["kind"] = "retrieval"
+        with open(retrieval_path, "w") as handle:
+            json.dump(payload, handle)
+        from_pool = load_index(retrieval_path)
+        assert from_pool.content_hashes() == corpus.content_hashes()
+        assert from_pool.to_vocabulary().edge_counts == corpus.to_vocabulary().edge_counts
+        back = RetrievalIndex.from_index(load_index(corpus_path))
+        assert retrieval_state(back) == retrieval_state(retrieval)
+        assert back.top_k(pool[0], 5) == retrieval.top_k(pool[0], 5)
 
     def test_pre_retrieval_snapshot_recomputes_signatures(self, tmp_path):
         """Old snapshots (no persisted signatures) load bit-identically."""

@@ -1,10 +1,13 @@
 """Differential tests: EdgeState deltas vs the full positional recount.
 
 The O(Δ) engine's contract is *exactness*: after any insert/delete the
-patched edge multiset must equal :func:`compute_edge_counts` of the
-spliced sequence, edge for edge, count for count.  These tests drive the
-state through directed edge cases and randomized splice sequences and
-compare against the from-scratch walk at every step.
+base edge multiset patched by the ``{edge: change}`` delta must equal
+:func:`compute_edge_counts` of the spliced sequence, edge for edge, count
+for count.  These tests drive the state through directed edge cases and
+randomized splice sequences, compare against the from-scratch walk at
+every step, and rebuild each spliced state with
+:meth:`EdgeState.from_statements`, as the search does for every
+candidate it visits.
 """
 
 import random
@@ -44,10 +47,40 @@ def new_statement(source):
     return Statement.from_source(0, source)
 
 
-def assert_delta_exact(state, delta):
-    """Applying *delta* must reproduce the full recount of the new sequence."""
-    new_state = state.apply(delta)
-    expected = compute_edge_counts(new_state.statements)
+def delete(state, position):
+    return state.delta_delete(position), splice(state, position)
+
+
+def insert(state, position, stmt):
+    return state.delta_insert(position, stmt), splice(state, position, stmt)
+
+
+def splice(state, position, stmt=None):
+    """*state*'s statements with the one at *position* deleted, or with
+    *stmt* inserted there."""
+    statements = list(state.statements)
+    if stmt is None:
+        del statements[position]
+    else:
+        statements.insert(position, stmt)
+    return statements
+
+
+def patched(counts, delta):
+    """*counts* after the ``{edge: change}`` *delta*, zero counts dropped."""
+    out = dict(counts)
+    for edge, change in delta.items():
+        out[edge] = out.get(edge, 0) + change
+    return {edge: n for edge, n in out.items() if n}
+
+
+def assert_delta_exact(state, spliced_delta):
+    """The delta must turn *state*'s counts into the full recount of the
+    spliced sequence; returns that sequence's state, built from scratch."""
+    delta, statements = spliced_delta
+    expected = compute_edge_counts(statements)
+    assert patched(state.counts, delta) == expected
+    new_state = EdgeState.from_statements(statements)
     assert new_state.counts == expected
     return new_state
 
@@ -63,14 +96,14 @@ def test_from_statements_matches_compute_edge_counts():
 # ---------------------------------------------------------- directed cases
 def test_insert_at_position_zero():
     state = EdgeState.from_statements(statements_for(["df = df.dropna()"]))
-    delta = state.delta_insert(0, new_statement("x = 1"))
-    assert_delta_exact(state, delta)
+    assert_delta_exact(state, insert(state, 0, new_statement("x = 1")))
 
 
 def test_insert_at_tail():
     state = EdgeState.from_statements(statements_for(["df = df.dropna()"]))
-    delta = state.delta_insert(len(state), new_statement("df = df.sort_values('x')"))
-    assert_delta_exact(state, delta)
+    assert_delta_exact(
+        state, insert(state, len(state), new_statement("df = df.sort_values('x')"))
+    )
 
 
 def test_delete_rebinds_downstream_readers_to_previous_writer():
@@ -79,8 +112,7 @@ def test_delete_rebinds_downstream_readers_to_previous_writer():
         statements_for(["df = df.dropna()", "df = df.sort_values('x')", "print(df)"])
     )
     # delete the sort: print(df) and nothing else rebinds to dropna
-    delta = state.delta_delete(3)
-    assert_delta_exact(state, delta)
+    assert_delta_exact(state, delete(state, 3))
 
 
 def test_insert_rebinds_reader_that_also_writes():
@@ -89,13 +121,14 @@ def test_insert_rebinds_reader_that_also_writes():
     state = EdgeState.from_statements(
         statements_for(["df = df.dropna()", "df = df.fillna(df.mean())"])
     )
-    delta = state.delta_insert(3, new_statement("df = df.sort_values('x')"))
-    assert_delta_exact(state, delta)
+    assert_delta_exact(
+        state, insert(state, 3, new_statement("df = df.sort_values('x')"))
+    )
 
 
 def test_delete_to_empty():
     state = EdgeState.from_statements(statements_for([])[:1])
-    state = assert_delta_exact(state, state.delta_delete(0))
+    state = assert_delta_exact(state, delete(state, 0))
     assert len(state) == 0
     assert not state.counts
 
@@ -115,10 +148,10 @@ def test_out_of_range_positions_raise_index_error():
 def test_delta_changes_have_no_zero_entries():
     state = EdgeState.from_statements(statements_for(STEP_POOL[:5]))
     for position in range(len(state)):
-        assert all(state.delta_delete(position).changes.values())
+        assert all(state.delta_delete(position).values())
     stmt = new_statement("df = df.dropna()")
     for position in range(len(state) + 1):
-        assert all(state.delta_insert(position, stmt).changes.values())
+        assert all(state.delta_insert(position, stmt).values())
 
 
 # --------------------------------------------------------------- randomized
@@ -132,12 +165,12 @@ def test_randomized_splice_sequences_stay_exact(seed):
     for _ in range(120):
         n = len(state)
         if n and (n >= 14 or rng.random() < 0.5):
-            delta = state.delta_delete(rng.randrange(n))
+            spliced_delta = delete(state, rng.randrange(n))
         else:
-            delta = state.delta_insert(
-                rng.randrange(n + 1), new_statement(rng.choice(STEP_POOL))
+            spliced_delta = insert(
+                state, rng.randrange(n + 1), new_statement(rng.choice(STEP_POOL))
             )
-        state = assert_delta_exact(state, delta)
+        state = assert_delta_exact(state, spliced_delta)
 
 
 @given(
@@ -150,7 +183,7 @@ def test_single_splice_matches_recount(body, step, position):
     statements = statements_for(body)
     state = EdgeState.from_statements(statements)
     insert_at = min(position, len(statements))
-    assert_delta_exact(state, state.delta_insert(insert_at, new_statement(step)))
+    assert_delta_exact(state, insert(state, insert_at, new_statement(step)))
     if statements:
         delete_at = min(position, len(statements) - 1)
-        assert_delta_exact(state, state.delta_delete(delete_at))
+        assert_delta_exact(state, delete(state, delete_at))

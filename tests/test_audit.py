@@ -2,7 +2,7 @@
 
 ``LSConfig(audit=True)`` runs each layer's naive oracle beside its fast
 path.  A divergence planted in any one layer (``scoring``, ``intent``,
-``index``, ``retrieval``, ``kernel``) must fail the call with
+``index``, ``retrieval``, ``kernel``, ``sandbox``) must fail the call with
 :class:`AuditMismatchError` naming that layer, and the same plant must
 pass unnoticed with the audit off.  Through the CLI a mismatch is one
 ``error:`` line and exit status 1; through the server it is an
@@ -34,7 +34,7 @@ TAU_J = 0.5
 #: the retrieval layer runs on a pool of the corpus, whose three scripts
 #: are two distinct lemmas
 RETRIEVE_K = 2
-LAYERS = ("scoring", "intent", "index", "retrieval", "kernel")
+LAYERS = ("scoring", "intent", "index", "retrieval", "kernel", "sandbox")
 
 
 def _skew(cls, name, monkeypatch, skew):
@@ -47,6 +47,12 @@ def _one_more_ngram(vocabulary):
     return vocabulary
 
 
+def _one_row_fewer(result):
+    if result.ok and result.output is not None and len(result.output):
+        result.output = result.output.head(len(result.output) - 1)
+    return result
+
+
 def plant(layer, monkeypatch):
     """Make *layer*'s fast path diverge from its oracle."""
     if layer == "scoring":
@@ -57,6 +63,8 @@ def plant(layer, monkeypatch):
         _skew(CorpusIndex, "to_vocabulary", monkeypatch, _one_more_ngram)
     elif layer == "retrieval":
         _skew(RetrievalIndex, "_similarities", monkeypatch, lambda s: s + 1e-9)
+    elif layer == "sandbox":
+        _skew(IncrementalExecutor, "_execute_suffix", monkeypatch, _one_row_fewer)
     else:
         monkeypatch.setattr(kernels, "_results_match", lambda a, b: False)
 

@@ -282,7 +282,7 @@ class TestIndexRetrieveCommand:
                 "--corpus-dir", corpus_dir,
                 "--script", script_path,
                 "-k", "2",
-                "--verify",
+                "--audit",
             ]
         )
         assert code == 0
@@ -324,6 +324,46 @@ class TestIndexRetrieveCommand:
     def test_requires_a_pool(self, script_path):
         with pytest.raises(SystemExit):
             main(["index", "retrieve", "--script", script_path])
+
+    def test_verify_flag_is_now_audit(self, corpus_dir, script_path, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["index", "retrieve", "--corpus-dir", corpus_dir,
+                  "--script", script_path, "--verify"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --verify" in capsys.readouterr().err
+
+    def test_pool_snapshot_is_a_corpus_index(
+        self, corpus_dir, script_path, diabetes_dir, tmp_path, capsys
+    ):
+        """``index retrieve --out`` writes what ``--index`` reads: the job
+        ops standardize over it as over the directory."""
+        snapshot = str(tmp_path / "pool.json")
+        assert main(["index", "retrieve", "--corpus-dir", corpus_dir,
+                     "--script", script_path, "-k", "2", "--out", snapshot]) == 0
+        capsys.readouterr()
+        outputs = []
+        for corpus in (["--index", snapshot], ["--corpus-dir", corpus_dir]):
+            assert main(["standardize", "--script", script_path, *corpus,
+                         "--data-dir", diabetes_dir, "--retrieve-k", "3",
+                         "--seq", "2", "--sample-rows", "120"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_retrieves_from_a_built_index(
+        self, corpus_dir, script_path, tmp_path, capsys
+    ):
+        """``index build --out`` writes what ``index retrieve --index`` reads."""
+        snapshot = str(tmp_path / "index.json")
+        assert main(["index", "build", "--corpus-dir", corpus_dir,
+                     "--out", snapshot]) == 0
+        capsys.readouterr()
+        outputs = []
+        for pool in (["--index", snapshot], ["--corpus-dir", corpus_dir]):
+            assert main(["index", "retrieve", *pool, "--script", script_path,
+                         "-k", "2", "--audit"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("pool [pandas]:")
 
 
 class TestRetrieveKFlag:

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.sandbox import ExecTimeout, IncrementalExecutor, run_script
+from repro.sandbox import incremental
 from repro.sandbox.faults import (
     FAULT_KINDS,
     FaultInjectingExecutor,
@@ -185,6 +186,18 @@ class TestIncrementalBudgets:
         # the shared prefix still executes (and may resume from snapshot)
         result = executor.run_script(GOOD + "\ndf2 = df")
         assert result.ok
+
+    def test_the_sandbox_audit_does_not_compare_a_timed_out_run(self, monkeypatch):
+        colds = []
+        real = incremental.run_script
+        monkeypatch.setattr(
+            incremental, "run_script", lambda *a, **k: colds.append(a) or real(*a, **k)
+        )
+        executor = IncrementalExecutor(exec_timeout_s=BUDGET_S, verify=True)
+        assert executor.run_script(HANG).timed_out
+        assert colds == []
+        assert executor.run_script(GOOD).ok
+        assert len(colds) == 1
 
     def test_script_budget_is_the_only_budget(self):
         with pytest.raises(TypeError, match="statement_timeout_s"):

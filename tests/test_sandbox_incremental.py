@@ -366,9 +366,8 @@ class TestIncrementalExecutor:
         assert executor.stats.fallbacks == 0
 
     def test_verify_mode_matches_an_output_with_nan_cells(self, tmp_path):
-        # NaN != NaN, so an == comparison calls every output holding a
-        # missing float a mismatch, which clears every snapshot and re-runs
-        # the script cold
+        # NaN != NaN, so an == comparison would call every output holding
+        # a missing float a mismatch and raise the sandbox audit
         corpus = build_competition("titanic", str(tmp_path), seed=1)
         executor = IncrementalExecutor(
             data_dir=corpus.data_dir, sample_rows=500, verify=True

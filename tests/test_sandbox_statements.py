@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import LSConfig, LucidScript, TableJaccardIntent
 from repro.core.standardizer import StandardizationError
+from repro.corpus import RetrievalIndex
 from repro.lang import lemmatize
 from repro.lang.parser import (
     STATEMENT_CACHE,
@@ -319,11 +320,34 @@ class TestSharedCaches:
         monkeypatch.setattr(IncrementalExecutor, "run_script", record)
         result = self._system(diabetes_corpus, diabetes_dir).standardize(alex_script)
         assert result.changed
-        assert raw == [result.input_script]
-        # the search's check ran the winner; verification took its table
+        assert raw == []
+        # the input ran from the parser's split; the search's check ran
+        # the winner, and verification took its table
+        assert result.input_script in [source for source, _ in seen]
         assert result.output_script in [source for source, _ in seen]
         for source, segments in seen:
             assert tuple(statement_segments(source, ast.parse(source).body)) == segments
+
+    @pytest.mark.parametrize("pool, parses", [(False, 1), (True, 2)])
+    def test_the_query_is_parsed_once_per_corpus_layer(
+        self, monkeypatch, diabetes_corpus, diabetes_dir, alex_script, pool, parses
+    ):
+        """``standardize()`` parses the whole query once, and a pool's store
+        once more (its record for retrieval); the sandbox runs the input
+        from the parser's statement texts and parses nothing."""
+        corpus = RetrievalIndex.from_scripts(diabetes_corpus) if pool else diabetes_corpus
+        system = self._system(corpus, diabetes_dir)
+        seen = []
+        real = ast.parse
+
+        def counted(source, *args, **kwargs):
+            seen.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counted)
+        result = system.standardize(alex_script)
+        query = (alex_script, result.input_script)
+        assert sum(source in query for source in seen) == parses
 
     def test_second_search_parses_no_statement(
         self, monkeypatch, diabetes_corpus, diabetes_dir, alex_script
