@@ -116,6 +116,8 @@ class SearchStats:
     n_full_recounts: int = 0
     n_exec_checks: int = 0
     n_intent_checks: int = 0
+    #: always 0: an intent is prepared per search, never reused; kept
+    #: because per-layer metrics sum it by name
     n_intent_cache_hits: int = 0
     n_column_set_reuse: int = 0
     n_intent_short_circuits: int = 0
@@ -159,7 +161,6 @@ class SearchStats:
             "CheckIfExecutes": self.check_executes_s,
             "VerifyConstraints": self.verify_constraints_s,
             "IntentChecks": float(self.n_intent_checks),
-            "IntentCacheHits": float(self.n_intent_cache_hits),
             "ColumnSetReuse": float(self.n_column_set_reuse),
             "IntentShortCircuits": float(self.n_intent_short_circuits),
             "CorpusIndexHits": float(self.n_corpus_index_hits),

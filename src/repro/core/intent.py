@@ -192,15 +192,13 @@ def model_performance_delta(
 class IntentStats:
     """Counters for one run of the incremental verification engine.
 
-    ``checks`` — prepared checks served; ``prepared_hits`` — times a
-    cached :class:`PreparedIntent` was reused instead of re-freezing the
-    original; ``column_set_reuse`` — per-column lookups answered from the
-    content-addressed memo (zero set construction); ``short_circuits`` —
-    whole-table fingerprint matches answered without touching any set.
+    ``checks`` — prepared checks served; ``column_set_reuse`` —
+    per-column lookups answered from the content-addressed memo (zero set
+    construction); ``short_circuits`` — whole-table fingerprint matches
+    answered without touching any set.
     """
 
     checks: int = 0
-    prepared_hits: int = 0
     column_set_reuse: int = 0
     short_circuits: int = 0
 
@@ -275,16 +273,12 @@ class PreparedIntent:
     the naive :meth:`IntentMeasure.delta`, which reads no cache, and any
     float divergence raises :class:`~repro.core.AuditMismatchError` (layer
     ``intent``) — the exact analogue of the scoring engine's audit.
-
-    *columns*, the original's :func:`_keyed_columns` when the caller has
-    them already, spare a measure that reads them a second pass.
     """
 
     def __init__(
         self,
         intent: "IntentMeasure",
         original: DataFrame,
-        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ):
@@ -301,19 +295,6 @@ class PreparedIntent:
         if self._table_fp is None:
             self._table_fp = table_fingerprint(self.original)
         return self._table_fp
-
-    def rebind(self, original: DataFrame) -> None:
-        """Serve *original*, a table whose row count and column (name,
-        content key) pairs equal the prepared one's.
-
-        A list column's key compares cells with ``==``, under which ``1``,
-        ``1.0`` and ``True``, or ``0.0`` and ``-0.0``, are one value.  The
-        state derived from such keys (distinct-value sets) is the same as
-        sets, but whatever reads the table itself (Δ_M's training and
-        fingerprint, the audit's naive delta) reads *original*.
-        """
-        self.original = original
-        self._table_fp = None
 
     def delta(self, candidate: DataFrame) -> float:
         self.counters.checks += 1
@@ -365,14 +346,12 @@ class PreparedTableJaccard(PreparedIntent):
         self,
         intent: "TableJaccardIntent",
         original: DataFrame,
-        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ):
-        super().__init__(intent, original, columns, counters, verify)
+        super().__init__(intent, original, counters, verify)
         self._memo: LRUCache = LRUCache(self.COLUMN_MEMO_LIMIT)
-        if columns is None:
-            columns = _keyed_columns(original)
+        columns = _keyed_columns(original)
         #: the original's (name, content key) pairs in column order
         self._original_pairs: List[Tuple[str, Hashable]] = [
             (name, key) for name, key, _ in columns
@@ -525,29 +504,14 @@ class IntentMeasure(ABC):
         d = self.delta(original, candidate)
         return d, self.satisfied(d)
 
-    def cache_key(self) -> Tuple:
-        """Hashable identity of everything that affects this measure's
-        verdicts, used to address prepared state in caches (private
-        attributes — memo state — are excluded by construction)."""
-        params = tuple(
-            sorted(
-                (key, repr(value))
-                for key, value in vars(self).items()
-                if not key.startswith("_")
-            )
-        )
-        return (type(self).__name__,) + params
-
     def prepare(
         self,
         original: DataFrame,
-        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ) -> PreparedIntent:
-        """Freeze *original* into a reusable verification state;
-        *columns* are its :func:`_keyed_columns`, if already computed."""
-        return PreparedIntent(self, original, columns, counters, verify)
+        """Freeze *original* into the verification state of one search."""
+        return PreparedIntent(self, original, counters, verify)
 
 
 class TableJaccardIntent(IntentMeasure):
@@ -576,11 +540,10 @@ class TableJaccardIntent(IntentMeasure):
     def prepare(
         self,
         original: DataFrame,
-        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ) -> PreparedIntent:
-        return PreparedTableJaccard(self, original, columns, counters, verify)
+        return PreparedTableJaccard(self, original, counters, verify)
 
 
 class ModelPerformanceIntent(IntentMeasure):
@@ -633,8 +596,7 @@ class ModelPerformanceIntent(IntentMeasure):
     def prepare(
         self,
         original: DataFrame,
-        columns: Optional[List[Tuple[str, Hashable, Any]]] = None,
         counters: Optional[IntentStats] = None,
         verify: bool = False,
     ) -> PreparedIntent:
-        return PreparedModelPerformance(self, original, columns, counters, verify)
+        return PreparedModelPerformance(self, original, counters, verify)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .._audit import AuditMismatchError
-from .._lru import LRUCache
 from ..corpus import (
     CorpusCacheCounters,
     CorpusIndex,
@@ -26,7 +25,7 @@ from ..corpus import (
     corpus_cache_counters,
 )
 from ..dialects import get_dialect
-from ..lang import CorpusVocabulary, ScriptError, parse_script
+from ..lang import CorpusVocabulary, ScriptDAG, ScriptError, parse_script
 from ..minipandas import DataFrame
 from ..minipandas.kernels import kernel_audit
 from ..ml import DownstreamEvaluationError
@@ -34,7 +33,7 @@ from ..sandbox import IncrementalExecutor
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
 from .entropy import RelativeEntropyScorer, percent_improvement
-from .intent import IntentMeasure, IntentStats, PreparedIntent, _keyed_columns
+from .intent import IntentMeasure, IntentStats, PreparedIntent
 from .transformations import Transformation
 
 __all__ = ["LucidScript", "StandardizationResult", "StandardizationError", "summarize"]
@@ -192,13 +191,6 @@ class LucidScript:
         self.data_dir = data_dir
         self.intent = intent
         self._executor: Optional[IncrementalExecutor] = None
-        #: prepared intent state across standardize() calls, keyed by the
-        #: original's row count and (name, content key) pairs, and the
-        #: intent's identity
-        self._intent_cache: LRUCache = LRUCache(self.INTENT_CACHE_LIMIT)
-
-    #: Distinct (original, intent) pairs whose prepared state is retained.
-    INTENT_CACHE_LIMIT = 4
 
     def _check_corpus_dialect(self, supplied: str, what: str) -> None:
         if supplied != self.dialect.name:
@@ -229,12 +221,16 @@ class LucidScript:
             vocabulary = index.to_vocabulary()
         return vocabulary, corpus_cache_counters().delta(before)
 
-    def _retrieved(self, script: str) -> Tuple[ScriptRecord, List[RetrievedScript]]:
+    def _retrieved(
+        self, query: Union[str, ScriptDAG]
+    ) -> Tuple[ScriptRecord, List[RetrievedScript]]:
         """The query's store record and its pool neighbours.
 
         Only for a system built over a
-        :class:`~repro.corpus.RetrievalIndex`.  The record's ``source``
-        is ``lemmatize(script)``.  Its signature selects
+        :class:`~repro.corpus.RetrievalIndex`.  *query* is the script
+        text, or its DAG when the caller parsed it already, which the
+        store then does not parse again.  The record's ``source`` is the
+        lemmatized script.  Its signature selects
         ``config.retrieval_k`` pool neighbours (``config.audit`` checks
         the selection against brute force).  ``top_k`` runs once per query content: the hits are
         kept until a different script is queried, which also drops the
@@ -243,7 +239,11 @@ class LucidScript:
         self._check_corpus_dialect(
             self._retrieval.store.dialect, "the supplied retrieval index"
         )
-        record = self._retrieval.store.get_or_parse(script)
+        store = self._retrieval.store
+        if isinstance(query, ScriptDAG):
+            record = store.get_or_build(query)
+        else:
+            record = store.get_or_parse(query)
         if record is None:
             raise StandardizationError(
                 "input script does not parse, so no corpus can be retrieved for it"
@@ -269,8 +269,9 @@ class LucidScript:
             self.vocabulary = self.scorer = None
         return record, self._retrieval_hits
 
-    def _ensure_search_space(self, script: str) -> None:
-        """Curate the retrieval-backed search space for *script*.
+    def _ensure_search_space(self, query: Union[str, ScriptDAG]) -> None:
+        """Curate the retrieval-backed search space for *query* (a script
+        or its DAG, as :meth:`_retrieved` takes it).
 
         No-op unless this system was built over a
         :class:`~repro.corpus.RetrievalIndex`.  Otherwise the query's
@@ -283,7 +284,7 @@ class LucidScript:
         """
         if self._retrieval is None:
             return
-        _, hits = self._retrieved(script)
+        _, hits = self._retrieved(query)
         if self.vocabulary is not None:
             return
         before = corpus_cache_counters()
@@ -297,43 +298,14 @@ class LucidScript:
     def _prepared_intent(
         self, original_output: DataFrame, counters: IntentStats
     ) -> Optional[PreparedIntent]:
-        """The content-addressed verification state for this original.
-
-        None when the intent constraint is disabled.  Reuses (and
-        re-points at this original and these counters) a cached prepared
-        state when the original's row count and column (name, content
-        key) pairs and the intent's configuration all match.  The pairs
-        are computed once, for the key and for ``prepare``; an original
-        holding an unhashable cell cannot key the cache, so its state is
-        prepared and not kept.
-        """
+        """The verification state of this original for one search, or
+        None when the intent constraint is disabled.  It is dropped when
+        the search returns."""
         if self.intent is None:
             return None
-        columns = _keyed_columns(original_output)
-        key = (
-            len(original_output),
-            tuple((name, column_key) for name, column_key, _ in columns),
-            self.intent.cache_key(),
+        return self.intent.prepare(
+            original_output, counters=counters, verify=self.config.audit
         )
-        try:
-            prepared = self._intent_cache.peek(key)
-        except TypeError:
-            key = prepared = None
-        if prepared is None:
-            prepared = self.intent.prepare(
-                original_output,
-                columns=columns,
-                counters=counters,
-                verify=self.config.audit,
-            )
-            if key is not None:
-                self._intent_cache[key] = prepared
-        else:
-            counters.prepared_hits += 1
-            prepared.rebind(original_output)
-            prepared.counters = counters
-            prepared.verify = self.config.audit
-        return prepared
 
     def _shared_executor(self) -> IncrementalExecutor:
         """One incremental executor per (data_dir, sample_rows, dialect).
@@ -408,7 +380,7 @@ class LucidScript:
         normalized = dag.normalized
         if not dag.statements:
             raise StandardizationError("input script has no statements")
-        self._ensure_search_space(normalized)
+        self._ensure_search_space(dag)
         re_before = _relative_entropy(self.scorer, dag.edge_counter())
 
         original_output = self._run(
@@ -476,7 +448,6 @@ class LucidScript:
     def _fold_intent_stats(stats: SearchStats, counters: IntentStats) -> None:
         """Surface the intent-engine counters on SearchStats."""
         stats.n_intent_checks += counters.checks
-        stats.n_intent_cache_hits += counters.prepared_hits
         stats.n_column_set_reuse += counters.column_set_reuse
         stats.n_intent_short_circuits += counters.short_circuits
 

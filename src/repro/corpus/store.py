@@ -193,6 +193,24 @@ class ScriptStore:
         if record.content_hash not in self._records:
             self._remember(record)
 
+    def get_or_build(self, dag: ScriptDAG) -> ScriptRecord:
+        """The record of a script parsed already, as *dag*.
+
+        It is looked up by the content address of ``dag.normalized``; on
+        a miss it is built from *dag*, so nothing is parsed, and the
+        build counts as neither a hit nor a parse (:meth:`get_or_parse`
+        counts its own parse).  *dag* must come from
+        :func:`~repro.lang.parser.parse_script` under this store's dialect.
+        """
+        content_hash = content_address(dag.normalized)
+        record = self._records.get(content_hash)
+        if record is not None:
+            self.counters.hits += 1
+            return record
+        record = ScriptRecord.from_dag(content_hash, dag.normalized, dag, self.dialect)
+        self._remember(record)
+        return record
+
     def get_or_parse(self, raw_source: str) -> Optional[ScriptRecord]:
         """The record for *raw_source*, parsing at most once per content.
 
@@ -214,14 +232,8 @@ class ScriptStore:
         except ScriptError:
             self.counters.failures += 1
             return None
-        lemmatized = dag.normalized
-        content_hash = content_address(lemmatized)
+        content_hash = content_address(dag.normalized)
         self._raw_memo[raw_key] = content_hash
-        record = self._records.get(content_hash)
-        if record is not None:
-            self.counters.hits += 1
-            return record
-        self.counters.parses += 1
-        record = ScriptRecord.from_dag(content_hash, lemmatized, dag, self.dialect)
-        self._remember(record)
-        return record
+        if content_hash not in self._records:
+            self.counters.parses += 1
+        return self.get_or_build(dag)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .._floats import left_sum
 from ..lang import CorpusVocabulary, ScriptError, lemmatize
@@ -161,7 +160,13 @@ def _normalize(qualities: Dict[str, float]) -> Dict[str, float]:
 def significance_against(
     outcomes: Dict[str, StudyOutcome], ls_method: str = "LS"
 ) -> Dict[str, float]:
-    """p-values of the standardness t-test: LS vs each baseline."""
+    """p-values of the standardness t-test: LS vs each baseline.
+
+    scipy is imported here, on the first call: importing ``scipy.stats``
+    costs more start-up time and memory than the rest of ``repro``.
+    """
+    from scipy import stats as scipy_stats
+
     ls = outcomes[ls_method]
     pvalues: Dict[str, float] = {}
     for method, outcome in outcomes.items():

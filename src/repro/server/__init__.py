@@ -1,8 +1,8 @@
 """repro.server — standardization-as-a-service.
 
-Every fast path in this repo — prefix-resumable executors, prepared
-intents, the content-addressed corpus/retrieval indexes — amortizes
-within one process.  A one-shot CLI run throws that
+Every fast path in this repo — prefix-resumable executors, the
+downstream-accuracy memo, the content-addressed corpus/retrieval
+indexes — amortizes within one process.  A one-shot CLI run throws that
 warm state away on exit; a long-lived daemon turns each per-process
 cache into a cross-request throughput win.  This package is that
 daemon:

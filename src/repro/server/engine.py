@@ -19,11 +19,12 @@ Warm-state lifecycle
 :class:`WarmRegistry` pins one ``LucidScript`` per *system key* — the
 content address of (corpus scripts in order, data_dir, intent, config
 overrides) — under LRU admission.  A warm hit reuses the curated corpus
-index, the incremental executor's prefix snapshots, and the prepared
-intent cache built by earlier requests; eviction just drops the pin
-(the process-wide corpus cache underneath keeps its own bounds).  Warm
-state assumes the dataset files under ``data_dir`` are immutable for
-the server's lifetime, matching the corpus-snapshot staleness contract.
+index and the incremental executor's prefix snapshots; each request
+prepares its own intent state and drops it when it returns.  Eviction
+just drops the pin (the process-wide corpus cache underneath keeps its
+own bounds).  Warm state assumes the dataset files under ``data_dir``
+are immutable for the server's lifetime, matching the corpus-snapshot
+staleness contract.
 Jobs that share a corpus need no batching to share its curation: each
 one acquires the same pinned system.
 
@@ -214,7 +215,7 @@ class WarmRegistry:
     The key is the content address of everything that determines
     results (corpus in order, data_dir, intent, config), so a warm hit
     is bit-identical to a fresh build — it just skips the offline phase
-    and arrives with prefix snapshots and prepared intents already hot.
+    and arrives with its prefix snapshots already hot.
     Thread-safe: acquired from the job thread while the event loop may
     be admitting (and therefore content-addressing) new corpora.
     """
@@ -270,12 +271,17 @@ class StandardizationServer:
                 os.unlink(self.config.socket_path)
             self._servers.append(
                 await asyncio.start_unix_server(
-                    self._on_connection, path=self.config.socket_path
+                    self._on_connection,
+                    path=self.config.socket_path,
+                    limit=protocol.MAX_REQUEST_LINE_BYTES,
                 )
             )
         if self.config.host is not None:
             server = await asyncio.start_server(
-                self._on_connection, host=self.config.host, port=self.config.port
+                self._on_connection,
+                host=self.config.host,
+                port=self.config.port,
+                limit=protocol.MAX_REQUEST_LINE_BYTES,
             )
             self._servers.append(server)
             bound = server.sockets[0].getsockname()
@@ -343,7 +349,15 @@ class StandardizationServer:
         pending: set = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than the listener's limit
+                    limit = protocol.MAX_REQUEST_LINE_BYTES
+                    error = protocol.error_response(
+                        None, "bad_request", f"request line exceeds {limit} bytes"
+                    )
+                    await self._write(writer, write_lock, error)
+                    break
                 if not line:
                     break
                 if not line.strip():

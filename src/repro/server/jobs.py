@@ -11,8 +11,9 @@ after that the same job dict drives
 * the CLI's ``standardize``/``score``/``explain``/``detect-leakage`` —
   :func:`execute_job` in-process, whose result dict the CLI renders;
 * the warm path — :func:`execute_job` against a registry-held
-  :class:`~repro.core.LucidScript` whose corpus index, prefix
-  snapshots, and prepared intents survive across requests — and
+  :class:`~repro.core.LucidScript` whose corpus index and prefix
+  snapshots survive across requests (its intent state is prepared per
+  request) — and
 * the cold path — the same function in a fresh
   :mod:`repro.server.oneshot` process with every cache empty.
 

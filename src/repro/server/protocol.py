@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional
 __all__ = [
     "JOB_OPS",
     "CONTROL_OPS",
+    "MAX_REQUEST_LINE_BYTES",
     "RETRYABLE_KINDS",
     "canonical",
     "decode",
@@ -56,6 +57,12 @@ CONTROL_OPS = ("ping", "stats", "shutdown")
 #: or after a backoff); everything else is a permanent verdict for this
 #: request.
 RETRYABLE_KINDS = frozenset({"queue_full", "draining", "deadline"})
+
+#: The longest request line the server reads, in bytes before its
+#: newline.  asyncio's default, 64 KiB, holds only a few dozen inline
+#: corpus scripts.  A longer line is answered ``bad_request`` and its
+#: connection closed, since the rest of it cannot be framed.
+MAX_REQUEST_LINE_BYTES = 16 * 1024 * 1024
 
 
 def encode(message: Dict[str, Any]) -> bytes:

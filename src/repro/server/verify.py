@@ -1,7 +1,7 @@
 """The server audit: replay warm responses cold and require byte-identity.
 
 The server's whole value is serving from warm state — shared corpus
-index, prefix snapshots, prepared intents — so its correctness claim
+index, prefix snapshots, the accuracy memo — so its correctness claim
 must be checked against the one thing warmth could corrupt: the
 response.  :func:`audit_job` replays a job in a **fresh one-shot
 process** (empty caches, new interpreter) and compares the

@@ -7,6 +7,7 @@ across arbitrary candidate perturbations, and the intent audit
 (``LSConfig.audit``) must stay silent over a full search.
 """
 
+import json
 import random
 
 import numpy as np
@@ -240,10 +241,8 @@ class TestVerifyMode:
 
     def test_generic_fallback_delegates_to_naive(self):
         class OddIntent(TableJaccardIntent):
-            def prepare(self, original, columns=None, counters=None,
-                        verify=False):
-                return PreparedIntent(self, original, columns, counters,
-                                      verify)
+            def prepare(self, original, counters=None, verify=False):
+                return PreparedIntent(self, original, counters, verify)
 
         original = DataFrame({"a": [1, 2]})
         candidate = DataFrame({"a": [1, 9]})
@@ -350,6 +349,29 @@ class TestSearchParity:
         assert result.stats.n_intent_checks == plain.stats.n_intent_checks > 0
         breakdown = result.stats.breakdown()
         assert "IntentChecks" in breakdown
+        assert "IntentCacheHits" not in breakdown
+
+    def test_a_repeated_standardize_prepares_afresh_and_agrees(
+        self, diabetes_corpus, diabetes_dir, alex_script
+    ):
+        """No prepared state outlives its search: the second call of one
+        script on one system prepares the original again and returns the
+        same result byte for byte."""
+        system = LucidScript(
+            diabetes_corpus,
+            data_dir=diabetes_dir,
+            intent=TableJaccardIntent(tau=0.5),
+            config=LSConfig(seq=4, beam_size=2, sample_rows=150),
+        )
+        first = system.standardize(alex_script)
+        second = system.standardize(alex_script)
+        assert first.changed and second.stats.n_intent_checks > 0
+        assert json.dumps(second.to_dict(), sort_keys=True) == json.dumps(
+            first.to_dict(), sort_keys=True
+        )
+        assert first.stats.n_intent_cache_hits == 0
+        assert second.stats.n_intent_cache_hits == 0
+        assert not hasattr(system, "_intent_cache")
 
 
 # ------------------------------------------------------------ exact value sets
@@ -396,69 +418,11 @@ class TestValueSets:
         assert _ColumnContent(np.array([0.0, -0.0])).value_set() == {0.0}
 
 
-# ---------------------------------------------------- prepared-state cache key
+# ------------------------------------------------------- the one cache key
 class TestIntentCacheKey:
-    """``LucidScript._intent_cache`` is keyed by the original's row count and
-    column (name, content key) pairs, and the intent's identity."""
-
-    @pytest.fixture()
-    def system(self):
-        return LucidScript(
-            ["import pandas as pd\ndf = pd.DataFrame({'a': [1]})"],
-            intent=TableJaccardIntent(tau=0.5),
-        )
-
-    @staticmethod
-    def _prepare(system, frame):
-        counters = IntentStats()
-        return system._prepared_intent(frame, counters), counters
-
-    @staticmethod
-    def _table(**columns):
-        return DataFrame({"a": [1, 2, 3], "b": ["x", None, "y"], **columns})
-
-    def test_an_equal_table_built_separately_hits(self, system):
-        first, _ = self._prepare(system, self._table())
-        again = self._table()
-        second, counters = self._prepare(system, again)
-        assert second is first and counters.prepared_hits == 1
-        assert second.original is again
-
-    def test_column_order_misses(self, system):
-        first, _ = self._prepare(system, self._table())
-        swapped = DataFrame({"b": ["x", None, "y"], "a": [1, 2, 3]})
-        second, counters = self._prepare(system, swapped)
-        assert second is not first and counters.prepared_hits == 0
-
-    def test_dtype_misses(self, system):
-        first, _ = self._prepare(system, self._table())
-        floats = DataFrame({"a": [1.0, 2.0, 3.0], "b": ["x", None, "y"]})
-        assert floats["a"]._payload.dtype == np.float64
-        second, counters = self._prepare(system, floats)
-        assert second is not first and counters.prepared_hits == 0
-
-    def test_a_table_with_a_list_cell_is_prepared_not_cached(self, system):
-        listed = self._table(c=[[1], [2], [3]])
-        prepared, _ = self._prepare(system, listed)
-        assert prepared.delta(listed) == 1.0
-        again, counters = self._prepare(system, listed)
-        assert again is not prepared and counters.prepared_hits == 0
-        assert len(system._intent_cache) == 0
-
-    def test_a_hit_reads_the_callers_table(self, system):
-        """Cells equal under ``==`` share a key (``1 == 1.0``); the reused
-        sets are equal, and what reads the table reads the new one."""
-        mixed = DataFrame({"a": [1, 2.5, "x"]})
-        floated = DataFrame({"a": [1.0, 2.5, "x"]})
-        assert table_fingerprint(mixed) != table_fingerprint(floated)
-        first, _ = self._prepare(system, mixed)
-        assert first.table_fp == table_fingerprint(mixed)
-        second, counters = self._prepare(system, floated)
-        assert second is first and counters.prepared_hits == 1
-        assert second.original is floated
-        assert second.table_fp == table_fingerprint(floated)
-        candidate = DataFrame({"a": [1, 2.5, "y"]})
-        assert second.delta(candidate) == table_jaccard(floated, candidate, mode="values")
+    """A prepared state lives for one search, so the only intent cache
+    key left is :data:`ACCURACY_CACHE`'s table fingerprint, and only Δ_M
+    computes one."""
 
     def test_only_the_model_measure_computes_a_fingerprint(self, monkeypatch):
         import repro.core.intent as intent_mod

@@ -146,30 +146,47 @@ class TestSignatures:
         assert signature.schema == frozenset({"Age", "BMI"})
 
 
+def interleaved(seed: int, steps: int = 80):
+    """A pool after *steps* seeded admits and removals, and its live
+    members as ``{script_id: script text}``."""
+    rng = random.Random(seed)
+    pool = make_pool(seed)
+    index = RetrievalIndex()
+    alive = {}
+    for step in range(steps):
+        if alive and rng.random() < 0.4:
+            script_id = rng.choice(sorted(alive))
+            del alive[script_id]
+            index.remove_script(script_id)
+        else:
+            script = rng.choice(pool)
+            script_id = index.add_script(script)
+            assert script_id is not None
+            alive[script_id] = script
+    return index, alive
+
+
 class TestDeltas:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_interleaving_matches_from_scratch(self, seed):
         """add/remove interleavings leave state bit-identical to a rebuild."""
-        rng = random.Random(seed)
-        pool = make_pool(seed)
-        index = RetrievalIndex()
-        alive = {}  # script_id -> script text
-        for step in range(80):
-            if alive and rng.random() < 0.4:
-                script_id = rng.choice(sorted(alive))
-                del alive[script_id]
-                index.remove_script(script_id)
-            else:
-                script = rng.choice(pool)
-                script_id = index.add_script(script)
-                assert script_id is not None
-                alive[script_id] = script
+        index, alive = interleaved(seed)
         survivors = [alive[script_id] for script_id in sorted(alive)]
         if survivors:
             fresh = RetrievalIndex.from_scripts(survivors)
             assert retrieval_state(index) == retrieval_state(fresh)
         else:
             assert retrieval_state(index) == ({}, {}, {}, {})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_band_buckets_are_tuples_of_distinct_live_rows(self, seed):
+        index, alive = interleaved(seed, steps=120)
+        assert alive and index._bands
+        live = set(index._rows.values())
+        for bucket in index._bands.values():
+            assert type(bucket) is tuple and bucket
+            assert len(set(bucket)) == len(bucket)
+            assert set(bucket) <= live
 
     def test_duplicate_members_do_not_change_buckets(self):
         pool = make_pool(3)
@@ -267,8 +284,8 @@ class TestTopK:
         index = RetrievalIndex.from_scripts(pool)
         target = index._rows[index.store.get_or_parse(pool[0]).content_hash]
         # simulate an engine bug: unhook one script from every bucket
-        for bucket in index._bands.values():
-            bucket.discard(target)
+        for key, bucket in index._bands.items():
+            index._bands[key] = tuple(row for row in bucket if row != target)
         for posting in index._schema_posts.values():
             posting.discard(target)
         # the historical name, which callers still import, is the one class

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.corpus import ScriptStore, content_address
-from repro.lang import lemmatize
+from repro.lang import lemmatize, parse_script
 
 
 class TestContentAddressing:
@@ -34,6 +34,19 @@ class TestContentAddressing:
         assert store.get_or_parse("this is ( not python") is None
         assert store.counters.failures == 1
         assert len(store) == 0
+
+    def test_a_parsed_dag_builds_the_record_a_parse_would(self, diabetes_corpus):
+        """``get_or_build`` takes a script parsed already: on a miss it
+        builds from that parse, counted as neither a parse nor a hit."""
+        for script in diabetes_corpus:
+            built_store, parsed_store = ScriptStore(), ScriptStore()
+            built = built_store.get_or_build(parse_script(script))
+            assert built == parsed_store.get_or_parse(script)
+            assert built_store.counters.snapshot() == (0, 0, 0, 0, 0)
+            assert built_store.get_or_build(parse_script(script)) is built
+            assert built_store.get_or_parse(lemmatize(script)) is built
+            assert built_store.counters.hits == 2
+            assert built_store.counters.parses == 0
 
     def test_record_carries_count_contributions(self, diabetes_corpus):
         store = ScriptStore()

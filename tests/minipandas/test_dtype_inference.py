@@ -21,6 +21,8 @@ from repro.minipandas import NA, DataFrame, Series, is_missing
 from repro.minipandas._missing import float64_array
 from repro.minipandas.series import _infer_dtype, _infer_dtype_scan
 
+from .test_properties import TEXT_ALPHABET
+
 
 class Level(enum.IntEnum):
     LOW = 0
@@ -37,13 +39,13 @@ cell = st.one_of(
     st.floats(allow_nan=True),
     st.just(NA),
     st.none(),
-    st.text(max_size=3),
+    st.text(TEXT_ALPHABET, max_size=3),
     st.builds(np.float64, st.floats(allow_nan=True)),
     st.builds(np.int64, st.integers(-(2 ** 63), 2 ** 63 - 1)),
     st.builds(np.bool_, st.booleans()),
     st.just(np.float32("nan")),
     st.sampled_from(list(Level)),
-    st.builds(Label, st.text(max_size=2)),
+    st.builds(Label, st.text(TEXT_ALPHABET, max_size=2)),
     st.just(Decimal("NaN")),
     st.just(datetime.datetime(2024, 1, 1)),
     st.lists(st.integers(0, 3), max_size=2),

@@ -20,6 +20,7 @@ from repro.server import (
     ServerError,
     ServerThread,
     StandardizationServer,
+    protocol,
 )
 
 #: tiny search budget: these tests exercise serving, not search quality
@@ -109,6 +110,47 @@ class TestControlOps:
             assert client.shutdown()
         handle._thread.join(30.0)
         assert not handle._thread.is_alive()
+
+
+class TestRequestFraming:
+    def test_a_request_line_past_64_kib_is_served(
+        self, tmp_path, diabetes_corpus, alex_script
+    ):
+        """asyncio's default stream limit (64 KiB) no longer caps a line."""
+        corpus = [
+            f"import pandas as pd\ndf = pd.read_csv('diabetes.csv')\ndf = df.fillna({i})"
+            for i in range(1500)
+        ] + list(diabetes_corpus)
+        message = {"op": "score", "params": {
+            "script": alex_script, "corpus": corpus, "config": TINY,
+        }}
+        assert len(protocol.encode(message)) > 100_000  # 64 KiB is 65,536
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                response = client.request(message)
+        assert response["ok"] is True, response
+        assert response["result"]["score"] > 0
+
+    def test_an_over_limit_line_is_bad_request_and_serving_goes_on(
+        self, tmp_path, monkeypatch, alex_script
+    ):
+        monkeypatch.setattr(protocol, "MAX_REQUEST_LINE_BYTES", 1024)
+        with _server(tmp_path) as handle:
+            sock = handle.config.socket_path
+            with ServerClient(socket_path=sock) as client:
+                client.submit({"op": "score", "params": {
+                    "script": alex_script, "corpus": [alex_script] * 20,
+                }})
+                response = client._read_response()
+                assert response["ok"] is False and response["id"] is None
+                assert response["error"]["kind"] == "bad_request"
+                assert "1024 bytes" in response["error"]["message"]
+                with pytest.raises(ConnectionError):
+                    client._read_response()  # the server closed it
+            with ServerClient(socket_path=sock) as client:
+                assert client.ping()
+                stats = client.stats()
+        assert stats["jobs_total"] == 0
 
 
 class TestWarmAndCoalesced:

@@ -1,12 +1,17 @@
 """Tests for the experiment harness (leave-one-out drivers, user study,
 reporting)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.baselines import SyntaxCleaner, gpt4
 from repro.core import LSConfig, LucidScript
 from repro.harness import (
     ImprovementStats,
+    StudyOutcome,
     evaluate_baseline,
     evaluate_lucidscript,
     make_intent,
@@ -188,6 +193,35 @@ class TestUserStudy:
         pvalues = significance_against(outcomes, ls_method="LS")
         assert set(pvalues) == {"Sourcery"}
         assert 0.0 <= pvalues["Sourcery"] <= 1.0
+
+    def test_significance_keeps_its_pvalues(self):
+        """Welch's t-test, as the scipy call has always computed it."""
+        outcomes = {
+            "LS": StudyOutcome("LS", [4.5, 4.0, 5.0, 3.5, 4.2, 4.8], []),
+            "A": StudyOutcome("A", [2.0, 3.1, 2.5, 3.0, 2.2, 1.5], []),
+            "B": StudyOutcome("B", [4.4, 3.9, 4.8, 3.6, 4.0, 4.1], []),
+        }
+        pvalues = significance_against(outcomes)
+        assert {method: p.hex() for method, p in pvalues.items()} == {
+            "A": "0x1.765e95c220406p-13",
+            "B": "0x1.fb81ed09a7fa1p-2",
+        }
+
+    def test_importing_the_package_loads_no_scipy(self):
+        """Only the t-test needs scipy, which costs more start-up time and
+        memory than the rest of the package; it is imported on its first
+        call."""
+        code = (
+            "import sys, repro, repro.harness, repro.cli, repro.server.engine\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_study_requires_ls(self, diabetes_corpus):
         with pytest.raises(KeyError):

@@ -328,13 +328,13 @@ class TestSharedCaches:
         for source, segments in seen:
             assert tuple(statement_segments(source, ast.parse(source).body)) == segments
 
-    @pytest.mark.parametrize("pool, parses", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("pool, parses", [(False, 1), (True, 1)])
     def test_the_query_is_parsed_once_per_corpus_layer(
         self, monkeypatch, diabetes_corpus, diabetes_dir, alex_script, pool, parses
     ):
-        """``standardize()`` parses the whole query once, and a pool's store
-        once more (its record for retrieval); the sandbox runs the input
-        from the parser's statement texts and parses nothing."""
+        """``standardize()`` parses the whole query once: a pool's store
+        builds its record for retrieval from that parse, and the sandbox
+        runs the input from the parser's statement texts."""
         corpus = RetrievalIndex.from_scripts(diabetes_corpus) if pool else diabetes_corpus
         system = self._system(corpus, diabetes_dir)
         seen = []
