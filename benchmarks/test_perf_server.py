@@ -35,10 +35,11 @@ import pytest
 
 from repro.corpus import clear_corpus_cache
 from repro.harness import render_table
-from repro.server import ServerClient, ServerConfig, ServerThread
+from repro.server import ServerClient, ServerConfig
 from repro.server.jobs import normalize_job
 from repro.server.oneshot import run_oneshot_process
 from repro.server.protocol import canonical, parity_payload
+from tests.server.thread import ServerThread
 
 from _shared import bench_environment, publish
 

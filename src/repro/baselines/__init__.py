@@ -7,10 +7,6 @@ rationale for each.
 """
 
 from .auto_suggest import AutoSuggest, predict_next_operator
-from .auto_suggest_model import (
-    NextOperatorModel,
-    generate_training_tables,
-)
 from .auto_tables import AutoTables, relationality_score, synthesize_reshape_program
 from .base import Baseline, BaselineResult
 from .learn2clean import Learn2Clean, Learn2CleanAgent, QualityState
@@ -26,13 +22,11 @@ __all__ = [
     "LLMProfile",
     "Learn2Clean",
     "Learn2CleanAgent",
-    "NextOperatorModel",
     "QualityState",
     "SimulatedLLM",
     "SyntaxCleaner",
     "TableFeatures",
     "featurize_table",
-    "generate_training_tables",
     "gpt35",
     "gpt4",
     "predict_next_operator",

@@ -50,31 +50,18 @@ def predict_next_operator(features: TableFeatures) -> Optional[str]:
 
 
 class AutoSuggest(Baseline):
-    """Single-step structural recommendation appended to the script.
-
-    ``learned=True`` swaps the rule model for the trained
-    :class:`~repro.baselines.auto_suggest_model.NextOperatorModel`,
-    matching the published system's learning-to-recommend design.
-    """
+    """Single-step structural recommendation appended to the script."""
 
     name = "Auto-Suggest"
 
-    def __init__(self, data_dir: Optional[str] = None, learned: bool = False):
+    def __init__(self, data_dir: Optional[str] = None):
         self.data_dir = data_dir
-        self.learned = learned
-
-    def _predict(self, frame: DataFrame) -> Optional[str]:
-        if self.learned:
-            from .auto_suggest_model import default_model
-
-            return default_model().predict(frame)
-        return predict_next_operator(featurize_table(frame))
 
     def rewrite(self, script: str, corpus: Sequence[str]) -> str:
         frame = self._load_input_table(script)
         if frame is None:
             return script
-        operator = self._predict(frame)
+        operator = predict_next_operator(featurize_table(frame))
         if operator is None:
             return script
         template = OPERATOR_TEMPLATES[operator]

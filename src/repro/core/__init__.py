@@ -27,11 +27,6 @@ from .intent import (
     table_fingerprint,
     table_jaccard,
 )
-from .intent_ext import (
-    BagOfOperationsIntent,
-    FairnessIntent,
-    demographic_parity_difference,
-)
 from .leakage import LeakageDetection, detect_target_leakage
 from .pareto import TradeoffPoint, explore_intent_thresholds, pareto_frontier
 from .standardizer import LucidScript, StandardizationError, StandardizationResult
@@ -43,10 +38,8 @@ from .transformations import (
 
 __all__ = [
     "AuditMismatchError",
-    "BagOfOperationsIntent",
     "BeamSearch",
     "Candidate",
-    "FairnessIntent",
     "IntentMeasure",
     "IntentStats",
     "LSConfig",
@@ -66,7 +59,6 @@ __all__ = [
     "TransformationExplanation",
     "apply_transformation",
     "cluster_transformations",
-    "demographic_parity_difference",
     "detect_target_leakage",
     "enumerate_transformations",
     "explain_result",

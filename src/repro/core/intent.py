@@ -428,10 +428,10 @@ def _keyed_columns(frame: DataFrame) -> List[Tuple[str, Hashable, Any]]:
 #: under a 40-character fingerprint, so a full memo holds about 1 MB.
 ACCURACY_CACHE_LIMIT = 4096
 
-#: ``(table fingerprint, target, task, model, random_state) -> accuracy``,
-#: shared by every prepared Δ_M check in the process.  The key is exact:
+#: ``(table fingerprint, target, task) -> accuracy``, shared by every
+#: prepared Δ_M check in the process.  The key is exact:
 #: ``evaluate_downstream`` is a deterministic, positional function of
-#: those four arguments and of the content :func:`table_fingerprint`
+#: the target, the task and the content :func:`table_fingerprint`
 #: hashes, and its only randomness comes from generators it seeds itself,
 #: so skipping a training shifts no other random stream.  τ is not in the
 #: key, since it does not affect accuracy.  Only successes are stored: a
@@ -457,17 +457,10 @@ class PreparedModelPerformance(PreparedIntent):
     """
 
     def _accuracy(self, frame: DataFrame, fingerprint: str) -> float:
-        intent = self.intent
-        key = (
-            fingerprint,
-            intent.target,
-            intent.task,
-            intent.model,
-            intent.random_state,
-        )
+        key = (fingerprint, self.intent.target, self.intent.task)
         acc = ACCURACY_CACHE.get(key)
         if acc is None:
-            acc = intent.accuracy(frame)  # stored only on success
+            acc = self.intent.accuracy(frame)  # stored only on success
             ACCURACY_CACHE[key] = acc
         return acc
 
@@ -562,25 +555,15 @@ class ModelPerformanceIntent(IntentMeasure):
         target: str,
         tau: float = 1.0,
         task: Optional[str] = None,
-        model: str = "logistic",
-        random_state: int = 0,
     ):
         if tau < 0:
             raise ValueError(f"tau_M must be non-negative, got {tau}")
         self.target = target
         self.tau = tau
         self.task = task
-        self.model = model
-        self.random_state = random_state
 
     def accuracy(self, frame: DataFrame) -> float:
-        return evaluate_downstream(
-            frame,
-            self.target,
-            task=self.task,
-            model=self.model,
-            random_state=self.random_state,
-        ).accuracy
+        return evaluate_downstream(frame, self.target, task=self.task).accuracy
 
     def delta(self, original: DataFrame, candidate: DataFrame) -> float:
         acc_orig = self.accuracy(original)

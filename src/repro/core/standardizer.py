@@ -29,7 +29,7 @@ from ..lang import CorpusVocabulary, ScriptDAG, ScriptError, parse_script
 from ..minipandas import DataFrame
 from ..minipandas.kernels import kernel_audit
 from ..ml import DownstreamEvaluationError
-from ..sandbox import IncrementalExecutor
+from ..sandbox import ExecutionResult, IncrementalExecutor
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
 from .entropy import RelativeEntropyScorer, percent_improvement
@@ -383,13 +383,18 @@ class LucidScript:
         self._ensure_search_space(dag)
         re_before = _relative_entropy(self.scorer, dag.edge_counter())
 
-        original_output = self._run(
-            normalized, tuple(s.source for s in dag.statements)
-        )
-        if original_output is None:
+        run = self._run(normalized, tuple(s.source for s in dag.statements))
+        if run.timed_out:
+            # out of time, not a broken script: the caller may retry
+            raise StandardizationError(
+                f"input script exceeded its {self.config.exec_timeout_s:g}s "
+                "execution budget (exec_timeout_s) before it could be standardized"
+            )
+        if not run.ok or run.output is None:
             raise StandardizationError(
                 "input script must execute and emit a table before it can be standardized"
             )
+        original_output = run.output
 
         search = BeamSearch(
             self.vocabulary,
@@ -419,13 +424,10 @@ class LucidScript:
         )
 
     # ----------------------------------------------------------------- helpers
-    def _run(
-        self, source: str, segments: Optional[Tuple[str, ...]] = None
-    ) -> Optional[DataFrame]:
-        """The output of *source*, or None if it fails; *segments* (its
-        statement texts) spare the incremental executor a re-parse."""
-        result = self._shared_executor().run_script(source, segments=segments)
-        return result.output if result.ok else None
+    def _run(self, source: str, segments: Tuple[str, ...]) -> ExecutionResult:
+        """The run of *source*; *segments* (its statement texts) spare the
+        incremental executor a re-parse."""
+        return self._shared_executor().run_script(source, segments=segments)
 
     def _fold_corpus_stats(self, stats: SearchStats) -> None:
         """Surface the offline-phase warm-cache activity on SearchStats.
@@ -482,7 +484,8 @@ class LucidScript:
                     return candidate, None
                 output = search.take_output(source)
                 if output is None:
-                    output = self._run(source, candidate.segments())
+                    run = self._run(source, candidate.segments())
+                    output = run.output if run.ok else None
                 if output is None:
                     continue
                 verdict = None

@@ -19,10 +19,8 @@ from .cache import (
     CorpusCacheCounters,
     cached_index,
     clear_corpus_cache,
-    configure_shared_store,
     corpus_cache_counters,
     corpus_key,
-    shared_retrieval_index,
     shared_store,
 )
 from .index import (
@@ -61,7 +59,6 @@ __all__ = [
     "StoreCounters",
     "cached_index",
     "clear_corpus_cache",
-    "configure_shared_store",
     "content_address",
     "corpus_cache_counters",
     "corpus_key",
@@ -70,7 +67,6 @@ __all__ = [
     "load_index",
     "read_corpus_dir",
     "save_index",
-    "shared_retrieval_index",
     "shared_store",
     "signature_similarity",
     "table_signature",

@@ -1,6 +1,6 @@
 """Process-wide warm corpus cache.
 
-Three layers, all content-addressed:
+Two layers, both content-addressed:
 
 * a shared :class:`~repro.corpus.store.ScriptStore` — every unique
   corpus script is lemmatized and parsed at most once per process, no
@@ -15,11 +15,7 @@ Three layers, all content-addressed:
   are resolved through a script-text → address memo, so a warm lookup
   hashes 40 bytes per script instead of the script itself.  A miss one
   script short of a cached sequence (a leave-one-out remainder) is
-  derived from that index by retracting the script, not rebuilt;
-* a shared :class:`~repro.corpus.retrieval.RetrievalIndex` over the
-  shared store — the process-wide pool that ``top_k`` queries search,
-  populated once (e.g. by the harness prewarm or ``index retrieve``)
-  and reused by every request.
+  derived from that index by retracting the script, not rebuilt.
 
 Every layer only ever returns structures that are bit-identical to a
 cold ``CorpusVocabulary.from_scripts`` build, which stays as the oracle
@@ -50,24 +46,21 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .._lru import LRUCache
 from .index import CorpusIndex
-from .retrieval import RetrievalIndex
 from .store import ScriptStore
 
 __all__ = [
     "CorpusCacheCounters",
     "cached_index",
     "clear_corpus_cache",
-    "configure_shared_store",
     "corpus_cache_counters",
     "corpus_key",
-    "shared_retrieval_index",
     "shared_store",
 ]
 
 #: Assembled indexes retained for identical corpus sequences (each entry
 #: is ``(script addresses, index)``, the addresses for derivation).
 INDEX_CACHE_LIMIT = 8
-#: Default record bound of the process-wide shared store.
+#: Record bound of each process-wide shared store.
 SHARED_STORE_LIMIT = 4096
 #: Script-text → content-address memo entries (corpus-key fast path).
 ADDR_MEMO_LIMIT = 4 * SHARED_STORE_LIMIT
@@ -77,11 +70,9 @@ ADDR_MEMO_LIMIT = 4 * SHARED_STORE_LIMIT
 #: thread.
 _LOCK = threading.RLock()
 
-_SHARED_CAPACITY: Optional[int] = SHARED_STORE_LIMIT
 #: one shared store per dialect — corpora never mix dialects, so the
 #: warm layers are partitioned by dialect name (created lazily)
 _SHARED_STORES: Dict[str, ScriptStore] = {}
-_SHARED_RETRIEVALS: Dict[str, RetrievalIndex] = {}
 _INDEX_CACHE: LRUCache = LRUCache(INDEX_CACHE_LIMIT)
 #: ``(dialect, raw script text)`` -> content address (or ``"failed:"``
 #: marker).  Keyed per dialect because lemmatization is dialect-driven:
@@ -129,47 +120,9 @@ def shared_store(dialect: str = "pandas") -> ScriptStore:
     with _LOCK:
         store = _SHARED_STORES.get(dialect)
         if store is None:
-            store = ScriptStore(capacity=_SHARED_CAPACITY, dialect=dialect)
+            store = ScriptStore(capacity=SHARED_STORE_LIMIT, dialect=dialect)
             _SHARED_STORES[dialect] = store
         return store
-
-
-def configure_shared_store(capacity: Optional[int]) -> ScriptStore:
-    """Rebound the shared stores (None = unbounded) and reset the cache.
-
-    Rebuilds every dialect's store at the new capacity: changing the
-    bound of a live LRU mid-flight would make eviction order depend on
-    when the reconfiguration happened, so the warm layers restart cold
-    instead.  Returns the (fresh) pandas store.
-    """
-    global _SHARED_CAPACITY
-    with _LOCK:
-        _SHARED_CAPACITY = capacity
-        clear_corpus_cache()
-        return shared_store()
-
-
-def shared_retrieval_index(dialect: str = "pandas") -> RetrievalIndex:
-    """The process-wide retrieval pool over the shared store.
-
-    Created lazily and empty; callers (harness prewarm, the CLI) add
-    pool scripts through the normal ``add_script`` delta path, and every
-    subsequent request shares the buckets.  One pool per dialect.
-
-    Invariant: the returned index is always built over the *current*
-    shared store — ``shared_retrieval_index().store is shared_store()``
-    holds after any configure/clear sequence (per dialect).  A stale pin
-    (e.g. a cached module-level reference created before a
-    ``configure_shared_store``) is detected and rebuilt here rather than
-    silently retrieving against the orphaned store.
-    """
-    with _LOCK:
-        store = shared_store(dialect)
-        retrieval = _SHARED_RETRIEVALS.get(dialect)
-        if retrieval is None or retrieval.store is not store:
-            retrieval = RetrievalIndex(store=store)
-            _SHARED_RETRIEVALS[dialect] = retrieval
-        return retrieval
 
 
 #: address prefix of a script that does not parse (never an index member)
@@ -340,7 +293,6 @@ def clear_corpus_cache() -> None:
     """Drop every warm-cache layer (tests and memory-pressure hooks)."""
     with _LOCK:
         _SHARED_STORES.clear()
-        _SHARED_RETRIEVALS.clear()
         _INDEX_CACHE.clear()
         _INDEX_CACHE.hits = 0
         _INDEX_CACHE.misses = 0

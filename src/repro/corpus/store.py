@@ -172,17 +172,6 @@ class ScriptStore:
     def get(self, content_hash: str) -> Optional[ScriptRecord]:
         return self._records.get(content_hash)
 
-    def raw_content_hash(self, raw_sha: str) -> Optional[str]:
-        """The content hash recorded for raw bytes with this sha1, if any.
-
-        A recency-neutral probe (:meth:`LRUCache.peek` on bounded
-        stores) — used by the corpus-key fast path, which must not
-        perturb eviction order just by computing cache keys.
-        """
-        if isinstance(self._raw_memo, LRUCache):
-            return self._raw_memo.peek(raw_sha)
-        return self._raw_memo.get(raw_sha)
-
     def _remember(self, record: ScriptRecord) -> None:
         self._records[record.content_hash] = record
         if isinstance(self._records, LRUCache):

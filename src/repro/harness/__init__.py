@@ -7,12 +7,7 @@ from .experiments import (
     evaluate_lucidscript,
     make_intent,
 )
-from .reporting import (
-    render_histogram,
-    render_series,
-    render_table,
-    step_prevalence_matrix,
-)
+from .reporting import render_histogram, render_series, render_table
 from .user_study import RaterPanel, StudyOutcome, run_user_study, significance_against
 
 __all__ = [
@@ -28,5 +23,4 @@ __all__ = [
     "render_table",
     "run_user_study",
     "significance_against",
-    "step_prevalence_matrix",
 ]

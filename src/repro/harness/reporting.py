@@ -10,7 +10,6 @@ __all__ = [
     "render_table",
     "render_histogram",
     "render_series",
-    "step_prevalence_matrix",
 ]
 
 
@@ -44,51 +43,6 @@ def render_histogram(
         bar = "#" * int(round(width * count / peak))
         lines.append(f"[{lo:7.1f}, {hi:7.1f})  {bar} {count}")
     return "\n".join(lines)
-
-
-def step_prevalence_matrix(
-    scripts: Sequence[str],
-    user_script: str = None,
-    max_steps: int = 15,
-) -> str:
-    """Render a Table 1-style matrix: steps × scripts with check marks.
-
-    Rows are the most prevalent lemmatized statements in *scripts* (plus
-    any statement of *user_script*); columns are s_u (when given) and
-    s_1..s_n.  This is the prevalence summary the paper's user-study
-    participants were shown.
-    """
-    from ..lang import CorpusVocabulary, ScriptError, lemmatize
-
-    vocabulary = CorpusVocabulary.from_scripts(scripts)
-    lemmatized = []
-    for script in scripts:
-        try:
-            lemmatized.append(set(lemmatize(script).splitlines()))
-        except ScriptError:
-            lemmatized.append(set())
-
-    steps = [sig for sig, _ in vocabulary.ngram_counts.most_common(max_steps)]
-    user_lines = set()
-    if user_script is not None:
-        user_lines = set(lemmatize(user_script).splitlines())
-        for line in user_lines:
-            if line not in steps:
-                steps.append(line)
-
-    headers = ["Data preparation step"]
-    if user_script is not None:
-        headers.append("s_u")
-    headers.extend(f"s_{i + 1}" for i in range(len(scripts)))
-
-    rows = []
-    for step in steps:
-        row = [step]
-        if user_script is not None:
-            row.append("x" if step in user_lines else "")
-        row.extend("x" if step in lines else "" for lines in lemmatized)
-        rows.append(row)
-    return render_table(headers, rows)
 
 
 def render_series(

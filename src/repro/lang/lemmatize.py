@@ -21,7 +21,7 @@ process has seen before costs one dictionary lookup.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._astparse import ast_parse
 from .._lru import LRUCache
@@ -120,25 +120,39 @@ def split_statements(source: str) -> List[str]:
     return [ast.unparse(node) for node in tree.body]
 
 
-def statement_sources(source: str, body: List[ast.stmt]) -> List[str]:
-    """The text of each statement in *body* as *source* writes it.
+def statement_sources(
+    source: str, body: Sequence[ast.stmt]
+) -> List[Tuple[str, int]]:
+    """``(text, first line)`` of each statement in *body* as *source*
+    writes it.
 
     AST columns count UTF-8 bytes, and the tokenizer breaks lines only at
     ``\\n``, ``\\r\\n`` and a lone ``\\r`` -- exactly where
     ``bytes.splitlines`` breaks (``str.splitlines`` also breaks at
-    ``\\x0c``, ``\\x1c``, ``\\u2028`` and others).
+    ``\\x0c``, ``\\x1c``, ``\\u2028`` and others).  A decorated
+    definition starts at the ``@`` of its first decorator, not at the
+    ``def``/``class`` line the node reports.  At top level that ``@`` is
+    the first non-blank character of its line (a decorator cannot follow
+    ``;``): the first such line at or above the decorator expression,
+    which may sit on a later line behind ``(`` or ``\\``.
     """
     data = source.encode()
+    lines = data.splitlines(keepends=True)
     starts = [0]
-    for line in data.splitlines(keepends=True):
+    for line in lines:
         starts.append(starts[-1] + len(line))
-    return [
-        data[
-            starts[node.lineno - 1] + node.col_offset : starts[node.end_lineno - 1]
-            + node.end_col_offset
-        ].decode()
-        for node in body
-    ]
+    spans = []
+    for node in body:
+        first, col = node.lineno - 1, node.col_offset
+        decorators = getattr(node, "decorator_list", None)
+        if decorators:
+            first = decorators[0].lineno - 1
+            while not lines[first].lstrip(b" \t\x0c").startswith(b"@"):
+                first -= 1
+            col = len(lines[first]) - len(lines[first].lstrip(b" \t\x0c"))
+        end = starts[node.end_lineno - 1] + node.end_col_offset
+        spans.append((data[starts[first] + col : end].decode(), first + 1))
+    return spans
 
 
 def rename_names(node: ast.AST, mapping: Dict[str, str]) -> None:
@@ -181,7 +195,7 @@ def lemmatize_statements(source: str, dialect=None) -> List[LemmaStatement]:
     renames = tuple(_build_rename_map(tree, dialect).items())
     name = dialect.name
     statements: List[LemmaStatement] = []
-    for node, raw in zip(tree.body, statement_sources(source, tree.body)):
+    for node, (raw, _) in zip(tree.body, statement_sources(source, tree.body)):
         if raw.isascii():
             applicable = tuple(pair for pair in renames if pair[0] in raw)
         else:

@@ -343,48 +343,6 @@ class ScriptDAG:
     def ngram_counter(self) -> Counter:
         return Counter(s.ngram.signature for s in self.statements)
 
-    # ------------------------------------------------------------------ export
-    def to_dot(self) -> str:
-        """Render the statement-level DAG in Graphviz dot format (Figure 2)."""
-        lines = ["digraph script {", "  rankdir=TB;", "  node [shape=box];"]
-        for stmt in self.statements:
-            label = stmt.source.replace('"', '\\"')
-            lines.append(f'  s{stmt.index} [label="{label}"];')
-        seen = set()
-        sig_to_index = {}
-        for stmt in self.statements:
-            sig_to_index.setdefault(stmt.ngram.signature, stmt.index)
-        last_writer: Dict[str, int] = {}
-        for stmt in self.statements:
-            for var in sorted(stmt.reads):
-                writer = last_writer.get(var)
-                if writer is not None and writer != stmt.index:
-                    key = (writer, stmt.index)
-                    if key not in seen:
-                        lines.append(f"  s{writer} -> s{stmt.index};")
-                        seen.add(key)
-            for var in stmt.writes:
-                last_writer[var] = stmt.index
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_networkx(self):
-        """Statement-level DAG as a networkx DiGraph (for analysis tooling)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for stmt in self.statements:
-            graph.add_node(stmt.index, source=stmt.source)
-        last_writer: Dict[str, int] = {}
-        for stmt in self.statements:
-            for var in sorted(stmt.reads):
-                writer = last_writer.get(var)
-                if writer is not None and writer != stmt.index:
-                    graph.add_edge(writer, stmt.index, var=var)
-            for var in stmt.writes:
-                last_writer[var] = stmt.index
-        return graph
-
 
 def compute_edge_counts(statements) -> Counter:
     """Edge multiset of a statement sequence, by *position* (not index).
@@ -660,8 +618,8 @@ def parse_script(source: str, lemmatized: bool = False, dialect=None) -> ScriptD
             tree = ast_parse(source)
         except SyntaxError as exc:
             raise ScriptParseError(str(exc)) from exc
-        texts = statement_sources(source, tree.body)
-        items = [(text, node, ()) for text, node in zip(texts, tree.body)]
+        spans = statement_sources(source, tree.body)
+        items = [(text, node, ()) for (text, _), node in zip(spans, tree.body)]
     else:
         items = lemmatize_statements(source, dialect)
     statements = []

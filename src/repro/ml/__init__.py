@@ -1,12 +1,12 @@
 """repro.ml — a from-scratch model substrate for the Δ_M intent measure.
 
-Stands in for scikit-learn (unavailable offline): deterministic linear and
-tree models plus the :func:`evaluate_downstream` oracle that scores a
+Stands in for scikit-learn (unavailable offline): deterministic linear
+models plus the :func:`evaluate_downstream` oracle that scores a
 script's emitted dataset by training a downstream predictor on it.
 """
 
 from .linear import LinearRegression, LogisticRegression
-from .metrics import accuracy_score, f1_score, mean_squared_error, r2_score, rmse
+from .metrics import accuracy_score, r2_score
 from .model_selection import train_test_split
 from .pipeline import (
     DownstreamEvaluationError,
@@ -14,20 +14,15 @@ from .pipeline import (
     evaluate_downstream,
     prepare_features,
 )
-from .tree import DecisionTreeClassifier
 
 __all__ = [
-    "DecisionTreeClassifier",
     "DownstreamEvaluationError",
     "DownstreamResult",
     "LinearRegression",
     "LogisticRegression",
     "accuracy_score",
     "evaluate_downstream",
-    "f1_score",
-    "mean_squared_error",
     "prepare_features",
     "r2_score",
-    "rmse",
     "train_test_split",
 ]

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["accuracy_score", "f1_score", "mean_squared_error", "rmse", "r2_score"]
+__all__ = ["accuracy_score", "r2_score"]
 
 
 def accuracy_score(y_true: Sequence, y_pred: Sequence) -> float:
@@ -19,31 +19,6 @@ def accuracy_score(y_true: Sequence, y_pred: Sequence) -> float:
     if y_true.size == 0:
         raise ValueError("accuracy is undefined on empty inputs")
     return float(np.mean(y_true == y_pred))
-
-
-def f1_score(y_true: Sequence, y_pred: Sequence, positive=1) -> float:
-    """Binary F1 with the given positive label."""
-    y_true, y_pred = np.asarray(list(y_true)), np.asarray(list(y_pred))
-    tp = float(np.sum((y_pred == positive) & (y_true == positive)))
-    fp = float(np.sum((y_pred == positive) & (y_true != positive)))
-    fn = float(np.sum((y_pred != positive) & (y_true == positive)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
-def mean_squared_error(y_true: Sequence, y_pred: Sequence) -> float:
-    y_true = np.asarray(list(y_true), dtype=float)
-    y_pred = np.asarray(list(y_pred), dtype=float)
-    if y_true.size == 0:
-        raise ValueError("MSE is undefined on empty inputs")
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def rmse(y_true: Sequence, y_pred: Sequence) -> float:
-    return float(np.sqrt(mean_squared_error(y_true, y_pred)))
 
 
 def r2_score(y_true: Sequence, y_pred: Sequence) -> float:

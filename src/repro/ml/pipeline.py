@@ -21,7 +21,6 @@ from ..minipandas.ops import get_dummies
 from .linear import LinearRegression, LogisticRegression
 from .metrics import accuracy_score, r2_score
 from .model_selection import train_test_split
-from .tree import DecisionTreeClassifier
 
 __all__ = [
     "DownstreamEvaluationError",
@@ -148,7 +147,6 @@ def evaluate_downstream(
     frame: DataFrame,
     target: str,
     task: Optional[str] = None,
-    model: str = "logistic",
     random_state: int = 0,
 ) -> DownstreamResult:
     """Train a model on *frame* and return its holdout score.
@@ -161,8 +159,6 @@ def evaluate_downstream(
         Prediction target column name (the competition's label).
     task:
         'classification' or 'regression'; inferred from the target when None.
-    model:
-        'logistic' or 'tree' for classification; regression always uses OLS.
     random_state:
         Seed for the train/test split and row subsampling (keep it fixed when
         comparing two script outputs).
@@ -182,7 +178,7 @@ def evaluate_downstream(
             X, labels, test_size=0.25, random_state=random_state
         )
         n_classes = len(np.unique(y_train))
-        if n_classes > 2 and model != "tree":
+        if n_classes > 2:
             raise DownstreamEvaluationError(
                 f"the logistic model is binary; the target has {n_classes} classes"
             )
@@ -195,10 +191,7 @@ def evaluate_downstream(
                 n_rows=X.shape[0],
                 n_features=X.shape[1],
             )
-        if model == "tree":
-            clf = DecisionTreeClassifier(max_depth=5)
-        else:
-            clf = LogisticRegression()
+        clf = LogisticRegression()
         clf.fit(X_train, y_train)
         score = accuracy_score(y_test, clf.predict(X_test))
     elif resolved_task == "regression":

@@ -14,10 +14,8 @@ hot path:
 
 Every entry point takes an optional wall-clock budget (``timeout_s`` /
 ``exec_timeout_s``): a script that exceeds it fails with
-:class:`ExecTimeout` instead of hanging the search (see
-:mod:`repro.sandbox.faults` for the failure taxonomy the budgets are
-tested against).  Budgets are off by default — the unbudgeted path is
-bit-identical to earlier builds.
+:class:`ExecTimeout` instead of hanging the search.  Budgets are off
+by default — the unbudgeted path is bit-identical to earlier builds.
 """
 
 from .incremental import IncrementalExecutor, IncrementalStats

@@ -57,7 +57,6 @@ two runs end differently.
 
 from __future__ import annotations
 
-import ast
 import copy
 import os
 import re as _re
@@ -74,6 +73,7 @@ from .._audit import AuditMismatchError
 from .._lru import LRUCache
 from ..dialects import resolve_dialect
 from ..dialects.base import ModuleProxy
+from ..lang.lemmatize import statement_sources
 from ..minipandas import DataFrame
 from ..minipandas.kernels import frames_match
 from ..minipandas.series import Series
@@ -87,7 +87,7 @@ from .runner import (
     script_error_line,
 )
 
-__all__ = ["IncrementalExecutor", "IncrementalStats", "statement_segments"]
+__all__ = ["IncrementalExecutor", "IncrementalStats"]
 
 #: Scripts that must run cold: genuine randomness use (``import random``,
 #: ``random.random()``, ``np.random.seed``; the deterministic
@@ -111,58 +111,6 @@ CODE_CACHE_LIMIT = 2048
 #: ``(statement text, first line) -> code object``, shared by every
 #: executor in the process (the server runs executors on several threads).
 _CODE_CACHE = LRUCache(CODE_CACHE_LIMIT, thread_safe=True)
-
-#: Splits after each line break the parser counts — ``\r\n``, a lone
-#: ``\r`` or ``\n`` — keeping the break on its line.  ``str.splitlines``
-#: would also split on form feed, ``\v`` and U+2028, which the parser
-#: does not treat as line breaks.
-_LINE_BREAK = _re.compile(r"(?<=\n)|(?<=\r)(?!\n)")
-
-
-def _statement_spans(source: str, nodes: Sequence[ast.stmt]) -> List[Tuple[str, int]]:
-    """``(source text, first line)`` of each top-level node, cut in one pass.
-
-    The script is split into lines once and each line is encoded to UTF-8
-    once, because the parser's column offsets count UTF-8 bytes.  A
-    decorated definition starts at the ``@`` of its first decorator, not
-    at the ``def``/``class`` line the node reports.  At top level that
-    ``@`` is the first non-blank character of its line (a decorator cannot
-    follow ``;``): the first such line at or above the decorator
-    expression, which may sit on a later line behind ``(`` or ``\\``.
-    """
-    lines = _LINE_BREAK.split(source)
-    encoded = [line.encode() for line in lines]
-    spans = []
-    for node in nodes:
-        first, col = node.lineno - 1, node.col_offset
-        decorators = getattr(node, "decorator_list", None)
-        if decorators:
-            first = decorators[0].lineno - 1
-            while not lines[first].lstrip(" \t\x0c").startswith("@"):
-                first -= 1
-            col = len(lines[first]) - len(lines[first].lstrip(" \t\x0c"))
-        last = node.end_lineno - 1
-        if first == last:
-            segment = encoded[first][col:node.end_col_offset].decode()
-        else:
-            segment = (
-                encoded[first][col:].decode()
-                + "".join(lines[first + 1:last])
-                + encoded[last][:node.end_col_offset].decode()
-            )
-        spans.append((segment, first + 1))
-    return spans
-
-
-def statement_segments(source: str, nodes: Sequence[ast.stmt]) -> List[str]:
-    """The source text of each top-level node parsed from *source*.
-
-    ``ast.get_source_segment(source, node)`` for each node, except that a
-    decorated definition's text starts at its first decorator; and cut in
-    one pass, where ``get_source_segment`` re-splits the script per node.
-    """
-    return [segment for segment, _ in _statement_spans(source, nodes)]
-
 
 def _line_numbers(segments: Sequence[str]) -> List[int]:
     """First line of each segment in ``"\\n".join(segments)``, counting
@@ -415,7 +363,7 @@ class IncrementalExecutor:
                 tree = ast_parse(source)
             except SyntaxError as exc:
                 return ExecutionResult(ok=False, error=exc, error_line=exc.lineno)
-            spans = _statement_spans(source, tree.body)
+            spans = statement_sources(source, tree.body)
             segments = tuple(segment for segment, _ in spans)
             linenos = [lineno for _, lineno in spans]
         else:

@@ -25,14 +25,8 @@ daemon:
 """
 
 from .client import ServerClient, ServerError
-from .engine import (
-    ServerConfig,
-    ServerStats,
-    ServerThread,
-    StandardizationServer,
-    WarmRegistry,
-)
-from .jobs import JobError, execute_job, normalize_job, system_key
+from .engine import ServerConfig, ServerStats, StandardizationServer, WarmRegistry
+from .jobs import JobError, execute_job, normalize_job
 from .protocol import decode, encode, error_response, ok_response
 from .queue import Job, JobQueue, QueueFullError
 from .verify import audit_job
@@ -46,7 +40,6 @@ __all__ = [
     "ServerConfig",
     "ServerError",
     "ServerStats",
-    "ServerThread",
     "StandardizationServer",
     "WarmRegistry",
     "audit_job",
@@ -56,5 +49,4 @@ __all__ = [
     "execute_job",
     "normalize_job",
     "ok_response",
-    "system_key",
 ]

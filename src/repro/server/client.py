@@ -90,9 +90,19 @@ class ServerClient:
         return message["id"]
 
     def collect(self, request_id: Any) -> Dict[str, Any]:
-        """The response for *request_id* (reads until it arrives)."""
+        """The response for *request_id* (reads until it arrives).
+
+        The server answers a line it cannot read with an id-less error and
+        may then close the connection; if it closes before *request_id*'s
+        response arrives, that id-less error is returned in its place.
+        """
         while request_id not in self._inbox:
-            response = self._read_response()
+            try:
+                response = self._read_response()
+            except ConnectionError:
+                if None in self._inbox:
+                    return self._inbox.pop(None)
+                raise
             self._inbox[response.get("id")] = response
         return self._inbox.pop(request_id)
 

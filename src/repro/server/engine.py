@@ -35,7 +35,9 @@ The queue is bounded (reject with retryable ``queue_full``); a request
 answered with a retryable ``deadline`` error without running, and a job
 dispatched with time left has the remainder threaded into the existing
 exec-budget machinery (``LSConfig.exec_timeout_s``) so no single
-candidate script can burn more than what is left of the SLA.
+candidate script can burn more than what is left of the SLA.  Such a
+job that fails once its deadline has passed is answered with a
+``deadline`` error too; one that succeeds late is still answered ``ok``.
 
 Drain
 -----
@@ -54,7 +56,7 @@ import sys
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .._audit import AuditMismatchError
@@ -68,7 +70,6 @@ from .verify import audit_job
 __all__ = [
     "ServerConfig",
     "ServerStats",
-    "ServerThread",
     "StandardizationServer",
     "WarmRegistry",
 ]
@@ -533,9 +534,19 @@ class StandardizationServer:
             finally:
                 system.config.exec_timeout_s = restore
         except jobs_mod.JobError as exc:
-            response = protocol.error_response(
-                job.request_id, exc.kind, str(exc), {"warm": warm_hit}
-            )
+            if clamped and job.remaining_s() <= 0:
+                # the clamped budget ran out, so the deadline failed the
+                # job, not the request: answer it as a retryable miss
+                response = protocol.error_response(
+                    job.request_id,
+                    "deadline",
+                    f"deadline of {job.deadline_s:g}s expired during execution",
+                    {"warm": warm_hit},
+                )
+            else:
+                response = protocol.error_response(
+                    job.request_id, exc.kind, str(exc), {"warm": warm_hit}
+                )
         except Exception as exc:  # noqa: BLE001 - engine fault, keep serving
             return (
                 protocol.error_response(
@@ -564,70 +575,3 @@ class StandardizationServer:
                     f"audit replay failed: {type(exc).__name__}: {exc}",
                 )
         return response, warm_hit
-
-
-class ServerThread:
-    """A server on a dedicated thread + event loop (tests, benchmarks).
-
-    Usage::
-
-        with ServerThread(ServerConfig(socket_path=...)) as handle:
-            client = ServerClient(socket_path=...)
-            ...
-
-    ``stop()`` triggers the same graceful drain as SIGTERM and joins the
-    thread; exiting the context manager does the same.
-    """
-
-    def __init__(self, config: ServerConfig):
-        # not the main thread; a copy, so the caller's config is untouched
-        self.config = replace(config, install_signal_handlers=False)
-        self.server: Optional[StandardizationServer] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self.loop = loop
-        server = StandardizationServer(self.config)
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # noqa: BLE001 - surface via start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self.server = server
-        self._ready.set()
-        try:
-            loop.run_until_complete(server.wait_closed())
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    def start(self, timeout: float = 30.0) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("server failed to start within its timeout")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"server failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self.server is not None and self.loop is not None:
-            with contextlib.suppress(Exception):
-                self.loop.call_soon_threadsafe(self.server.request_drain)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("server thread did not drain within its timeout")
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

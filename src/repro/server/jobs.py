@@ -56,7 +56,6 @@ __all__ = [
     "execute_job",
     "normalize_job",
     "resolve_job",
-    "system_key",
 ]
 
 #: LSConfig fields a request may override per job.
@@ -378,8 +377,3 @@ def execute_job(
         for line in result.removed_statements()
     ]
     return {"flagged": flagged, "output_script": result.output_script}
-
-
-def system_key(job: Dict[str, Any]) -> str:
-    """The warm-state address of one canonical job (see resolve_job)."""
-    return resolve_job(job).key

@@ -1,13 +1,12 @@
 """The process-wide downstream-accuracy memo of the prepared Δ_M check.
 
-``ACCURACY_CACHE`` maps ``(table fingerprint, target, task, model,
-random_state)`` to the accuracy ``evaluate_downstream`` returned for that
-table.  Only ``PreparedModelPerformance`` reads or writes it.  The
-contract under test: every prepared delta stays bit-identical to the
-naive ``delta``, every memo value equals a fresh training, the naive
-measures never consult the memo (so the intent audit catches a wrong
-entry), failures are never stored, and nothing but floats outlives
-a check.
+``ACCURACY_CACHE`` maps ``(table fingerprint, target, task)`` to the
+accuracy ``evaluate_downstream`` returned for that table.  Only
+``PreparedModelPerformance`` reads or writes it.  The contract under
+test: every prepared delta stays bit-identical to the naive ``delta``,
+every memo value equals a fresh training, the naive measures never
+consult the memo (so the intent audit catches a wrong entry), failures
+are never stored, and nothing but floats outlives a check.
 """
 
 import gc
@@ -63,23 +62,11 @@ def frame(shift=0, rows=24):
 
 
 def key_of(table, intent):
-    return (
-        table_fingerprint(table),
-        intent.target,
-        intent.task,
-        intent.model,
-        intent.random_state,
-    )
+    return (table_fingerprint(table), intent.target, intent.task)
 
 
 def fresh_accuracy(table, intent):
-    return evaluate_downstream(
-        table,
-        intent.target,
-        task=intent.task,
-        model=intent.model,
-        random_state=intent.random_state,
-    ).accuracy
+    return evaluate_downstream(table, intent.target, task=intent.task).accuracy
 
 
 # -------------------------------------------------------------------- oracle
@@ -149,12 +136,9 @@ class TestOracle:
         assert len(keys) >= len(seed1_outputs)
         # tables recur: fewer entries than checked tables
         assert len(keys) < sum(len(tables) for _, _, tables in seed1_outputs)
-        for fp, target, task, model, random_state in keys:
-            fresh = evaluate_downstream(
-                tables_by_fp[fp], target, task=task, model=model,
-                random_state=random_state,
-            ).accuracy
-            stored = ACCURACY_CACHE.peek((fp, target, task, model, random_state))
+        for fp, target, task in keys:
+            fresh = evaluate_downstream(tables_by_fp[fp], target, task=task).accuracy
+            stored = ACCURACY_CACHE.peek((fp, target, task))
             assert float.hex(stored) == float.hex(fresh)
 
 
@@ -162,16 +146,10 @@ class TestOracle:
 class TestKey:
     def test_each_evaluation_argument_is_in_the_key(self, trainings):
         original, candidate = frame(), frame(shift=1)
-        base = dict(target="label", tau=5.0, task=None, model="logistic",
-                    random_state=0)
+        base = dict(target="label", tau=5.0, task=None)
         ModelPerformanceIntent(**base).prepare(original).delta(candidate)
         assert len(trainings) == 2
-        for change in (
-            {"target": "other"},
-            {"task": "classification"},
-            {"model": "tree"},
-            {"random_state": 1},
-        ):
+        for change in ({"target": "other"}, {"task": "classification"}):
             trainings.clear()
             intent = ModelPerformanceIntent(**{**base, **change})
             assert intent.prepare(original).delta(candidate) == intent.delta(

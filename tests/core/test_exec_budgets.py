@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from repro.core import BeamSearch, LSConfig, LucidScript
+from repro.core import BeamSearch, LSConfig, LucidScript, StandardizationError
 from repro.core.beam import SearchStats
 from repro.core.entropy import RelativeEntropyScorer
 from repro.lang import CorpusVocabulary, parse_script
 from repro.sandbox import IncrementalExecutor
-from repro.sandbox.faults import FaultInjectingExecutor
+
+from ..faults import FaultInjectingExecutor
 
 #: The fillna-with-mean statement every corpus script shares — present in
 #: real candidates, absent from the input script (which uses median), so
@@ -191,3 +192,19 @@ class TestStandardizerBudgets:
         assert a.output_script == b.output_script
         assert a.re_after == b.re_after
         assert b.stats.n_exec_timeouts == 0
+
+    def test_an_input_out_of_budget_is_named_as_such(
+        self, diabetes_corpus, diabetes_dir, alex_script
+    ):
+        """An input that runs out of time is not reported as a script
+        that does not execute."""
+        system = LucidScript(
+            diabetes_corpus,
+            data_dir=diabetes_dir,
+            config=config(exec_timeout_s=1e-6),
+        )
+        with pytest.raises(StandardizationError) as excinfo:
+            system.standardize(alex_script)
+        message = str(excinfo.value)
+        assert "1e-06s execution budget" in message
+        assert "must execute" not in message

@@ -12,6 +12,7 @@ import pytest
 from repro.core import LSConfig, LucidScript, TableJaccardIntent
 from repro.corpus import (
     CorpusIndex,
+    cache,
     cached_index,
     clear_corpus_cache,
     corpus_cache_counters,
@@ -181,52 +182,27 @@ class TestSharedStoreBound:
 
         assert shared_store().capacity == SHARED_STORE_LIMIT
 
-    def test_configure_shared_store_rebounds(self, diabetes_corpus):
-        from repro.corpus import configure_shared_store
-
-        try:
-            store = configure_shared_store(2)
-            assert store.capacity == 2
-            assert shared_store() is store
-            scripts = [
-                f"import pandas as pd\ndf = pd.read_csv('f{i}.csv')\ndf" for i in range(4)
-            ]
-            for script in scripts:
-                store.get_or_parse(script)
-            assert len(store) == 2
-            assert corpus_cache_counters().script_evictions == 2
-        finally:
-            from repro.corpus.cache import SHARED_STORE_LIMIT
-
-            configure_shared_store(SHARED_STORE_LIMIT)
-
-    def test_indexes_keep_strong_refs_across_evictions(self):
-        from repro.corpus import configure_shared_store
-        from repro.corpus.cache import SHARED_STORE_LIMIT
-
-        try:
-            store = configure_shared_store(1)
-            scripts = [
-                f"import pandas as pd\ndf = pd.read_csv('f{i}.csv')\ndf" for i in range(3)
-            ]
-            index = CorpusIndex.from_scripts(scripts, store=store)
-            assert len(store) == 1  # store kept only the most recent
-            assert index.n_scripts == 3  # the index kept all of its records
-            index.verify()  # still bit-identical to a cold rebuild
-        finally:
-            configure_shared_store(SHARED_STORE_LIMIT)
-
-
-class TestSharedRetrievalIndex:
-    def test_singleton_over_shared_store(self, diabetes_corpus):
-        from repro.corpus import shared_retrieval_index
-
-        pool = shared_retrieval_index()
-        assert pool is shared_retrieval_index()
-        assert pool.store is shared_store()
-        for script in diabetes_corpus:
-            pool.add_script(script)
-        assert pool.n_scripts == len(diabetes_corpus)
+    def test_shared_store_evicts_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr(cache, "SHARED_STORE_LIMIT", 2)
         clear_corpus_cache()
-        assert shared_retrieval_index() is not pool
-        assert shared_retrieval_index().n_scripts == 0
+        store = shared_store()
+        assert store.capacity == 2
+        scripts = [
+            f"import pandas as pd\ndf = pd.read_csv('f{i}.csv')\ndf" for i in range(4)
+        ]
+        for script in scripts:
+            store.get_or_parse(script)
+        assert len(store) == 2
+        assert corpus_cache_counters().script_evictions == 2
+
+    def test_indexes_keep_strong_refs_across_evictions(self, monkeypatch):
+        monkeypatch.setattr(cache, "SHARED_STORE_LIMIT", 1)
+        clear_corpus_cache()
+        store = shared_store()
+        scripts = [
+            f"import pandas as pd\ndf = pd.read_csv('f{i}.csv')\ndf" for i in range(3)
+        ]
+        index = CorpusIndex.from_scripts(scripts, store=store)
+        assert len(store) == 1  # store kept only the most recent
+        assert index.n_scripts == 3  # the index kept all of its records
+        index.verify()  # still bit-identical to a cold rebuild

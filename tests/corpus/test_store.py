@@ -96,19 +96,6 @@ class TestBoundedStore:
         assert record is not None
         assert store.counters.parses == parses + 1
 
-    def test_raw_content_hash_probe_is_recency_neutral(self):
-        store = ScriptStore(capacity=2)
-        a, b, c = self._scripts(3)
-        ha = store.get_or_parse(a).content_hash
-        hb = store.get_or_parse(b).content_hash
-        from hashlib import sha1
-
-        # peeking at a must NOT refresh it: b stays the most recent
-        assert store.raw_content_hash(sha1(a.encode()).hexdigest()) == ha
-        store.get_or_parse(c)
-        assert hb in store
-        assert ha not in store
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ScriptStore(capacity=0)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from .._astparse import ast_parse
-from .incremental import IncrementalExecutor
+from repro._astparse import ast_parse
+from repro.sandbox import IncrementalExecutor
 
 __all__ = ["FAULT_KINDS", "fault_snippet", "spin_snippet", "inject_fault",
            "FaultInjectingExecutor"]

@@ -182,22 +182,14 @@ class TestInterEdges:
         dag = parse_script("x = 1\ny = x + 1", lemmatized=True)
         assert len(dag) == 2
 
+    def test_decorators_are_part_of_a_statement(self):
+        """Statements are cached by their text, which starts at the first
+        decorator: two definitions that differ only there stay apart."""
+        for decorator in ("staticmethod", "classmethod"):
+            dag = parse_script(f"@{decorator}\ndef g():\n    pass", lemmatized=True)
+            assert dag.statements[0].source == f"@{decorator}\ndef g():\n    pass"
+
 
 class TestExports:
     def test_source_roundtrip(self, dag):
         assert parse_script(dag.source(), lemmatized=True).source() == dag.source()
-
-    def test_to_dot_contains_nodes_and_edges(self, dag):
-        dot = dag.to_dot()
-        assert dot.startswith("digraph")
-        assert "s0" in dot and "->" in dot
-
-    def test_to_networkx(self, dag):
-        graph = dag.to_networkx()
-        assert graph.number_of_nodes() == 5
-        assert graph.has_edge(1, 2)
-
-    def test_networkx_is_acyclic(self, dag):
-        import networkx as nx
-
-        assert nx.is_directed_acyclic_graph(dag.to_networkx())

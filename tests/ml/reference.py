@@ -15,7 +15,6 @@ import numpy as np
 from repro.minipandas import is_missing
 from repro.minipandas.ops import get_dummies
 from repro.ml import (
-    DecisionTreeClassifier,
     LinearRegression,
     LogisticRegression,
     accuracy_score,
@@ -102,9 +101,7 @@ def reference_prepare_features(frame, target):
     return np.column_stack(columns), y
 
 
-def reference_evaluate_downstream(
-    frame, target, task=None, model="logistic", random_state=0
-) -> float:
+def reference_evaluate_downstream(frame, target, task=None, random_state=0) -> float:
     """The accuracy ``evaluate_downstream`` returns, from the pieces above."""
     X, y = reference_prepare_features(frame, target)
     task = task or _infer_task(y)
@@ -119,10 +116,7 @@ def reference_evaluate_downstream(
         )
         if len(np.unique(y_train)) < 2:
             return accuracy_score(y_test, np.full(len(y_test), y_train[0]))
-        if model == "tree":
-            clf = DecisionTreeClassifier(max_depth=5)
-        else:
-            clf = TextbookLogisticRegression()
+        clf = TextbookLogisticRegression()
         clf.fit(X_train, y_train)
         return accuracy_score(y_test, clf.predict(X_test))
     values = np.array([float(v) for v in y])

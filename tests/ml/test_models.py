@@ -1,17 +1,13 @@
-"""Tests for the ML substrate: linear models, trees, metrics, splitting."""
+"""Tests for the ML substrate: linear models, metrics, splitting."""
 
 import numpy as np
 import pytest
 
 from repro.ml import (
-    DecisionTreeClassifier,
     LinearRegression,
     LogisticRegression,
     accuracy_score,
-    f1_score,
-    mean_squared_error,
     r2_score,
-    rmse,
     train_test_split,
 )
 
@@ -120,48 +116,6 @@ class TestLinearRegression:
         assert np.allclose(predictions, y, atol=1e-2)
 
 
-class TestDecisionTree:
-    def test_learns_axis_aligned_split(self):
-        X = np.array([[0.0], [0.2], [0.8], [1.0]] * 10)
-        y = np.array([0, 0, 1, 1] * 10)
-        model = DecisionTreeClassifier(max_depth=2, min_samples_split=2).fit(X, y)
-        assert accuracy_score(y, model.predict(X)) == 1.0
-
-    def test_learns_xor_with_depth(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((400, 2))
-        y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.5)).astype(int)
-        model = DecisionTreeClassifier(max_depth=4, min_samples_split=4).fit(X, y)
-        assert accuracy_score(y, model.predict(X)) > 0.9
-
-    def test_max_depth_zero_is_majority(self):
-        X = np.array([[0.0], [1.0], [2.0]])
-        y = np.array([1, 1, 0])
-        model = DecisionTreeClassifier(max_depth=0).fit(X, y)
-        assert list(model.predict(X)) == [1, 1, 1]
-
-    def test_empty_fit_raises(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier().fit(np.zeros((0, 1)), [])
-
-    def test_feature_count_checked_on_predict(self):
-        model = DecisionTreeClassifier().fit(np.zeros((10, 2)), [0] * 5 + [1] * 5)
-        with pytest.raises(ValueError):
-            model.predict(np.zeros((1, 3)))
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            DecisionTreeClassifier().predict(np.zeros((1, 1)))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        X = rng.random((100, 3))
-        y = (X[:, 0] > 0.5).astype(int)
-        a = DecisionTreeClassifier().fit(X, y).predict(X)
-        b = DecisionTreeClassifier().fit(X, y).predict(X)
-        assert np.array_equal(a, b)
-
-
 class TestMetrics:
     def test_accuracy(self):
         assert accuracy_score([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
@@ -173,19 +127,6 @@ class TestMetrics:
     def test_accuracy_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             accuracy_score([1], [1, 2])
-
-    def test_f1_perfect(self):
-        assert f1_score([1, 0, 1], [1, 0, 1]) == 1.0
-
-    def test_f1_no_true_positives_is_zero(self):
-        assert f1_score([1, 1], [0, 0]) == 0.0
-
-    def test_f1_custom_positive(self):
-        assert f1_score(["a", "b"], ["a", "b"], positive="a") == 1.0
-
-    def test_mse_rmse(self):
-        assert mean_squared_error([0, 0], [3, 4]) == 12.5
-        assert rmse([0, 0], [3, 4]) == pytest.approx(np.sqrt(12.5))
 
     def test_r2_perfect_and_mean(self):
         y = [1.0, 2.0, 3.0]

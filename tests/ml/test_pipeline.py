@@ -80,10 +80,6 @@ class TestEvaluateDownstream:
         b = evaluate_downstream(frame, "y").accuracy
         assert a == b
 
-    def test_tree_model(self):
-        result = evaluate_downstream(make_classification_frame(), "y", model="tree")
-        assert result.accuracy > 0.7
-
     def test_regression(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, 150)

@@ -12,16 +12,18 @@ import time
 
 import pytest
 
+from repro import cli
 from repro.corpus import clear_corpus_cache
 from repro.server import (
     JobQueue,
     ServerClient,
     ServerConfig,
     ServerError,
-    ServerThread,
     StandardizationServer,
     protocol,
 )
+
+from .thread import ServerThread
 
 #: tiny search budget: these tests exercise serving, not search quality
 TINY = {"seq": 2, "beam_size": 1, "sample_rows": 50}
@@ -138,19 +140,39 @@ class TestRequestFraming:
         with _server(tmp_path) as handle:
             sock = handle.config.socket_path
             with ServerClient(socket_path=sock) as client:
-                client.submit({"op": "score", "params": {
+                response = client.request({"op": "score", "params": {
                     "script": alex_script, "corpus": [alex_script] * 20,
                 }})
-                response = client._read_response()
                 assert response["ok"] is False and response["id"] is None
                 assert response["error"]["kind"] == "bad_request"
                 assert "1024 bytes" in response["error"]["message"]
                 with pytest.raises(ConnectionError):
-                    client._read_response()  # the server closed it
+                    client.request({"op": "ping"})  # the server closed it
             with ServerClient(socket_path=sock) as client:
                 assert client.ping()
                 stats = client.stats()
         assert stats["jobs_total"] == 0
+
+    def test_the_client_command_prints_an_over_limit_error(
+        self, tmp_path, monkeypatch, capsys, diabetes_corpus, alex_script
+    ):
+        monkeypatch.setattr(protocol, "MAX_REQUEST_LINE_BYTES", 1024)
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for position, script in enumerate(diabetes_corpus):
+            (corpus_dir / f"s{position}.py").write_text(script)
+        user = tmp_path / "user.py"
+        user.write_text(alex_script + "\n# " + "x" * 2048)
+        with _server(tmp_path) as handle:
+            status = cli.main([
+                "client", "score", "--socket", handle.config.socket_path,
+                "--script", str(user), "--corpus-dir", str(corpus_dir),
+            ])
+        response = json.loads(capsys.readouterr().out)
+        assert status == 1
+        assert response["ok"] is False and response["id"] is None
+        assert response["error"]["kind"] == "bad_request"
+        assert "1024 bytes" in response["error"]["message"]
 
 
 class TestWarmAndCoalesced:
@@ -247,6 +269,34 @@ class TestWarmAndCoalesced:
         assert excinfo.value.kind == "deadline"
         assert excinfo.value.retryable is True
         assert stats["deadline_misses"] == 1
+
+    def test_a_deadline_that_runs_out_during_the_job_is_retryable(
+        self, tmp_path, diabetes_corpus, diabetes_dir
+    ):
+        """The clamped budget stops the input's run: the deadline failed
+        the job, so the answer is a retryable ``deadline``, not a
+        ``standardization`` error blaming the script."""
+        slow = (
+            "import pandas as pd\n"
+            "df = pd.read_csv('diabetes.csv')\n"
+            "for i in range(10**8):\n"
+            "    pass"
+        )
+        with _server(tmp_path) as handle:
+            with ServerClient(socket_path=handle.config.socket_path) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client.standardize(
+                        script=slow,
+                        corpus=diabetes_corpus,
+                        data_dir=diabetes_dir,
+                        config=TINY,
+                        deadline_s=0.2,
+                    )
+                stats = client.stats()
+        assert excinfo.value.kind == "deadline"
+        assert excinfo.value.retryable is True
+        assert stats["deadline_misses"] == 1
+        assert "standardization" not in stats["errors"]
 
     def test_a_deadline_above_the_timer_limit_answers_ok(
         self, tmp_path, monkeypatch, diabetes_corpus, alex_script, diabetes_dir

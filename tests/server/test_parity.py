@@ -10,10 +10,12 @@ import pytest
 
 from repro.core.intent import ACCURACY_CACHE
 from repro.corpus import clear_corpus_cache
-from repro.server import ServerClient, ServerConfig, ServerThread
+from repro.server import ServerClient, ServerConfig
 from repro.server.jobs import normalize_job
 from repro.server.oneshot import run_oneshot
 from repro.server.protocol import canonical, parity_payload
+
+from .thread import ServerThread
 
 TINY = {"seq": 2, "beam_size": 1, "sample_rows": 50}
 

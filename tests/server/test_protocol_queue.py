@@ -5,12 +5,7 @@ import pytest
 from repro.core import LSConfig
 from repro.corpus import clear_corpus_cache, corpus_key
 from repro.server import protocol
-from repro.server.jobs import (
-    JobError,
-    normalize_job,
-    resolve_job,
-    system_key,
-)
+from repro.server.jobs import JobError, normalize_job, resolve_job
 from repro.server.queue import Job, JobQueue, QueueFullError
 
 
@@ -180,7 +175,9 @@ class TestSystemKey:
             "op": "standardize",
             "params": {"script": "df = 1", "corpus": diabetes_corpus},
         }
-        assert system_key(normalize_job(raw)) == system_key(normalize_job(raw))
+        assert resolve_job(normalize_job(raw)).key == resolve_job(
+            normalize_job(raw)
+        ).key
 
     def test_key_prefix_is_the_corpus_key(self, diabetes_corpus):
         job = normalize_job(
@@ -205,8 +202,9 @@ class TestSystemKey:
                 },
             }
         )
-        assert system_key(base) != system_key(other)
-        assert system_key(base).split(":")[0] == system_key(other).split(":")[0]
+        base_key, other_key = resolve_job(base).key, resolve_job(other).key
+        assert base_key != other_key
+        assert base_key.split(":")[0] == other_key.split(":")[0]
 
     def test_script_does_not_change_the_key(self, diabetes_corpus):
         """Warm state is per (corpus, shape), never per input script."""
@@ -216,7 +214,7 @@ class TestSystemKey:
         second = normalize_job(
             {"op": "score", "params": {"script": "df = 2", "corpus": diabetes_corpus}}
         )
-        assert system_key(first) == system_key(second)
+        assert resolve_job(first).key == resolve_job(second).key
 
     def test_resolved_config_applies_overrides(self, diabetes_corpus):
         job = normalize_job(

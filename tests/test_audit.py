@@ -25,7 +25,9 @@ from repro.core.intent import PreparedTableJaccard
 from repro.corpus import CorpusIndex, RetrievalIndex
 from repro.minipandas import kernel_audit, kernels
 from repro.sandbox import IncrementalExecutor, run_script
-from repro.server import ServerClient, ServerConfig, ServerThread
+from repro.server import ServerClient, ServerConfig
+
+from .server.thread import ServerThread
 
 #: a search small enough to be quick that still checks intent on
 #: candidates other than the original

@@ -18,9 +18,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import JOB_COMMANDS, _render, main
-from repro.server import ServerConfig, ServerThread
+from repro.server import ServerConfig
 from repro.server.jobs import JobError, execute_job, normalize_job
 
+from .server.thread import ServerThread
 from .test_cli_fixture import _corpora, run_cli
 
 SEARCH = ["--seq", "16", "--beam-size", "1"]

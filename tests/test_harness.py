@@ -256,31 +256,3 @@ class TestReporting:
     def test_render_series(self):
         out = render_series([(2, 10.0), (4, 20.0)], "seq", "improvement")
         assert "seq" in out and "20.0" in out
-
-
-class TestPrevalenceMatrix:
-    def test_table1_style_matrix(self, diabetes_corpus, alex_script):
-        from repro.harness import step_prevalence_matrix
-
-        out = step_prevalence_matrix(diabetes_corpus, user_script=alex_script)
-        lines = out.splitlines()
-        assert "s_u" in lines[0] and "s_3" in lines[0]
-        # the majority step is checked in all three corpus columns
-        fillna_row = next(l for l in lines if "fillna(df.mean())" in l)
-        assert fillna_row.count("x") == 3
-        # the user's median imputation appears only in the s_u column
-        median_row = next(l for l in lines if "fillna(df.median())" in l)
-        assert median_row.count("x") == 1
-
-    def test_matrix_without_user_script(self, diabetes_corpus):
-        from repro.harness import step_prevalence_matrix
-
-        out = step_prevalence_matrix(diabetes_corpus)
-        assert "s_u" not in out.splitlines()[0]
-
-    def test_max_steps_cap(self, diabetes_corpus):
-        from repro.harness import step_prevalence_matrix
-
-        out = step_prevalence_matrix(diabetes_corpus, max_steps=2)
-        # header + separator + 2 step rows
-        assert len(out.splitlines()) == 4

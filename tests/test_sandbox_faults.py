@@ -1,6 +1,6 @@
 """Fault-tolerance tests for the sandbox execution-budget layer.
 
-Uses :mod:`repro.sandbox.faults` to plant deterministic pathologies
+Uses :mod:`tests.faults` to plant deterministic pathologies
 (hangs, watchdog-defeating hangs, crashes, allocation churn) and checks
 that budgets interrupt them and that healthy scripts are never affected.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.sandbox import ExecTimeout, IncrementalExecutor, run_script
 from repro.sandbox import incremental
-from repro.sandbox.faults import (
+from .faults import (
     FAULT_KINDS,
     FaultInjectingExecutor,
     fault_snippet,

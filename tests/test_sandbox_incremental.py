@@ -11,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._lru import LRUCache
+from repro.lang.lemmatize import statement_sources
 from repro.minipandas import DataFrame
 from repro.sandbox import IncrementalExecutor, check_executes, run_script
 from repro.sandbox import incremental
 from repro.sandbox import runner as runner_module
-from repro.sandbox.incremental import statement_segments
 from repro.workloads import build_competition
+
+
+def statement_segments(source, body):
+    """The text of each statement the shared slicer cuts."""
+    return [text for text, _ in statement_sources(source, body)]
 
 
 PREFIX = (

@@ -9,7 +9,6 @@ cold :func:`run_script`'s, on fresh and on warm executors.
 import ast
 import sys
 import threading
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +26,8 @@ from repro.lang.parser import (
 )
 from repro.sandbox import IncrementalExecutor, run_script
 from repro.sandbox import incremental
-from repro.sandbox.incremental import statement_segments
 
-from .test_sandbox_incremental import _result_signature
+from .test_sandbox_incremental import _result_signature, statement_segments
 
 #: One top-level statement each.  They read and write ``df`` and ``Box``
 #: so that orderings change what later statements see.
@@ -93,10 +91,8 @@ class TestStatementEntryPoint:
         def refuse(*args, **kwargs):
             raise AssertionError("parsed a script that came with its segments")
 
-        monkeypatch.setattr(
-            incremental, "ast", types.SimpleNamespace(parse=refuse, stmt=ast.stmt)
-        )
-        monkeypatch.setattr(incremental, "_statement_spans", refuse)
+        monkeypatch.setattr(incremental, "ast_parse", refuse)
+        monkeypatch.setattr(incremental, "statement_sources", refuse)
         segments = ("import pandas as pd", "df = pd.DataFrame({'a': [1]})")
         result = IncrementalExecutor().run_script(
             "\n".join(segments), segments=segments

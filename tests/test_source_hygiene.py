@@ -1,4 +1,5 @@
-"""Every name a module under ``src/repro`` imports is read in that module.
+"""Every name a module under ``src/repro`` imports is read in that module,
+and the package declares exactly the third-party packages it imports.
 
 A name counts as read when it is loaded, is the root of an attribute
 chain, appears inside a string annotation (parsed as an expression), or
@@ -7,9 +8,14 @@ import in order to re-export, so they are left out.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def _imported_names(tree):
@@ -84,3 +90,26 @@ def test_modules_read_every_name_they_import():
         for line, name in unused_imports(path)
     ]
     assert unused == []
+
+
+def third_party_imports():
+    """Top-level name of every absolute import under ``src/repro`` that is
+    neither the standard library nor ``repro`` itself."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"repro"}
+
+
+def test_declared_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        declared = tomllib.load(handle)["project"]["dependencies"]
+    # a requirement may carry a version, marker or extras after its name
+    names = {re.split(r"[\s<>=!~;\[]", requirement)[0] for requirement in declared}
+    assert sorted(third_party_imports()) == sorted(names)
