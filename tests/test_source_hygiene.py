@@ -1,5 +1,6 @@
 """Every name a module under ``src/repro`` imports is read in that module,
-and the package declares exactly the third-party packages it imports.
+the package declares exactly the third-party packages it imports, and
+every name the benchmark in ``perfbench/`` reads from ``src/`` exists.
 
 A name counts as read when it is loaded, is the root of an attribute
 chain, appears inside a string annotation (parsed as an expression), or
@@ -8,6 +9,10 @@ import in order to re-export, so they are left out.
 """
 
 import ast
+import dataclasses
+import importlib
+import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -113,3 +118,57 @@ def test_declared_dependencies_are_the_imported_packages():
     # a requirement may carry a version, marker or extras after its name
     names = {re.split(r"[\s<>=!~;\[]", requirement)[0] for requirement in declared}
     assert sorted(third_party_imports()) == sorted(names)
+
+
+def _perfbench_module(name):
+    """``perfbench/<name>.py``, loaded by path (it imports only the
+    standard library), without entering ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfbenchNames:
+    """A rename in ``src/`` that perfbench reads fails here, in tier-1,
+    before the benchmark's own steps run."""
+
+    def test_every_traced_entry_point_resolves(self):
+        targets = _perfbench_module("spans").TARGETS
+        assert targets
+        for span, (module_name, attr) in targets.items():
+            owner = importlib.import_module(module_name)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert inspect.isroutine(owner), (span, module_name, attr)
+
+    def test_every_summed_stat_is_a_search_stats_field(self):
+        from repro.core import SearchStats
+
+        fields = {field.name for field in dataclasses.fields(SearchStats)}
+        read = set(_perfbench_module("layers").STAT_FIELDS)
+        read.add("prefix_mean_resume_depth")  # StatsTotals.add
+        assert read <= fields, sorted(read - fields)
+
+    def test_corpus_and_retrieval_counters(self):
+        from repro.corpus import CorpusCacheCounters, RetrievalIndex
+
+        fields = {field.name for field in dataclasses.fields(CorpusCacheCounters)}
+        assert {"index_hits", "script_hits", "script_parses"} <= fields
+        assert callable(CorpusCacheCounters.delta)
+        snapshot = RetrievalIndex().counters.snapshot()
+        assert isinstance(snapshot, tuple) and len(snapshot) == 3
+
+    def test_the_traced_server_wraps_existing_methods(self):
+        from repro.core import LucidScript
+        from repro.server.engine import StandardizationServer
+        from repro.server.queue import JobQueue
+
+        for owner, name in (
+            (JobQueue, "take_wave"),
+            (StandardizationServer, "_run_job"),
+            (LucidScript, "standardize"),
+        ):
+            assert inspect.isfunction(getattr(owner, name, None)), name
