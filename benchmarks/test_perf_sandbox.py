@@ -13,6 +13,7 @@ speedups to the repo-root ``BENCH_sandbox.json``.  The acceptance bar: the
 incremental path is at least 2x faster (median wave) than cold execution.
 """
 
+import dataclasses
 import json
 import os
 import statistics
@@ -125,7 +126,7 @@ def test_perf_sandbox_engines(bench_dir):
         "speedup_vs_cold": {
             "incremental": round(incremental_speedup, 2),
         },
-        "incremental_stats": executor.stats.as_dict(),
+        "incremental_stats": dataclasses.asdict(executor.stats),
         "environment": bench_environment(),
     }
     with open(BENCH_JSON, "w") as handle:

@@ -1,11 +1,11 @@
-"""A tiny LRU cache with hit/miss accounting.
+"""A tiny LRU cache with hit, miss and eviction counts.
 
 Several hot paths keep bounded memo tables — the sandbox's parsed-CSV
 cache, the beam search's execution memo, the process-wide parsed-statement
 and code-object caches, and the incremental executor's namespace
 snapshots.  They all share this one implementation so eviction is true
-LRU (lookups refresh recency) and hit rates are observable by
-:class:`repro.core.beam.SearchStats`.
+LRU (lookups refresh recency); the corpus cache reports its index
+cache's hits and misses in :func:`repro.corpus.corpus_cache_counters`.
 
 Caches shared across threads (the server engine's warm registry, the
 process-wide statement and code caches) construct with
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, List, Optional
+from typing import Any, Hashable, Iterator, List, Optional
 
 __all__ = ["LRUCache"]
 
@@ -141,19 +141,3 @@ class LRUCache:
         while len(self._entries) > capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    # ------------------------------------------------------------- accounting
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "size": float(len(self._entries)),
-            "capacity": float(self.capacity),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "hit_rate": self.hit_rate,
-        }

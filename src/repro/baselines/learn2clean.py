@@ -39,6 +39,9 @@ __all__ = ["QualityState", "Action", "Learn2CleanAgent", "Learn2Clean"]
 
 STOP = "stop"
 
+#: Seed of the agent's ε-greedy exploration.
+RANDOM_STATE = 0
+
 
 @dataclass(frozen=True)
 class QualityState:
@@ -142,7 +145,6 @@ class Learn2CleanAgent:
         epsilon: float = 0.3,
         learning_rate: float = 0.5,
         discount: float = 0.9,
-        random_state: int = 0,
     ):
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -155,16 +157,14 @@ class Learn2CleanAgent:
         self.epsilon = epsilon
         self.learning_rate = learning_rate
         self.discount = discount
-        self._rng = np.random.default_rng(random_state)
+        self._rng = np.random.default_rng(RANDOM_STATE)
         self.q_table: Dict[Tuple[QualityState, str], float] = {}
         self._actions: List[Action] = []
 
     # ------------------------------------------------------------- internals
     def _accuracy(self, frame: DataFrame) -> float:
         try:
-            return evaluate_downstream(
-                frame, self.target, task=self.task, random_state=0
-            ).accuracy
+            return evaluate_downstream(frame, self.target, task=self.task).accuracy
         except DownstreamEvaluationError:
             return 0.0
 
@@ -263,13 +263,11 @@ class Learn2Clean(Baseline):
         target: str,
         task: Optional[str] = None,
         n_episodes: int = 15,
-        random_state: int = 0,
     ):
         self.data_dir = data_dir
         self.target = target
         self.task = task
         self.n_episodes = n_episodes
-        self.random_state = random_state
         self._pipeline_cache: Optional[List[Action]] = None
 
     def _pipeline(self, script: str) -> List[Action]:
@@ -288,10 +286,7 @@ class Learn2Clean(Baseline):
                 self._pipeline_cache = []
             else:
                 agent = Learn2CleanAgent(
-                    target=self.target,
-                    task=self.task,
-                    n_episodes=self.n_episodes,
-                    random_state=self.random_state,
+                    target=self.target, task=self.task, n_episodes=self.n_episodes
                 )
                 agent.fit(result.output)
                 self._pipeline_cache = agent.recommend(result.output)

@@ -19,7 +19,6 @@ from .explain import TransformationExplanation, explain_result
 from .grouping import OperationGroups, group_operations
 from .intent import (
     IntentMeasure,
-    IntentStats,
     ModelPerformanceIntent,
     PreparedIntent,
     TableJaccardIntent,
@@ -41,7 +40,6 @@ __all__ = [
     "BeamSearch",
     "Candidate",
     "IntentMeasure",
-    "IntentStats",
     "LSConfig",
     "LeakageDetection",
     "LucidScript",

@@ -18,15 +18,15 @@ running the candidate again.
 
 Checks run under an optional execution budget (``LSConfig.exec_timeout_s``):
 a candidate that exceeds it fails ``CheckIfExecutes`` and is skipped —
-counted in ``SearchStats.breakdown()`` (``ExecTimeouts``) but never fatal
-to the search.
+counted in the executor's ``stats.timeouts`` but never fatal to the
+search.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +35,6 @@ from .._lru import LRUCache
 from ..dialects import get_dialect
 from ..lang.errors import ScriptError
 from ..lang.parser import (
-    STATEMENT_CACHE,
     EdgeState,
     Statement,
     compute_edge_counts,
@@ -96,87 +95,39 @@ class Candidate:
 
 @dataclass
 class SearchStats:
-    """Runtime breakdown of one search (drives the Figure 7 reproduction).
+    """What one search spent and did.
 
-    Besides the four component timings, the stats expose the execution
-    engine's cache behaviour: prefix-snapshot hit rate and mean resumed
-    depth (the incremental executor), wall vs CPU time of the check
-    loop, and the sizes/hit rates of the memo caches (the
-    parsed-statement cache is process-wide; its hit rate counts this
-    search's lookups).
+    The four timings are Figure 7's components, and :meth:`breakdown`
+    returns them under the figure's names.  The counts are the ones the
+    per-layer benchmark sums: steps ranked, delta scores and full
+    recounts (GetSteps), intent checks and short circuits
+    (VerifyConstraints), and the shared executor's prefix-snapshot hits,
+    misses and mean resumed depth over this search.
     """
 
     get_steps_s: float = 0.0
     get_top_k_s: float = 0.0
     check_executes_s: float = 0.0
     verify_constraints_s: float = 0.0
-    check_executes_cpu_s: float = 0.0
     n_steps_enumerated: int = 0
     n_delta_scores: int = 0
     n_full_recounts: int = 0
-    n_exec_checks: int = 0
     n_intent_checks: int = 0
     #: always 0: an intent is prepared per search, never reused; kept
     #: because per-layer metrics sum it by name
     n_intent_cache_hits: int = 0
-    n_column_set_reuse: int = 0
     n_intent_short_circuits: int = 0
-    n_corpus_index_hits: int = 0
-    n_corpus_script_hits: int = 0
-    n_corpus_reparses: int = 0
-    n_retrieval_queries: int = 0
-    n_retrieval_candidates: int = 0
-    n_retrieval_fallbacks: int = 0
-    n_iterations: int = 0
-    n_exec_timeouts: int = 0
-    max_beam_width: int = 0
     prefix_cache_hits: int = 0
     prefix_cache_misses: int = 0
     prefix_mean_resume_depth: float = 0.0
-    prefix_fallbacks: int = 0
-    exec_cache_size: int = 0
-    exec_cache_hit_rate: float = 0.0
-    statement_cache_size: int = 0
-    statement_cache_hit_rate: float = 0.0
-
-    @property
-    def prefix_cache_hit_rate(self) -> float:
-        probes = self.prefix_cache_hits + self.prefix_cache_misses
-        return self.prefix_cache_hits / probes if probes else 0.0
-
-    def total_s(self) -> float:
-        return (
-            self.get_steps_s
-            + self.get_top_k_s
-            + self.check_executes_s
-            + self.verify_constraints_s
-        )
 
     def breakdown(self) -> Dict[str, float]:
+        """Figure 7's four runtime components, in seconds."""
         return {
             "GetSteps": self.get_steps_s,
-            "DeltaScoreHits": float(self.n_delta_scores),
-            "FullRecounts": float(self.n_full_recounts),
             "GetTopKBeams": self.get_top_k_s,
             "CheckIfExecutes": self.check_executes_s,
             "VerifyConstraints": self.verify_constraints_s,
-            "IntentChecks": float(self.n_intent_checks),
-            "ColumnSetReuse": float(self.n_column_set_reuse),
-            "IntentShortCircuits": float(self.n_intent_short_circuits),
-            "CorpusIndexHits": float(self.n_corpus_index_hits),
-            "CorpusScriptHits": float(self.n_corpus_script_hits),
-            "CorpusReparses": float(self.n_corpus_reparses),
-            "RetrievalQueries": float(self.n_retrieval_queries),
-            "RetrievalCandidates": float(self.n_retrieval_candidates),
-            "RetrievalFallbacks": float(self.n_retrieval_fallbacks),
-            "CheckIfExecutesCPU": self.check_executes_cpu_s,
-            "ExecTimeouts": float(self.n_exec_timeouts),
-            "PrefixCacheHitRate": self.prefix_cache_hit_rate,
-            "PrefixMeanResumeDepth": self.prefix_mean_resume_depth,
-            "ExecCacheSize": float(self.exec_cache_size),
-            "ExecCacheHitRate": self.exec_cache_hit_rate,
-            "StatementCacheSize": float(self.statement_cache_size),
-            "StatementCacheHitRate": self.statement_cache_hit_rate,
         }
 
 
@@ -213,15 +164,12 @@ class BeamSearch:
             )
         # executors may be shared across searches; stats report deltas
         self._executor_baseline = (
-            dict(self._executor.stats.as_dict()) if self._executor else {}
+            copy.copy(self._executor.stats) if self._executor else None
         )
         self._exec_cache: LRUCache = LRUCache(self.EXEC_CACHE_LIMIT)
         #: source -> output table of a passing check, until verification
         #: takes it; at most as many as the archive hands over
         self._outputs: LRUCache = LRUCache(self.ARCHIVE_LIMIT)
-        #: this search's hits and misses against the process-wide
-        #: parsed-statement cache (``parse_statement``)
-        self._statement_tally: Counter = Counter()
         self._archive: Dict[str, Candidate] = {}
         self.stats = SearchStats()
 
@@ -259,8 +207,7 @@ class BeamSearch:
         cached = self._exec_cache.get(source)
         if cached is not None:
             return cached
-        wall = time.perf_counter()
-        cpu = time.process_time()
+        start = time.perf_counter()
         if self._exec_checker is not None:
             ok = self._exec_checker(source)
         else:
@@ -268,9 +215,7 @@ class BeamSearch:
             ok = result.ok and result.output is not None
             if ok:
                 self._outputs[source] = result.output
-        self.stats.check_executes_s += time.perf_counter() - wall
-        self.stats.check_executes_cpu_s += time.process_time() - cpu
-        self.stats.n_exec_checks += 1
+        self.stats.check_executes_s += time.perf_counter() - start
         self._exec_cache[source] = ok
         return ok
 
@@ -282,7 +227,7 @@ class BeamSearch:
 
     def _parsed_statement(self, source: str) -> Statement:
         """An add-candidate statement, parsed once per process."""
-        return parse_statement(source, self._dialect, self._statement_tally)
+        return parse_statement(source, self._dialect)
 
     def _projected_score(
         self, statements: Sequence[Statement], transformation: Transformation
@@ -483,7 +428,6 @@ class BeamSearch:
                 sources.discard(dropped.source())
             insort(beams, extended, key=self._beam_key)
             sources.add(source)
-            self.stats.max_beam_width = max(self.stats.max_beam_width, len(beams))
         self.stats.get_top_k_s += time.perf_counter() - start
         return beams
 
@@ -508,35 +452,21 @@ class BeamSearch:
         return beams
 
     def sync_cache_stats(self) -> None:
-        """Fold cache/executor counters into :attr:`stats`.
+        """Fold the executor's prefix-snapshot counters into :attr:`stats`.
 
-        Incremental executors may be shared across searches (the
-        standardizer reuses one so constraint verification resumes from
-        prefixes the beam search already snapshotted), so prefix counters
-        report the delta since this search started.
+        The standardizer shares one executor across searches (so
+        constraint verification resumes from prefixes the beam search
+        already snapshotted), so the counts are the delta since this
+        search started.
         """
-        stats = self.stats
-        stats.exec_cache_size = len(self._exec_cache)
-        stats.exec_cache_hit_rate = self._exec_cache.hit_rate
-        stats.statement_cache_size = len(STATEMENT_CACHE)
-        lookups = self._statement_tally["hits"] + self._statement_tally["misses"]
-        stats.statement_cache_hit_rate = (
-            self._statement_tally["hits"] / lookups if lookups else 0.0
-        )
         if self._executor is None:
             return
-        current = self._executor.stats.as_dict()
-        base = self._executor_baseline
-        hits = current["prefix_hits"] - base.get("prefix_hits", 0.0)
-        misses = current["prefix_misses"] - base.get("prefix_misses", 0.0)
-        resumed = current["resumed_statements"] - base.get("resumed_statements", 0.0)
-        stats.prefix_cache_hits = int(hits)
-        stats.prefix_cache_misses = int(misses)
-        stats.prefix_mean_resume_depth = resumed / hits if hits else 0.0
-        stats.prefix_fallbacks = int(
-            current["fallbacks"] - base.get("fallbacks", 0.0)
-        )
-        stats.n_exec_timeouts = int(current["timeouts"] - base.get("timeouts", 0.0))
+        now, base = self._executor.stats, self._executor_baseline
+        hits = now.prefix_hits - base.prefix_hits
+        resumed = now.resumed_statements - base.resumed_statements
+        self.stats.prefix_cache_hits = hits
+        self.stats.prefix_cache_misses = now.prefix_misses - base.prefix_misses
+        self.stats.prefix_mean_resume_depth = resumed / hits if hits else 0.0
 
     # ----------------------------------------------------------------- search
     def search(self, statements: Sequence[Statement]) -> List[Candidate]:
@@ -558,9 +488,7 @@ class BeamSearch:
         )
         self._archive = {initial.source(): initial}
         beams = [initial]
-        self.stats.max_beam_width = max(self.stats.max_beam_width, len(beams))
         for _ in range(self.config.seq):
-            self.stats.n_iterations += 1
             frontier_beams = list(beams)
             for candidate in beams:
                 ranked = self.get_steps(candidate)

@@ -101,8 +101,8 @@ class LSConfig:
     exec_timeout_s:
         Wall-clock budget (seconds) for one candidate script inside
         CheckIfExecutes/VerifyConstraints.  A candidate that exceeds it
-        fails the execution constraint (it is skipped and counted in
-        ``SearchStats.breakdown()``, never fatal).  None — the default —
+        fails the execution constraint (it is skipped and counted in the
+        executor's ``stats.timeouts``, never fatal).  None — the default —
         disables the watchdog entirely, preserving the bit-identical
         serial path.
     retrieval_k:

@@ -21,7 +21,6 @@ exactly that).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from hashlib import sha1
 from typing import Any, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -38,7 +37,6 @@ __all__ = [
     "ACCURACY_CACHE",
     "ACCURACY_CACHE_LIMIT",
     "IntentMeasure",
-    "IntentStats",
     "PreparedIntent",
     "TableJaccardIntent",
     "ModelPerformanceIntent",
@@ -188,21 +186,6 @@ def model_performance_delta(
 
 
 # ------------------------------------------------------------ prepared engine
-@dataclass
-class IntentStats:
-    """Counters for one run of the incremental verification engine.
-
-    ``checks`` — prepared checks served; ``column_set_reuse`` —
-    per-column lookups answered from the content-addressed memo (zero set
-    construction); ``short_circuits`` — whole-table fingerprint matches
-    answered without touching any set.
-    """
-
-    checks: int = 0
-    column_set_reuse: int = 0
-    short_circuits: int = 0
-
-
 class _ColumnContent:
     """One distinct column content: normalized values + lazy distinct set.
 
@@ -273,20 +256,20 @@ class PreparedIntent:
     the naive :meth:`IntentMeasure.delta`, which reads no cache, and any
     float divergence raises :class:`~repro.core.AuditMismatchError` (layer
     ``intent``) — the exact analogue of the scoring engine's audit.
+
+    ``checks`` counts the deltas served and ``short_circuits`` those
+    answered from a whole-table content match without comparing content.
     """
 
     def __init__(
-        self,
-        intent: "IntentMeasure",
-        original: DataFrame,
-        counters: Optional[IntentStats] = None,
-        verify: bool = False,
+        self, intent: "IntentMeasure", original: DataFrame, verify: bool = False
     ):
         self.intent = intent
         self.original = original
         self._table_fp: Optional[str] = None
-        self.counters = counters if counters is not None else IntentStats()
         self.verify = verify
+        self.checks = 0
+        self.short_circuits = 0
 
     @property
     def table_fp(self) -> str:
@@ -297,7 +280,7 @@ class PreparedIntent:
         return self._table_fp
 
     def delta(self, candidate: DataFrame) -> float:
-        self.counters.checks += 1
+        self.checks += 1
         value = self._prepared_delta(candidate)
         if self.verify:
             reference = self.intent.delta(self.original, candidate)
@@ -343,13 +326,9 @@ class PreparedTableJaccard(PreparedIntent):
     COLUMN_MEMO_LIMIT = 1024
 
     def __init__(
-        self,
-        intent: "TableJaccardIntent",
-        original: DataFrame,
-        counters: Optional[IntentStats] = None,
-        verify: bool = False,
+        self, intent: "TableJaccardIntent", original: DataFrame, verify: bool = False
     ):
-        super().__init__(intent, original, counters, verify)
+        super().__init__(intent, original, verify)
         self._memo: LRUCache = LRUCache(self.COLUMN_MEMO_LIMIT)
         columns = _keyed_columns(original)
         #: the original's (name, content key) pairs in column order
@@ -357,7 +336,7 @@ class PreparedTableJaccard(PreparedIntent):
             (name, key) for name, key, _ in columns
         ]
         self._original_contents: List[_ColumnContent] = [
-            self._memoized(key, payload)[0] for _, key, payload in columns
+            self._memoized(key, payload) for _, key, payload in columns
         ]
         self._original_rows_n = len(original)
         self._value_union: Optional[frozenset] = None
@@ -371,9 +350,9 @@ class PreparedTableJaccard(PreparedIntent):
         return self._value_union
 
     # ------------------------------------------------------------- candidates
-    def _memoized(self, key: Hashable, payload) -> Tuple[_ColumnContent, bool]:
-        """The memo's content for the column keyed *key*, and whether it
-        was reused.
+    def _memoized(self, key: Hashable, payload) -> _ColumnContent:
+        """The memo's content for the column keyed *key*, made on first
+        sight, so every candidate carrying the column shares its sets.
 
         A list column holding an unhashable cell cannot key the memo, so
         it gets a fresh content that is not retained.
@@ -381,17 +360,10 @@ class PreparedTableJaccard(PreparedIntent):
         try:
             content = self._memo.peek(key)
         except TypeError:
-            return _ColumnContent(payload), False
-        if content is not None:
-            return content, True
-        content = _ColumnContent(payload)
-        self._memo[key] = content
-        return content, False
-
-    def _content_for(self, key: Hashable, payload) -> _ColumnContent:
-        content, reused = self._memoized(key, payload)
-        if reused:
-            self.counters.column_set_reuse += 1
+            return _ColumnContent(payload)
+        if content is None:
+            content = _ColumnContent(payload)
+            self._memo[key] = content
         return content
 
     def _prepared_delta(self, candidate: DataFrame) -> float:
@@ -399,12 +371,12 @@ class PreparedTableJaccard(PreparedIntent):
         if len(candidate) == self._original_rows_n and [
             (name, key) for name, key, _ in columns
         ] == self._original_pairs:
-            self.counters.short_circuits += 1
+            self.short_circuits += 1
             return 1.0
         original = self._original_value_union()
         candidate: Set[Any] = set()
         for _, key, payload in columns:
-            candidate |= self._content_for(key, payload).value_set()
+            candidate |= self._memoized(key, payload).value_set()
         common = len(original & candidate)
         union = len(original) + len(candidate) - common
         if not union:
@@ -469,7 +441,7 @@ class PreparedModelPerformance(PreparedIntent):
         acc_orig = self._accuracy(self.original, self.table_fp)
         fingerprint = table_fingerprint(candidate)
         if fingerprint == self.table_fp:
-            self.counters.short_circuits += 1
+            self.short_circuits += 1
             return model_performance_delta(acc_orig, acc_orig)
         try:
             acc_cand = self._accuracy(candidate, fingerprint)
@@ -497,14 +469,9 @@ class IntentMeasure(ABC):
         d = self.delta(original, candidate)
         return d, self.satisfied(d)
 
-    def prepare(
-        self,
-        original: DataFrame,
-        counters: Optional[IntentStats] = None,
-        verify: bool = False,
-    ) -> PreparedIntent:
+    def prepare(self, original: DataFrame, verify: bool = False) -> PreparedIntent:
         """Freeze *original* into the verification state of one search."""
-        return PreparedIntent(self, original, counters, verify)
+        return PreparedIntent(self, original, verify)
 
 
 class TableJaccardIntent(IntentMeasure):
@@ -530,13 +497,8 @@ class TableJaccardIntent(IntentMeasure):
     def satisfied(self, delta: float) -> bool:
         return delta >= self.tau
 
-    def prepare(
-        self,
-        original: DataFrame,
-        counters: Optional[IntentStats] = None,
-        verify: bool = False,
-    ) -> PreparedIntent:
-        return PreparedTableJaccard(self, original, counters, verify)
+    def prepare(self, original: DataFrame, verify: bool = False) -> PreparedIntent:
+        return PreparedTableJaccard(self, original, verify)
 
 
 class ModelPerformanceIntent(IntentMeasure):
@@ -576,10 +538,5 @@ class ModelPerformanceIntent(IntentMeasure):
     def satisfied(self, delta: float) -> bool:
         return delta <= self.tau
 
-    def prepare(
-        self,
-        original: DataFrame,
-        counters: Optional[IntentStats] = None,
-        verify: bool = False,
-    ) -> PreparedIntent:
-        return PreparedModelPerformance(self, original, counters, verify)
+    def prepare(self, original: DataFrame, verify: bool = False) -> PreparedIntent:
+        return PreparedModelPerformance(self, original, verify)

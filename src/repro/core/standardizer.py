@@ -15,14 +15,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .._audit import AuditMismatchError
 from ..corpus import (
-    CorpusCacheCounters,
     CorpusIndex,
-    RetrievalCounters,
     RetrievalIndex,
     RetrievedScript,
     ScriptRecord,
     cached_index,
-    corpus_cache_counters,
 )
 from ..dialects import get_dialect
 from ..lang import CorpusVocabulary, ScriptDAG, ScriptError, parse_script
@@ -33,7 +30,7 @@ from ..sandbox import ExecutionResult, IncrementalExecutor
 from .beam import BeamSearch, Candidate, SearchStats
 from .config import LSConfig
 from .entropy import RelativeEntropyScorer, percent_improvement
-from .intent import IntentMeasure, IntentStats, PreparedIntent
+from .intent import IntentMeasure, PreparedIntent
 from .transformations import Transformation
 
 __all__ = ["LucidScript", "StandardizationResult", "StandardizationError", "summarize"]
@@ -168,11 +165,9 @@ class LucidScript:
         #: the API surface every script in this system is written against
         self.dialect = get_dialect(self.config.dialect)
         self._retrieval: Optional[RetrievalIndex] = None
-        #: the last retrieved query's content hash, its top-k hits and
-        #: the retrieval work that found them
+        #: the last retrieved query's content hash and its top-k hits
         self._retrieval_query_hash: Optional[str] = None
         self._retrieval_hits: List[RetrievedScript] = []
-        self._retrieval_stats = RetrievalCounters()
         if isinstance(corpus, RetrievalIndex):
             # Retrieve-then-compute: the working corpus is a function of
             # the query script, so curation defers to the first
@@ -180,13 +175,10 @@ class LucidScript:
             self._retrieval = corpus
             self.vocabulary: Optional[CorpusVocabulary] = None
             self.scorer: Optional[RelativeEntropyScorer] = None
-            self._corpus_counters = corpus_cache_counters().delta(
-                corpus_cache_counters()
-            )
         else:
             # Offline phase (Section 5.1): curate the search space once —
             # or adopt a prebuilt/warm-cached index, which is bit-identical.
-            self.vocabulary, self._corpus_counters = self._curate(corpus)
+            self.vocabulary = self._curate(corpus)
             self.scorer = RelativeEntropyScorer(self.vocabulary)
         self.data_dir = data_dir
         self.intent = intent
@@ -199,27 +191,19 @@ class LucidScript:
                 f"is configured for {self.dialect.name!r}"
             )
 
-    def _curate(self, corpus) -> Tuple[CorpusVocabulary, CorpusCacheCounters]:
-        """Resolve *corpus* (scripts | index | vocabulary) to a vocabulary.
-
-        Returns the vocabulary plus the warm-cache activity this
-        construction caused (index hits, content-addressed script hits,
-        actual reparses), which standardize() folds into SearchStats.
-        """
-        before = corpus_cache_counters()
+    def _curate(self, corpus) -> CorpusVocabulary:
+        """Resolve *corpus* (scripts | index | vocabulary) to a vocabulary."""
         if isinstance(corpus, CorpusIndex):
             self._check_corpus_dialect(corpus.dialect, "the supplied corpus index")
             if self.config.audit:
                 corpus.verify()
-            vocabulary = corpus.to_vocabulary()
-        elif isinstance(corpus, CorpusVocabulary):
-            vocabulary = corpus
-        else:
-            index = cached_index(corpus, dialect=self.dialect.name)
-            if self.config.audit:
-                index.verify()
-            vocabulary = index.to_vocabulary()
-        return vocabulary, corpus_cache_counters().delta(before)
+            return corpus.to_vocabulary()
+        if isinstance(corpus, CorpusVocabulary):
+            return corpus
+        index = cached_index(corpus, dialect=self.dialect.name)
+        if self.config.audit:
+            index.verify()
+        return index.to_vocabulary()
 
     def _retrieved(
         self, query: Union[str, ScriptDAG]
@@ -249,7 +233,6 @@ class LucidScript:
                 "input script does not parse, so no corpus can be retrieved for it"
             )
         if self._retrieval_query_hash != record.content_hash:
-            before = self._retrieval.counters.snapshot()
             hits = self._retrieval.top_k(
                 record.signature,
                 self.config.retrieval_k,
@@ -260,10 +243,6 @@ class LucidScript:
                     "retrieval produced no working corpus: "
                     "retrieval returned no scripts to assemble a corpus from"
                 )
-            after = self._retrieval.counters.snapshot()
-            self._retrieval_stats = RetrievalCounters(
-                *(now - then for now, then in zip(after, before))
-            )
             self._retrieval_query_hash = record.content_hash
             self._retrieval_hits = hits
             self.vocabulary = self.scorer = None
@@ -287,25 +266,19 @@ class LucidScript:
         _, hits = self._retrieved(query)
         if self.vocabulary is not None:
             return
-        before = corpus_cache_counters()
         corpus = self._retrieval.assemble_from_hits(hits)
         if self.config.audit:
             corpus.verify()
         self.vocabulary = corpus.to_vocabulary()
         self.scorer = RelativeEntropyScorer(self.vocabulary)
-        self._corpus_counters = corpus_cache_counters().delta(before)
 
-    def _prepared_intent(
-        self, original_output: DataFrame, counters: IntentStats
-    ) -> Optional[PreparedIntent]:
+    def _prepared_intent(self, original_output: DataFrame) -> Optional[PreparedIntent]:
         """The verification state of this original for one search, or
         None when the intent constraint is disabled.  It is dropped when
         the search returns."""
         if self.intent is None:
             return None
-        return self.intent.prepare(
-            original_output, counters=counters, verify=self.config.audit
-        )
+        return self.intent.prepare(original_output, verify=self.config.audit)
 
     def _shared_executor(self) -> IncrementalExecutor:
         """One incremental executor per (data_dir, sample_rows, dialect).
@@ -404,14 +377,11 @@ class LucidScript:
             executor=self._shared_executor(),
         )
         candidates = search.search(dag.statements)
-        intent_counters = IntentStats()
         best, verdict = self._verify_all_constraints(
-            candidates, normalized, original_output, search, intent_counters
+            candidates, normalized, original_output, search
         )
         intent_delta, intent_ok = self._final_intent(best, verdict, normalized)
         search.sync_cache_stats()  # fold verification-phase cache activity in
-        self._fold_intent_stats(search.stats, intent_counters)
-        self._fold_corpus_stats(search.stats)
         return StandardizationResult(
             input_script=normalized,
             output_script=best.source(),
@@ -429,37 +399,12 @@ class LucidScript:
         incremental executor a re-parse."""
         return self._shared_executor().run_script(source, segments=segments)
 
-    def _fold_corpus_stats(self, stats: SearchStats) -> None:
-        """Surface the offline-phase warm-cache activity on SearchStats.
-
-        The counters were captured when the search space was curated —
-        once at construction, or per retrieved query on the retrieval
-        path — and report how it was obtained: served whole from the
-        index cache, from content-addressed script records, by actually
-        reparsing, or assembled from top-k pool neighbours (query /
-        candidate / fallback counts).
-        """
-        stats.n_corpus_index_hits = self._corpus_counters.index_hits
-        stats.n_corpus_script_hits = self._corpus_counters.script_hits
-        stats.n_corpus_reparses = self._corpus_counters.script_parses
-        stats.n_retrieval_queries = self._retrieval_stats.queries
-        stats.n_retrieval_candidates = self._retrieval_stats.candidates
-        stats.n_retrieval_fallbacks = self._retrieval_stats.fallbacks
-
-    @staticmethod
-    def _fold_intent_stats(stats: SearchStats, counters: IntentStats) -> None:
-        """Surface the intent-engine counters on SearchStats."""
-        stats.n_intent_checks += counters.checks
-        stats.n_column_set_reuse += counters.column_set_reuse
-        stats.n_intent_short_circuits += counters.short_circuits
-
     def _verify_all_constraints(
         self,
         candidates: List[Candidate],
         original_source: str,
         original_output: DataFrame,
         search: BeamSearch,
-        intent_counters: IntentStats,
     ) -> Tuple[Candidate, Optional[Tuple[float, bool]]]:
         """VerifyAllConstraints(): return the most standard valid candidate.
 
@@ -473,10 +418,12 @@ class LucidScript:
         is the one its execution check produced during the search; only
         a candidate without one (``early_check`` off, an evicted table)
         runs here, and one that exceeds its execution budget simply
-        fails verification: the watchdog interrupts it.
+        fails verification: the watchdog interrupts it.  The prepared
+        intent's check and short-circuit counts are added to
+        ``search.stats``.
         """
         start = time.perf_counter()
-        prepared = self._prepared_intent(original_output, intent_counters)
+        prepared = self._prepared_intent(original_output)
         try:
             for candidate in candidates:
                 source = candidate.source()
@@ -504,6 +451,9 @@ class LucidScript:
             )
         finally:
             search.stats.verify_constraints_s += time.perf_counter() - start
+            if prepared is not None:
+                search.stats.n_intent_checks += prepared.checks
+                search.stats.n_intent_short_circuits += prepared.short_circuits
 
     def _final_intent(
         self,

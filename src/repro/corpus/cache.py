@@ -88,14 +88,10 @@ class CorpusCacheCounters:
 
     index_hits: int
     index_misses: int
-    script_hits: int
-    script_parses: int
-    script_failures: int
-    script_evictions: int = 0  #: records dropped by the bounded shared store
-    key_fast: int = 0  #: corpus-key scripts resolved from the address memo
-    key_slow: int = 0  #: corpus-key scripts that had to be parsed/hashed
+    script_hits: int  #: shared-store records served without building one
+    script_parses: int  #: shared-store records built from a parse
     #: index misses served by retracting one script from a cached index
-    index_derivations: int = 0
+    index_derivations: int
 
     def delta(self, earlier: "CorpusCacheCounters") -> "CorpusCacheCounters":
         return CorpusCacheCounters(
@@ -103,10 +99,6 @@ class CorpusCacheCounters:
             index_misses=self.index_misses - earlier.index_misses,
             script_hits=self.script_hits - earlier.script_hits,
             script_parses=self.script_parses - earlier.script_parses,
-            script_failures=self.script_failures - earlier.script_failures,
-            script_evictions=self.script_evictions - earlier.script_evictions,
-            key_fast=self.key_fast - earlier.key_fast,
-            key_slow=self.key_slow - earlier.key_slow,
             index_derivations=self.index_derivations - earlier.index_derivations,
         )
 
@@ -139,14 +131,10 @@ def _addresses(scripts: Sequence[str], dialect: str) -> Tuple[str, ...]:
     their raw text.  Callers hold ``_LOCK``.
     """
     addresses = []
-    fast = 0
     for script in scripts:
         memo_key = (dialect, script)
         address = _ADDR_MEMO.get(memo_key)
-        if address is not None:
-            fast += 1
-        else:
-            _COUNTERS["key_slow"] += 1
+        if address is None:
             record = shared_store(dialect).get_or_parse(script)
             if record is not None:
                 address = record.content_hash
@@ -155,7 +143,6 @@ def _addresses(scripts: Sequence[str], dialect: str) -> Tuple[str, ...]:
                 address = _FAILED + sha1(raw).hexdigest()
             _ADDR_MEMO[memo_key] = address
         addresses.append(address)
-    _COUNTERS["key_fast"] += fast
     return tuple(addresses)
 
 
@@ -183,7 +170,7 @@ def corpus_key(scripts: Sequence[str], dialect: str = "pandas") -> str:
 
 
 #: module-level counters that outlive individual cache objects
-_COUNTERS = {"key_fast": 0, "key_slow": 0, "index_derivations": 0}
+_COUNTERS = {"index_derivations": 0}
 
 
 def cached_index(scripts: Sequence[str], dialect: str = "pandas") -> CorpusIndex:
@@ -270,21 +257,12 @@ def _dropped_position(longer: Tuple[str, ...], shorter: Tuple[str, ...]) -> Opti
 
 def corpus_cache_counters() -> CorpusCacheCounters:
     with _LOCK:
-        hits = parses = failures = evictions = 0
-        for store in _SHARED_STORES.values():
-            hits += store.counters.hits
-            parses += store.counters.parses
-            failures += store.counters.failures
-            evictions += store.counters.evictions
+        stores = [store.counters for store in _SHARED_STORES.values()]
         return CorpusCacheCounters(
             index_hits=_INDEX_CACHE.hits,
             index_misses=_INDEX_CACHE.misses,
-            script_hits=hits,
-            script_parses=parses,
-            script_failures=failures,
-            script_evictions=evictions,
-            key_fast=_COUNTERS["key_fast"],
-            key_slow=_COUNTERS["key_slow"],
+            script_hits=sum(counters.hits for counters in stores),
+            script_parses=sum(counters.parses for counters in stores),
             index_derivations=_COUNTERS["index_derivations"],
         )
 

@@ -118,13 +118,7 @@ class StoreCounters:
     """Observable cache behaviour of one :class:`ScriptStore`."""
 
     hits: int = 0  #: record served without building a new one
-    lemma_hits: int = 0  #: raw bytes seen before — parse skipped too
     parses: int = 0  #: records built from a parse (cache misses)
-    failures: int = 0  #: scripts rejected by the parser
-    evictions: int = 0  #: records dropped by a bounded store's LRU cap
-
-    def snapshot(self) -> Tuple[int, int, int, int, int]:
-        return (self.hits, self.lemma_hits, self.parses, self.failures, self.evictions)
 
 
 class ScriptStore:
@@ -138,9 +132,8 @@ class ScriptStore:
     bytes are offered again.
 
     ``capacity`` bounds the store: records evict true-LRU once the cap
-    is hit (counted in ``counters.evictions``), and the raw-text memo is
-    held at twice the cap.  ``None`` (the per-index default) keeps every
-    record for the life of the store.
+    is hit, and the raw-text memo is held at twice the cap.  ``None``
+    (the per-index default) keeps every record for the life of the store.
 
     ``dialect`` names the :class:`~repro.dialects.ApiDialect` every
     script in this store is lemmatized and parsed under; a store never
@@ -172,15 +165,10 @@ class ScriptStore:
     def get(self, content_hash: str) -> Optional[ScriptRecord]:
         return self._records.get(content_hash)
 
-    def _remember(self, record: ScriptRecord) -> None:
-        self._records[record.content_hash] = record
-        if isinstance(self._records, LRUCache):
-            self.counters.evictions = self._records.evictions
-
     def put(self, record: ScriptRecord) -> None:
         """Insert an externally built record (snapshot restore path)."""
         if record.content_hash not in self._records:
-            self._remember(record)
+            self._records[record.content_hash] = record
 
     def get_or_build(self, dag: ScriptDAG) -> ScriptRecord:
         """The record of a script parsed already, as *dag*.
@@ -197,7 +185,7 @@ class ScriptStore:
             self.counters.hits += 1
             return record
         record = ScriptRecord.from_dag(content_hash, dag.normalized, dag, self.dialect)
-        self._remember(record)
+        self._records[content_hash] = record
         return record
 
     def get_or_parse(self, raw_source: str) -> Optional[ScriptRecord]:
@@ -205,7 +193,7 @@ class ScriptStore:
 
         Returns None when the script is not parseable (mirroring
         :meth:`CorpusVocabulary.from_scripts`, which skips broken
-        corpus scripts); the failure is counted, not raised.
+        corpus scripts) instead of raising.
         """
         # surrogatepass: text holding a lone surrogate hashes, then fails to parse
         raw_key = sha1(raw_source.encode("utf-8", "surrogatepass")).hexdigest()
@@ -214,12 +202,10 @@ class ScriptStore:
             record = self._records.get(content_hash)
             if record is not None:
                 self.counters.hits += 1
-                self.counters.lemma_hits += 1
                 return record
         try:
             dag = parse_script(raw_source, dialect=self._lang_dialect)
         except ScriptError:
-            self.counters.failures += 1
             return None
         content_hash = content_address(dag.normalized)
         self._raw_memo[raw_key] = content_hash

@@ -6,7 +6,7 @@ n-gram (statement) granularity, and corpus vocabulary construction.
 
 from .atoms import NGRAM, ONEGRAM, Atom, Edge
 from .errors import ScriptError, ScriptParseError, UnsupportedScriptError
-from .lemmatize import lemmatize, read_csv_files, split_statements
+from .lemmatize import lemmatize
 from .parser import (
     EdgeState,
     ScriptDAG,
@@ -35,7 +35,5 @@ __all__ = [
     "extract_onegrams",
     "lemmatize",
     "parse_script",
-    "read_csv_files",
     "script_from_notebook",
-    "split_statements",
 ]

@@ -33,8 +33,6 @@ __all__ = [
     "LEMMA_CACHE_LIMIT",
     "lemmatize",
     "lemmatize_statements",
-    "read_csv_files",
-    "split_statements",
 ]
 
 _UNSUPPORTED = (
@@ -73,19 +71,6 @@ def _read_csv_path(call: ast.Call, loader_names) -> Optional[str]:
     return "<dynamic>"
 
 
-def read_csv_files(source: str, dialect=None) -> List[str]:
-    """List the distinct data paths a script loads, in first-read order."""
-    loader_names = resolve_dialect(dialect).loader_names
-    tree = _parse(source)
-    paths: List[str] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            path = _read_csv_path(node, loader_names)
-            if path is not None and path not in paths:
-                paths.append(path)
-    return paths
-
-
 def _build_rename_map(tree: ast.Module, dialect) -> Dict[str, str]:
     """Map loader-result variable names to the (resolved) dialect's
     canonical ``df``/``df2``/... (pandas) or ``design``/``design2``/...
@@ -111,13 +96,6 @@ def _build_rename_map(tree: ast.Module, dialect) -> Dict[str, str]:
             # plain alias: train = df
             rename[target.id] = rename[value.id]
     return {old: new for old, new in rename.items() if old != new}
-
-
-def split_statements(source: str) -> List[str]:
-    """Split a script into one normalized source line per statement."""
-    tree = _parse(source)
-    _check_straight_line(tree)
-    return [ast.unparse(node) for node in tree.body]
 
 
 def statement_sources(

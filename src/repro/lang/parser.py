@@ -266,22 +266,16 @@ STATEMENT_CACHE_LIMIT = 2048
 STATEMENT_CACHE = LRUCache(STATEMENT_CACHE_LIMIT, thread_safe=True)
 
 
-def parse_statement(
-    source: str, dialect=None, tally: Optional[Counter] = None
-) -> Statement:
+def parse_statement(source: str, dialect=None) -> Statement:
     """``Statement.from_source(0, source, dialect)``, parsed once per process.
 
-    *tally*, when given, counts this lookup under ``"hits"`` or
-    ``"misses"``, so a caller can report its own hit rate against the
-    shared cache.  A statement that fails to parse raises every time.
-    The key is the dialect's name, so None and the registered pandas
-    dialect share entries.
+    A statement that fails to parse raises every time.  The key is the
+    dialect's name, so None and the registered pandas dialect share
+    entries.
     """
     dialect = resolve_dialect(dialect)
     key = (dialect.name, source)
     statement = STATEMENT_CACHE.get(key)
-    if tally is not None:
-        tally["misses" if statement is None else "hits"] += 1
     if statement is None:
         statement = Statement.from_source(0, source, dialect=dialect)
         STATEMENT_CACHE[key] = statement

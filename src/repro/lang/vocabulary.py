@@ -135,24 +135,10 @@ class CorpusVocabulary:
         )
 
     # ------------------------------------------------------------ distribution
-    def q_probability(self, edge: EdgeKey, epsilon: Optional[float] = None) -> float:
-        """Q(x) for one edge; unseen edges get the smoothing mass ε."""
-        count = self.edge_counts.get(edge, 0)
-        if count:
-            return count / self._total_edges
-        if epsilon is None:
-            epsilon = self.epsilon
-        return epsilon
-
     @property
     def epsilon(self) -> float:
         """Smoothing mass for out-of-vocabulary edges (half a count)."""
         return smoothing_mass(self._total_edges)
-
-    def q_distribution(self) -> Dict[EdgeKey, float]:
-        return {
-            edge: count / self._total_edges for edge, count in self.edge_counts.items()
-        }
 
     # ------------------------------------------------------------- step lookup
     def statement_frequency(self, signature: str) -> float:

@@ -36,6 +36,10 @@ _MAX_DUMMY_CARDINALITY = 20
 #: Rows beyond this cap are deterministically subsampled before training.
 _MAX_TRAIN_ROWS = 2000
 
+#: Seed of the row subsample and the train/test split: fixed, so two
+#: script outputs are always compared under the same split.
+RANDOM_STATE = 0
+
 
 class DownstreamEvaluationError(ValueError):
     """The emitted dataset cannot support the downstream task."""
@@ -121,15 +125,25 @@ def _target_float(value) -> float:
 
 
 def _infer_task(y: list) -> str:
-    distinct = {v for v in y}
+    """The task a target's values call for.
+
+    Distinct values are taken in first-occurrence order, so the value a
+    non-numeric target is reported by does not depend on the hash seed.
+    """
+    distinct = list(dict.fromkeys(y))
     if len(distinct) <= 2:
         return "classification"
     if all(isinstance(v, str) for v in distinct):
         raise DownstreamEvaluationError(
             f"multiclass string target with {len(distinct)} classes is unsupported"
         )
-    if len(distinct) <= 10 and all(_target_float(v).is_integer() for v in distinct):
-        return "classification" if len(distinct) <= 2 else "regression"
+    if len(distinct) <= 10:
+        # up to ten integer values could read as classes, but the model is
+        # binary, so they are regressed too; a non-numeric value met before
+        # any fractional one is refused here
+        for value in distinct:
+            if not _target_float(value).is_integer():
+                break
     return "regression"
 
 
@@ -144,10 +158,7 @@ class DownstreamResult:
 
 
 def evaluate_downstream(
-    frame: DataFrame,
-    target: str,
-    task: Optional[str] = None,
-    random_state: int = 0,
+    frame: DataFrame, target: str, task: Optional[str] = None
 ) -> DownstreamResult:
     """Train a model on *frame* and return its holdout score.
 
@@ -159,15 +170,15 @@ def evaluate_downstream(
         Prediction target column name (the competition's label).
     task:
         'classification' or 'regression'; inferred from the target when None.
-    random_state:
-        Seed for the train/test split and row subsampling (keep it fixed when
-        comparing two script outputs).
+
+    The row subsample and the train/test split are seeded with
+    :data:`RANDOM_STATE`.
     """
     X, y = prepare_features(frame, target)
     resolved_task = task or _infer_task(y)
 
     if X.shape[0] > _MAX_TRAIN_ROWS:
-        rng = np.random.default_rng(random_state)
+        rng = np.random.default_rng(RANDOM_STATE)
         pick = np.sort(rng.choice(X.shape[0], size=_MAX_TRAIN_ROWS, replace=False))
         X = X[pick]
         y = [y[i] for i in pick]
@@ -175,7 +186,7 @@ def evaluate_downstream(
     if resolved_task == "classification":
         labels = np.array(y)
         X_train, X_test, y_train, y_test = train_test_split(
-            X, labels, test_size=0.25, random_state=random_state
+            X, labels, test_size=0.25, random_state=RANDOM_STATE
         )
         n_classes = len(np.unique(y_train))
         if n_classes > 2:
@@ -197,7 +208,7 @@ def evaluate_downstream(
     elif resolved_task == "regression":
         values = np.array([_target_float(v) for v in y])
         X_train, X_test, y_train, y_test = train_test_split(
-            X, values, test_size=0.25, random_state=random_state
+            X, values, test_size=0.25, random_state=RANDOM_STATE
         )
         reg = LinearRegression()
         reg.fit(X_train, y_train)

@@ -24,8 +24,7 @@ the snapshot.  Three guards keep that true:
   (one memo per freeze/thaw, shared with :func:`copy.deepcopy` for
   uncommon types); frames and Series are captured with their
   copy-on-write ``copy()``, so snapshots and the live namespace share
-  column payloads until a script writes a cell (tallied in
-  ``IncrementalStats.payload_cells_shared``); values that cannot be
+  column payloads until a script writes a cell; values that cannot be
   safely copied — functions defined by the script, whose ``__globals__``
   binds the live namespace, and classes defined by the script (and their
   instances), which a later statement may mutate in place — mark the
@@ -152,9 +151,7 @@ class _Unsnapshottable(Exception):
     """A namespace value cannot be safely copied into a snapshot."""
 
 
-def _snapshot_value(
-    value: Any, memo: Dict[int, Any], stats: Optional["IncrementalStats"] = None
-) -> Any:
+def _snapshot_value(value: Any, memo: Dict[int, Any]) -> Any:
     """Structural copy of one namespace value, preserving aliasing.
 
     *memo* maps ``id(original) -> copy`` (the same scheme
@@ -165,8 +162,6 @@ def _snapshot_value(
     the snapshot and the live namespace reference the *same* column
     payload lists (O(columns) per frame, no cell duplication) and a later
     in-place write on either side materializes a private list first.
-    ``stats`` tallies how many cells each snapshot shared that a deep
-    copy would have duplicated.
     """
     if isinstance(value, _IMMUTABLE_TYPES):
         return value
@@ -179,32 +174,23 @@ def _snapshot_value(
             # (``A.x = 2``), and a shared one would carry that into snapshots
             raise _Unsnapshottable(value.__name__)
         return value  # shared sandbox substrate, never script-mutable state
-    if isinstance(value, DataFrame):
-        clone = value.copy()
-        if stats is not None:
-            stats.frames_snapshotted += 1
-            stats.payload_cells_shared += len(value) * len(value.columns)
-    elif isinstance(value, Series):
-        clone = value.copy()
-        if stats is not None:
-            stats.payload_cells_shared += len(value)
-    elif isinstance(value, np.ndarray):
+    if isinstance(value, (DataFrame, Series, np.ndarray)):
         clone = value.copy()
     elif isinstance(value, list):
         clone = []
         memo[id(value)] = clone
-        clone.extend(_snapshot_value(v, memo, stats) for v in value)
+        clone.extend(_snapshot_value(v, memo) for v in value)
         return clone
     elif isinstance(value, dict):
         clone = {}
         memo[id(value)] = clone
         for k, v in value.items():
-            clone[k] = _snapshot_value(v, memo, stats)
+            clone[k] = _snapshot_value(v, memo)
         return clone
     elif isinstance(value, set):
-        clone = {_snapshot_value(v, memo, stats) for v in value}
+        clone = {_snapshot_value(v, memo) for v in value}
     elif isinstance(value, tuple):
-        return tuple(_snapshot_value(v, memo, stats) for v in value)
+        return tuple(_snapshot_value(v, memo) for v in value)
     elif callable(value):
         # a function def'd by the script closes over the live namespace;
         # sharing or copying it would either leak or sever that binding
@@ -240,47 +226,20 @@ def _fingerprint(namespace: Dict[str, Any]) -> Tuple:
 
 @dataclass
 class IncrementalStats:
-    """Counters reported into ``SearchStats`` and the perf benchmark."""
+    """What this executor's runs did; ``SearchStats`` reports one
+    search's share of the prefix counts."""
 
-    runs: int = 0
+    #: runs handed to a cold :func:`run_script`, fallbacks included
     cold_runs: int = 0
     prefix_hits: int = 0
     prefix_misses: int = 0
+    #: statements a resumed run did not execute
     resumed_statements: int = 0
+    #: statements executed on the incremental path
     executed_statements: int = 0
+    #: thaws that failed their fingerprint check and ran cold
     fallbacks: int = 0
     timeouts: int = 0
-    #: DataFrames captured into (or thawed out of) snapshots via the
-    #: copy-on-write structural copy.
-    frames_snapshotted: int = 0
-    #: Cells those copies shared by reference — each one a cell a deep
-    #: copy would have duplicated into the snapshot store.
-    payload_cells_shared: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        probes = self.prefix_hits + self.prefix_misses
-        return self.prefix_hits / probes if probes else 0.0
-
-    @property
-    def mean_resume_depth(self) -> float:
-        return self.resumed_statements / self.prefix_hits if self.prefix_hits else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "runs": float(self.runs),
-            "cold_runs": float(self.cold_runs),
-            "prefix_hits": float(self.prefix_hits),
-            "prefix_misses": float(self.prefix_misses),
-            "hit_rate": self.hit_rate,
-            "mean_resume_depth": self.mean_resume_depth,
-            "resumed_statements": float(self.resumed_statements),
-            "executed_statements": float(self.executed_statements),
-            "fallbacks": float(self.fallbacks),
-            "timeouts": float(self.timeouts),
-            "frames_snapshotted": float(self.frames_snapshotted),
-            "payload_cells_shared": float(self.payload_cells_shared),
-        }
 
 
 class IncrementalExecutor:
@@ -350,7 +309,6 @@ class IncrementalExecutor:
             segments = tuple(segments)
             if "\n".join(segments) != source:
                 raise ValueError("segments do not join to the script source")
-        self.stats.runs += 1
         if extra_globals or _COLD_PATTERN.search(source):
             return self._cold(source, extra_globals)
         state = self._data_dir_state()
@@ -484,7 +442,7 @@ class IncrementalExecutor:
         namespace = self._fresh_namespace()
         memo: Dict[int, Any] = {}
         for name, value in frozen.items():
-            namespace[name] = _snapshot_value(value, memo, self.stats)
+            namespace[name] = _snapshot_value(value, memo)
         return namespace
 
     def _freeze(self, namespace: Dict[str, Any]):
@@ -493,7 +451,7 @@ class IncrementalExecutor:
         for name, value in namespace.items():
             if name in ("__builtins__", "__name__"):
                 continue
-            frozen[name] = _snapshot_value(value, memo, self.stats)
+            frozen[name] = _snapshot_value(value, memo)
         return frozen, _fingerprint(namespace)
 
     def _execute_suffix(

@@ -28,7 +28,6 @@ from typing import Any, Dict, Optional
 from .._astparse import not_utf8
 from .._audit import AuditMismatchError
 from ..dialects import resolve_dialect
-from ..dialects import base as _dialect_base
 from ..minipandas import DataFrame
 from ..minipandas.kernels import audit_enabled
 
@@ -167,13 +166,6 @@ class ExecutionResult:
     def timed_out(self) -> bool:
         """Did the script blow its wall-clock budget (vs. a real error)?"""
         return isinstance(self.error, ExecTimeout)
-
-
-#: The dialect layer owns the shared parsed-CSV cache and loader now;
-#: these aliases bind the *same* objects (cache identity matters — tests
-#: and long-lived executors clear/inspect it through this module).
-_CSV_CACHE = _dialect_base._CSV_CACHE
-_load_table = _dialect_base.load_table
 
 
 def _make_guarded_open(data_dir: Optional[str]):

@@ -1,14 +1,13 @@
 """Execution budgets inside the search: a pathological candidate is
 skipped within its budget, the search completes, and the outcome matches
-a search that simply excluded the candidate (the issue's acceptance
-criterion).  Also covers the LSConfig knobs and stats plumbing."""
+a search that simply excluded the candidate.  Also covers the LSConfig
+knobs and the executor's timeout count."""
 
 import time
 
 import pytest
 
 from repro.core import BeamSearch, LSConfig, LucidScript, StandardizationError
-from repro.core.beam import SearchStats
 from repro.core.entropy import RelativeEntropyScorer
 from repro.lang import CorpusVocabulary, parse_script
 from repro.sandbox import IncrementalExecutor
@@ -64,12 +63,6 @@ class TestLSConfigKnobs:
         assert search._executor.exec_timeout_s == 5.0
 
 
-class TestStatsPlumbing:
-    def test_breakdown_has_fault_counters(self):
-        breakdown = SearchStats().breakdown()
-        assert breakdown["ExecTimeouts"] == 0
-
-
 class TestHungCandidateIsSkipped:
     def test_search_completes_and_matches_exclusion(
         self, vocab, scorer, diabetes_dir, alex_script
@@ -102,10 +95,8 @@ class TestHungCandidateIsSkipped:
         # stays within a small multiple of (#injections x budget)
         assert elapsed < (len(saboteur.injected_sources) + 4) * BUDGET_S * 4
 
-        # every hang was counted and surfaced in the breakdown
-        assert faulted_search.stats.n_exec_timeouts > 0
-        breakdown = faulted_search.stats.breakdown()
-        assert breakdown["ExecTimeouts"] == faulted_search.stats.n_exec_timeouts
+        # every hang was interrupted and counted by the executor
+        assert saboteur.stats.timeouts >= len(saboteur.injected_sources)
 
         # timing out is exactly "the candidate fails CheckIfExecutes":
         # an oracle that rejects those candidates yields the same result
@@ -172,7 +163,7 @@ class TestBudgetsDisabledIsBitIdentical:
         plain_out = [(c.source(), c.score) for c in plain.search(statements)]
         budget_out = [(c.source(), c.score) for c in budgeted.search(statements)]
         assert plain_out == budget_out
-        assert budgeted.stats.n_exec_timeouts == 0
+        assert budgeted._executor.stats.timeouts == 0
 
 
 class TestStandardizerBudgets:
@@ -191,7 +182,7 @@ class TestStandardizerBudgets:
         b = budgeted.standardize(alex_script)
         assert a.output_script == b.output_script
         assert a.re_after == b.re_after
-        assert b.stats.n_exec_timeouts == 0
+        assert budgeted._executor.stats.timeouts == 0
 
     def test_an_input_out_of_budget_is_named_as_such(
         self, diabetes_corpus, diabetes_dir, alex_script

@@ -51,14 +51,31 @@ def _outcome(system, script):
     return (result.output_script, result.transformations, result.re_after)
 
 
+def _beam_widths(search, script):
+    """The size of every beam set ``get_top_k_beams`` returns while
+    *search* runs over *script*."""
+    widths = []
+    real = search.get_top_k_beams
+
+    def recorded(*args, **kwargs):
+        beams = real(*args, **kwargs)
+        widths.append(len(beams))
+        return beams
+
+    search.get_top_k_beams = recorded
+    search.search(parse_script(script).statements)
+    assert widths, "the search extended no beam"
+    return widths
+
+
 class TestBeamWidthInvariant:
     def test_width_never_exceeds_beam_size(
         self, vocab, scorer, diabetes_dir, alex_script
     ):
         for beam_size in (1, 2, 3):
             search = make_search(vocab, scorer, diabetes_dir, beam_size=beam_size)
-            search.search(parse_script(alex_script).statements)
-            assert 1 <= search.stats.max_beam_width <= beam_size
+            widths = _beam_widths(search, alex_script)
+            assert 1 <= min(widths) and max(widths) <= beam_size
 
     def test_width_invariant_with_diversity_off(
         self, vocab, scorer, diabetes_dir, alex_script
@@ -66,8 +83,7 @@ class TestBeamWidthInvariant:
         search = make_search(
             vocab, scorer, diabetes_dir, beam_size=2, diversity=False
         )
-        search.search(parse_script(alex_script).statements)
-        assert search.stats.max_beam_width <= 2
+        assert max(_beam_widths(search, alex_script)) <= 2
 
 
 class TestBoundedCaches:
@@ -84,17 +100,6 @@ class TestBoundedCaches:
         search.search(parse_script(alex_script).statements)
         assert len(search._exec_cache) <= 4
         assert search._exec_cache.evictions > 0
-
-    def test_cache_stats_surfaced_in_breakdown(
-        self, vocab, scorer, diabetes_dir, alex_script
-    ):
-        search = make_search(vocab, scorer, diabetes_dir)
-        search.search(parse_script(alex_script).statements)
-        breakdown = search.stats.breakdown()
-        assert breakdown["ExecCacheSize"] == len(search._exec_cache)
-        assert 0.0 <= breakdown["ExecCacheHitRate"] <= 1.0
-        assert breakdown["StatementCacheSize"] == len(STATEMENT_CACHE)
-        assert 0.0 <= breakdown["StatementCacheHitRate"] <= 1.0
 
 
 class TestIncrementalSearch:
@@ -121,11 +126,6 @@ class TestIncrementalSearch:
         cold_result = [c.source() for c in cold.search(statements)]
         warm_result = [c.source() for c in warm.search(statements)]
         assert cold_result == warm_result
-
-    def test_cpu_time_tracked(self, vocab, scorer, diabetes_dir, alex_script):
-        search = make_search(vocab, scorer, diabetes_dir)
-        search.search(parse_script(alex_script).statements)
-        assert search.stats.check_executes_cpu_s > 0.0
 
 
 class TestDeterminism:

@@ -24,10 +24,10 @@ from repro.core import (
 )
 from repro.core.intent import (
     ACCURACY_CACHE,
-    IntentStats,
     PreparedIntent,
     PreparedTableJaccard,
     _ColumnContent,
+    _keyed_columns,
     table_fingerprint,
     table_jaccard,
 )
@@ -175,41 +175,50 @@ class TestTableJaccardBitIdentity:
 
 
 # ------------------------------------------------------------------ counters
+def _contents(prepared, frame):
+    """The memo's content object for each column of *frame*, which a
+    check of *frame* has already memoized."""
+    return [prepared._memoized(key, payload) for _, key, payload in _keyed_columns(frame)]
+
+
 class TestCounters:
     def test_short_circuit_on_identical_content(self):
         original = DataFrame({"a": [1, NA], "b": ["x", "y"]})
-        counters = IntentStats()
-        prepared = TableJaccardIntent().prepare(original, counters=counters)
+        prepared = TableJaccardIntent().prepare(original)
         assert prepared.delta(original.copy()) == 1.0
-        assert counters.short_circuits == 1
-        assert counters.checks == 1
+        assert prepared.short_circuits == 1
+        assert prepared.checks == 1
 
     def test_column_set_reuse_on_unchanged_columns(self):
         original = DataFrame({"a": [1, 2], "b": [3, 4], "c": [5, 6]})
         candidate = DataFrame({"a": [1, 2], "b": [3, 4], "c": [9, 9]})
-        counters = IntentStats()
-        prepared = TableJaccardIntent().prepare(original, counters=counters)
+        prepared = TableJaccardIntent().prepare(original)
         prepared.delta(candidate)
-        # columns a and b answered straight from the original's memo
-        assert counters.column_set_reuse >= 2
+        # columns a and b resolve to the contents the original built
+        a, b, c = _contents(prepared, candidate)
+        assert a is prepared._original_contents[0]
+        assert b is prepared._original_contents[1]
+        assert c is not prepared._original_contents[2]
+        assert len(prepared._memo) == 4
 
     def test_memo_shared_across_candidate_wave(self):
         original = DataFrame({"a": [1, 2], "b": [3, 4]})
-        counters = IntentStats()
-        prepared = TableJaccardIntent().prepare(original, counters=counters)
+        prepared = TableJaccardIntent().prepare(original)
         novel = DataFrame({"a": [7, 8], "b": [3, 4]})
         prepared.delta(novel)
-        first = counters.column_set_reuse
+        seen = _contents(prepared, novel)
         # a repeat of the novel candidate answers every column from the memo
         prepared.delta(novel.copy())
-        assert counters.column_set_reuse >= first + 2
-        prepared.delta(DataFrame({"a": [7, 8], "b": [9, 9]}))
+        assert _contents(prepared, novel.copy()) == seen
+        mutated = DataFrame({"a": [7, 8], "b": [9, 9]})
+        prepared.delta(mutated)
         # the mutated-a content was memoized by the first novel candidate
-        assert counters.column_set_reuse >= first + 3
+        assert _contents(prepared, mutated)[0] is seen[0]
+        assert len(prepared._memo) == 4
         # the whole-table short-circuit is reserved for the original's content
-        assert counters.short_circuits == 0
+        assert prepared.short_circuits == 0
         prepared.delta(original.copy())
-        assert counters.short_circuits == 1
+        assert prepared.short_circuits == 1
 
 
 # --------------------------------------------------------------- verify mode
@@ -221,13 +230,10 @@ class TestVerifyMode:
             return
         rng = random.Random(42)
         original = random_frame(rng, n_rows=6, n_cols=4)
-        counters = IntentStats()
-        prepared = intent.prepare(
-            original, counters=counters, verify=True
-        )
+        prepared = intent.prepare(original, verify=True)
         for _ in range(20):
             prepared.delta(perturb(rng, original))
-        assert counters.checks == 20
+        assert prepared.checks == 20
 
     def test_divergence_raises(self, monkeypatch):
         original = DataFrame({"a": [1, 2]})
@@ -241,8 +247,8 @@ class TestVerifyMode:
 
     def test_generic_fallback_delegates_to_naive(self):
         class OddIntent(TableJaccardIntent):
-            def prepare(self, original, counters=None, verify=False):
-                return PreparedIntent(self, original, counters, verify)
+            def prepare(self, original, verify=False):
+                return PreparedIntent(self, original, verify)
 
         original = DataFrame({"a": [1, 2]})
         candidate = DataFrame({"a": [1, 9]})
@@ -305,12 +311,11 @@ class TestModelPerformance:
     def test_prepared_short_circuits_identical_candidate(self, monkeypatch):
         calls = self._counting(monkeypatch)
         ACCURACY_CACHE.clear()  # else the original may be a memo hit
-        counters = IntentStats()
         intent = ModelPerformanceIntent(target="label", tau=5.0)
         original = classification_frame()
-        prepared = intent.prepare(original, counters=counters)
+        prepared = intent.prepare(original)
         assert prepared.delta(original.copy()) == 0.0
-        assert counters.short_circuits == 1
+        assert prepared.short_circuits == 1
         assert len(calls) == 1  # trained the original only, never the copy
 
     def test_unusable_candidate_is_worst_case(self):
@@ -347,9 +352,6 @@ class TestSearchParity:
         assert result.intent_satisfied == plain.intent_satisfied
         assert result.re_after == plain.re_after
         assert result.stats.n_intent_checks == plain.stats.n_intent_checks > 0
-        breakdown = result.stats.breakdown()
-        assert "IntentChecks" in breakdown
-        assert "IntentCacheHits" not in breakdown
 
     def test_a_repeated_standardize_prepares_afresh_and_agrees(
         self, diabetes_corpus, diabetes_dir, alex_script

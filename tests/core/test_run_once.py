@@ -130,13 +130,11 @@ class TestEachSourceRunsOnce:
         assert executed, "the search ran nothing"
         assert max(Counter(executed).values()) == 1
         assert executed[0] == result.input_script
-        assert result.stats.n_exec_checks == len(executed) - 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_held_out_competition_script(self, kind, executed, medical_competition):
-        result = _held_out(medical_competition, kind)
+        _held_out(medical_competition, kind)
         assert max(Counter(executed).values()) == 1
-        assert result.stats.n_exec_checks == len(executed) - 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_only_the_input_runs_outside_the_search(

@@ -110,7 +110,7 @@ class TestLucidScriptWiring:
             assert result.re_before == cold.re_before
             assert result.re_after == cold.re_after
 
-    def test_corpus_counters_surface_in_search_stats(
+    def test_repeat_construction_reuses_the_warm_index(
         self, diabetes_corpus, alex_script, diabetes_dir
     ):
         config = LSConfig(seq=4, beam_size=1, sample_rows=120)
@@ -120,33 +120,33 @@ class TestLucidScriptWiring:
             intent=TableJaccardIntent(tau=0.5),
             config=config,
         )
+        before = corpus_cache_counters()
         system = LucidScript(
             diabetes_corpus,
             data_dir=diabetes_dir,
             intent=TableJaccardIntent(tau=0.5),
             config=config,
         )
-        result = system.standardize(alex_script)
-        breakdown = result.stats.breakdown()
-        assert breakdown["CorpusIndexHits"] == 1
-        assert breakdown["CorpusReparses"] == 0
-        assert "CorpusScriptHits" in breakdown
+        system.standardize(alex_script)
+        delta = corpus_cache_counters().delta(before)
+        assert (delta.index_hits, delta.index_misses) == (1, 0)
+        assert delta.script_parses == 0
 
 
 class TestCorpusKeyFastPath:
     """The addr-based corpus key: warm lookups never re-hash script text."""
 
     def test_first_lookup_is_slow_then_fast(self, diabetes_corpus):
+        memo = cache._ADDR_MEMO
+        cached_index(diabetes_corpus)
+        assert (memo.hits, memo.misses) == (0, len(diabetes_corpus))
+        # the warm lookup resolves every address from the memo and never
+        # reaches the store
         before = corpus_cache_counters()
         cached_index(diabetes_corpus)
         delta = corpus_cache_counters().delta(before)
-        assert delta.key_slow == len(diabetes_corpus)
-        assert delta.key_fast == 0
-        before = corpus_cache_counters()
-        cached_index(diabetes_corpus)
-        delta = corpus_cache_counters().delta(before)
-        assert delta.key_fast == len(diabetes_corpus)
-        assert delta.key_slow == 0
+        assert (memo.hits, memo.misses) == (len(diabetes_corpus),) * 2
+        assert delta.script_hits == delta.script_parses == 0
         assert delta.index_hits == 1
 
     def test_key_is_order_sensitive(self, diabetes_corpus):
@@ -193,7 +193,7 @@ class TestSharedStoreBound:
         for script in scripts:
             store.get_or_parse(script)
         assert len(store) == 2
-        assert corpus_cache_counters().script_evictions == 2
+        assert store._records.evictions == 2
 
     def test_indexes_keep_strong_refs_across_evictions(self, monkeypatch):
         monkeypatch.setattr(cache, "SHARED_STORE_LIMIT", 1)

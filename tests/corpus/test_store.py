@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.corpus import ScriptStore, content_address
+from repro.corpus import ScriptStore, StoreCounters, content_address
+from repro.corpus import store as store_module
 from repro.lang import lemmatize, parse_script
 
 
@@ -22,17 +23,24 @@ class TestContentAddressing:
         record = store.get_or_parse(diabetes_corpus[0])
         assert record.content_hash == content_address(lemmatize(diabetes_corpus[0]))
 
-    def test_byte_identical_readd_skips_lemmatize(self, diabetes_corpus):
+    def test_byte_identical_readd_skips_lemmatize(self, diabetes_corpus, monkeypatch):
         store = ScriptStore()
-        store.get_or_parse(diabetes_corpus[0])
-        assert store.counters.lemma_hits == 0
-        store.get_or_parse(diabetes_corpus[0])
-        assert store.counters.lemma_hits == 1
+        record = store.get_or_parse(diabetes_corpus[0])
+        parsed = []
 
-    def test_unparseable_script_counts_a_failure(self):
+        def spy(source, **kwargs):
+            parsed.append(source)
+            return parse_script(source, **kwargs)
+
+        monkeypatch.setattr(store_module, "parse_script", spy)
+        assert store.get_or_parse(diabetes_corpus[0]) is record
+        assert parsed == []  # the raw-text memo answered: no lemmatize pass
+        assert store.counters.hits == 1
+
+    def test_unparseable_script_is_not_stored(self):
         store = ScriptStore()
         assert store.get_or_parse("this is ( not python") is None
-        assert store.counters.failures == 1
+        assert store.counters == StoreCounters()
         assert len(store) == 0
 
     def test_a_parsed_dag_builds_the_record_a_parse_would(self, diabetes_corpus):
@@ -42,7 +50,7 @@ class TestContentAddressing:
             built_store, parsed_store = ScriptStore(), ScriptStore()
             built = built_store.get_or_build(parse_script(script))
             assert built == parsed_store.get_or_parse(script)
-            assert built_store.counters.snapshot() == (0, 0, 0, 0, 0)
+            assert built_store.counters == StoreCounters()
             assert built_store.get_or_build(parse_script(script)) is built
             assert built_store.get_or_parse(lemmatize(script)) is built
             assert built_store.counters.hits == 2
@@ -59,7 +67,7 @@ class TestContentAddressing:
 
 
 class TestBoundedStore:
-    """The capped shared-store configuration (true-LRU + eviction counts)."""
+    """The capped shared-store configuration (true-LRU eviction)."""
 
     def _scripts(self, n):
         return [
@@ -73,8 +81,7 @@ class TestBoundedStore:
         for script in scripts:
             store.get_or_parse(script)
         assert len(store) == 2
-        assert store.counters.evictions == 2
-        assert store.counters.snapshot()[-1] == 2
+        assert store._records.evictions == 2
 
     def test_eviction_is_lru_and_lookups_refresh_recency(self):
         store = ScriptStore(capacity=2)
@@ -106,4 +113,3 @@ class TestBoundedStore:
         for script in self._scripts(50):
             store.get_or_parse(script)
         assert len(store) == 50
-        assert store.counters.evictions == 0

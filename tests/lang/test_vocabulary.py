@@ -61,19 +61,6 @@ class TestCounts:
 
 
 class TestDistribution:
-    def test_q_distribution_sums_to_one(self, vocab):
-        assert sum(vocab.q_distribution().values()) == pytest.approx(1.0)
-
-    def test_q_probability_known_edge(self, vocab):
-        edge = (
-            "df = pd.read_csv('diabetes.csv')",
-            "df = df.fillna(df.mean())",
-        )
-        assert vocab.q_probability(edge) == pytest.approx(3 / vocab.total_edges)
-
-    def test_q_probability_unknown_edge_is_epsilon(self, vocab):
-        assert vocab.q_probability(("nope", "nada")) == vocab.epsilon
-
     def test_epsilon_is_half_count(self, vocab):
         assert vocab.epsilon == pytest.approx(0.5 / vocab.total_edges)
 

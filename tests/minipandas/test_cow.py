@@ -134,8 +134,13 @@ class TestSnapshotSharing:
         executor = IncrementalExecutor()
         first = executor.run_script(self.SCRIPT)
         assert first.ok
-        assert executor.stats.frames_snapshotted > 0
-        assert executor.stats.payload_cells_shared > 0
+        # one snapshot per statement; the last holds the frame the run ended with
+        assert executor.snapshot_count() == len(self.SCRIPT.splitlines())
+        frozen, _ = executor._snapshots.peek(executor._snapshots.keys()[-1])
+        live = first.namespace["df"]
+        assert frozen["df"] is not live
+        for col in ("a", "b"):
+            assert payload(frozen["df"], col) is payload(live, col)
 
     def test_resumed_namespace_is_isolated_from_snapshot(self):
         executor = IncrementalExecutor()

@@ -314,7 +314,7 @@ class TestFingerprints:
         assert prepared.delta(candidate) == intent.delta(original, candidate)
         fresh = DataFrame({"x": [1.5, float("nan"), 0.0], "y": [1, 2, 3]})
         assert prepared.delta(fresh) == 1.0
-        assert prepared.counters.short_circuits == 1
+        assert prepared.short_circuits == 1
 
     def test_signed_zero_and_int_vs_float_differ(self):
         base = table_fingerprint(DataFrame({"x": [0.0]}))

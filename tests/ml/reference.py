@@ -25,6 +25,7 @@ from repro.ml.linear import _as_matrix, _standardize
 from repro.ml.pipeline import (
     _MAX_DUMMY_CARDINALITY,
     _MAX_TRAIN_ROWS,
+    RANDOM_STATE,
     DownstreamEvaluationError,
     _infer_task,
 )
@@ -101,18 +102,18 @@ def reference_prepare_features(frame, target):
     return np.column_stack(columns), y
 
 
-def reference_evaluate_downstream(frame, target, task=None, random_state=0) -> float:
+def reference_evaluate_downstream(frame, target, task=None) -> float:
     """The accuracy ``evaluate_downstream`` returns, from the pieces above."""
     X, y = reference_prepare_features(frame, target)
     task = task or _infer_task(y)
     if X.shape[0] > _MAX_TRAIN_ROWS:
-        rng = np.random.default_rng(random_state)
+        rng = np.random.default_rng(RANDOM_STATE)
         pick = np.sort(rng.choice(X.shape[0], size=_MAX_TRAIN_ROWS, replace=False))
         X = X[pick]
         y = [y[i] for i in pick]
     if task == "classification":
         X_train, X_test, y_train, y_test = train_test_split(
-            X, np.array(y), test_size=0.25, random_state=random_state
+            X, np.array(y), test_size=0.25, random_state=RANDOM_STATE
         )
         if len(np.unique(y_train)) < 2:
             return accuracy_score(y_test, np.full(len(y_test), y_train[0]))
@@ -121,7 +122,7 @@ def reference_evaluate_downstream(frame, target, task=None, random_state=0) -> f
         return accuracy_score(y_test, clf.predict(X_test))
     values = np.array([float(v) for v in y])
     X_train, X_test, y_train, y_test = train_test_split(
-        X, values, test_size=0.25, random_state=random_state
+        X, values, test_size=0.25, random_state=RANDOM_STATE
     )
     reg = LinearRegression().fit(X_train, y_train)
     return float(np.clip(r2_score(y_test, reg.predict(X_test)), 0.0, 1.0))

@@ -1,5 +1,9 @@
 """Tests for the downstream-evaluation pipeline (the Δ_M oracle)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,3 +136,28 @@ class TestEvaluateDownstream:
         )
         with pytest.raises(DownstreamEvaluationError):
             evaluate_downstream(frame, "y")
+
+    def test_non_numeric_target_message_does_not_depend_on_the_hash_seed(self):
+        """The value a mixed target is refused by is the first non-numeric
+        one in row order, in every process: a served error's payload is
+        replayed in a fresh interpreter, whose string hashes differ."""
+        code = (
+            "from repro.minipandas import DataFrame\n"
+            "from repro.ml import evaluate_downstream\n"
+            "frame = DataFrame({'x': [float(i) for i in range(40)],\n"
+            "                   'y': [1, 2, 'a', 'b', 3] * 8})\n"
+            "try:\n"
+            "    evaluate_downstream(frame, 'y')\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        messages = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            messages.append(done.stdout.strip())
+        assert messages == ["target value 'a' is not numeric"] * 2

@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines import SyntaxCleaner, gpt4
 from repro.core import LSConfig, LucidScript
+from repro.corpus import RetrievalIndex
 from repro.harness import (
     ImprovementStats,
     StudyOutcome,
@@ -75,10 +76,18 @@ class TestEvaluateLucidScript:
         )
         assert len(run.improvements) == 2
 
-    def test_retrieval_pool_run(self, medical_competition):
+    def test_retrieval_pool_run(self, medical_competition, monkeypatch):
         # the retrieve-then-compute path: the leave-one-out remainder
         # becomes a RetrievalIndex pool, every query audited for
         # exactness against brute-force scoring (with every other audit)
+        queries = []
+        real_top_k = RetrievalIndex.top_k
+
+        def top_k(pool, *args, **kwargs):
+            queries.append(kwargs.get("verify"))
+            return real_top_k(pool, *args, **kwargs)
+
+        monkeypatch.setattr(RetrievalIndex, "top_k", top_k)
         run = evaluate_lucidscript(
             medical_competition,
             intent_kind="jaccard",
@@ -90,7 +99,7 @@ class TestEvaluateLucidScript:
         )
         assert len(run.improvements) == 2
         assert all(v >= 0.0 for v in run.improvements)
-        assert any(b.get("RetrievalQueries") for b in run.breakdowns)
+        assert queries == [True, True]  # one audited retrieval per script
 
     def test_retrieval_k_leaves_the_callers_config_alone(
         self, medical_competition, monkeypatch

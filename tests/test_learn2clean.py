@@ -103,8 +103,9 @@ class TestAgent:
 
     def test_deterministic_given_seed(self):
         frame = make_dirty_frame(150)
-        a = Learn2CleanAgent(target="y", n_episodes=6, random_state=3).fit(frame)
-        b = Learn2CleanAgent(target="y", n_episodes=6, random_state=3).fit(frame)
+        # exploration is seeded with the module's RANDOM_STATE
+        a = Learn2CleanAgent(target="y", n_episodes=6).fit(frame)
+        b = Learn2CleanAgent(target="y", n_episodes=6).fit(frame)
         assert a.q_table == b.q_table
 
 

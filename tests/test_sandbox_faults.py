@@ -168,7 +168,6 @@ class TestIncrementalBudgets:
         result = executor.run_script(HANG)
         assert result.timed_out
         assert executor.stats.timeouts == 1
-        assert executor.stats.as_dict()["timeouts"] == 1
 
     def test_statement_budget_interrupts_the_hanging_statement(self):
         # each statement runs watched for what is left of the script budget

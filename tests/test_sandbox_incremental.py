@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._lru import LRUCache
+from repro.dialects import base as dialect_base
 from repro.lang.lemmatize import statement_sources
 from repro.minipandas import DataFrame
 from repro.sandbox import IncrementalExecutor, check_executes, run_script
 from repro.sandbox import incremental
-from repro.sandbox import runner as runner_module
 from repro.workloads import build_competition
 
 
@@ -155,7 +155,6 @@ class TestLRUCache:
         cache.get("a")
         cache.get("missing")
         assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
 
     def test_peek_does_not_touch_counters(self):
         cache = LRUCache(4)
@@ -179,45 +178,45 @@ class TestCsvCacheLRU:
 
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
-        runner_module._CSV_CACHE.clear()
+        dialect_base._CSV_CACHE.clear()
         yield
-        runner_module._CSV_CACHE.clear()
+        dialect_base._CSV_CACHE.clear()
 
     def test_sampled_and_full_reads_cached_separately(self, diabetes_dir):
         path = os.path.join(diabetes_dir, "diabetes.csv")
-        full = runner_module._load_table(path, None)
-        sampled = runner_module._load_table(path, 50)
+        full = dialect_base.load_table(path, None)
+        sampled = dialect_base.load_table(path, 50)
         assert len(full) > 50 and len(sampled) == 50
         # both variants live in the cache under distinct keys
-        assert len(runner_module._CSV_CACHE) == 2
-        assert runner_module._load_table(path, 50) is sampled
-        assert runner_module._load_table(path, None) is full
+        assert len(dialect_base._CSV_CACHE) == 2
+        assert dialect_base.load_table(path, 50) is sampled
+        assert dialect_base.load_table(path, None) is full
 
     def test_sampled_read_is_deterministic_across_evictions(self, diabetes_dir):
         path = os.path.join(diabetes_dir, "diabetes.csv")
-        first = runner_module._load_table(path, 50).index.tolist()
-        runner_module._CSV_CACHE.clear()
-        assert runner_module._load_table(path, 50).index.tolist() == first
+        first = dialect_base.load_table(path, 50).index.tolist()
+        dialect_base._CSV_CACHE.clear()
+        assert dialect_base.load_table(path, 50).index.tolist() == first
 
     def test_hot_file_survives_cache_pressure(self, tmp_path):
         frame = DataFrame({"a": list(range(5))})
         hot = str(tmp_path / "hot.csv")
         frame.to_csv(hot)
         cold_paths = []
-        for i in range(runner_module._CSV_CACHE.capacity - 1):
+        for i in range(dialect_base._CSV_CACHE.capacity - 1):
             p = str(tmp_path / f"cold{i}.csv")
             frame.to_csv(p)
             cold_paths.append(p)
-        hot_frame = runner_module._load_table(hot, None)
+        hot_frame = dialect_base.load_table(hot, None)
         for p in cold_paths:
-            runner_module._load_table(p, None)
+            dialect_base.load_table(p, None)
             # a FIFO would evict `hot` midway; LRU keeps it because we touch it
-            assert runner_module._load_table(hot, None) is hot_frame
+            assert dialect_base.load_table(hot, None) is hot_frame
 
     def test_kwargs_bypass_cache(self, diabetes_dir):
         path = os.path.join(diabetes_dir, "diabetes.csv")
-        runner_module._load_table(path, None, nrows=10)
-        assert len(runner_module._CSV_CACHE) == 0
+        dialect_base.load_table(path, None, nrows=10)
+        assert len(dialect_base._CSV_CACHE) == 0
 
 
 class TestIncrementalExecutor:
@@ -236,7 +235,7 @@ class TestIncrementalExecutor:
         assert executor.stats.prefix_hits == len(SUFFIXES) - 1
         assert executor.stats.prefix_misses == 1
         # every resumed run re-executed only its one-line suffix
-        assert executor.stats.mean_resume_depth == 4.0
+        assert executor.stats.resumed_statements == 4 * executor.stats.prefix_hits
 
     def test_identical_script_is_a_full_prefix_hit(self, diabetes_dir):
         executor = IncrementalExecutor(data_dir=diabetes_dir, sample_rows=100)
